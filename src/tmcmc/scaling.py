@@ -11,16 +11,28 @@ neighboring scales share their noise.  The per-scale ESS profile is still a
 noisy function of ``ell``; the reported optimum is the vertex of a quadratic
 fitted to the log-ESS profile near its peak (the raw argmax cell is reported
 alongside), with the acceptance rate interpolated at that vertex.
+
+Both study kernels consume their stream the same way whatever the scale and
+whatever was accepted: per step a direction ``d`` (additive: ``k`` sign
+uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals), then one
+acceptance uniform.  The cells of a slice therefore run in lockstep: each
+step draws ``d`` once, proposes ``x_c + (ell_c / sqrt(k)) d`` for every cell
+``c`` and evaluates all proposals in one batched log-density call.  The
+stream layout is the one a single-chain ``run_chain`` of the same kernel
+uses, and every cell is bit-identical to that chain (``tests/test_scaling.py``
+checks this).  A cell's ``wall_ms`` is its slice's loop time divided by the
+number of cells in the slice.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,8 +146,76 @@ def _cell_rng(seed: int, kernel: str, k: int) -> np.random.Generator:
 ESS_COORD_BLOCK = 16
 
 
-def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: ScalingStudySpec) -> CellResult:
-    """Run one grid cell; deterministic given its arguments.
+def _lockstep(
+    kernel_name: str,
+    target: Target,
+    scales: Sequence[float],
+    x0: np.ndarray,
+    n_iter: int,
+    rng: np.random.Generator,
+    n_coords: int,
+):
+    """Advance one chain per proposal scale from ``x0`` on a shared stream.
+
+    Returns the ``(n_iter, C)`` accept flags, the ``(n_iter, n_coords)``
+    leading coordinates of each step's shared direction and the ``(C,)``
+    counts of non-finite proposals.  Acceptance follows ``accept_step``: a
+    non-finite proposal density forces ``log_alpha = -inf``, and a finite
+    proposal from a non-finite current density forces ``+inf``.
+    """
+    k, n_cells = x0.size, len(scales)
+    scales = np.asarray(scales, dtype=float)[:, None]
+    x = np.tile(x0, (n_cells, 1))
+    y = np.empty_like(x)
+    lp_x = np.full(n_cells, target.log_density(x0))
+    accepted = np.empty((n_iter, n_cells), dtype=bool)
+    directions = np.empty((n_iter, n_coords))
+    n_nonfinite = np.zeros(n_cells, dtype=int)
+    additive = kernel_name == "additive-tmcmc"
+    log_density = target.log_density
+    with np.errstate(invalid="ignore"):  # inf - inf: replaced by the rule below
+        for i in range(n_iter):
+            if additive:
+                signs = rng.random(k) < 0.5
+                r = abs(float(rng.standard_normal()))
+                d = np.where(signs, r, -r)
+            else:
+                d = rng.standard_normal(k)
+            np.multiply(scales, d, out=y)
+            y += x
+            lp_y = log_density(y)
+            log_alpha = lp_y - lp_x
+            if not math.isfinite(log_alpha.sum()):  # some density is non-finite
+                nonfinite = ~np.isfinite(lp_y)
+                log_alpha = np.where(nonfinite, -math.inf, np.where(np.isfinite(lp_x), log_alpha, math.inf))
+                n_nonfinite += nonfinite
+            u = float(rng.random())
+            log_u = math.log(u) if u > 0.0 else -math.inf
+            acc = log_u < log_alpha
+            np.copyto(x, y, where=acc[:, None])
+            np.copyto(lp_x, lp_y, where=acc)
+            accepted[i] = acc
+            directions[i] = d[:n_coords]
+    return accepted, directions, n_nonfinite
+
+
+def _cell_path(x0_head: np.ndarray, directions: np.ndarray, accepted: np.ndarray, scale: float) -> np.ndarray:
+    """One cell's recorded coordinates after each step, rebuilt from the shared record.
+
+    ``directions`` holds one row per step (all recorded coordinates, or one
+    column of them).  The running sum adds ``scale * d`` on accepted steps
+    and ``0`` otherwise, in step order: the same floating-point additions the
+    chain made.
+    """
+    path = np.empty((directions.shape[0] + 1,) + directions.shape[1:])
+    path[0] = x0_head
+    np.multiply(scale, directions, out=path[1:])
+    path[1:][~accepted] = 0.0
+    return np.cumsum(path, axis=0, out=path)[1:]
+
+
+def run_study_slice(kernel_name: str, k: int, seed: int, spec: ScalingStudySpec) -> list:
+    """Run the cells of one (kernel, k, seed) slice, one per ``spec.ell_grid`` entry.
 
     The efficiency metric is the per-iteration ESS averaged over a block of
     coordinates (all of them for small k).  The study targets are exchangeable
@@ -144,32 +224,50 @@ def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: Scalin
     the optimum localizable at the per-cell run lengths used here.
     """
     target = _make_target(spec.target_family, k)
-    scale = ell / np.sqrt(k)
+    scales = [ell / np.sqrt(k) for ell in spec.ell_grid]
     rng = _cell_rng(seed, kernel_name, k)
     x0 = rng.standard_normal(k)
-    if kernel_name == "additive-tmcmc":
-        kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
-    else:
-        kernel = make_rwmh_kernel(target, scale)
-    coords = list(range(min(ESS_COORD_BLOCK, k)))
+    n_coords = min(ESS_COORD_BLOCK, k)
     t0 = time.perf_counter()
-    trace = run_chain(kernel, x0, spec.n_iter, rng, record_coords=coords)
-    wall_ms = 1e3 * (time.perf_counter() - t0)
-    tail = trace.tail(spec.burn_in)
-    ess = float(np.mean([iact_and_ess(tail, c)[1] for c in range(len(coords))]))
-    return CellResult(
-        kernel=kernel_name,
-        k=k,
-        ell=float(ell),
-        seed=int(seed),
-        accept_rate=acceptance_rate(tail),
-        ess_per_iter=ess / len(tail),
-        wall_ms=wall_ms,
-    )
+    accepted, directions, _ = _lockstep(kernel_name, target, scales, x0, spec.n_iter, rng, n_coords)
+    wall_ms = 1e3 * (time.perf_counter() - t0) / len(scales)
+    n_kept = spec.n_iter - spec.burn_in
+    rows = []
+    for c, (ell, scale) in enumerate(zip(spec.ell_grid, scales)):
+        flags = accepted[:, c]
+        ess = []
+        for j in range(n_coords):  # one coordinate at a time, so no (n, n_coords) path is held
+            tail = _cell_path(x0[j], directions[:, j], flags, scale)[spec.burn_in:]
+            ess.append(iact_and_ess(tail)[1])
+        rows.append(
+            CellResult(
+                kernel=kernel_name,
+                k=k,
+                ell=float(ell),
+                seed=int(seed),
+                accept_rate=acceptance_rate(flags[spec.burn_in:]),
+                ess_per_iter=float(np.mean(ess)) / n_kept,
+                wall_ms=wall_ms,
+            )
+        )
+    return rows
 
 
-def _run_cell_args(args) -> CellResult:
-    return run_study_cell(*args)
+def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: ScalingStudySpec) -> CellResult:
+    """Run one grid cell; deterministic given its arguments (a one-cell slice)."""
+    return run_study_slice(kernel_name, k, seed, replace(spec, ell_grid=(ell,)))[0]
+
+
+def _grid_rows(spec: ScalingStudySpec, done: dict) -> list:
+    """Rows of the finished slices in grid order (kernel, k, ell, seed)."""
+    return [
+        done[kernel, k, seed][c]
+        for kernel in spec.kernels
+        for k in spec.dims
+        for c in range(len(spec.ell_grid))
+        for seed in spec.seeds
+        if (kernel, k, seed) in done
+    ]
 
 
 def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar_se: np.ndarray):
@@ -195,29 +293,29 @@ def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar
 def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> StudyReport:
     """Execute the full grid and derive the per-(kernel, k) optima.
 
-    Cells are independent; they are distributed over a process pool and
-    reduced in grid order, so the report is identical however many workers ran.
+    Slices are independent; they are distributed over a process pool and
+    reduced in grid order (kernel, k, ell, seed), so the report is identical
+    however many workers ran.  If a slice fails, the raised ``RuntimeError``
+    carries ``partial_report``: the rows of the slices finished before it.
     """
-    cells = [
-        (kernel, k, ell, seed, spec)
-        for kernel in spec.kernels
-        for k in spec.dims
-        for ell in spec.ell_grid
-        for seed in spec.seeds
-    ]
+    slices = [(kernel, k, seed) for kernel in spec.kernels for k in spec.dims for seed in spec.seeds]
     workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    rows: list[CellResult] = []
-    if workers <= 1:
-        for args in cells:
-            rows.append(_run_cell_args(args))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                rows = list(pool.map(_run_cell_args, cells, chunksize=1))
-            except Exception as exc:
-                err = RuntimeError(f"scaling-study cell failed: {exc}")
-                err.partial_report = StudyReport(spec, rows, [], partial=True)
-                raise err from exc
+    done: dict = {}
+    try:
+        if workers <= 1:
+            for key in slices:
+                done[key] = run_study_slice(*key, spec)
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                kernels, dims, seeds = zip(*slices)
+                results = pool.map(run_study_slice, kernels, dims, seeds, [spec] * len(slices), chunksize=1)
+                for key, cells in zip(slices, results):
+                    done[key] = cells
+    except Exception as exc:
+        err = RuntimeError(f"scaling-study slice failed: {exc}")
+        err.partial_report = StudyReport(spec, _grid_rows(spec, done), [], partial=True)
+        raise err from exc
+    rows = _grid_rows(spec, done)
 
     optima = []
     for kernel in spec.kernels:

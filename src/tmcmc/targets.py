@@ -96,15 +96,20 @@ def make_iid_gaussian(k: int) -> Target:
     """Product of ``k`` standard normals, normalized.
 
     ``log pi(x) = -k/2 log(2 pi) - x'x/2`` with gradient ``-x``; the curvature
-    metadata is exact (``m_k = M_k = 1``, mode at the origin).
+    metadata is exact (``m_k = M_k = 1``, mode at the origin).  The
+    log-density also takes a ``(C, k)`` batch of states and returns ``(C,)``
+    values, each bit-identical to the single-state call on that row.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     const = -0.5 * k * LOG_2PI
 
-    def log_density(x: np.ndarray) -> float:
+    def log_density(x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        return const - 0.5 * float(x @ x)
+        if x.ndim == 1:
+            return const - 0.5 * float(x @ x)
+        # vecdot runs the same dot kernel as ``x @ x`` on each row.
+        return const - 0.5 * np.vecdot(x, x)
 
     def grad_log_density(x: np.ndarray) -> np.ndarray:
         return -np.asarray(x, dtype=float)

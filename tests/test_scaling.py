@@ -4,14 +4,25 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from tmcmc.baseline_kernels import make_rwmh_kernel
+from tmcmc.chain import run_chain
+from tmcmc.diagnostics import acceptance_rate, iact_and_ess
 from tmcmc.scaling import (
+    ESS_COORD_BLOCK,
+    STUDY_KERNELS,
     ScalingStudySpec,
+    _cell_path,
+    _cell_rng,
+    _lockstep,
     fixed_scale_ar_curve,
     run_scaling_study,
     run_study_cell,
+    run_study_slice,
     write_aggregate_csv,
     write_study_csv,
 )
+from tmcmc.targets import Target, make_iid_gaussian
+from tmcmc.transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
 TINY = ScalingStudySpec(
     dims=(4,), ell_grid=(1.2, 2.0, 2.8), n_iter=4_000, burn_in=500, seeds=(1, 2)
@@ -49,6 +60,100 @@ def test_cell_uses_common_streams_across_scales():
     again = run_study_cell("rwmh", 4, 1.2, 7, TINY)
     assert again.accept_rate == a.accept_rate
     assert again.ess_per_iter == a.ess_per_iter
+
+
+def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
+    if kernel == "additive-tmcmc":
+        step = make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
+    else:
+        step = make_rwmh_kernel(target, scale)
+    return run_chain(step, x0, n_iter, rng, record_coords=range(n_coords))
+
+
+@pytest.mark.parametrize("kernel", STUDY_KERNELS)
+@pytest.mark.parametrize("k", [1, 4, 100])
+def test_lockstep_cells_equal_single_chain_runs(kernel, k):
+    n_iter, seed, ells = 1_500, 11, (0.4, 1.6, 2.8, 6.0)
+    n_coords = min(ESS_COORD_BLOCK, k)
+    target = make_iid_gaussian(k)
+    scales = [ell / np.sqrt(k) for ell in ells]
+    rng = _cell_rng(seed, kernel, k)
+    x0 = rng.standard_normal(k)
+    accepted, directions, n_nonfinite = _lockstep(kernel, target, scales, x0, n_iter, rng, n_coords)
+    for c, scale in enumerate(scales):
+        ref_rng = _cell_rng(seed, kernel, k)
+        trace = _reference_chain(kernel, target, scale, ref_rng.standard_normal(k), n_iter, ref_rng, n_coords)
+        assert np.array_equal(accepted[:, c], trace.accepted)
+        assert np.array_equal(_cell_path(x0[:n_coords], directions, accepted[:, c], scale), trace.states)
+        assert n_nonfinite[c] == trace.n_nonfinite_proposals == 0
+
+
+def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
+    # -inf above x_0 = 1.5 and NaN below x_0 = -1.5: such proposals are
+    # auto-rejected and counted.  The chains start at x_0 = 3 (-inf), where
+    # any finite proposal is accepted.
+    base = make_iid_gaussian(3)
+
+    def log_density(x):
+        x = np.asarray(x, dtype=float)
+        lp = np.where(x[..., 0] > 1.5, -np.inf, np.where(x[..., 0] < -1.5, np.nan, base.log_density(x)))
+        return lp if x.ndim > 1 else float(lp)
+
+    target = Target(dim=3, log_density=log_density)
+    x0 = np.array([3.0, 0.1, -0.2])
+    scales = [0.3, 1.0, 2.5]
+    for kernel in STUDY_KERNELS:
+        accepted, directions, n_nonfinite = _lockstep(kernel, target, scales, x0, 2_000, np.random.default_rng(5), 3)
+        for c, scale in enumerate(scales):
+            trace = _reference_chain(kernel, target, scale, x0, 2_000, np.random.default_rng(5), 3)
+            assert np.array_equal(accepted[:, c], trace.accepted)
+            assert np.array_equal(_cell_path(x0, directions, accepted[:, c], scale), trace.states)
+            assert n_nonfinite[c] == trace.n_nonfinite_proposals
+        assert n_nonfinite.min() > 0
+
+
+def test_slice_cells_match_the_single_chain_study_metrics():
+    n_coords = min(ESS_COORD_BLOCK, 4)
+    for kernel in STUDY_KERNELS:
+        rows = run_study_slice(kernel, 4, 3, TINY)
+        assert [r.ell for r in rows] == list(TINY.ell_grid)
+        for row in rows:
+            rng = _cell_rng(3, kernel, 4)
+            x0 = rng.standard_normal(4)
+            trace = _reference_chain(kernel, make_iid_gaussian(4), row.ell / np.sqrt(4), x0, TINY.n_iter, rng, n_coords)
+            tail = trace.tail(TINY.burn_in)
+            ess = float(np.mean([iact_and_ess(tail, j)[1] for j in range(n_coords)]))
+            assert row.accept_rate == acceptance_rate(tail)
+            assert row.ess_per_iter == ess / len(tail)
+            one = run_study_cell(kernel, 4, row.ell, 3, TINY)
+            assert (one.accept_rate, one.ess_per_iter) == (row.accept_rate, row.ess_per_iter)
+
+
+def _without_wall(rows):
+    return [{k: v for k, v in asdict(r).items() if k != "wall_ms"} for r in rows]
+
+
+def test_study_report_is_independent_of_worker_count():
+    serial = run_scaling_study(TINY, n_workers=1)
+    pooled = run_scaling_study(TINY, n_workers=2)
+    assert _without_wall(pooled.rows) == _without_wall(serial.rows)
+    assert [asdict(o) for o in pooled.optima] == [asdict(o) for o in serial.optima]
+    # rows come in grid order: kernel, k, ell, seed
+    keys = [(r.kernel, r.k, r.ell, r.seed) for r in serial.rows]
+    assert keys == [(kn, k, e, s) for kn in TINY.kernels for k in TINY.dims for e in TINY.ell_grid for s in TINY.seeds]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
+    spec = ScalingStudySpec(dims=(4,), ell_grid=TINY.ell_grid, n_iter=TINY.n_iter, burn_in=TINY.burn_in, seeds=(1,))
+    # k = 0 gets past the spec's validation this way, so the second slice
+    # (additive-tmcmc, k=0) raises inside whichever process runs it.
+    object.__setattr__(spec, "dims", (4, 0))
+    with pytest.raises(RuntimeError, match="positive integer") as info:
+        run_scaling_study(spec, n_workers=n_workers)
+    partial = info.value.partial_report
+    assert partial.partial and partial.optima == []
+    assert _without_wall(partial.rows) == _without_wall(run_study_slice("additive-tmcmc", 4, 1, spec))
 
 
 def test_report_grid_shape_and_optima():

@@ -40,6 +40,16 @@ def test_iid_gaussian_closed_forms():
     assert_allclose(t3.log_density(np.ones(3)), -1.5 * math.log(2 * math.pi) - 1.5)
 
 
+@pytest.mark.parametrize("k", [1, 3, 4, 10, 100])
+def test_iid_gaussian_batched_rows_equal_single_calls(k):
+    target = make_iid_gaussian(k)
+    batch = np.random.default_rng(k).standard_normal((700, k)) * 3.0
+    values = target.log_density(batch)
+    assert values.shape == (700,)
+    singles = np.array([target.log_density(row.copy()) for row in batch])
+    assert np.array_equal(values, singles)  # bit for bit, not approximately
+
+
 def test_iid_gaussian_rejects_zero_dim():
     with pytest.raises(ValueError):
         make_iid_gaussian(0)
