@@ -9,6 +9,12 @@ which is algebraically the usual half-kick / drift / half-kick scheme, so it
 is time-reversible and volume preserving.  The Hamiltonian uses the kinetic
 energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum refresh.
 
+An HMC transition costs one log-density call and ``L`` gradient calls: the
+kernel carries ``log pi`` and ``grad U`` of its current state.  A divergent
+trajectory, one whose end point is non-finite, is a rejected transition
+counted in ``Trace.meta["n_nonfinite_proposals"]``; only the public
+``leapfrog()`` raises ``LeapfrogError`` for it.
+
 Note on parameterization: for a single leapfrog step of size ``dt`` the
 position proposal is exactly Gaussian with mean
 ``x + (dt^2/2) M^{-1} grad log pi(x)`` and variance ``dt^2 M^{-1}``; that is,
@@ -18,6 +24,7 @@ step here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -61,6 +68,10 @@ class HmcConfig:
         return np.broadcast_to(np.asarray(self.mass, dtype=float), (k,))
 
 
+def _finite(x: np.ndarray, p: np.ndarray) -> bool:
+    return bool(np.isfinite(x).all() and np.isfinite(p).all())
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Position/momentum pair on the phase space."""
@@ -69,12 +80,12 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.p))):
+        if not _finite(self.x, self.p):
             raise ValueError("phase point components must be finite")
 
 
 class LeapfrogError(RuntimeError):
-    """Raised when a gradient evaluation turns non-finite mid-trajectory."""
+    """Raised by ``leapfrog()`` when a trajectory ends at a non-finite phase point."""
 
 
 def rwmh_step(
@@ -117,36 +128,46 @@ def potential(target: Target, x: np.ndarray) -> float:
     return -target.log_density(np.asarray(x, dtype=float))
 
 
+def _potential_gradient(target: Target):
+    """``x -> grad U(x)`` for a float array ``x``; raises if the target has no gradient."""
+    grad_log_density = target.grad_log_density
+    if grad_log_density is None:
+        raise ValueError(f"target {target.name!r} has no gradient; HMC needs one")
+    return lambda x: -np.asarray(grad_log_density(x), dtype=float)
+
+
 def grad_potential(target: Target, x: np.ndarray) -> np.ndarray:
     """``grad U(x) = -grad log pi(x)``; requires the target gradient."""
-    if target.grad_log_density is None:
-        raise ValueError(f"target {target.name!r} has no gradient; HMC needs one")
-    return -np.asarray(target.grad_log_density(np.asarray(x, dtype=float)), dtype=float)
+    return _potential_gradient(target)(np.asarray(x, dtype=float))
+
+
+def _leapfrog(x, p, grad, L, drift, half_dt, grad_u):
+    """``(x, p, grad U(x))`` -> ``(x_L, p_L, grad U(x_L))`` with ``drift = dt M^{-1}``.
+
+    Unchecked: a non-finite gradient makes every later ``x`` and ``p``
+    non-finite, so callers test the end point once.
+    """
+    for _ in range(L):
+        x = x + drift * (p - half_dt * grad)
+        grad_new = grad_u(x)
+        p = p - half_dt * (grad + grad_new)
+        grad = grad_new
+    return x, p, grad
 
 
 def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
-    """Apply the leapfrog update ``cfg.L`` times from ``start``."""
-    if target.grad_log_density is None:
-        raise ValueError(f"target {target.name!r} has no gradient; leapfrog needs one")
-    x = np.asarray(start.x, dtype=float).copy()
-    p = np.asarray(start.p, dtype=float).copy()
+    """Apply the leapfrog update ``cfg.L`` times from ``start``.
+
+    Raises ``LeapfrogError`` if the trajectory diverges (a non-finite end point).
+    """
+    grad_u = _potential_gradient(target)
+    x = np.asarray(start.x, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    dt = cfg.dt
-    grad = grad_potential(target, x)
-    for step in range(cfg.L):
-        if not np.all(np.isfinite(grad)):
-            raise LeapfrogError(f"non-finite potential gradient at leapfrog step {step}")
-        x = x + dt * inv_m * (p - 0.5 * dt * grad)
-        grad_new = grad_potential(target, x)
-        if not np.all(np.isfinite(grad_new)):
-            raise LeapfrogError(f"non-finite potential gradient at leapfrog step {step}")
-        p = p - 0.5 * dt * (grad + grad_new)
-        grad = grad_new
+    p = np.asarray(start.p, dtype=float)
+    x, p, _ = _leapfrog(x, p, grad_u(x), cfg.L, cfg.dt * inv_m, 0.5 * cfg.dt, grad_u)
+    if not _finite(x, p):
+        raise LeapfrogError(f"non-finite phase point after leapfrog step {cfg.L}")
     return PhasePoint(x, p)
-
-
-def _hamiltonian(target: Target, x: np.ndarray, p: np.ndarray, inv_m: np.ndarray) -> float:
-    return potential(target, x) + 0.5 * float(p @ (inv_m * p))
 
 
 def hmc_step(
@@ -155,28 +176,45 @@ def hmc_step(
     cfg: HmcConfig,
     rng: np.random.Generator,
 ) -> StepResult:
-    """One HMC transition: fresh ``N(0, M)`` momentum, leapfrog, energy test.
-
-    Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
-    momentum is discarded afterwards.
-    """
-    x = np.asarray(x, dtype=float)
-    mass = cfg.mass_vector(x.size)
-    inv_m = 1.0 / mass
-    p0 = np.sqrt(mass) * rng.standard_normal(x.size)
-    end = leapfrog(PhasePoint(x, p0), cfg, target)
-    h0 = _hamiltonian(target, x, p0, inv_m)
-    h1 = _hamiltonian(target, end.x, end.p, inv_m)
-    lp_y = target.log_density(end.x)
-    return accept_step(x, end.x, h0 - h1, target.log_density(x), lp_y, rng)
+    """One HMC transition from ``x``: ``make_hmc_kernel(target, cfg)(x, rng)``."""
+    return make_hmc_kernel(target, cfg)(x, rng)
 
 
 def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
-    if target.grad_log_density is None:
-        raise ValueError(f"target {target.name!r} has no gradient; HMC needs one")
+    """HMC transitions: fresh ``N(0, M)`` momentum, leapfrog, energy test.
+
+    Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
+    momentum is discarded afterwards.  Carries ``(x, log pi(x), grad U(x))``
+    of the state it returned last; a divergent trajectory is a rejection.
+    """
+    grad_u = _potential_gradient(target)
+    log_density = target.log_density
+    mass = cfg.mass_vector(target.dim)
+    inv_m = 1.0 / mass
+    sqrt_m = np.sqrt(mass)
+    drift = cfg.dt * inv_m
+    half_dt = 0.5 * cfg.dt
+    cache = {"x": None, "lp": None, "grad": None}
 
     def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        return hmc_step(x, target, cfg, rng)
+        x = np.asarray(x, dtype=float)
+        if x is cache["x"]:
+            lp_x, grad = cache["lp"], cache["grad"]
+        else:
+            lp_x, grad = log_density(x), grad_u(x)
+        p0 = sqrt_m * rng.standard_normal(x.size)
+        y, p, grad_y = _leapfrog(x, p0, grad, cfg.L, drift, half_dt, grad_u)
+        if _finite(y, p):
+            lp_y = log_density(y)
+            h0 = -lp_x + 0.5 * float(p0 @ (inv_m * p0))
+            h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
+            log_alpha = h0 - h1
+        else:
+            lp_y = log_alpha = -math.inf
+        step = accept_step(x, y, log_alpha, lp_x, lp_y, rng)
+        cache["x"], cache["lp"] = step.x_next, step.log_density
+        cache["grad"] = grad_y if step.accepted else grad
+        return step
 
     return kernel
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from tmcmc.baseline_kernels import (
     potential,
     rwmh_step,
 )
-from tmcmc.chain import chain_rng, run_chain
+from tmcmc.chain import accept_step, chain_rng, run_chain
 from tmcmc.diagnostics import acceptance_rate
-from tmcmc.targets import Target, make_challenger_logistic, make_iid_gaussian
+from tmcmc.targets import Target, make_anisotropic_gaussian, make_challenger_logistic, make_iid_gaussian
 
 
 def uniform_patch_target(k):
@@ -176,6 +177,104 @@ def test_hmc_stationary_moments_on_gaussian():
     assert np.all(np.abs(tail.states.mean(axis=0)) < 0.05)
     assert np.all(np.abs(tail.states.var(axis=0) - 1.0) < 0.1)
     assert 0.6 < acceptance_rate(tail) <= 1.0
+
+
+def test_divergent_trajectory_is_a_counted_rejection():
+    # dt = 2.5 > 2 makes the leapfrog unstable on a unit Gaussian: every
+    # 2000-step trajectory overflows, and each must be rejected, not raise.
+    x0 = np.zeros(3)
+    kernel = make_hmc_kernel(make_iid_gaussian(3), HmcConfig(L=2000, dt=2.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run_chain(kernel, x0, 50, 0)
+    assert np.all(trace.log_alpha == -np.inf)
+    assert not trace.accepted.any()
+    assert trace.n_nonfinite_proposals == 50
+    assert np.array_equal(trace.states, np.tile(x0, (50, 1)))
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(trace.accepted, np.log(trace.uniforms) < trace.log_alpha)
+
+
+def test_nonfinite_end_momentum_is_a_counted_rejection():
+    # The gradient is NaN beyond x = 2 while the density stays finite there,
+    # so a one-step trajectory can end at a finite x with a NaN momentum.
+    def grad(x):
+        return np.array([math.nan]) if float(x[0]) > 2.0 else -x
+
+    target = Target(dim=1, log_density=lambda x: -0.5 * float(x @ x), grad_log_density=grad)
+    kernel = make_hmc_kernel(target, HmcConfig(L=1, dt=0.5))
+    trace = run_chain(kernel, np.array([1.9]), 400, 8)
+    rejected_as_nonfinite = trace.log_alpha == -np.inf
+    assert 0 < trace.n_nonfinite_proposals == rejected_as_nonfinite.sum()
+    assert not trace.accepted[rejected_as_nonfinite].any()
+    assert not np.isnan(trace.log_alpha).any()
+    assert trace.states.max() <= 2.0
+
+
+@pytest.mark.parametrize("L", [1, 7])
+def test_hmc_transition_costs_one_density_and_L_gradient_calls(L):
+    base = make_anisotropic_gaussian(np.linspace(1.0, 4.0, 5))
+    calls = {"density": 0, "grad": 0}
+
+    def log_density(x):
+        calls["density"] += 1
+        return base.log_density(x)
+
+    def grad_log_density(x):
+        calls["grad"] += 1
+        return base.grad_log_density(x)
+
+    target = dataclasses.replace(base, log_density=log_density, grad_log_density=grad_log_density)
+    n = 300
+    trace = run_chain(make_hmc_kernel(target, HmcConfig(L=L, dt=0.3)), np.zeros(5), n, 4)
+    assert 0.0 < acceptance_rate(trace) < 1.0
+    assert calls == {"density": n + 1, "grad": n * L + 1}
+
+
+def _reference_hmc_trace(target, cfg, x0, n, seed):
+    """Reference HMC chain composed from the public parts: a per-step checked
+    leapfrog from a fresh gradient, ``potential`` for both energies and a
+    fresh density at both ends for ``accept_step``."""
+    rng = chain_rng(seed)
+    mass = cfg.mass_vector(x0.size)
+    inv_m = 1.0 / mass
+    dt = cfg.dt
+    x = x0
+    rows = []
+    for _ in range(n):
+        p0 = np.sqrt(mass) * rng.standard_normal(x.size)
+        y, p = x.copy(), p0.copy()
+        grad = grad_potential(target, y)
+        for _ in range(cfg.L):
+            assert np.all(np.isfinite(grad))
+            y = y + dt * inv_m * (p - 0.5 * dt * grad)
+            grad_new = grad_potential(target, y)
+            p = p - 0.5 * dt * (grad + grad_new)
+            grad = grad_new
+        h0 = potential(target, x) + 0.5 * float(p0 @ (inv_m * p0))
+        h1 = potential(target, y) + 0.5 * float(p @ (inv_m * p))
+        step = accept_step(x, y, h0 - h1, target.log_density(x), target.log_density(y), rng)
+        x = step.x_next
+        rows.append((x, step.log_alpha, step.uniform, step.log_density))
+    states, log_alpha, uniforms, log_density = zip(*rows)
+    return np.array(states), np.array(log_alpha), np.array(uniforms), np.array(log_density)
+
+
+@pytest.mark.parametrize("mass", [0.7, (0.5, 1.0, 2.0, 4.0)], ids=["scalar-mass", "vector-mass"])
+@pytest.mark.parametrize("L", [1, 10])
+@pytest.mark.parametrize("target_name", ["iid", "anisotropic"])
+def test_hmc_kernel_is_bit_identical_to_the_reference_composition(mass, L, target_name):
+    k = 4
+    target = make_iid_gaussian(k) if target_name == "iid" else make_anisotropic_gaussian(np.linspace(1.0, 4.0, k))
+    cfg = HmcConfig(L=L, dt=0.6 if L == 1 else 0.15, mass=mass)
+    x0 = np.linspace(-1.0, 1.0, k)
+    for seed in (1, 2, 3):
+        trace = run_chain(make_hmc_kernel(target, cfg), x0, 2_000, seed)
+        states, log_alpha, uniforms, log_density = _reference_hmc_trace(target, cfg, x0, 2_000, seed)
+        assert 0.0 < acceptance_rate(trace) < 1.0
+        assert np.array_equal(trace.states, states)
+        assert np.array_equal(trace.log_alpha, log_alpha)
+        assert np.array_equal(trace.uniforms, uniforms)
+        assert np.array_equal(trace.log_density, log_density)
 
 
 # --- single-step proposal characterization ---------------------------------
