@@ -14,12 +14,10 @@ from .baseline_kernels import (
     PhasePoint,
     grad_potential,
     hmc_one_step_proposal_params,
-    hmc_step,
     leapfrog,
     make_hmc_kernel,
     make_rwmh_kernel,
     potential,
-    rwmh_step,
 )
 from .bounds import (
     AcceptanceBoundInputs,
@@ -30,7 +28,7 @@ from .bounds import (
     rwmh_ar_bounds,
     tmcmc_ar_bounds,
 )
-from .chain import StepResult, Trace, chain_rng, run_chain
+from .chain import ChainState, Step, Trace, chain_rng, run_chain
 from .diagnostics import (
     acceptance_rate,
     expected_acceptance_rate,
@@ -38,16 +36,12 @@ from .diagnostics import (
     split_rhat,
 )
 from .discrete_kernels import (
-    LatticeState,
-    SpinState,
     exact_transition_matrix,
-    ising_tmcmc_step,
     ising_transition_matrix,
     lattice_transition_matrix,
     make_ising_kernel,
     make_zk_kernel,
     stationary_distribution,
-    zk_tmcmc_step,
 )
 from .scaling import ScalingStudySpec, run_scaling_study
 from .targets import (
@@ -66,15 +60,11 @@ from .transform_kernels import (
     TmcmcConfig,
     Transformation,
     additive_forward,
-    additive_tmcmc_step,
     additive_transformation,
     conjugate,
-    dependent_z_tmcmc_step,
-    general_tmcmc_step,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
     make_general_tmcmc_kernel,
-    move_log_prob,
     sample_epsilon,
 )
 from .verify import Verdict

@@ -10,10 +10,11 @@ is time-reversible and volume preserving.  The Hamiltonian uses the kinetic
 energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum refresh.
 
 An HMC transition costs one log-density call and ``L`` gradient calls: the
-kernel carries ``log pi`` and ``grad U`` of its current state.  A divergent
-trajectory, one whose end point is non-finite, is a rejected transition
-counted in ``Trace.meta["n_nonfinite_proposals"]``; only the public
-``leapfrog()`` raises ``LeapfrogError`` for it.
+chain state carries ``log pi`` and ``grad U`` of the current position.  A
+divergent trajectory, one whose end point is non-finite, is a rejected
+transition counted in ``Trace.meta["n_nonfinite_proposals"]``; the
+integrator runs with numpy's overflow and invalid-value warnings off, and
+only the public ``leapfrog()`` raises ``LeapfrogError`` for a divergence.
 
 Note on parameterization: for a single leapfrog step of size ``dt`` the
 position proposal is exactly Gaussian with mean
@@ -26,23 +27,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .chain import Kernel, StepResult, accept_step
+from .chain import ChainState, Kernel, accept_step, init_state
 from .targets import Target
 
 __all__ = [
     "HmcConfig",
     "PhasePoint",
     "LeapfrogError",
-    "rwmh_step",
     "make_rwmh_kernel",
     "potential",
     "grad_potential",
     "leapfrog",
-    "hmc_step",
     "make_hmc_kernel",
     "hmc_one_step_proposal_params",
 ]
@@ -88,38 +87,18 @@ class LeapfrogError(RuntimeError):
     """Raised by ``leapfrog()`` when a trajectory ends at a non-finite phase point."""
 
 
-def rwmh_step(
-    x: np.ndarray,
-    target: Target,
-    sigma: float,
-    rng: np.random.Generator,
-    lp_current: Optional[float] = None,
-) -> StepResult:
+def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
     """Propose ``x + sigma * N(0, I)`` and accept by the density ratio."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    y = x + sigma * rng.standard_normal(x.size)
-    lp_x = target.log_density(x) if lp_current is None else lp_current
-    lp_y = target.log_density(y)
-    return accept_step(x, y, lp_y - lp_x, lp_x, lp_y, rng)
-
-
-def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     log_density = target.log_density
-    cache = {"x": None, "lp": None}
 
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        x = np.asarray(x, dtype=float)
-        lp_x = cache["lp"] if cache["x"] is not None and x is cache["x"] else log_density(x)
-        y = x + sigma * rng.standard_normal(x.size)
+    def kernel(state: ChainState, rng: np.random.Generator):
+        y = state.x + sigma * rng.standard_normal(state.x.size)
         lp_y = log_density(y)
-        step = accept_step(x, y, lp_y - lp_x, lp_x, lp_y, rng)
-        cache["x"], cache["lp"] = step.x_next, step.log_density
-        return step
+        return accept_step(state, ChainState(y, lp_y), lp_y - state.lp, rng)
 
+    kernel.init = init_state(log_density)
     return kernel
 
 
@@ -141,11 +120,13 @@ def grad_potential(target: Target, x: np.ndarray) -> np.ndarray:
     return _potential_gradient(target)(np.asarray(x, dtype=float))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _leapfrog(x, p, grad, L, drift, half_dt, grad_u):
     """``(x, p, grad U(x))`` -> ``(x_L, p_L, grad U(x_L))`` with ``drift = dt M^{-1}``.
 
     Unchecked: a non-finite gradient makes every later ``x`` and ``p``
-    non-finite, so callers test the end point once.
+    non-finite, so callers test the end point once.  Overflow and invalid
+    values on the way there raise no numpy warnings.
     """
     for _ in range(L):
         x = x + drift * (p - half_dt * grad)
@@ -170,22 +151,12 @@ def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
     return PhasePoint(x, p)
 
 
-def hmc_step(
-    x: np.ndarray,
-    target: Target,
-    cfg: HmcConfig,
-    rng: np.random.Generator,
-) -> StepResult:
-    """One HMC transition from ``x``: ``make_hmc_kernel(target, cfg)(x, rng)``."""
-    return make_hmc_kernel(target, cfg)(x, rng)
-
-
 def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     """HMC transitions: fresh ``N(0, M)`` momentum, leapfrog, energy test.
 
     Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
-    momentum is discarded afterwards.  Carries ``(x, log pi(x), grad U(x))``
-    of the state it returned last; a divergent trajectory is a rejection.
+    momentum is discarded afterwards.  The state carries
+    ``(x, log pi(x), grad U(x))``; a divergent trajectory is a rejection.
     """
     grad_u = _potential_gradient(target)
     log_density = target.log_density
@@ -194,28 +165,25 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     sqrt_m = np.sqrt(mass)
     drift = cfg.dt * inv_m
     half_dt = 0.5 * cfg.dt
-    cache = {"x": None, "lp": None, "grad": None}
 
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        x = np.asarray(x, dtype=float)
-        if x is cache["x"]:
-            lp_x, grad = cache["lp"], cache["grad"]
-        else:
-            lp_x, grad = log_density(x), grad_u(x)
+    def kernel(state: ChainState, rng: np.random.Generator):
+        x = state.x
         p0 = sqrt_m * rng.standard_normal(x.size)
-        y, p, grad_y = _leapfrog(x, p0, grad, cfg.L, drift, half_dt, grad_u)
+        y, p, grad_y = _leapfrog(x, p0, state.grad, cfg.L, drift, half_dt, grad_u)
         if _finite(y, p):
             lp_y = log_density(y)
-            h0 = -lp_x + 0.5 * float(p0 @ (inv_m * p0))
+            h0 = -state.lp + 0.5 * float(p0 @ (inv_m * p0))
             h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
             log_alpha = h0 - h1
         else:
             lp_y = log_alpha = -math.inf
-        step = accept_step(x, y, log_alpha, lp_x, lp_y, rng)
-        cache["x"], cache["lp"] = step.x_next, step.log_density
-        cache["grad"] = grad_y if step.accepted else grad
-        return step
+        return accept_step(state, ChainState(y, lp_y, grad_y), log_alpha, rng)
 
+    def init(x) -> ChainState:
+        x = np.asarray(x, dtype=float)
+        return ChainState(x, log_density(x), grad_u(x))
+
+    kernel.init = init
     return kernel
 
 

@@ -1,9 +1,27 @@
 """Chain driving, tracing, and reproducible seeding shared by all kernels.
 
-A kernel is any callable ``(x, rng) -> StepResult``.  The runner owns the
-accept/reject bookkeeping only through what kernels report; every step stores
-the uniform draw that decided acceptance, so traces are replayable:
+Kernel protocol.  A kernel is a pure function ``kernel(state, rng) -> Step``
+over an explicit ``ChainState``: the position ``x``, its log-density ``lp``
+and, for HMC only, the potential gradient ``grad``.  The factory that builds
+a kernel also sets the function attribute ``kernel.init(x) -> ChainState``,
+which evaluates what the state carries once.  ``run_chain`` calls ``init``
+once and then hands each step's ``state`` to the next, so a transition
+evaluates the target only at its proposal, and one kernel object can drive
+any number of chains.
+
+One accept rule.  Every kernel ends its transition in ``accept_step``: it
+draws one uniform ``u`` and accepts iff ``log u < log_alpha``.  The step
+records ``u`` and ``log_alpha``, so traces are replayable:
 ``accepted == (log(u) < log_alpha)`` holds row by row.
+
+The non-finite rule (``nonfinite_rule``, which the scaling study's lockstep
+loop applies to whole batches): a proposal whose log-density is not finite
+is rejected with ``log_alpha = -inf`` and counted in
+``Trace.meta["n_nonfinite_proposals"]``, so rejected excursions never write
+NaN into the trace; a finite proposal from a state whose log-density is not
+finite is accepted (``log_alpha = +inf``).  Kernels report any other broken
+proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
+with log-density ``-inf``.
 """
 
 from __future__ import annotations
@@ -12,26 +30,42 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["StepResult", "Trace", "Kernel", "chain_rng", "run_chain"]
+__all__ = [
+    "ChainState",
+    "Step",
+    "Trace",
+    "Kernel",
+    "chain_rng",
+    "init_state",
+    "nonfinite_rule",
+    "accept_step",
+    "run_chain",
+]
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of one Markov transition."""
+class ChainState(NamedTuple):
+    """Position, its log-density and, for HMC, ``grad U(x)``."""
 
-    x_next: np.ndarray
+    x: np.ndarray
+    lp: float
+    grad: Optional[np.ndarray] = None
+
+
+class Step(NamedTuple):
+    """Outcome of one transition: the next state and how it was decided."""
+
+    state: ChainState
     accepted: bool
     log_alpha: float
     uniform: float
-    log_density: float
-    nonfinite_proposal: bool = False
+    nonfinite: bool
 
 
-Kernel = Callable[[np.ndarray, np.random.Generator], StepResult]
+Kernel = Callable[[ChainState, np.random.Generator], Step]
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -44,30 +78,42 @@ def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_index,)))
 
 
-def accept_step(
-    x: np.ndarray,
-    proposal: np.ndarray,
-    log_alpha: float,
-    lp_current: float,
-    lp_proposal: float,
-    rng: np.random.Generator,
-) -> StepResult:
-    """Shared Metropolis accept/reject with a recorded uniform.
+def init_state(log_density: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], ChainState]:
+    """``kernel.init`` for kernels whose state is ``(x, log pi(x))``."""
 
-    A non-finite proposal log-density forces ``log_alpha = -inf`` (auto
-    reject) so rejected excursions never write NaN into the trace.
+    def init(x) -> ChainState:
+        x = np.asarray(x, dtype=float)
+        return ChainState(x, log_density(x))
+
+    return init
+
+
+def nonfinite_rule(log_alpha, lp_current, lp_proposal):
+    """``(log_alpha, nonfinite)`` after the non-finite rule, for floats or ``(C,)`` arrays.
+
+    A non-finite proposal log-density forces ``log_alpha = -inf`` and is
+    flagged; otherwise a non-finite current one forces ``+inf``.  With both
+    finite ``log_alpha`` is returned unchanged.
     """
-    nonfinite = not math.isfinite(lp_proposal)
-    if nonfinite:
-        log_alpha = -math.inf
-    elif not math.isfinite(lp_current) and math.isfinite(lp_proposal):
-        log_alpha = math.inf
+    nonfinite = ~np.isfinite(lp_proposal)
+    log_alpha = np.where(nonfinite, -math.inf, np.where(np.isfinite(lp_current), log_alpha, math.inf))
+    return log_alpha, nonfinite
+
+
+def accept_step(state: ChainState, proposal: ChainState, log_alpha: float, rng: np.random.Generator) -> Step:
+    """Metropolis test of ``proposal`` against ``state`` with a recorded uniform.
+
+    Kernels compute ``log_alpha`` from both log-densities, so it is
+    non-finite whenever either is; only then does the non-finite rule run.
+    """
+    nonfinite = False
+    if not math.isfinite(log_alpha):
+        log_alpha, nonfinite = nonfinite_rule(log_alpha, state.lp, proposal.lp)
+        log_alpha, nonfinite = float(log_alpha), bool(nonfinite)
     u = float(rng.random())
     log_u = math.log(u) if u > 0.0 else -math.inf
     accepted = log_u < log_alpha
-    if accepted:
-        return StepResult(proposal, True, log_alpha, u, lp_proposal, nonfinite)
-    return StepResult(np.asarray(x, dtype=float), False, log_alpha, u, lp_current, nonfinite)
+    return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
 
 
 @dataclass
@@ -148,7 +194,7 @@ def run_chain(
     record_coords: Optional[Sequence[int]] = None,
     meta: Optional[dict] = None,
 ) -> Trace:
-    """Run ``n_iter`` transitions of ``kernel`` from ``x0``.
+    """Run ``n_iter`` transitions of ``kernel`` from ``kernel.init(x0)``.
 
     Deterministic given the seed.  ``record_coords`` limits which coordinates
     are stored (memory control for large-k studies); flags, log-densities,
@@ -168,18 +214,18 @@ def run_chain(
     log_alpha = np.empty(n_iter)
     uniforms = np.empty(n_iter)
 
-    x = x0
     n_bad = 0
     t0 = time.perf_counter()
+    state = kernel.init(x0)
     for i in range(n_iter):
-        step = kernel(x, rng)
-        x = step.x_next
-        states[i] = x[coords]
+        step = kernel(state, rng)
+        state = step.state
+        states[i] = state.x[coords]
         accepted[i] = step.accepted
-        log_density[i] = step.log_density
+        log_density[i] = state.lp
         log_alpha[i] = step.log_alpha
         uniforms[i] = step.uniform
-        n_bad += step.nonfinite_proposal
+        n_bad += step.nonfinite
     wall = time.perf_counter() - t0
 
     info = dict(meta or {})

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -23,14 +22,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
-from .chain import Kernel, StepResult, accept_step
+from .chain import ChainState, Kernel, accept_step, init_state
 from .targets import Target
 
 __all__ = [
-    "SpinState",
-    "LatticeState",
-    "ising_tmcmc_step",
-    "zk_tmcmc_step",
     "make_ising_kernel",
     "make_zk_kernel",
     "jump_magnitude_masses",
@@ -47,33 +42,6 @@ __all__ = [
 MAX_EXACT_STATES = 5000
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """State of the spin chain; every component is exactly +1 or -1."""
-
-    spins: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.spins)
-        if not np.all(np.abs(s) == 1):
-            raise ValueError("spins must all be +1 or -1")
-
-
-@dataclass(frozen=True)
-class LatticeState:
-    """Integer-lattice state with the enumeration bound used by exact checks."""
-
-    coords: np.ndarray
-    box_radius: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coords)
-        if self.box_radius < 1:
-            raise ValueError("box_radius must be a positive integer")
-        if np.any(np.abs(c) > self.box_radius):
-            raise ValueError("coords must lie within the enumeration box")
-
-
 def _validate_spin_probs(p: np.ndarray) -> None:
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("forward probabilities must lie strictly in (0, 1)")
@@ -84,45 +52,30 @@ def _spin_selection_log_prob(x: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(np.where(x > 0, np.log(p), np.log1p(-p))))
 
 
-def ising_tmcmc_step(
-    x: np.ndarray,
-    target: Target,
-    p: Union[float, np.ndarray],
-    rng: np.random.Generator,
-) -> StepResult:
-    """One spin-chain step.
+def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
+    """Spin-chain kernel.
 
     Per coordinate the forward sign map is chosen with probability ``p_i``
     (proposing +1) and the backward one otherwise (proposing -1); acceptance is
     ``min{1, P(reverse move)/P(move) * pi(y)/pi(x)}``.
     """
-    x = np.asarray(x, dtype=float)
-    probs = np.broadcast_to(np.asarray(p, dtype=float), x.shape)
-    _validate_spin_probs(probs)
-    y = np.where(rng.random(x.size) < probs, 1.0, -1.0)
-    log_ratio = _spin_selection_log_prob(x, probs) - _spin_selection_log_prob(y, probs)
-    lp_x, lp_y = target.log_density(x), target.log_density(y)
-    return accept_step(x, y, log_ratio + lp_y - lp_x, lp_x, lp_y, rng)
-
-
-def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
     probs = np.broadcast_to(np.asarray(p, dtype=float), (target.dim,))
     _validate_spin_probs(probs)
+    log_density = target.log_density
 
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        return ising_tmcmc_step(x, target, probs, rng)
+    def kernel(state: ChainState, rng: np.random.Generator):
+        x = state.x
+        y = np.where(rng.random(x.size) < probs, 1.0, -1.0)
+        log_ratio = _spin_selection_log_prob(x, probs) - _spin_selection_log_prob(y, probs)
+        lp_y = log_density(y)
+        return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
 
+    kernel.init = init_state(log_density)
     return kernel
 
 
-def zk_tmcmc_step(
-    x: np.ndarray,
-    target: Target,
-    r: float,
-    jump_scale: float,
-    rng: np.random.Generator,
-) -> StepResult:
-    """One integer-lattice step.
+def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
+    """Integer-lattice kernel.
 
     With probability ``r`` a uniformly chosen coordinate jumps by ``+-m``;
     otherwise every coordinate jumps by ``z_i m`` with independent signs.  The
@@ -134,26 +87,25 @@ def zk_tmcmc_step(
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if jump_scale <= 0.0:
         raise ValueError(f"jump_scale must be positive, got {jump_scale}")
-    x = np.asarray(x, dtype=float)
-    branch = rng.random()
-    eps = 1.0 + jump_scale * abs(float(rng.standard_normal()))
-    m = math.floor(eps)
-    if branch < r:
-        j = int(rng.integers(x.size))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        y = x.copy()
-        y[j] += sign * m
-    else:
-        z = np.where(rng.random(x.size) < 0.5, 1.0, -1.0)
-        y = x + z * m
-    lp_x, lp_y = target.log_density(x), target.log_density(y)
-    return accept_step(x, y, lp_y - lp_x, lp_x, lp_y, rng)
+    log_density = target.log_density
 
+    def kernel(state: ChainState, rng: np.random.Generator):
+        x = state.x
+        branch = rng.random()
+        eps = 1.0 + jump_scale * abs(float(rng.standard_normal()))
+        m = math.floor(eps)
+        if branch < r:
+            j = int(rng.integers(x.size))
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            y = x.copy()
+            y[j] += sign * m
+        else:
+            z = np.where(rng.random(x.size) < 0.5, 1.0, -1.0)
+            y = x + z * m
+        lp_y = log_density(y)
+        return accept_step(state, ChainState(y, lp_y), lp_y - state.lp, rng)
 
-def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        return zk_tmcmc_step(x, target, r, jump_scale, rng)
-
+    kernel.init = init_state(log_density)
     return kernel
 
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import run_chain
+from .chain import nonfinite_rule, run_chain
 from .diagnostics import acceptance_rate, expected_acceptance_rate, iact_and_ess
 from .targets import Target, make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -159,9 +159,8 @@ def _lockstep(
 
     Returns the ``(n_iter, C)`` accept flags, the ``(n_iter, n_coords)``
     leading coordinates of each step's shared direction and the ``(C,)``
-    counts of non-finite proposals.  Acceptance follows ``accept_step``: a
-    non-finite proposal density forces ``log_alpha = -inf``, and a finite
-    proposal from a non-finite current density forces ``+inf``.
+    counts of non-finite proposals.  Acceptance follows ``accept_step``,
+    with the same ``nonfinite_rule`` applied to the whole batch.
     """
     k, n_cells = x0.size, len(scales)
     scales = np.asarray(scales, dtype=float)[:, None]
@@ -186,8 +185,7 @@ def _lockstep(
             lp_y = log_density(y)
             log_alpha = lp_y - lp_x
             if not math.isfinite(log_alpha.sum()):  # some density is non-finite
-                nonfinite = ~np.isfinite(lp_y)
-                log_alpha = np.where(nonfinite, -math.inf, np.where(np.isfinite(lp_x), log_alpha, math.inf))
+                log_alpha, nonfinite = nonfinite_rule(log_alpha, lp_x, lp_y)
                 n_nonfinite += nonfinite
             u = float(rng.random())
             log_u = math.log(u) if u > 0.0 else -math.inf

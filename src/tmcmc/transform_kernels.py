@@ -11,25 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chain import Kernel, StepResult, accept_step
+from .chain import ChainState, Kernel, accept_step, init_state
 from .targets import Target
 
 __all__ = [
     "conjugate",
-    "move_log_prob",
     "Transformation",
     "additive_transformation",
     "TmcmcConfig",
     "DependentZConfig",
     "sample_epsilon",
     "additive_forward",
-    "additive_tmcmc_step",
-    "general_tmcmc_step",
-    "dependent_z_tmcmc_step",
     "make_additive_tmcmc_kernel",
     "make_general_tmcmc_kernel",
     "make_dependent_z_kernel",
@@ -41,15 +37,6 @@ ArrayLike = Union[float, Sequence[float], np.ndarray]
 def conjugate(z: np.ndarray) -> np.ndarray:
     """Backward move type: flips forward and backward, fixes no-change."""
     return -np.asarray(z)
-
-
-def move_log_prob(z: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """``log P(z)`` for independent coordinates with probs (p, q, 1-p-q)."""
-    r = 1.0 - p - q
-    probs = np.where(z > 0, p, np.where(z < 0, q, r))
-    if np.any(probs <= 0.0):
-        return -math.inf
-    return float(np.sum(np.log(probs)))
 
 
 def _move_log_ratio(z: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
@@ -198,109 +185,14 @@ def _draw_ternary_z(rng: np.random.Generator, p: np.ndarray, q: np.ndarray) -> n
             return z
 
 
-def additive_tmcmc_step(
-    x: np.ndarray,
-    target: Target,
-    cfg: TmcmcConfig,
-    rng: np.random.Generator,
-    lp_current: Optional[float] = None,
-) -> StepResult:
-    """One additive-transformation step with sign-only moves.
+def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
+    """Additive kernel with sign-only moves ``y_i = x_i + z_i a_i eps``.
 
     Requires ``p_i + q_i = 1`` (no zero coordinates); acceptance is
     ``min{1, prod_i ratio_i * pi(y)/pi(x)}`` with ``ratio_i = q_i/p_i`` for a
-    forward coordinate and ``p_i/q_i`` for a backward one.
-    """
-    x = np.asarray(x, dtype=float)
-    a, p, q = cfg.broadcast(x.size)
-    if not np.allclose(p + q, 1.0):
-        raise ValueError("additive_tmcmc_step requires p_i + q_i = 1 for every coordinate")
-    z = _draw_signed_z(rng, p)
-    eps = sample_epsilon(rng, cfg.eps_scale)
-    y = x + (z * a) * eps
-    lp_x = target.log_density(x) if lp_current is None else lp_current
-    lp_y = target.log_density(y)
-    log_ratio = _move_log_ratio(z, p, q)
-    return accept_step(x, y, log_ratio + lp_y - lp_x, lp_x, lp_y, rng)
-
-
-def general_tmcmc_step(
-    x: np.ndarray,
-    target: Target,
-    transform: Transformation,
-    cfg: TmcmcConfig,
-    rng: np.random.Generator,
-    lp_current: Optional[float] = None,
-) -> StepResult:
-    """One step of the general single-innovation kernel.
-
-    Move types are drawn coordinatewise over {forward, backward, no-change};
-    acceptance multiplies the move-probability ratio, the density ratio, and
-    the transformation Jacobian.  With the additive transformation and
-    ``p_i + q_i = 1`` this reproduces :func:`additive_tmcmc_step` draw for
-    draw on a shared generator.
-    """
-    x = np.asarray(x, dtype=float)
-    _, p, q = cfg.broadcast(x.size)
-    z = _draw_ternary_z(rng, p, q)
-    eps = sample_epsilon(rng, cfg.eps_scale)
-    y = np.asarray(transform.forward(x, eps, z), dtype=float)
-    lp_x = target.log_density(x) if lp_current is None else lp_current
-    lp_y = target.log_density(y)
-    log_jac = float(transform.log_jacobian(x, eps, z))
-    log_ratio = _move_log_ratio(z, p, q)
-    if not math.isfinite(log_jac):
-        # Broken user transformation: reject and surface via the diagnostics flag.
-        u = float(rng.random())
-        return StepResult(x, False, -math.inf, u, lp_x, nonfinite_proposal=True)
-    return accept_step(x, y, log_ratio + log_jac + lp_y - lp_x, lp_x, lp_y, rng)
-
-
-def dependent_z_tmcmc_step(
-    x: np.ndarray,
-    target: Target,
-    cfg: DependentZConfig,
-    rng: np.random.Generator,
-    lp_current: Optional[float] = None,
-    _factors=None,
-) -> StepResult:
-    """Additive step whose move probabilities are softmax draws per iteration.
-
-    Draws ``w_j ~ N(mu_j, Sigma_j)`` for j = 1, 2, 3, sets per coordinate
-    ``p_i, q_i, 1 - p_i - q_i`` proportional to ``exp(w_ji)`` (max-subtracted),
-    then proceeds as the additive kernel; the all-zero move proposes the
-    current point and is accepted as a self-transition.
-    """
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    L1, L2, L3 = cfg.factors() if _factors is None else _factors
-    mus = (np.asarray(cfg.mu_1, float), np.asarray(cfg.mu_2, float), np.asarray(cfg.mu_3, float))
-    w = np.empty((3, k))
-    for j, (mu, L) in enumerate(zip(mus, (L1, L2, L3))):
-        noise = rng.standard_normal(k)
-        w[j] = mu + (L * noise if L.ndim == 1 else L @ noise)
-    w -= w.max(axis=0, keepdims=True)
-    ew = np.exp(w)
-    probs = ew / ew.sum(axis=0, keepdims=True)
-    p, q = probs[0], probs[1]
-
-    u = rng.random(k)
-    z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
-    eps = sample_epsilon(rng, cfg.eps_scale)
-    a = np.broadcast_to(np.asarray(cfg.scales, dtype=float), (k,))
-    y = x + (z * a) * eps
-    lp_x = target.log_density(x) if lp_current is None else lp_current
-    lp_y = target.log_density(y)
-    log_ratio = _move_log_ratio(z, p, q)
-    return accept_step(x, y, log_ratio + lp_y - lp_x, lp_x, lp_y, rng)
-
-
-def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
-    """Bind target and config into a ``(x, rng) -> StepResult`` kernel.
-
-    Caches the current log-density between steps and skips the move-ratio sum
-    when ``p = q`` (the ratio is identically 1 then), which matters in the
-    scaling-study hot path.
+    forward coordinate and ``p_i/q_i`` for a backward one.  Skips the
+    move-ratio sum when ``p = q`` (the ratio is identically 1 then), which
+    matters in the scaling-study hot path.
     """
     a, p, q = cfg.broadcast(target.dim)
     if not np.allclose(p + q, 1.0):
@@ -308,34 +200,78 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     symmetric = bool(np.all(p == q))
     s = cfg.eps_scale
     log_density = target.log_density
-    cache = {"x": None, "lp": None}
 
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        x = np.asarray(x, dtype=float)
-        lp_x = cache["lp"] if cache["x"] is not None and x is cache["x"] else log_density(x)
+    def kernel(state: ChainState, rng: np.random.Generator):
         z = _draw_signed_z(rng, p)
         eps = s * abs(float(rng.standard_normal()))
-        y = x + (z * a) * eps
+        y = state.x + (z * a) * eps
         lp_y = log_density(y)
         log_ratio = 0.0 if symmetric else _move_log_ratio(z, p, q)
-        step = accept_step(x, y, log_ratio + lp_y - lp_x, lp_x, lp_y, rng)
-        cache["x"], cache["lp"] = step.x_next, step.log_density
-        return step
+        return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
 
+    kernel.init = init_state(log_density)
     return kernel
 
 
 def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: TmcmcConfig) -> Kernel:
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        return general_tmcmc_step(x, target, transform, cfg, rng)
+    """The general single-innovation kernel.
 
+    Move types are drawn coordinatewise over {forward, backward, no-change};
+    acceptance multiplies the move-probability ratio, the density ratio, and
+    the transformation Jacobian.  A non-finite log-Jacobian (a broken user
+    transformation) makes a non-finite proposal, which is rejected and
+    counted.  With the additive transformation and ``p_i + q_i = 1`` this
+    reproduces :func:`make_additive_tmcmc_kernel` draw for draw on a shared
+    generator.
+    """
+    _, p, q = cfg.broadcast(target.dim)
+    s = cfg.eps_scale
+    log_density = target.log_density
+
+    def kernel(state: ChainState, rng: np.random.Generator):
+        x = state.x
+        z = _draw_ternary_z(rng, p, q)
+        eps = sample_epsilon(rng, s)
+        y = np.asarray(transform.forward(x, eps, z), dtype=float)
+        log_jac = float(transform.log_jacobian(x, eps, z))
+        lp_y = log_density(y) if math.isfinite(log_jac) else -math.inf
+        log_alpha = _move_log_ratio(z, p, q) + log_jac + lp_y - state.lp
+        return accept_step(state, ChainState(y, lp_y), log_alpha, rng)
+
+    kernel.init = init_state(log_density)
     return kernel
 
 
 def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
-    factors = cfg.factors()
+    """Additive kernel whose move probabilities are softmax draws per iteration.
 
-    def kernel(x: np.ndarray, rng: np.random.Generator) -> StepResult:
-        return dependent_z_tmcmc_step(x, target, cfg, rng, _factors=factors)
+    Draws ``w_j ~ N(mu_j, Sigma_j)`` for j = 1, 2, 3, sets per coordinate
+    ``p_i, q_i, 1 - p_i - q_i`` proportional to ``exp(w_ji)`` (max-subtracted),
+    then proceeds as the additive kernel; the all-zero move proposes the
+    current point and is accepted as a self-transition.
+    """
+    k = target.dim
+    mus = (np.asarray(cfg.mu_1, float), np.asarray(cfg.mu_2, float), np.asarray(cfg.mu_3, float))
+    draws = tuple(zip(mus, cfg.factors()))
+    a = np.broadcast_to(np.asarray(cfg.scales, dtype=float), (k,))
+    s = cfg.eps_scale
+    log_density = target.log_density
 
+    def kernel(state: ChainState, rng: np.random.Generator):
+        w = np.empty((3, k))
+        for j, (mu, L) in enumerate(draws):
+            noise = rng.standard_normal(k)
+            w[j] = mu + (L * noise if L.ndim == 1 else L @ noise)
+        w -= w.max(axis=0, keepdims=True)
+        ew = np.exp(w)
+        probs = ew / ew.sum(axis=0, keepdims=True)
+        p, q = probs[0], probs[1]
+        u = rng.random(k)
+        z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
+        eps = sample_epsilon(rng, s)
+        y = state.x + (z * a) * eps
+        lp_y = log_density(y)
+        return accept_step(state, ChainState(y, lp_y), _move_log_ratio(z, p, q) + lp_y - state.lp, rng)
+
+    kernel.init = init_state(log_density)
     return kernel

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,27 @@ class ScriptedRNG:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRNG
+
+
+def _parent_accept(x, proposal, log_alpha, lp_current, lp_proposal, rng):
+    """The scalar accept step kernels used before the explicit-state protocol.
+
+    Kept verbatim as a reference for bit-equality tests; returns
+    ``(x_next, accepted, log_alpha, uniform, log_density, nonfinite)``.
+    """
+    nonfinite = not math.isfinite(lp_proposal)
+    if nonfinite:
+        log_alpha = -math.inf
+    elif not math.isfinite(lp_current) and math.isfinite(lp_proposal):
+        log_alpha = math.inf
+    u = float(rng.random())
+    log_u = math.log(u) if u > 0.0 else -math.inf
+    accepted = log_u < log_alpha
+    if accepted:
+        return proposal, True, log_alpha, u, lp_proposal, nonfinite
+    return np.asarray(x, dtype=float), False, log_alpha, u, lp_current, nonfinite
+
+
+@pytest.fixture
+def parent_accept():
+    return _parent_accept

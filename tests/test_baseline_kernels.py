@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,12 @@ from tmcmc.baseline_kernels import (
     PhasePoint,
     grad_potential,
     hmc_one_step_proposal_params,
-    hmc_step,
     leapfrog,
     make_hmc_kernel,
     make_rwmh_kernel,
     potential,
-    rwmh_step,
 )
-from tmcmc.chain import accept_step, chain_rng, run_chain
+from tmcmc.chain import chain_rng, run_chain
 from tmcmc.diagnostics import acceptance_rate
 from tmcmc.targets import Target, make_anisotropic_gaussian, make_challenger_logistic, make_iid_gaussian
 
@@ -39,7 +38,8 @@ def uniform_patch_target(k):
 def test_rwmh_density_ratio_hand_value(scripted_rng):
     target = make_iid_gaussian(1)
     rng = scripted_rng(uniforms=[0.9], normals=[1.0])
-    step = rwmh_step(np.zeros(1), target, 1.0, rng)
+    kernel = make_rwmh_kernel(target, 1.0)
+    step = kernel(kernel.init(np.zeros(1)), rng)
     assert_allclose(step.log_alpha, -0.5, rtol=1e-13)
 
 
@@ -52,7 +52,7 @@ def test_rwmh_accepts_at_mode_with_tiny_scale():
 
 def test_rwmh_validation():
     with pytest.raises(ValueError):
-        rwmh_step(np.zeros(1), make_iid_gaussian(1), 0.0, chain_rng(0))
+        make_rwmh_kernel(make_iid_gaussian(1), 0.0)
 
 
 # --- potential -------------------------------------------------------------
@@ -158,14 +158,14 @@ def test_hmc_matches_rwmh_on_flat_potential_shared_stream():
     k, dt, m = 3, 0.3, 4.0
     hmc_kernel = make_hmc_kernel(uniform_patch_target(k), HmcConfig(L=1, dt=dt, mass=m))
     rw_kernel = make_rwmh_kernel(uniform_patch_target(k), dt / math.sqrt(m))
-    x_h = x_r = np.zeros(k)
+    st_h, st_r = hmc_kernel.init(np.zeros(k)), rw_kernel.init(np.zeros(k))
     r_h, r_r = chain_rng(17), chain_rng(17)
     for _ in range(100):
-        s_h = hmc_kernel(x_h, r_h)
-        s_r = rw_kernel(x_r, r_r)
-        assert_allclose(s_h.x_next, s_r.x_next, rtol=0, atol=1e-15)
+        s_h = hmc_kernel(st_h, r_h)
+        s_r = rw_kernel(st_r, r_r)
+        assert_allclose(s_h.state.x, s_r.state.x, rtol=0, atol=1e-15)
         assert s_h.accepted and s_r.accepted
-        x_h, x_r = s_h.x_next, s_r.x_next
+        st_h, st_r = s_h.state, s_r.state
 
 
 def test_hmc_stationary_moments_on_gaussian():
@@ -192,6 +192,20 @@ def test_divergent_trajectory_is_a_counted_rejection():
     assert np.array_equal(trace.states, np.tile(x0, (50, 1)))
     with np.errstate(divide="ignore"):
         assert np.array_equal(trace.accepted, np.log(trace.uniforms) < trace.log_alpha)
+
+
+def test_divergent_trajectory_raises_no_numpy_warnings():
+    # The same unstable trajectories with warnings turned into errors: the
+    # integrator's overflow and invalid values stay silent, in the kernel and
+    # in the public leapfrog().
+    target = make_iid_gaussian(3)
+    cfg = HmcConfig(L=2000, dt=2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_chain(make_hmc_kernel(target, cfg), np.zeros(3), 50, 0)
+        with pytest.raises(LeapfrogError):
+            leapfrog(PhasePoint(np.zeros(3), np.ones(3)), cfg, target)
+    assert trace.n_nonfinite_proposals == 50
 
 
 def test_nonfinite_end_momentum_is_a_counted_rejection():
@@ -230,10 +244,11 @@ def test_hmc_transition_costs_one_density_and_L_gradient_calls(L):
     assert calls == {"density": n + 1, "grad": n * L + 1}
 
 
-def _reference_hmc_trace(target, cfg, x0, n, seed):
+def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
     """Reference HMC chain composed from the public parts: a per-step checked
     leapfrog from a fresh gradient, ``potential`` for both energies and a
-    fresh density at both ends for ``accept_step``."""
+    fresh density at both ends for the earlier scalar accept step
+    (``parent_accept``)."""
     rng = chain_rng(seed)
     mass = cfg.mass_vector(x0.size)
     inv_m = 1.0 / mass
@@ -252,9 +267,8 @@ def _reference_hmc_trace(target, cfg, x0, n, seed):
             grad = grad_new
         h0 = potential(target, x) + 0.5 * float(p0 @ (inv_m * p0))
         h1 = potential(target, y) + 0.5 * float(p @ (inv_m * p))
-        step = accept_step(x, y, h0 - h1, target.log_density(x), target.log_density(y), rng)
-        x = step.x_next
-        rows.append((x, step.log_alpha, step.uniform, step.log_density))
+        x, _, log_alpha, u, lp, _ = parent_accept(x, y, h0 - h1, target.log_density(x), target.log_density(y), rng)
+        rows.append((x, log_alpha, u, lp))
     states, log_alpha, uniforms, log_density = zip(*rows)
     return np.array(states), np.array(log_alpha), np.array(uniforms), np.array(log_density)
 
@@ -262,14 +276,14 @@ def _reference_hmc_trace(target, cfg, x0, n, seed):
 @pytest.mark.parametrize("mass", [0.7, (0.5, 1.0, 2.0, 4.0)], ids=["scalar-mass", "vector-mass"])
 @pytest.mark.parametrize("L", [1, 10])
 @pytest.mark.parametrize("target_name", ["iid", "anisotropic"])
-def test_hmc_kernel_is_bit_identical_to_the_reference_composition(mass, L, target_name):
+def test_hmc_kernel_is_bit_identical_to_the_reference_composition(mass, L, target_name, parent_accept):
     k = 4
     target = make_iid_gaussian(k) if target_name == "iid" else make_anisotropic_gaussian(np.linspace(1.0, 4.0, k))
     cfg = HmcConfig(L=L, dt=0.6 if L == 1 else 0.15, mass=mass)
     x0 = np.linspace(-1.0, 1.0, k)
     for seed in (1, 2, 3):
         trace = run_chain(make_hmc_kernel(target, cfg), x0, 2_000, seed)
-        states, log_alpha, uniforms, log_density = _reference_hmc_trace(target, cfg, x0, 2_000, seed)
+        states, log_alpha, uniforms, log_density = _reference_hmc_trace(target, cfg, x0, 2_000, seed, parent_accept)
         assert 0.0 < acceptance_rate(trace) < 1.0
         assert np.array_equal(trace.states, states)
         assert np.array_equal(trace.log_alpha, log_alpha)
@@ -336,7 +350,8 @@ def test_hmc_step_energy_accounting(scripted_rng):
     target = make_iid_gaussian(1)
     cfg = HmcConfig(L=1, dt=0.1)
     rng = scripted_rng(uniforms=[0.5], normals=[1.0])
-    step = hmc_step(np.array([1.0]), target, cfg, rng)
+    kernel = make_hmc_kernel(target, cfg)
+    step = kernel(kernel.init(np.array([1.0])), rng)
     end = leapfrog(PhasePoint(np.array([1.0]), np.array([1.0])), cfg, target)
     h0 = 0.5 * 1.0 + 0.5 * 1.0
     h1 = 0.5 * float(end.x[0]) ** 2 + 0.5 * float(end.p[0]) ** 2

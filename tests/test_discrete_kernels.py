@@ -3,10 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from tmcmc.chain import chain_rng, run_chain
+from tmcmc.chain import run_chain
 from tmcmc.discrete_kernels import (
-    LatticeState,
-    SpinState,
     enumerate_box_states,
     enumerate_spin_states,
     exact_transition_matrix,
@@ -17,7 +15,6 @@ from tmcmc.discrete_kernels import (
     make_zk_kernel,
     stationary_distribution,
     strongly_connected_classes,
-    zk_tmcmc_step,
 )
 from tmcmc.targets import make_ising_chain, make_lattice_target
 from tmcmc.verify import check_detailed_balance_exact
@@ -27,15 +24,6 @@ def normalized_masses(target, states):
     log_w = np.array([target.log_density(s) for s in states])
     w = np.exp(log_w - log_w.max())
     return w / w.sum()
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        SpinState(np.array([1.0, 0.0]))
-    SpinState(np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        LatticeState(np.array([6, 0]), box_radius=5)
-    LatticeState(np.array([-5, 5]), box_radius=5)
 
 
 def test_ising_k1_symmetric_two_state_chain():
@@ -126,27 +114,29 @@ def test_zk_step_floor_jump_magnitude(scripted_rng):
     # branch uniform 0.9 -> joint move; eps = 1 + |1.7| = 2.7 -> jump floor 2;
     # z uniforms (0.2, 0.8) -> (+1, -1); final uniform small -> accept
     rng = scripted_rng(uniforms=[0.9, 0.2, 0.8, 1e-12], normals=[1.7])
-    step = zk_tmcmc_step(np.array([1.0, 2.0]), target, r=0.3, jump_scale=1.0, rng=rng)
+    kernel = make_zk_kernel(target, r=0.3, jump_scale=1.0)
+    step = kernel(kernel.init(np.array([1.0, 2.0])), rng)
     assert step.accepted
-    assert_allclose(step.x_next, [3.0, 0.0])
+    assert_allclose(step.state.x, [3.0, 0.0])
 
 
 def test_zk_coordinate_branch(scripted_rng):
     target = make_lattice_target(3, 0.5)
     # branch uniform 0.1 < r -> coordinate move on index 2 with sign +
     rng = scripted_rng(uniforms=[0.1, 0.4, 0.9999], normals=[0.2], integers=[2])
-    step = zk_tmcmc_step(np.zeros(3), target, r=0.5, jump_scale=1.0, rng=rng)
+    kernel = make_zk_kernel(target, r=0.5, jump_scale=1.0)
+    step = kernel(kernel.init(np.zeros(3)), rng)
     # eps = 1.2 -> jump 1 on coordinate 2 only (rejected or accepted)
     if step.accepted:
-        assert_allclose(step.x_next, [0.0, 0.0, 1.0])
+        assert_allclose(step.state.x, [0.0, 0.0, 1.0])
 
 
 def test_zk_validation():
     target = make_lattice_target(1, 1.0)
     with pytest.raises(ValueError):
-        zk_tmcmc_step(np.zeros(1), target, r=1.5, jump_scale=1.0, rng=chain_rng(0))
+        make_zk_kernel(target, r=1.5, jump_scale=1.0)
     with pytest.raises(ValueError):
-        zk_tmcmc_step(np.zeros(1), target, r=0.5, jump_scale=0.0, rng=chain_rng(0))
+        make_zk_kernel(target, r=0.5, jump_scale=0.0)
 
 
 def test_lattice_k1_exact_detailed_balance():

@@ -1,0 +1,355 @@
+"""The kernel protocol across all seven kernels.
+
+Every kernel is ``kernel(state, rng) -> Step`` with ``kernel.init(x)``; the
+tests here pin its streams to the step bodies the kernels had before the
+protocol (each recomputing ``log pi(x)`` and deciding through the scalar
+accept step of ``conftest``), and check the outcome of non-finite densities,
+statelessness and evaluation counts.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from tmcmc.baseline_kernels import HmcConfig, make_hmc_kernel, make_rwmh_kernel
+from tmcmc.chain import chain_rng, run_chain
+from tmcmc.discrete_kernels import _spin_selection_log_prob, make_ising_kernel, make_zk_kernel
+from tmcmc.targets import (
+    make_anisotropic_gaussian,
+    make_challenger_logistic,
+    make_iid_gaussian,
+    make_ising_chain,
+    make_lattice_target,
+)
+from tmcmc.transform_kernels import (
+    DependentZConfig,
+    TmcmcConfig,
+    Transformation,
+    _move_log_ratio,
+    additive_transformation,
+    make_additive_tmcmc_kernel,
+    make_dependent_z_kernel,
+    make_general_tmcmc_kernel,
+)
+
+# --- the step bodies before the protocol ------------------------------------
+# Each returns ``step(x, rng, accept)`` computing both log-densities afresh.
+
+
+def parent_additive(target, cfg):
+    a, p, q = cfg.broadcast(target.dim)
+    symmetric = bool(np.all(p == q))
+
+    def step(x, rng, accept):
+        z = np.where(rng.random(p.shape[0]) < p, 1.0, -1.0)
+        eps = cfg.eps_scale * abs(float(rng.standard_normal()))
+        y = x + (z * a) * eps
+        lp_x, lp_y = target.log_density(x), target.log_density(y)
+        log_ratio = 0.0 if symmetric else _move_log_ratio(z, p, q)
+        return accept(x, y, log_ratio + lp_y - lp_x, lp_x, lp_y, rng)
+
+    return step
+
+
+def parent_general(target, transform, cfg):
+    _, p, q = cfg.broadcast(target.dim)
+
+    def step(x, rng, accept):
+        while True:
+            u = rng.random(p.shape[0])
+            z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
+            if np.any(z != 0.0):
+                break
+        eps = cfg.eps_scale * abs(float(rng.standard_normal()))
+        y = np.asarray(transform.forward(x, eps, z), dtype=float)
+        lp_x, lp_y = target.log_density(x), target.log_density(y)
+        log_jac = float(transform.log_jacobian(x, eps, z))
+        log_ratio = _move_log_ratio(z, p, q)
+        if not math.isfinite(log_jac):
+            u = float(rng.random())
+            return x, False, -math.inf, u, lp_x, True
+        return accept(x, y, log_ratio + log_jac + lp_y - lp_x, lp_x, lp_y, rng)
+
+    return step
+
+
+def parent_dependent_z(target, cfg):
+    k = target.dim
+    factors = cfg.factors()
+    mus = (np.asarray(cfg.mu_1, float), np.asarray(cfg.mu_2, float), np.asarray(cfg.mu_3, float))
+
+    def step(x, rng, accept):
+        w = np.empty((3, k))
+        for j, (mu, L) in enumerate(zip(mus, factors)):
+            noise = rng.standard_normal(k)
+            w[j] = mu + (L * noise if L.ndim == 1 else L @ noise)
+        w -= w.max(axis=0, keepdims=True)
+        ew = np.exp(w)
+        probs = ew / ew.sum(axis=0, keepdims=True)
+        p, q = probs[0], probs[1]
+        u = rng.random(k)
+        z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
+        eps = cfg.eps_scale * abs(float(rng.standard_normal()))
+        a = np.broadcast_to(np.asarray(cfg.scales, dtype=float), (k,))
+        y = x + (z * a) * eps
+        lp_x, lp_y = target.log_density(x), target.log_density(y)
+        return accept(x, y, _move_log_ratio(z, p, q) + lp_y - lp_x, lp_x, lp_y, rng)
+
+    return step
+
+
+def parent_rwmh(target, sigma):
+    def step(x, rng, accept):
+        y = x + sigma * rng.standard_normal(x.size)
+        lp_x, lp_y = target.log_density(x), target.log_density(y)
+        return accept(x, y, lp_y - lp_x, lp_x, lp_y, rng)
+
+    return step
+
+
+def parent_hmc(target, cfg):
+    mass = cfg.mass_vector(target.dim)
+    inv_m = 1.0 / mass
+    drift = cfg.dt * inv_m
+    half_dt = 0.5 * cfg.dt
+
+    def grad_u(x):
+        return -np.asarray(target.grad_log_density(x), dtype=float)
+
+    def step(x, rng, accept):
+        lp_x, grad = target.log_density(x), grad_u(x)
+        p0 = np.sqrt(mass) * rng.standard_normal(x.size)
+        y, p = x, p0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.L):
+                y = y + drift * (p - half_dt * grad)
+                grad_new = grad_u(y)
+                p = p - half_dt * (grad + grad_new)
+                grad = grad_new
+        if np.isfinite(y).all() and np.isfinite(p).all():
+            lp_y = target.log_density(y)
+            h0 = -lp_x + 0.5 * float(p0 @ (inv_m * p0))
+            h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
+            log_alpha = h0 - h1
+        else:
+            lp_y = log_alpha = -math.inf
+        return accept(x, y, log_alpha, lp_x, lp_y, rng)
+
+    return step
+
+
+def parent_ising(target, p):
+    probs = np.broadcast_to(np.asarray(p, dtype=float), (target.dim,))
+
+    def step(x, rng, accept):
+        y = np.where(rng.random(x.size) < probs, 1.0, -1.0)
+        log_ratio = _spin_selection_log_prob(x, probs) - _spin_selection_log_prob(y, probs)
+        lp_x, lp_y = target.log_density(x), target.log_density(y)
+        return accept(x, y, log_ratio + lp_y - lp_x, lp_x, lp_y, rng)
+
+    return step
+
+
+def parent_zk(target, r, jump_scale):
+    def step(x, rng, accept):
+        branch = rng.random()
+        eps = 1.0 + jump_scale * abs(float(rng.standard_normal()))
+        m = math.floor(eps)
+        if branch < r:
+            j = int(rng.integers(x.size))
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            y = x.copy()
+            y[j] += sign * m
+        else:
+            z = np.where(rng.random(x.size) < 0.5, 1.0, -1.0)
+            y = x + z * m
+        lp_x, lp_y = target.log_density(x), target.log_density(y)
+        return accept(x, y, lp_y - lp_x, lp_x, lp_y, rng)
+
+    return step
+
+
+# --- targets with a non-finite region ----------------------------------------
+
+
+def with_holes(target, minus_inf, nan):
+    """``target`` with log-density ``-inf`` where ``minus_inf(x)`` and NaN where ``nan(x)``."""
+    base = target.log_density
+
+    def log_density(x):
+        if minus_inf(x):
+            return -math.inf
+        if nan(x):
+            return math.nan
+        return base(x)
+
+    return dataclasses.replace(target, log_density=log_density)
+
+
+def holed_gaussian(k):
+    return with_holes(make_iid_gaussian(k), lambda x: x[0] > 1.2, lambda x: x[0] < -1.2)
+
+
+def holed_ising(k):
+    return with_holes(make_ising_chain(k, 0.4), lambda x: x[0] > 0 and x[1] > 0, lambda x: x[0] < 0 and x[2] > 0)
+
+
+def holed_lattice(k):
+    return with_holes(make_lattice_target(k, 0.5), lambda x: x[0] > 2, lambda x: x[0] < -2)
+
+
+def nan_jacobian_additive():
+    """The additive transformation with a NaN log-Jacobian for innovations above 1."""
+    return Transformation(
+        forward=lambda x, eps, z: x + z * eps,
+        log_jacobian=lambda x, eps, z: math.nan if eps > 1.0 else 0.0,
+        name="broken-additive",
+    )
+
+
+DEP_Z = DependentZConfig(
+    mu_1=np.zeros(3), mu_2=np.full(3, 0.3), mu_3=np.full(3, -0.2),
+    sigma_1=np.ones(3), sigma_2=np.full(3, 0.5), sigma_3=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    eps_scale=0.9,
+)
+ANISO = make_anisotropic_gaussian(np.linspace(1.0, 4.0, 4))
+CHALLENGER = make_challenger_logistic(10.0, center=True)
+
+# kernel -> (factory, parent step body); both take ``(target, *args)``
+FACTORIES = {
+    "additive": (make_additive_tmcmc_kernel, parent_additive),
+    "general": (make_general_tmcmc_kernel, parent_general),
+    "dependent-z": (make_dependent_z_kernel, parent_dependent_z),
+    "rwmh": (make_rwmh_kernel, parent_rwmh),
+    "hmc": (make_hmc_kernel, parent_hmc),
+    "ising": (make_ising_kernel, parent_ising),
+    "zk": (make_zk_kernel, parent_zk),
+}
+
+# case -> (kernel, target, args, x0)
+CASES = {
+    "additive-iid-k10": ("additive", make_iid_gaussian(10), (TmcmcConfig(eps_scale=0.75),), np.zeros(10)),
+    "additive-challenger-asymmetric": (
+        "additive", CHALLENGER, (TmcmcConfig(scales=(0.3, 0.5), eps_scale=0.8, p=0.6, q=0.4),), np.zeros(2),
+    ),
+    "additive-holes": ("additive", holed_gaussian(3), (TmcmcConfig(eps_scale=0.9),), np.zeros(3)),
+    "general-ternary-holes": (
+        "general", holed_gaussian(3), (additive_transformation(0.7), TmcmcConfig(p=0.3, q=0.4)), np.zeros(3),
+    ),
+    "general-nan-jacobian": (
+        "general", ANISO, (nan_jacobian_additive(), TmcmcConfig(p=0.35, q=0.35)), np.zeros(4),
+    ),
+    "dependent-z": ("dependent-z", make_iid_gaussian(3), (DEP_Z,), np.zeros(3)),
+    "dependent-z-holes": ("dependent-z", holed_gaussian(3), (DEP_Z,), np.zeros(3)),
+    "rwmh-challenger": ("rwmh", CHALLENGER, (0.3,), np.zeros(2)),
+    "rwmh-holes": ("rwmh", holed_gaussian(3), (0.8,), np.zeros(3)),
+    "hmc-scalar-mass": ("hmc", ANISO, (HmcConfig(L=5, dt=0.2, mass=0.7),), np.linspace(-1.0, 1.0, 4)),
+    "hmc-vector-mass-holes": (
+        "hmc", holed_gaussian(4), (HmcConfig(L=4, dt=0.3, mass=(0.5, 1.0, 2.0, 4.0)),), np.zeros(4),
+    ),
+    "ising": (
+        "ising", make_ising_chain(5, 0.5), (np.array([0.6, 0.4, 0.5, 0.7, 0.3]),),
+        np.array([1.0, -1.0, 1.0, 1.0, -1.0]),
+    ),
+    "ising-holes": ("ising", holed_ising(4), (0.55,), np.array([-1.0, 1.0, -1.0, 1.0])),
+    "zk": ("zk", make_lattice_target(3, 0.5), (0.3, 1.5), np.zeros(3)),
+    "zk-holes": ("zk", holed_lattice(2), (0.5, 1.2), np.zeros(2)),
+}
+
+
+def parent_trace(step, x0, n, seed, accept):
+    rng = chain_rng(seed)
+    x = np.asarray(x0, dtype=float)
+    rows = []
+    for _ in range(n):
+        x, accepted, log_alpha, u, lp, nonfinite = step(x, rng, accept)
+        rows.append((x, accepted, log_alpha, u, lp, nonfinite))
+    states, accepted, log_alpha, uniforms, log_density, nonfinite = (np.array(c) for c in zip(*rows))
+    return states, accepted, log_alpha, uniforms, log_density, int(nonfinite.sum())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept):
+    name, target, args, x0 = CASES[case]
+    make_kernel, make_parent = FACTORIES[name]
+    for seed in (1, 2, 3):
+        trace = run_chain(make_kernel(target, *args), x0, 2_000, seed)
+        states, accepted, log_alpha, uniforms, log_density, n_nonfinite = parent_trace(
+            make_parent(target, *args), x0, 2_000, seed, parent_accept
+        )
+        assert 0 < trace.accepted.sum() < len(trace)
+        assert np.array_equal(trace.states, states)
+        assert np.array_equal(trace.accepted, accepted)
+        assert np.array_equal(trace.log_alpha, log_alpha)
+        assert np.array_equal(trace.uniforms, uniforms)
+        assert np.array_equal(trace.log_density, log_density)
+        assert trace.n_nonfinite_proposals == n_nonfinite
+        if "holes" in case or "nan" in case:
+            assert n_nonfinite > 0
+
+
+# --- outcomes, statelessness and evaluation counts ----------------------------------
+
+# kernel -> (target with a -inf and a NaN region, factory args, x0)
+HOLED = {
+    "additive": (holed_gaussian(3), (TmcmcConfig(eps_scale=0.9),), np.zeros(3)),
+    "general": (holed_gaussian(3), (additive_transformation(), TmcmcConfig(eps_scale=0.9, p=0.3, q=0.4)), np.zeros(3)),
+    "dependent-z": (holed_gaussian(3), (DEP_Z,), np.zeros(3)),
+    "rwmh": (holed_gaussian(3), (0.8,), np.zeros(3)),
+    "hmc": (holed_gaussian(3), (HmcConfig(L=3, dt=0.4),), np.zeros(3)),
+    "ising": (holed_ising(4), (0.6,), np.array([-1.0, 1.0, -1.0, 1.0])),
+    "zk": (holed_lattice(2), (0.3, 1.5), np.zeros(2)),
+}
+
+
+def counting(target):
+    """``(target, calls)``: ``target`` whose log-density appends to ``calls`` per call."""
+    calls = []
+    base = target.log_density
+
+    def log_density(x):
+        calls.append(1)
+        return base(x)
+
+    counted = dataclasses.replace(target, log_density=log_density)
+    return counted, calls
+
+
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_kernel_outcomes_statelessness_and_density_calls(name):
+    holed, args, x0 = HOLED[name]
+    target, calls = counting(holed)
+    kernel = FACTORIES[name][0](target, *args)
+    n = 1_500
+
+    # A -inf / NaN region gives counted rejections; nothing raises or warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solo_a = run_chain(kernel, x0, n, 11)
+    assert 0 < solo_a.n_nonfinite_proposals < n
+    assert np.all(np.isfinite(solo_a.log_density)) and not np.isnan(solo_a.log_alpha).any()
+    log_u = np.where(solo_a.uniforms > 0, np.log(solo_a.uniforms), -np.inf)
+    assert np.array_equal(solo_a.accepted, log_u < solo_a.log_alpha)
+    # One density call per transition plus one for the initial state.
+    assert len(calls) == n + 1
+
+    # One kernel object drives two interleaved chains; each equals its solo run.
+    x0_b = -x0 if name != "ising" else x0[::-1].copy()
+    solo_b = run_chain(kernel, x0_b, n, 12)
+    rng_a, rng_b = chain_rng(11), chain_rng(12)
+    state_a, state_b = kernel.init(x0), kernel.init(x0_b)
+    rows_a, rows_b = [], []
+    for _ in range(n):
+        step_a = kernel(state_a, rng_a)
+        step_b = kernel(state_b, rng_b)
+        state_a, state_b = step_a.state, step_b.state
+        rows_a.append((state_a.x, step_a.log_alpha, step_a.uniform))
+        rows_b.append((state_b.x, step_b.log_alpha, step_b.uniform))
+    for solo, rows in ((solo_a, rows_a), (solo_b, rows_b)):
+        states, log_alpha, uniforms = (np.array(c) for c in zip(*rows))
+        assert np.array_equal(solo.states, states)
+        assert np.array_equal(solo.log_alpha, log_alpha)
+        assert np.array_equal(solo.uniforms, uniforms)

@@ -9,15 +9,13 @@ from tmcmc.targets import Target, make_iid_gaussian
 from tmcmc.transform_kernels import (
     DependentZConfig,
     TmcmcConfig,
+    _move_log_ratio,
     additive_forward,
-    additive_tmcmc_step,
     additive_transformation,
     conjugate,
-    dependent_z_tmcmc_step,
-    general_tmcmc_step,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
-    move_log_prob,
+    make_general_tmcmc_kernel,
     sample_epsilon,
 )
 
@@ -30,12 +28,12 @@ def test_conjugate_is_an_involution():
         assert np.array_equal(conjugate(z), -z)
 
 
-def test_move_log_prob_all_forward_ratio():
+def test_move_log_ratio_all_forward_ratio():
     p = np.array([0.5, 0.3, 0.6])
     q = np.array([0.2, 0.6, 0.2])
     z = np.ones(3)
-    ratio = move_log_prob(conjugate(z), p, q) - move_log_prob(z, p, q)
-    assert_allclose(ratio, np.log(q / p).sum(), rtol=1e-13)
+    assert_allclose(_move_log_ratio(z, p, q), np.log(q / p).sum(), rtol=1e-13)
+    assert_allclose(_move_log_ratio(conjugate(z), p, q), -np.log(q / p).sum(), rtol=1e-13)
 
 
 # --- innovation draws -----------------------------------------------------
@@ -99,25 +97,29 @@ def test_transformation_jacobian_reciprocity_randomized():
 
 
 # --- single steps with scripted randomness --------------------------------
+# A scripted generator is not a ``Generator``, so these call one transition
+# directly: ``kernel(kernel.init(x), rng)``.
 
 
 def test_additive_step_acceptance_ratio_hand_value(scripted_rng):
     # k=1 standard normal, x=0, force z=+1 and eps=1: alpha = pi(1)/pi(0) = e^{-1/2}
     target = make_iid_gaussian(1)
+    kernel = make_additive_tmcmc_kernel(target, TmcmcConfig())
     rng = scripted_rng(uniforms=[0.2, 0.999999], normals=[1.0])
-    step = additive_tmcmc_step(np.zeros(1), target, TmcmcConfig(), rng)
+    step = kernel(kernel.init(np.zeros(1)), rng)
     assert_allclose(step.log_alpha, -0.5, rtol=1e-13)
     assert not step.accepted  # log(0.999999) > -0.5 is false only for u < e^-0.5
     rng = scripted_rng(uniforms=[0.2, 0.5], normals=[1.0])
-    step = additive_tmcmc_step(np.zeros(1), target, TmcmcConfig(), rng)
-    assert step.accepted and step.x_next[0] == 1.0
+    step = kernel(kernel.init(np.zeros(1)), rng)
+    assert step.accepted and step.state.x[0] == 1.0
 
 
 def test_additive_step_symmetric_probs_reduce_to_density_ratio(scripted_rng):
     target = make_iid_gaussian(2)
     x = np.array([0.4, -1.0])
     rng = scripted_rng(uniforms=[0.9, 0.1, 0.3], normals=[0.75])
-    step = additive_tmcmc_step(x, target, TmcmcConfig(), rng)
+    kernel = make_additive_tmcmc_kernel(target, TmcmcConfig())
+    step = kernel(kernel.init(x), rng)
     y = x + 0.75 * np.array([-1.0, 1.0])
     assert_allclose(step.log_alpha, target.log_density(y) - target.log_density(x), rtol=1e-13)
 
@@ -125,16 +127,17 @@ def test_additive_step_symmetric_probs_reduce_to_density_ratio(scripted_rng):
 def test_additive_step_zero_innovation_accepts(scripted_rng):
     target = make_iid_gaussian(2)
     rng = scripted_rng(uniforms=[0.1, 0.2, 0.99], normals=[0.0])
-    step = additive_tmcmc_step(np.array([1.0, 2.0]), target, TmcmcConfig(), rng)
+    kernel = make_additive_tmcmc_kernel(target, TmcmcConfig())
+    step = kernel(kernel.init(np.array([1.0, 2.0])), rng)
     assert step.accepted
     assert step.log_alpha == 0.0
-    assert np.array_equal(step.x_next, [1.0, 2.0])
+    assert np.array_equal(step.state.x, [1.0, 2.0])
 
 
 def test_additive_step_requires_no_zero_moves():
     target = make_iid_gaussian(2)
     with pytest.raises(ValueError):
-        additive_tmcmc_step(np.zeros(2), target, TmcmcConfig(p=0.4, q=0.4), chain_rng(0))
+        make_additive_tmcmc_kernel(target, TmcmcConfig(p=0.4, q=0.4))
 
 
 def test_general_step_zero_coordinate_stays_fixed(scripted_rng):
@@ -142,8 +145,9 @@ def test_general_step_zero_coordinate_stays_fixed(scripted_rng):
     cfg = TmcmcConfig(p=0.3, q=0.3)
     # uniforms: z draws (0.1 -> +1, 0.5 -> -1, 0.9 -> 0), then acceptance
     rng = scripted_rng(uniforms=[0.1, 0.5, 0.9, 0.5], normals=[0.6])
-    step = general_tmcmc_step(np.zeros(3), target, additive_transformation(), cfg, rng)
-    proposal_third = step.x_next[2] if step.accepted else 0.0
+    kernel = make_general_tmcmc_kernel(target, additive_transformation(), cfg)
+    step = kernel(kernel.init(np.zeros(3)), rng)
+    proposal_third = step.state.x[2] if step.accepted else 0.0
     assert proposal_third == 0.0
 
 
@@ -152,8 +156,9 @@ def test_general_step_resamples_all_zero_move(scripted_rng):
     cfg = TmcmcConfig(p=0.3, q=0.3)
     # first z draw lands in the no-change band and must be redrawn
     rng = scripted_rng(uniforms=[0.95, 0.1, 0.7], normals=[0.5])
-    step = general_tmcmc_step(np.zeros(1), target, additive_transformation(), cfg, rng)
-    assert step.x_next[0] != 0.0 or not step.accepted
+    kernel = make_general_tmcmc_kernel(target, additive_transformation(), cfg)
+    step = kernel(kernel.init(np.zeros(1)), rng)
+    assert step.state.x[0] != 0.0 or not step.accepted
 
 
 def test_general_step_nonfinite_jacobian_rejects(scripted_rng):
@@ -162,9 +167,10 @@ def test_general_step_nonfinite_jacobian_rejects(scripted_rng):
 
     broken = Transformation(forward=lambda x, e, z: x + e * z, log_jacobian=lambda x, e, z: math.nan)
     rng = scripted_rng(uniforms=[0.1, 0.5], normals=[0.5])
-    step = general_tmcmc_step(np.zeros(1), target, broken, TmcmcConfig(), rng)
+    kernel = make_general_tmcmc_kernel(target, broken, TmcmcConfig())
+    step = kernel(kernel.init(np.zeros(1)), rng)
     assert not step.accepted
-    assert step.nonfinite_proposal
+    assert step.nonfinite
     assert step.log_alpha == -math.inf
 
 
@@ -172,15 +178,18 @@ def test_general_specializes_to_additive_under_shared_stream():
     target = make_iid_gaussian(3)
     cfg = TmcmcConfig(eps_scale=0.8, p=0.65, q=0.35)
     tfm = additive_transformation(1.0)
+    additive = make_additive_tmcmc_kernel(target, cfg)
+    general = make_general_tmcmc_kernel(target, tfm, cfg)
     r1, r2 = chain_rng(123), chain_rng(123)
-    x1 = x2 = np.array([0.1, -0.4, 2.0])
+    x0 = np.array([0.1, -0.4, 2.0])
+    st1, st2 = additive.init(x0), general.init(x0)
     for _ in range(500):
-        s1 = additive_tmcmc_step(x1, target, cfg, r1)
-        s2 = general_tmcmc_step(x2, target, tfm, cfg, r2)
-        assert np.array_equal(s1.x_next, s2.x_next)
+        s1 = additive(st1, r1)
+        s2 = general(st2, r2)
+        assert np.array_equal(s1.state.x, s2.state.x)
         assert s1.accepted == s2.accepted
         assert s1.log_alpha == s2.log_alpha
-        x1, x2 = s1.x_next, s2.x_next
+        st1, st2 = s1.state, s2.state
 
 
 def multiplicative_transformation():
@@ -219,15 +228,9 @@ def test_general_kernel_with_user_transformation():
     target = Target(dim=2, log_density=log_density, name="log-normal")
     cfg = TmcmcConfig(eps_scale=0.5, p=0.4, q=0.4)
     tfm = multiplicative_transformation()
-    rng = chain_rng(77)
-    x = np.ones(2)
-    accepted = 0
-    for _ in range(2_000):
-        step = general_tmcmc_step(x, target, tfm, cfg, rng)
-        x = step.x_next
-        accepted += step.accepted
-        assert np.all(x > 0.0)
-    assert 0.2 < accepted / 2_000 <= 1.0
+    trace = run_chain(make_general_tmcmc_kernel(target, tfm, cfg), np.ones(2), 2_000, chain_rng(77))
+    assert np.all(trace.states > 0.0)
+    assert 0.2 < np.mean(trace.accepted) <= 1.0
 
 
 # --- dependent move probabilities -----------------------------------------
@@ -249,7 +252,8 @@ def test_dependent_z_degenerate_softmax_gives_thirds(scripted_rng):
         uniforms=[0.2, 0.5, 0.9], normals=[0.3, -0.2, 0.1, 0.5, -0.6, 0.7, 0.5]
     )
     x = np.array([0.2, -0.1])
-    step = dependent_z_tmcmc_step(x, target, cfg, rng)
+    kernel = make_dependent_z_kernel(target, cfg)
+    step = kernel(kernel.init(x), rng)
     y = x + 0.5 * np.array([1.0, -1.0])
     # p = q = 1/3 exactly, so the move ratio cancels for sign-only moves
     assert_allclose(step.log_alpha, target.log_density(y) - target.log_density(x), rtol=1e-12)
@@ -260,9 +264,10 @@ def test_dependent_z_all_zero_move_is_accepted_self_transition(scripted_rng):
     cfg = symmetric_dependent_cfg(2)
     rng = scripted_rng(uniforms=[0.8, 0.9, 0.4], normals=[0.0] * 6 + [1.0])
     x = np.array([1.0, -2.0])
-    step = dependent_z_tmcmc_step(x, target, cfg, rng)
+    kernel = make_dependent_z_kernel(target, cfg)
+    step = kernel(kernel.init(x), rng)
     assert step.accepted
-    assert np.array_equal(step.x_next, x)
+    assert np.array_equal(step.state.x, x)
     assert step.log_alpha == 0.0
 
 
