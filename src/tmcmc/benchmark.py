@@ -15,6 +15,7 @@ random walk cannot traverse in any reasonable run length.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,11 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline_kernels import make_rwmh_kernel
-from .chain import chain_rng, run_chain
+from .chain import accept_batch, chain_rng
 from .diagnostics import acceptance_rate, iact_and_ess, split_rhat
 from .targets import make_challenger_logistic
-from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
+from .transform_kernels import TmcmcConfig
 
 __all__ = ["ChallengerConfig", "run_challenger_benchmark"]
 
@@ -56,44 +56,66 @@ class ChallengerConfig:
             raise ValueError("need at least 2 chains for split-chain diagnostics")
         if not 0.0 <= self.burn_frac < 1.0:
             raise ValueError("burn_frac must lie in [0, 1)")
+        if self.rwmh_sigma <= 0.0:
+            raise ValueError(f"rwmh_sigma must be positive, got {self.rwmh_sigma}")
 
 
-def _run_one_chain(kernel_name: str, cfg: ChallengerConfig, chain_index: int) -> dict:
-    target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
-    if kernel_name == "additive-tmcmc":
-        kernel = make_additive_tmcmc_kernel(
-            target, TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=cfg.tmcmc_eps_scale)
-        )
-    elif kernel_name == "rwmh":
-        kernel = make_rwmh_kernel(target, cfg.rwmh_sigma)
-    else:
-        raise ValueError(f"unknown benchmark kernel {kernel_name!r}")
-    offset = BENCH_KERNELS.index(kernel_name) * cfg.n_chains
-    rng = chain_rng(cfg.seed, chain_index + offset)
+def _lockstep_chains(kernel_name: str, cfg: ChallengerConfig, log_density) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one kernel's ``cfg.n_chains`` chains together, each on its own stream.
+
+    Chain ``c`` draws from ``chain_rng(cfg.seed, c + j * cfg.n_chains)``,
+    ``j`` the kernel's index in ``BENCH_KERNELS``, exactly what ``run_chain``
+    of ``make_additive_tmcmc_kernel`` or ``make_rwmh_kernel`` from the same
+    start would: its start, then per step the proposal's draws and one
+    acceptance uniform.  The chains' proposals share one batched log-density
+    call and one ``accept_batch`` decision.  Returns the ``(n_iter, C, 2)``
+    states and the ``(n_iter, C)`` accept flags.
+    """
+    n_chains, n_iter = cfg.n_chains, cfg.n_iter
+    offset = BENCH_KERNELS.index(kernel_name) * n_chains
+    rngs = [chain_rng(cfg.seed, c + offset) for c in range(n_chains)]
     # Overdispersed starts relative to the posterior spread.
-    x0 = np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25])
-    trace = run_chain(kernel, x0, cfg.n_iter, rng)
+    x = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
+    lp_x = log_density(x)
+    additive = kernel_name == "additive-tmcmc"
+    if additive:
+        a, p, _ = TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=cfg.tmcmc_eps_scale).broadcast(2)
+        s = cfg.tmcmc_eps_scale
+    draws = np.empty((n_chains, 2))  # additive: sign uniforms; rwmh: normals
+    eps = np.empty(n_chains)
+    log_u = np.empty(n_chains)
+    n_nonfinite = np.zeros(n_chains, dtype=int)
+    states = np.empty((n_iter, n_chains, 2))
+    accepted = np.empty((n_iter, n_chains), dtype=bool)
+    with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
+        for i in range(n_iter):
+            for c, rng in enumerate(rngs):
+                if additive:
+                    draws[c] = rng.random(2)
+                    eps[c] = s * abs(float(rng.standard_normal()))
+                else:
+                    draws[c] = rng.standard_normal(2)
+                u = float(rng.random())
+                log_u[c] = math.log(u) if u > 0.0 else -math.inf
+            if additive:
+                y = x + (np.where(draws < p, 1.0, -1.0) * a) * eps[:, None]
+            else:
+                y = x + cfg.rwmh_sigma * draws
+            accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u, n_nonfinite)
+            states[i] = x
+    return states, accepted
+
+
+def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
+    target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
+    states, accepted = _lockstep_chains(kernel_name, cfg, target.log_density)
     burn = int(cfg.burn_frac * cfg.n_iter)
-    tail = trace.tail(burn) if burn else trace
     t_bar = target.info["t_bar"]
-    raw = np.column_stack([tail.states[:, 0] - tail.states[:, 1] * t_bar, tail.states[:, 1]])
-    return {"raw": raw, "accept_rate": acceptance_rate(tail)}
-
-
-def _chain_task(args) -> dict:
-    kernel_name, cfg, chain_index = args
-    return _run_one_chain(kernel_name, cfg, chain_index)
-
-
-def _kernel_report(kernel_name: str, cfg: ChallengerConfig, pool=None) -> dict:
-    tasks = [(kernel_name, cfg, c) for c in range(cfg.n_chains)]
-    if pool is None:
-        chains = [_chain_task(t) for t in tasks]
-    else:
-        chains = list(pool.map(_chain_task, tasks))
-    pooled = np.concatenate([c["raw"] for c in chains], axis=0)
+    tail, flags = states[burn:], accepted[burn:]
+    raw = [np.column_stack([tail[:, c, 0] - tail[:, c, 1] * t_bar, tail[:, c, 1]]) for c in range(cfg.n_chains)]
+    pooled = np.concatenate(raw, axis=0)
     report: dict = {
-        "accept_rate": float(np.mean([c["accept_rate"] for c in chains])),
+        "accept_rate": float(np.mean([acceptance_rate(flags[:, c]) for c in range(cfg.n_chains)])),
         "mean": {},
         "sd": {},
         "se": {},
@@ -101,7 +123,7 @@ def _kernel_report(kernel_name: str, cfg: ChallengerConfig, pool=None) -> dict:
         "rhat": {},
     }
     for j, name in enumerate(PARAM_NAMES):
-        series = [c["raw"][:, j] for c in chains]
+        series = [r[:, j] for r in raw]
         ess_total = float(sum(iact_and_ess(s)[1] for s in series))
         sd = float(pooled[:, j].std(ddof=1))
         report["mean"][name] = float(pooled[:, j].mean())
@@ -117,17 +139,19 @@ def run_challenger_benchmark(
 ) -> dict:
     """Run both kernels and assemble the cross-kernel agreement report.
 
-    Chains are independent and can run on a bounded process pool
-    (``n_workers``); results are reduced in chain order either way.
+    Each kernel runs its chains in lockstep (``_lockstep_chains``).  The two
+    kernels are independent and can run on a bounded process pool
+    (``n_workers``); the report is the same either way.
     """
     cfg = cfg or ChallengerConfig()
     t0 = time.perf_counter()
     workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            kernels = {name: _kernel_report(name, cfg, pool) for name in BENCH_KERNELS}
+        with ProcessPoolExecutor(max_workers=min(workers, len(BENCH_KERNELS))) as pool:
+            reports = list(pool.map(_kernel_report, BENCH_KERNELS, [cfg] * len(BENCH_KERNELS)))
     else:
-        kernels = {name: _kernel_report(name, cfg) for name in BENCH_KERNELS}
+        reports = [_kernel_report(name, cfg) for name in BENCH_KERNELS]
+    kernels = dict(zip(BENCH_KERNELS, reports))
 
     cross = {}
     agree_all = True

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf, log_ndtr
 
 __all__ = [
     "AcceptanceBoundInputs",
@@ -97,11 +96,15 @@ def _log_prefactor(k: int, curvature: float, pi_mode: float) -> float:
 
 def _log_upper_tail(t: float) -> float:
     """``log(1 - Phi(t))``, accurate in the far tail."""
+    from scipy.special import log_ndtr  # deferred: ``import tmcmc`` needs only numpy
+
     return float(log_ndtr(-t))
 
 
 def _log_central_band(t: float) -> float:
     """``log(2 Phi(t) - 1)`` for ``t >= 0``; ``-inf`` at ``t = 0``."""
+    from scipy.special import erf  # deferred: ``import tmcmc`` needs only numpy
+
     if t <= 0.0:
         return -math.inf
     return float(np.log(erf(t / math.sqrt(2.0))))

@@ -14,8 +14,8 @@ draws one uniform ``u`` and accepts iff ``log u < log_alpha``.  The step
 records ``u`` and ``log_alpha``, so traces are replayable:
 ``accepted == (log(u) < log_alpha)`` holds row by row.
 
-The non-finite rule (``nonfinite_rule``, which the scaling study's lockstep
-loop applies to whole batches): a proposal whose log-density is not finite
+The non-finite rule (``nonfinite_rule``, which ``accept_batch`` applies to
+the whole batch of a lockstep loop): a proposal whose log-density is not finite
 is rejected with ``log_alpha = -inf`` and counted in
 ``Trace.meta["n_nonfinite_proposals"]``, so rejected excursions never write
 NaN into the trace; a finite proposal from a state whose log-density is not
@@ -43,6 +43,7 @@ __all__ = [
     "init_state",
     "nonfinite_rule",
     "accept_step",
+    "accept_batch",
     "run_chain",
 ]
 
@@ -66,6 +67,8 @@ class Step(NamedTuple):
 
 
 Kernel = Callable[[ChainState, np.random.Generator], Step]
+
+CSV_BLOCK_ROWS = 4096  # rows per block in ``Trace.write_csv``
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -116,6 +119,26 @@ def accept_step(state: ChainState, proposal: ChainState, log_alpha: float, rng: 
     return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
 
 
+def accept_batch(x: np.ndarray, lp_x: np.ndarray, y: np.ndarray, lp_y: np.ndarray, log_u, n_nonfinite: np.ndarray):
+    """``accept_step``'s decision for a ``(C, k)`` batch of symmetric proposals, in place.
+
+    Row ``c`` of ``(x, lp_x)`` takes row ``c`` of ``(y, lp_y)`` iff
+    ``log_u[c] < log_alpha[c]``, where ``log_alpha = lp_y - lp_x`` after the
+    non-finite rule; ``log_u`` may also be one value shared by every row.
+    Non-finite proposals are counted into the ``(C,)`` array ``n_nonfinite``.
+    Returns the ``(C,)`` accept flags.  Run it under
+    ``np.errstate(invalid="ignore")``: an ``inf - inf`` is replaced by the rule.
+    """
+    log_alpha = lp_y - lp_x
+    if not math.isfinite(log_alpha.sum()):  # some density is non-finite
+        log_alpha, nonfinite = nonfinite_rule(log_alpha, lp_x, lp_y)
+        n_nonfinite += nonfinite
+    accepted = log_u < log_alpha
+    np.copyto(x, y, where=accepted[:, None])
+    np.copyto(lp_x, lp_y, where=accepted)
+    return accepted
+
+
 @dataclass
 class Trace:
     """Ordered record of a single chain.
@@ -158,9 +181,17 @@ class Trace:
         cols = ",".join(f"x_{i}" for i in self.recorded_coords)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"iter,accepted,log_density,{cols}\n")
-            for i in range(len(self)):
-                xs = ",".join(repr(float(v)) for v in self.states[i])
-                fh.write(f"{i},{int(self.accepted[i])},{float(self.log_density[i])!r},{xs}\n")
+            # Values are written as the repr of Python floats; converting a block of
+            # rows at a time keeps memory bounded however long the trace is.
+            for start in range(0, len(self), CSV_BLOCK_ROWS):
+                stop = start + CSV_BLOCK_ROWS
+                rows = zip(
+                    range(start, stop),
+                    self.accepted[start:stop].astype(int).tolist(),
+                    self.log_density[start:stop].astype(float).tolist(),
+                    self.states[start:stop].astype(float).tolist(),
+                )
+                fh.writelines(f"{i},{a},{lp!r},{','.join(map(repr, xs))}\n" for i, a, lp, xs in rows)
 
     def summary(self) -> dict:
         """JSON-ready run summary (acceptance rate, per-coordinate ESS, timing)."""

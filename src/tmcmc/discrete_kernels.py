@@ -18,9 +18,6 @@ import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.stats import norm
 
 from .chain import ChainState, Kernel, accept_step, init_state
 from .targets import Target
@@ -61,12 +58,13 @@ def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
     """
     probs = np.broadcast_to(np.asarray(p, dtype=float), (target.dim,))
     _validate_spin_probs(probs)
+    log_up, log_down = np.log(probs), np.log1p(-probs)  # _spin_selection_log_prob's terms
     log_density = target.log_density
 
     def kernel(state: ChainState, rng: np.random.Generator):
         x = state.x
         y = np.where(rng.random(x.size) < probs, 1.0, -1.0)
-        log_ratio = _spin_selection_log_prob(x, probs) - _spin_selection_log_prob(y, probs)
+        log_ratio = float(np.sum(np.where(x > 0, log_up, log_down))) - float(np.sum(np.where(y > 0, log_up, log_down)))
         lp_y = log_density(y)
         return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
 
@@ -116,9 +114,11 @@ def jump_magnitude_masses(jump_scale: float, m_max: int) -> tuple[np.ndarray, fl
     2 (Phi(m/s) - Phi((m-1)/s))``; the returned tail is the mass beyond
     ``m_max``, which exact-matrix builders fold into self-transitions.
     """
+    from scipy.special import ndtr  # deferred: ``import tmcmc`` needs only numpy
+
     s = float(jump_scale)
     edges = np.arange(0, m_max + 1) / s
-    cdf = norm.cdf(edges)
+    cdf = ndtr(edges)
     masses = 2.0 * np.diff(cdf)
     tail = 2.0 * (1.0 - cdf[-1])
     return masses, float(tail)
@@ -306,6 +306,9 @@ def stationary_distribution(K: np.ndarray) -> np.ndarray:
 
 def strongly_connected_classes(K: np.ndarray, atol: float = 1e-14) -> tuple[int, np.ndarray]:
     """Number of strongly connected classes of the kernel's directed graph."""
+    from scipy.sparse import csr_matrix  # deferred: ``import tmcmc`` needs only numpy
+    from scipy.sparse.csgraph import connected_components
+
     graph = csr_matrix((K > atol).astype(np.int8))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     return int(n_comp), labels

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import nonfinite_rule, run_chain
+from .chain import accept_batch, run_chain
 from .diagnostics import acceptance_rate, expected_acceptance_rate, iact_and_ess
 from .targets import Target, make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -159,8 +159,8 @@ def _lockstep(
 
     Returns the ``(n_iter, C)`` accept flags, the ``(n_iter, n_coords)``
     leading coordinates of each step's shared direction and the ``(C,)``
-    counts of non-finite proposals.  Acceptance follows ``accept_step``,
-    with the same ``nonfinite_rule`` applied to the whole batch.
+    counts of non-finite proposals.  Every step decides all cells through
+    ``accept_batch`` with the step's one acceptance uniform.
     """
     k, n_cells = x0.size, len(scales)
     scales = np.asarray(scales, dtype=float)[:, None]
@@ -172,7 +172,7 @@ def _lockstep(
     n_nonfinite = np.zeros(n_cells, dtype=int)
     additive = kernel_name == "additive-tmcmc"
     log_density = target.log_density
-    with np.errstate(invalid="ignore"):  # inf - inf: replaced by the rule below
+    with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
         for i in range(n_iter):
             if additive:
                 signs = rng.random(k) < 0.5
@@ -183,16 +183,8 @@ def _lockstep(
             np.multiply(scales, d, out=y)
             y += x
             lp_y = log_density(y)
-            log_alpha = lp_y - lp_x
-            if not math.isfinite(log_alpha.sum()):  # some density is non-finite
-                log_alpha, nonfinite = nonfinite_rule(log_alpha, lp_x, lp_y)
-                n_nonfinite += nonfinite
             u = float(rng.random())
-            log_u = math.log(u) if u > 0.0 else -math.inf
-            acc = log_u < log_alpha
-            np.copyto(x, y, where=acc[:, None])
-            np.copyto(lp_x, lp_y, where=acc)
-            accepted[i] = acc
+            accepted[i] = accept_batch(x, lp_x, y, lp_y, math.log(u) if u > 0.0 else -math.inf, n_nonfinite)
             directions[i] = d[:n_coords]
     return accepted, directions, n_nonfinite
 

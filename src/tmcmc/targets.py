@@ -196,7 +196,9 @@ def make_challenger_logistic(
     reparameterization (the prior is still evaluated on the raw intercept), so
     the posterior over ``(b0, b1)`` is unchanged while the sampling geometry
     improves dramatically.  ``info['t_bar']`` holds the centering constant and
-    ``info['to_raw']`` maps sampled states back to raw ``(b0, b1)``.
+    ``info['to_raw']`` maps sampled states back to raw ``(b0, b1)``.  The
+    log-density also takes a ``(C, 2)`` batch and returns ``(C,)`` values,
+    each bit-identical to the single-state call on that row.
 
     Parameters
     ----------
@@ -216,10 +218,17 @@ def make_challenger_logistic(
     t_cov = temps - t_bar
     inv_two_var = 0.5 / (prior_sd * prior_sd)
 
-    def log_density(beta: np.ndarray) -> float:
-        b0, b1 = float(beta[0]), float(beta[1])
-        eta = b0 + b1 * t_cov
-        loglik = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+    def log_density(beta: np.ndarray):
+        beta = np.asarray(beta, dtype=float)
+        if beta.ndim == 1:
+            b0, b1 = float(beta[0]), float(beta[1])
+            eta = b0 + b1 * t_cov
+            loglik = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+        else:
+            # Row by row the same operations: vecdot runs ``y @ eta``'s dot kernel.
+            b0, b1 = beta[:, 0], beta[:, 1]
+            eta = b0[:, None] + b1[:, None] * t_cov
+            loglik = np.vecdot(eta, y) - np.logaddexp(0.0, eta).sum(axis=1)
         raw0 = b0 - b1 * t_bar
         return loglik - inv_two_var * (raw0 * raw0 + b1 * b1)
 

@@ -225,6 +225,10 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
     generator.
     """
     _, p, q = cfg.broadcast(target.dim)
+    # Taken once on contiguous copies, as ``_move_log_ratio`` takes them per
+    # step; a zero reverse probability gives -inf, as its early return does.
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(np.array(p)), np.log(np.array(q))
     s = cfg.eps_scale
     log_density = target.log_density
 
@@ -235,8 +239,11 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
         y = np.asarray(transform.forward(x, eps, z), dtype=float)
         log_jac = float(transform.log_jacobian(x, eps, z))
         lp_y = log_density(y) if math.isfinite(log_jac) else -math.inf
-        log_alpha = _move_log_ratio(z, p, q) + log_jac + lp_y - state.lp
-        return accept_step(state, ChainState(y, lp_y), log_alpha, rng)
+        pos, neg = z > 0, z < 0
+        log_ratio = float(
+            np.sum(np.concatenate([log_q[pos], log_p[neg]])) - np.sum(np.concatenate([log_p[pos], log_q[neg]]))
+        )
+        return accept_step(state, ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
     return kernel

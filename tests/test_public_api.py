@@ -1,8 +1,14 @@
 """The names ``tmcmc`` exports, pinned: any change to the public surface is deliberate."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import tmcmc
+
+SRC = os.pathsep.join([str(Path(tmcmc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
 
 PUBLIC = [
     "AcceptanceBoundInputs", "ChainState", "ChallengerRecord", "DependentZConfig", "HmcConfig",
@@ -26,3 +32,9 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == sorted(PUBLIC)
+
+
+def test_import_needs_no_scipy():
+    # scipy is imported only by the functions that use it; a fresh interpreter shows what import costs.
+    code = "import sys, tmcmc, tmcmc.cli; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=SRC))

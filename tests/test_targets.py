@@ -190,6 +190,27 @@ def challenger_quadrature_moments(prior_sd=10.0, n=801, span=9.0):
     return mean0, mean1, sd0, sd1
 
 
+@pytest.mark.parametrize("center", [False, True])
+def test_challenger_batched_rows_equal_single_calls(center):
+    target = make_challenger_logistic(10.0, center=center)
+    rng = np.random.default_rng(52)
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1e300]
+    batch = np.concatenate(
+        [
+            rng.standard_normal((25_000, 2)) * (3.0, 0.2),  # the posterior's scale
+            rng.standard_normal((25_000, 2)) * (300.0, 20.0),  # saturated logits
+            rng.standard_normal((2_000, 2)) * 1e200,
+            np.array(list(itertools.product(special, repeat=2))),  # 49 rows, most non-finite
+        ]
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = np.concatenate([target.log_density(block) for block in np.array_split(batch, len(batch) // 4)])
+        singles = np.array([target.log_density(row.copy()) for row in batch])
+    assert values.shape == (len(batch),)
+    assert not np.all(np.isfinite(singles))
+    assert np.array_equal(values, singles, equal_nan=True)  # bit for bit, not approximately
+
+
 def test_challenger_posterior_slope_negative_by_quadrature():
     mean0, mean1, sd0, sd1 = challenger_quadrature_moments()
     assert mean1 < 0.0

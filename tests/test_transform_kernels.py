@@ -233,6 +233,20 @@ def test_general_kernel_with_user_transformation():
     assert 0.2 < np.mean(trace.accepted) <= 1.0
 
 
+def test_general_kernel_rejects_moves_whose_reverse_has_probability_zero():
+    # Coordinate 1 can only move backward (p_1 = 0), so the reverse of any
+    # move of it is impossible: log_alpha = -inf, a rejection but not a
+    # non-finite proposal.
+    cfg = TmcmcConfig(p=(0.5, 0.0), q=(0.5, 0.6))
+    kernel = make_general_tmcmc_kernel(make_iid_gaussian(2), additive_transformation(), cfg)
+    trace = run_chain(kernel, np.zeros(2), 2_000, chain_rng(5))
+    assert np.all(trace.states[:, 1] == 0.0)
+    assert np.any(trace.states[:, 0] != 0.0)
+    impossible = trace.log_alpha == -math.inf
+    assert 0 < impossible.sum() < len(trace) and not trace.accepted[impossible].any()
+    assert trace.n_nonfinite_proposals == 0
+
+
 # --- dependent move probabilities -----------------------------------------
 
 
