@@ -239,6 +239,7 @@ def run_chain(
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else chain_rng(int(rng_seed))
 
     coords = list(range(x0.size)) if record_coords is None else list(record_coords)
+    take = np.asarray(coords, dtype=np.intp)  # a list index costs ~3x as much per step
     states = np.empty((n_iter, len(coords)))
     accepted = np.empty(n_iter, dtype=bool)
     log_density = np.empty(n_iter)
@@ -251,7 +252,7 @@ def run_chain(
     for i in range(n_iter):
         step = kernel(state, rng)
         state = step.state
-        states[i] = state.x[coords]
+        states[i] = state.x[take]
         accepted[i] = step.accepted
         log_density[i] = state.lp
         log_alpha[i] = step.log_alpha

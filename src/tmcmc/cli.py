@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +148,13 @@ def _initial_state(args, target: Target, rng: np.random.Generator) -> np.ndarray
     return rng.standard_normal(target.dim)
 
 
-def _sample_one_chain(payload):
-    args, c = payload
+def _sample_one_chain(payload) -> dict:
+    """Run chain ``c``, write its trace CSV under ``out`` and return its summary.
+
+    The pool runs this whole task in a worker, so the CSV writer (float
+    ``repr`` bound) runs in parallel too and no ``Trace`` crosses processes.
+    """
+    args, c, out = payload
     target = _build_target(args)
     kernel = _build_kernel(args, target)
     rng = chain_rng(args.seed, c)
@@ -159,7 +165,8 @@ def _sample_one_chain(payload):
     )
     if args.burn_in:
         trace = trace.tail(args.burn_in)
-    return c, trace
+    trace.write_csv(out / f"trace_chain{c}.csv")
+    return trace.summary()
 
 
 KERNEL_SUPPORT = {
@@ -181,19 +188,13 @@ def cmd_sample(args) -> int:
             f"is {target.support_kind}"
         )
     out = _out_dir(args)
-    tasks = [(args, c) for c in range(args.chains)]
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers > 1 and args.chains > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
+    tasks = [(args, c, out) for c in range(args.chains)]
+    workers = min(args.workers if args.workers is not None else (os.cpu_count() or 1), args.chains)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = sorted(pool.map(_sample_one_chain, tasks), key=lambda t: t[0])
+            summaries = list(pool.map(_sample_one_chain, tasks))
     else:
-        results = [_sample_one_chain(t) for t in tasks]
-    summaries = []
-    for c, trace in results:
-        trace.write_csv(out / f"trace_chain{c}.csv")
-        summaries.append(trace.summary())
+        summaries = [_sample_one_chain(t) for t in tasks]
     payload = {"chains": summaries, "kernel": args.kernel, "target": target.name, "seed": args.seed}
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -289,7 +289,7 @@ def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -
     carries ``partial_report``: the rows of the slices finished before it.
     """
     slices = [(kernel, k, seed) for kernel in spec.kernels for k in spec.dims for seed in spec.seeds]
-    workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
+    workers = min(n_workers if n_workers is not None else (os.cpu_count() or 1), len(slices))
     done: dict = {}
     try:
         if workers <= 1:

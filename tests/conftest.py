@@ -60,3 +60,34 @@ def _parent_accept(x, proposal, log_alpha, lp_current, lp_proposal, rng):
 @pytest.fixture
 def parent_accept():
     return _parent_accept
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace a module's ``ProcessPoolExecutor`` with an in-process stand-in.
+
+    ``pool_sizes(module)`` installs it and returns the list that collects the
+    ``max_workers`` of every pool the module opens, so a test can check the
+    pool size without starting any process.
+    """
+
+    def install(module):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    return install

@@ -3,9 +3,11 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from tmcmc.cli import main
+from tmcmc.diagnostics import iact_and_ess
 
 SUMMARY_SCHEMA = {
     "type": "object",
@@ -83,6 +85,57 @@ def test_sample_smoke_and_determinism(tmp_path):
         for c in s["chains"]:
             c.pop("wall_time_s")
     assert s1 == s2
+
+
+def _summary_without_wall_and_workers(path):
+    """The summary minus wall clock and the ``--workers`` echo in each config."""
+    payload = json.loads(path.read_text())
+    for chain in payload["chains"]:
+        chain.pop("wall_time_s")
+        chain["config"].pop("workers")
+    return payload
+
+
+@pytest.mark.parametrize("burn_in", [[], ["--burn-in", "100"]], ids=["no-burn-in", "burn-in"])
+@pytest.mark.parametrize(
+    "kernel_args",
+    [["--kernel", "additive-tmcmc"], ["--kernel", "hmc", "--hmc-L", "3", "--hmc-dt", "0.2"]],
+    ids=["additive-tmcmc", "hmc"],
+)
+def test_pooled_chains_write_the_same_bytes_as_serial_ones(tmp_path, kernel_args, burn_in):
+    args = ["sample", *kernel_args, "--dim", "4", "--iters", "600", "--chains", "3",
+            "--seed", "5", *burn_in]
+    outs = {}
+    for workers in ("2", "1"):
+        outs[workers] = tmp_path / f"w{workers}"
+        assert run_cli(args + ["--workers", workers, "--out", str(outs[workers])]) == 0
+    for c in range(3):
+        name = f"trace_chain{c}.csv"
+        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+    pooled = _summary_without_wall_and_workers(outs["2"] / "summary.json")
+    assert pooled == _summary_without_wall_and_workers(outs["1"] / "summary.json")
+    # chains are listed in index order: entry c summarises trace_chain{c}.csv
+    # (float repr round-trips, so the ESS recomputed from the CSV is exact)
+    kept = 600 - (100 if burn_in else 0)
+    for c, chain in enumerate(pooled["chains"]):
+        table = np.loadtxt(outs["2"] / f"trace_chain{c}.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert chain["n_iter"] == len(table) == kept
+        assert chain["accept_rate"] == table[:, 1].mean()
+        ess = {f"x_{j}": iact_and_ess(table[:, 3 + j])[1] for j in range(4)}
+        assert chain["ess_per_coordinate"] == ess
+    assert len({json.dumps(chain["ess_per_coordinate"]) for chain in pooled["chains"]}) == 3
+
+
+def test_sample_pool_is_capped_at_the_chain_count(tmp_path, pool_sizes, monkeypatch):
+    from tmcmc import cli
+
+    sizes = pool_sizes(cli)
+    args = ["sample", "--dim", "2", "--iters", "200", "--seed", "1"]
+    assert run_cli(args + ["--chains", "2", "--workers", "64", "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert run_cli(args + ["--chains", "3", "--out", str(tmp_path / "b")]) == 0
+    assert run_cli(args + ["--chains", "1", "--out", str(tmp_path / "c")]) == 0
+    assert sizes == [2, 3]
 
 
 def test_sample_rejects_zero_dim():

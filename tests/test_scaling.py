@@ -143,6 +143,17 @@ def test_study_report_is_independent_of_worker_count():
     assert keys == [(kn, k, e, s) for kn in TINY.kernels for k in TINY.dims for e in TINY.ell_grid for s in TINY.seeds]
 
 
+def test_study_pool_is_capped_at_its_slice_count(pool_sizes, monkeypatch):
+    from tmcmc import scaling
+
+    sizes = pool_sizes(scaling)
+    run_scaling_study(TINY, n_workers=64)
+    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 64)
+    run_scaling_study(TINY)
+    n_slices = len(TINY.kernels) * len(TINY.dims) * len(TINY.seeds)
+    assert sizes == [n_slices, n_slices]
+
+
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
     spec = ScalingStudySpec(dims=(4,), ell_grid=TINY.ell_grid, n_iter=TINY.n_iter, burn_in=TINY.burn_in, seeds=(1,))
