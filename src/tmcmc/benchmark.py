@@ -15,16 +15,14 @@ random walk cannot traverse in any reasonable run length.
 
 from __future__ import annotations
 
-import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .chain import accept_batch, chain_rng
+from .chain import chain_rng, lockstep_path, map_tasks, run_lockstep
 from .diagnostics import acceptance_rate, iact_and_ess, split_rhat
 from .targets import make_challenger_logistic
 from .transform_kernels import TmcmcConfig
@@ -58,61 +56,33 @@ class ChallengerConfig:
             raise ValueError("burn_frac must lie in [0, 1)")
         if self.rwmh_sigma <= 0.0:
             raise ValueError(f"rwmh_sigma must be positive, got {self.rwmh_sigma}")
-
-
-def _lockstep_chains(kernel_name: str, cfg: ChallengerConfig, log_density) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one kernel's ``cfg.n_chains`` chains together, each on its own stream.
-
-    Chain ``c`` draws from ``chain_rng(cfg.seed, c + j * cfg.n_chains)``,
-    ``j`` the kernel's index in ``BENCH_KERNELS``, exactly what ``run_chain``
-    of ``make_additive_tmcmc_kernel`` or ``make_rwmh_kernel`` from the same
-    start would: its start, then per step the proposal's draws and one
-    acceptance uniform.  The chains' proposals share one batched log-density
-    call and one ``accept_batch`` decision.  Returns the ``(n_iter, C, 2)``
-    states and the ``(n_iter, C)`` accept flags.
-    """
-    n_chains, n_iter = cfg.n_chains, cfg.n_iter
-    offset = BENCH_KERNELS.index(kernel_name) * n_chains
-    rngs = [chain_rng(cfg.seed, c + offset) for c in range(n_chains)]
-    # Overdispersed starts relative to the posterior spread.
-    x = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
-    lp_x = log_density(x)
-    additive = kernel_name == "additive-tmcmc"
-    if additive:
-        a, p, _ = TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=cfg.tmcmc_eps_scale).broadcast(2)
-        s = cfg.tmcmc_eps_scale
-    draws = np.empty((n_chains, 2))  # additive: sign uniforms; rwmh: normals
-    eps = np.empty(n_chains)
-    log_u = np.empty(n_chains)
-    n_nonfinite = np.zeros(n_chains, dtype=int)
-    states = np.empty((n_iter, n_chains, 2))
-    accepted = np.empty((n_iter, n_chains), dtype=bool)
-    with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
-        for i in range(n_iter):
-            for c, rng in enumerate(rngs):
-                if additive:
-                    draws[c] = rng.random(2)
-                    eps[c] = s * abs(float(rng.standard_normal()))
-                else:
-                    draws[c] = rng.standard_normal(2)
-                u = float(rng.random())
-                log_u[c] = math.log(u) if u > 0.0 else -math.inf
-            if additive:
-                y = x + (np.where(draws < p, 1.0, -1.0) * a) * eps[:, None]
-            else:
-                y = x + cfg.rwmh_sigma * draws
-            accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u, n_nonfinite)
-            states[i] = x
-    return states, accepted
+        TmcmcConfig(scales=self.tmcmc_scales, eps_scale=self.tmcmc_eps_scale)  # raises on bad additive tuning
 
 
 def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
+    """One kernel's report from its ``cfg.n_chains`` chains, run in lockstep.
+
+    Chain ``c`` is one ``run_lockstep`` group on its own stream,
+    ``chain_rng(cfg.seed, c + j * cfg.n_chains)`` with ``j`` the kernel's
+    index in ``BENCH_KERNELS``: its start, then per step what ``run_chain``
+    of ``make_additive_tmcmc_kernel`` or ``make_rwmh_kernel`` would draw.
+    """
     target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
-    states, accepted = _lockstep_chains(kernel_name, cfg, target.log_density)
+    offset = BENCH_KERNELS.index(kernel_name) * cfg.n_chains
+    rngs = [chain_rng(cfg.seed, c + offset) for c in range(cfg.n_chains)]
+    # Overdispersed starts relative to the posterior spread.
+    x0 = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
+    scale = cfg.tmcmc_eps_scale if kernel_name == "additive-tmcmc" else cfg.rwmh_sigma
+    run = run_lockstep(kernel_name, target.log_density, x0, [scale], cfg.n_iter, rngs, 2, a=cfg.tmcmc_scales)
     burn = int(cfg.burn_frac * cfg.n_iter)
     t_bar = target.info["t_bar"]
-    tail, flags = states[burn:], accepted[burn:]
-    raw = [np.column_stack([tail[:, c, 0] - tail[:, c, 1] * t_bar, tail[:, c, 1]]) for c in range(cfg.n_chains)]
+    flags = run.accepted[burn:]
+    raw = []
+    for c in range(cfg.n_chains):
+        tail = lockstep_path(x0[c], run.directions[:, c], run.r[:, c], scale, run.accepted[:, c])[burn:]
+        tail[:, 0] -= tail[:, 1] * t_bar  # raw intercept
+        raw.append(tail)
+    del run  # the draws are spent: free them before the pooled copy
     pooled = np.concatenate(raw, axis=0)
     report: dict = {
         "accept_rate": float(np.mean([acceptance_rate(flags[:, c]) for c in range(cfg.n_chains)])),
@@ -139,18 +109,13 @@ def run_challenger_benchmark(
 ) -> dict:
     """Run both kernels and assemble the cross-kernel agreement report.
 
-    Each kernel runs its chains in lockstep (``_lockstep_chains``).  The two
-    kernels are independent and can run on a bounded process pool
-    (``n_workers``); the report is the same either way.
+    Each kernel runs its chains in lockstep (``_kernel_report``).  The two
+    kernels are independent and ``map_tasks`` runs them on up to
+    ``n_workers`` processes; the report is the same either way.
     """
     cfg = cfg or ChallengerConfig()
     t0 = time.perf_counter()
-    workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(BENCH_KERNELS))) as pool:
-            reports = list(pool.map(_kernel_report, BENCH_KERNELS, [cfg] * len(BENCH_KERNELS)))
-    else:
-        reports = [_kernel_report(name, cfg) for name in BENCH_KERNELS]
+    reports = map_tasks(partial(_kernel_report, cfg=cfg), BENCH_KERNELS, n_workers)
     kernels = dict(zip(BENCH_KERNELS, reports))
 
     cross = {}

@@ -22,15 +22,23 @@ NaN into the trace; a finite proposal from a state whose log-density is not
 finite is accepted (``log_alpha = +inf``).  Kernels report any other broken
 proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
+
+One lockstep engine.  ``run_lockstep`` steps ``G`` groups of ``C`` chains,
+each group on its own stream, through one batched log-density call and one
+``accept_batch`` per step; ``lockstep_path`` rebuilds any of its chains,
+bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process
+pool.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +53,10 @@ __all__ = [
     "accept_step",
     "accept_batch",
     "run_chain",
+    "Lockstep",
+    "run_lockstep",
+    "lockstep_path",
+    "map_tasks",
 ]
 
 
@@ -69,6 +81,7 @@ class Step(NamedTuple):
 Kernel = Callable[[ChainState, np.random.Generator], Step]
 
 CSV_BLOCK_ROWS = 4096  # rows per block in ``Trace.write_csv``
+BELOW_HALF = np.nextafter(0.5, 0.0)  # the largest double below 0.5
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -265,3 +278,110 @@ def run_chain(
     info["wall_time_s"] = wall
     info["n_nonfinite_proposals"] = n_bad
     return Trace(states, accepted, log_density, log_alpha, uniforms, coords, info)
+
+
+class Lockstep(NamedTuple):
+    """What ``run_lockstep`` records: enough to rebuild every chain's path."""
+
+    directions: np.ndarray  # (n_iter, G, n_record): leading coordinates of each group's d
+    r: np.ndarray  # (n_iter, G): each group's innovation (1 for rwmh)
+    accepted: np.ndarray  # (n_iter, G * C): chain (g, c) is column g * C + c
+    n_nonfinite: np.ndarray  # (G * C,): non-finite proposals per chain
+
+
+def run_lockstep(
+    kernel_name: str,
+    log_density: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    scales: Sequence[float],
+    n_iter: int,
+    rngs: Sequence[np.random.Generator],
+    n_record: int,
+    a=1.0,
+) -> Lockstep:
+    """Advance ``G = len(rngs)`` groups of ``C = len(scales)`` chains in lockstep.
+
+    Every chain of group ``g`` starts at ``x0[g]``; chain ``(g, c)`` proposes
+    ``x + d_g * (scales[c] * r_g)``.  Per step group ``g`` draws from
+    ``rngs[g]`` what ``run_chain`` of the same kernel would: for
+    ``"additive-tmcmc"`` ``k`` uniforms giving ``d_g = +a`` where below 0.5
+    and ``-a`` elsewhere (``a``: the per-coordinate move scales), then
+    ``r_g = |N(0, 1)|``; for ``"rwmh"`` ``k``
+    standard normals ``d_g`` and ``r_g = 1``; then one acceptance uniform,
+    shared by the group's chains.  ``log_density`` must take a ``(G * C, k)``
+    batch, row by row bit-identical to single calls.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    (n_groups, k), n_cells = x0.shape, len(scales)
+    scales = np.asarray(scales, dtype=float)
+    x = np.repeat(x0, n_cells, axis=0)
+    lp_x = np.repeat(log_density(x0), n_cells)
+    y = np.empty_like(x)
+    d = np.empty((n_groups, k))
+    sr = np.tile(scales, (n_groups, 1))  # scales * r_g, one row per group
+    log_u = np.empty((n_groups, n_cells))
+    # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals.
+    d_by_cell, sr_by_coord, y_by_group = d[:, None, :], sr[:, :, None], y.reshape(n_groups, n_cells, k)
+    d_rows, d_head, log_u_all = list(d), d[:, :n_record], log_u.reshape(-1)
+    additive = kernel_name == "additive-tmcmc"
+    if additive:
+        a = np.broadcast_to(np.asarray(a, dtype=float), (k,))
+        r_now = np.empty(n_groups)
+        r_by_cell = r_now[:, None]
+    directions = np.empty((n_iter, n_groups, n_record))
+    r = np.ones((n_iter, n_groups))
+    accepted = np.empty((n_iter, n_groups * n_cells), dtype=bool)
+    n_nonfinite = np.zeros(n_groups * n_cells, dtype=int)
+    with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
+        for i in range(n_iter):
+            for g, rng in enumerate(rngs):
+                if additive:
+                    rng.random(out=d_rows[g])  # sign uniforms, turned into d below
+                    r_now[g] = abs(float(rng.standard_normal()))
+                else:
+                    rng.standard_normal(out=d_rows[g])
+                u = float(rng.random())
+                log_u[g] = math.log(u) if u > 0.0 else -math.inf
+            if additive:
+                r[i] = r_now
+                np.multiply(r_by_cell, scales, out=sr)
+                # d = where(u < 0.5, a, -a) in two calls: BELOW_HALF - u >= +0.0 exactly when u < 0.5
+                np.copysign(a, np.subtract(BELOW_HALF, d, out=d), out=d)
+            np.multiply(d_by_cell, sr_by_coord, out=y_by_group)
+            y += x
+            accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_all, n_nonfinite)
+            directions[i] = d_head
+    return Lockstep(directions, r, accepted, n_nonfinite)
+
+
+def lockstep_path(x0_head, directions: np.ndarray, r: np.ndarray, scale: float, accepted: np.ndarray) -> np.ndarray:
+    """One lockstep chain's recorded coordinates after each step.
+
+    ``directions`` (one row per step: ``(n,)`` for one coordinate or
+    ``(n, m)``), ``r`` and ``accepted`` are the chain's group's columns of a
+    ``Lockstep`` record, ``scale`` its proposal scale.  The running sum adds
+    ``d * (scale * r)`` on accepted steps and ``0`` otherwise, in step order:
+    the same floating-point additions the chain made.
+    """
+    path = np.empty((len(r) + 1,) + directions.shape[1:])
+    path[0] = x0_head
+    np.multiply(scale, r if directions.ndim == 1 else r[:, None], out=path[1:])
+    path[1:] *= directions
+    path[1:][~accepted] = 0.0
+    return np.cumsum(path, axis=0, out=path)[1:]
+
+
+def map_tasks(fn: Callable, tasks: Iterable, n_workers: Optional[int] = None) -> Iterator:
+    """Yield ``fn(task)`` for each task, in order.
+
+    Runs on ``min(n_workers or cpu count, len(tasks))`` worker processes, or
+    in this process when that is at most 1.  An exception from a task is
+    raised when its result is reached, after the results before it.
+    """
+    tasks = list(tasks)
+    workers = min(n_workers or os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks, chunksize=1)

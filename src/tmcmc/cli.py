@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .baseline_kernels import HmcConfig, make_hmc_kernel, make_rwmh_kernel
 from .benchmark import ChallengerConfig, run_challenger_benchmark
-from .chain import chain_rng, run_chain
+from .chain import chain_rng, map_tasks, run_chain
 from .discrete_kernels import make_ising_kernel, make_zk_kernel
 from .scaling import ScalingStudySpec, run_scaling_study, write_aggregate_csv, write_study_csv
 from .targets import (
@@ -188,13 +187,7 @@ def cmd_sample(args) -> int:
             f"is {target.support_kind}"
         )
     out = _out_dir(args)
-    tasks = [(args, c, out) for c in range(args.chains)]
-    workers = min(args.workers if args.workers is not None else (os.cpu_count() or 1), args.chains)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_sample_one_chain, tasks))
-    else:
-        summaries = [_sample_one_chain(t) for t in tasks]
+    summaries = list(map_tasks(_sample_one_chain, [(args, c, out) for c in range(args.chains)], args.workers))
     payload = {"chains": summaries, "kernel": args.kernel, "target": target.name, "seed": args.seed}
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -211,7 +204,11 @@ def cmd_scaling_study(args) -> int:
         burn_in=args.burn_in,
         seeds=tuple(range(args.seed, args.seed + args.n_seeds)),
     )
-    report = run_scaling_study(spec, n_workers=args.workers)
+    error = None
+    try:
+        report = run_scaling_study(spec, n_workers=args.workers)
+    except RuntimeError as exc:  # a failed group: keep the groups finished before it
+        report, error = exc.partial_report, exc
     out = _out_dir(args)
     write_study_csv(report.rows, out / "study_grid.csv")
     write_aggregate_csv(report.rows, out / "study_aggregate.csv")
@@ -222,6 +219,9 @@ def cmd_scaling_study(args) -> int:
             f"accept={row.accept_rate:.3f} +- {row.accept_se:.3f}"
         )
     print(f"wrote study_grid.csv, study_aggregate.csv, study_summary.json under {out}")
+    if error is not None:
+        print(f"tmcmc scaling-study: error: {error}; partial results kept", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,7 +5,7 @@ chain with proposal scale ``ell / sqrt(k)``, records the acceptance rate and
 the first-coordinate ESS per iteration, and then locates the
 efficiency-maximizing multiplier per (kernel, dimension).
 
-Within a (kernel, dimension, seed) slice every ``ell`` cell reuses the same
+Within a (kernel, dimension, seed) triple every ``ell`` cell reuses the same
 generator stream (common random numbers), so efficiency comparisons across
 neighboring scales share their noise.  The per-scale ESS profile is still a
 noisy function of ``ell``; the reported optimum is the vertex of a quadratic
@@ -15,32 +15,30 @@ alongside), with the acceptance rate interpolated at that vertex.
 Both study kernels consume their stream the same way whatever the scale and
 whatever was accepted: per step a direction ``d`` (additive: ``k`` sign
 uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals), then one
-acceptance uniform.  The cells of a slice therefore run in lockstep: each
-step draws ``d`` once, proposes ``x_c + (ell_c / sqrt(k)) d`` for every cell
-``c`` and evaluates all proposals in one batched log-density call.  The
-stream layout is the one a single-chain ``run_chain`` of the same kernel
-uses, and every cell is bit-identical to that chain (``tests/test_scaling.py``
-checks this).  A cell's ``wall_ms`` is its slice's loop time divided by the
-number of cells in the slice.
+acceptance uniform.  So one (kernel, dimension) group runs all its cells in
+lockstep through ``chain.run_lockstep``: every seed is one stream, drawn in
+the order a single-chain ``run_chain`` of the same kernel uses, and every
+(seed, ell) chain's proposal is evaluated in one batched log-density call
+per step.  Every cell is bit-identical to that single chain
+(``tests/test_scaling.py`` checks this).  A cell's ``wall_ms`` is its group's
+loop time divided by the number of (seed, ell) cells in the group.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import accept_batch, run_chain
+from .chain import lockstep_path, map_tasks, run_chain, run_lockstep
 from .diagnostics import acceptance_rate, expected_acceptance_rate, iact_and_ess
-from .targets import Target, make_iid_gaussian
+from .targets import make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
 __all__ = [
@@ -132,80 +130,16 @@ class StudyReport:
             fh.write("\n")
 
 
-def _make_target(family: str, k: int) -> Target:
-    if family == "iid-gaussian":
-        return make_iid_gaussian(k)
-    raise ValueError(f"unknown target_family {family!r}")
-
-
 def _cell_rng(seed: int, kernel: str, k: int) -> np.random.Generator:
-    # One stream per (kernel, k, seed) slice, shared across the ell grid.
+    # One stream per (kernel, k, seed), shared across the ell grid.
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KERNEL_IDS[kernel], k)))
 
 
 ESS_COORD_BLOCK = 16
 
 
-def _lockstep(
-    kernel_name: str,
-    target: Target,
-    scales: Sequence[float],
-    x0: np.ndarray,
-    n_iter: int,
-    rng: np.random.Generator,
-    n_coords: int,
-):
-    """Advance one chain per proposal scale from ``x0`` on a shared stream.
-
-    Returns the ``(n_iter, C)`` accept flags, the ``(n_iter, n_coords)``
-    leading coordinates of each step's shared direction and the ``(C,)``
-    counts of non-finite proposals.  Every step decides all cells through
-    ``accept_batch`` with the step's one acceptance uniform.
-    """
-    k, n_cells = x0.size, len(scales)
-    scales = np.asarray(scales, dtype=float)[:, None]
-    x = np.tile(x0, (n_cells, 1))
-    y = np.empty_like(x)
-    lp_x = np.full(n_cells, target.log_density(x0))
-    accepted = np.empty((n_iter, n_cells), dtype=bool)
-    directions = np.empty((n_iter, n_coords))
-    n_nonfinite = np.zeros(n_cells, dtype=int)
-    additive = kernel_name == "additive-tmcmc"
-    log_density = target.log_density
-    with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
-        for i in range(n_iter):
-            if additive:
-                signs = rng.random(k) < 0.5
-                r = abs(float(rng.standard_normal()))
-                d = np.where(signs, r, -r)
-            else:
-                d = rng.standard_normal(k)
-            np.multiply(scales, d, out=y)
-            y += x
-            lp_y = log_density(y)
-            u = float(rng.random())
-            accepted[i] = accept_batch(x, lp_x, y, lp_y, math.log(u) if u > 0.0 else -math.inf, n_nonfinite)
-            directions[i] = d[:n_coords]
-    return accepted, directions, n_nonfinite
-
-
-def _cell_path(x0_head: np.ndarray, directions: np.ndarray, accepted: np.ndarray, scale: float) -> np.ndarray:
-    """One cell's recorded coordinates after each step, rebuilt from the shared record.
-
-    ``directions`` holds one row per step (all recorded coordinates, or one
-    column of them).  The running sum adds ``scale * d`` on accepted steps
-    and ``0`` otherwise, in step order: the same floating-point additions the
-    chain made.
-    """
-    path = np.empty((directions.shape[0] + 1,) + directions.shape[1:])
-    path[0] = x0_head
-    np.multiply(scale, directions, out=path[1:])
-    path[1:][~accepted] = 0.0
-    return np.cumsum(path, axis=0, out=path)[1:]
-
-
-def run_study_slice(kernel_name: str, k: int, seed: int, spec: ScalingStudySpec) -> list:
-    """Run the cells of one (kernel, k, seed) slice, one per ``spec.ell_grid`` entry.
+def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
+    """Run every (ell, seed) cell of one ``(kernel, k)`` group, in that order.
 
     The efficiency metric is the per-iteration ESS averaged over a block of
     coordinates (all of them for small k).  The study targets are exchangeable
@@ -213,51 +147,33 @@ def run_study_slice(kernel_name: str, k: int, seed: int, spec: ScalingStudySpec)
     coordinate with several times less estimator noise, which is what makes
     the optimum localizable at the per-cell run lengths used here.
     """
-    target = _make_target(spec.target_family, k)
+    kernel_name, k = group
+    target = make_iid_gaussian(k)  # the one target_family the spec admits
     scales = [ell / np.sqrt(k) for ell in spec.ell_grid]
-    rng = _cell_rng(seed, kernel_name, k)
-    x0 = rng.standard_normal(k)
+    rngs = [_cell_rng(seed, kernel_name, k) for seed in spec.seeds]
+    x0 = np.array([rng.standard_normal(k) for rng in rngs])
     n_coords = min(ESS_COORD_BLOCK, k)
     t0 = time.perf_counter()
-    accepted, directions, _ = _lockstep(kernel_name, target, scales, x0, spec.n_iter, rng, n_coords)
-    wall_ms = 1e3 * (time.perf_counter() - t0) / len(scales)
+    run = run_lockstep(kernel_name, target.log_density, x0, scales, spec.n_iter, rngs, n_coords)
+    wall_ms = 1e3 * (time.perf_counter() - t0) / run.accepted.shape[1]
     n_kept = spec.n_iter - spec.burn_in
     rows = []
     for c, (ell, scale) in enumerate(zip(spec.ell_grid, scales)):
-        flags = accepted[:, c]
-        ess = []
-        for j in range(n_coords):  # one coordinate at a time, so no (n, n_coords) path is held
-            tail = _cell_path(x0[j], directions[:, j], flags, scale)[spec.burn_in:]
-            ess.append(iact_and_ess(tail)[1])
-        rows.append(
-            CellResult(
-                kernel=kernel_name,
-                k=k,
-                ell=float(ell),
-                seed=int(seed),
-                accept_rate=acceptance_rate(flags[spec.burn_in:]),
-                ess_per_iter=float(np.mean(ess)) / n_kept,
-                wall_ms=wall_ms,
-            )
-        )
+        for g, seed in enumerate(spec.seeds):
+            flags = run.accepted[:, g * len(scales) + c]
+            ess = []
+            for j in range(n_coords):  # one coordinate at a time, so no (n, n_coords) path is held
+                path = lockstep_path(x0[g, j], run.directions[:, g, j], run.r[:, g], scale, flags)
+                ess.append(iact_and_ess(path[spec.burn_in:])[1])
+            accept_rate = acceptance_rate(flags[spec.burn_in:])
+            ess_per_iter = float(np.mean(ess)) / n_kept
+            rows.append(CellResult(kernel_name, k, float(ell), int(seed), accept_rate, ess_per_iter, wall_ms))
     return rows
 
 
 def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: ScalingStudySpec) -> CellResult:
-    """Run one grid cell; deterministic given its arguments (a one-cell slice)."""
-    return run_study_slice(kernel_name, k, seed, replace(spec, ell_grid=(ell,)))[0]
-
-
-def _grid_rows(spec: ScalingStudySpec, done: dict) -> list:
-    """Rows of the finished slices in grid order (kernel, k, ell, seed)."""
-    return [
-        done[kernel, k, seed][c]
-        for kernel in spec.kernels
-        for k in spec.dims
-        for c in range(len(spec.ell_grid))
-        for seed in spec.seeds
-        if (kernel, k, seed) in done
-    ]
+    """Run one grid cell; deterministic given its arguments (a one-cell group)."""
+    return run_study_group((kernel_name, k), replace(spec, ell_grid=(ell,), seeds=(seed,)))[0]
 
 
 def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar_se: np.ndarray):
@@ -283,29 +199,21 @@ def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar
 def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> StudyReport:
     """Execute the full grid and derive the per-(kernel, k) optima.
 
-    Slices are independent; they are distributed over a process pool and
-    reduced in grid order (kernel, k, ell, seed), so the report is identical
-    however many workers ran.  If a slice fails, the raised ``RuntimeError``
-    carries ``partial_report``: the rows of the slices finished before it.
+    The ``(kernel, k)`` groups are independent; ``map_tasks`` runs them on
+    up to ``n_workers`` processes and returns them in grid order (kernel, k,
+    ell, seed), so the report is identical however many workers ran.  If a
+    group fails, the raised ``RuntimeError`` carries ``partial_report``: the
+    rows of the groups before it.
     """
-    slices = [(kernel, k, seed) for kernel in spec.kernels for k in spec.dims for seed in spec.seeds]
-    workers = min(n_workers if n_workers is not None else (os.cpu_count() or 1), len(slices))
-    done: dict = {}
+    groups = [(kernel, k) for kernel in spec.kernels for k in spec.dims]
+    rows: list = []
     try:
-        if workers <= 1:
-            for key in slices:
-                done[key] = run_study_slice(*key, spec)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                kernels, dims, seeds = zip(*slices)
-                results = pool.map(run_study_slice, kernels, dims, seeds, [spec] * len(slices), chunksize=1)
-                for key, cells in zip(slices, results):
-                    done[key] = cells
+        for cells in map_tasks(partial(run_study_group, spec=spec), groups, n_workers):
+            rows += cells
     except Exception as exc:
-        err = RuntimeError(f"scaling-study slice failed: {exc}")
-        err.partial_report = StudyReport(spec, _grid_rows(spec, done), [], partial=True)
+        err = RuntimeError(f"scaling-study group failed: {exc}")
+        err.partial_report = StudyReport(spec, rows, [], partial=True)
         raise err from exc
-    rows = _grid_rows(spec, done)
 
     optima = []
     for kernel in spec.kernels:
@@ -374,7 +282,7 @@ def fixed_scale_ar_curve(
     curves = {name: [] for name in STUDY_KERNELS}
     for kernel_name in STUDY_KERNELS:
         for k in dims:
-            target = _make_target("iid-gaussian", k)
+            target = make_iid_gaussian(k)
             rng = _cell_rng(seed, kernel_name, k)
             x0 = rng.standard_normal(k)
             if kernel_name == "additive-tmcmc":

@@ -64,30 +64,28 @@ def parent_accept():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace a module's ``ProcessPoolExecutor`` with an in-process stand-in.
+    """Replace ``tmcmc.chain.ProcessPoolExecutor`` with an in-process stand-in.
 
-    ``pool_sizes(module)`` installs it and returns the list that collects the
-    ``max_workers`` of every pool the module opens, so a test can check the
-    pool size without starting any process.
+    Returns the list that collects the ``max_workers`` of every pool
+    ``map_tasks`` opens, so a test can check the pool size without starting
+    any process.
     """
+    from tmcmc import chain
 
-    def install(module):
-        sizes = []
+    sizes = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+        def __enter__(self):
+            return self
 
-            def __exit__(self, *exc):
-                return False
+        def __exit__(self, *exc):
+            return False
 
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
-        return sizes
-
-    return install
+    monkeypatch.setattr(chain, "ProcessPoolExecutor", RecordingPool)
+    return sizes

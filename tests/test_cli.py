@@ -129,13 +129,12 @@ def test_pooled_chains_write_the_same_bytes_as_serial_ones(tmp_path, kernel_args
 def test_sample_pool_is_capped_at_the_chain_count(tmp_path, pool_sizes, monkeypatch):
     from tmcmc import cli
 
-    sizes = pool_sizes(cli)
     args = ["sample", "--dim", "2", "--iters", "200", "--seed", "1"]
     assert run_cli(args + ["--chains", "2", "--workers", "64", "--out", str(tmp_path / "a")]) == 0
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert run_cli(args + ["--chains", "3", "--out", str(tmp_path / "b")]) == 0
     assert run_cli(args + ["--chains", "1", "--out", str(tmp_path / "c")]) == 0
-    assert sizes == [2, 3]
+    assert pool_sizes == [2, 3]
 
 
 def test_sample_rejects_zero_dim():
@@ -227,6 +226,35 @@ def test_scaling_study_cli_deterministic_modulo_wall(tmp_path):
         rows = [line.split(",") for line in (out / "study_grid.csv").read_text().splitlines()[1:]]
         outs.append([r[:-1] for r in rows])  # drop wall_ms
     assert outs[0] == outs[1]
+
+
+def test_scaling_study_cli_keeps_partial_work_when_a_group_fails(tmp_path, monkeypatch, capsys):
+    from tmcmc import scaling
+
+    run_group = scaling.run_study_group
+
+    def fail_on_second_group(group, spec):
+        if group != ("additive-tmcmc", 4):
+            raise MemoryError("worker lost")
+        return run_group(group, spec)
+
+    monkeypatch.setattr(scaling, "run_study_group", fail_on_second_group)
+    out = tmp_path / "study"
+    args = ["scaling-study", "--dims", "4,8", "--ell-grid", "1.5,2.5", "--iters", "2000",
+            "--burn-in", "200", "--n-seeds", "2", "--workers", "1", "--seed", "1", "--out", str(out)]
+    assert run_cli(args) == 1
+    assert "worker lost" in capsys.readouterr().err
+    payload = json.loads((out / "study_summary.json").read_text())
+    jsonschema.validate(payload, STUDY_SCHEMA)
+    assert payload["partial"] is True and payload["optima"] == []
+    grid = [line.split(",") for line in (out / "study_grid.csv").read_text().splitlines()]
+    assert grid[0] == ["kernel", "k", "ell", "seed", "accept_rate", "ess_per_iter", "wall_ms"]
+    assert [row[:4] for row in grid[1:]] == [
+        ["additive-tmcmc", "4", ell, seed] for ell in ("1.5", "2.5") for seed in ("1", "2")
+    ]
+    aggregate = (out / "study_aggregate.csv").read_text().splitlines()
+    assert aggregate[0] == "kernel,k,ell,mean_accept_rate,mean_ess_per_iter,n_seeds"
+    assert len(aggregate) == 1 + 2
 
 
 def test_challenger_cli_short_run(tmp_path):

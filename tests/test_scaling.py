@@ -1,23 +1,21 @@
 import csv
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from tmcmc.baseline_kernels import make_rwmh_kernel
-from tmcmc.chain import run_chain
+from tmcmc.chain import lockstep_path, run_chain, run_lockstep
 from tmcmc.diagnostics import acceptance_rate, iact_and_ess
 from tmcmc.scaling import (
     ESS_COORD_BLOCK,
     STUDY_KERNELS,
     ScalingStudySpec,
-    _cell_path,
     _cell_rng,
-    _lockstep,
     fixed_scale_ar_curve,
     run_scaling_study,
     run_study_cell,
-    run_study_slice,
+    run_study_group,
     write_aggregate_csv,
     write_study_csv,
 )
@@ -70,28 +68,48 @@ def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
     return run_chain(step, x0, n_iter, rng, record_coords=range(n_coords))
 
 
+def _assert_chains_equal_references(kernel, target, scales, x0, n_iter, run, reference_start):
+    """Every (group, scale) chain of ``run`` against its own ``run_chain``.
+
+    ``reference_start(g)`` gives group ``g``'s start and a fresh generator
+    at the state the lockstep group began stepping from.
+    """
+    n_coords = run.directions.shape[2]
+    for g in range(x0.shape[0]):
+        for c, scale in enumerate(scales):
+            start, rng = reference_start(g)
+            trace = _reference_chain(kernel, target, scale, start, n_iter, rng, n_coords)
+            col = g * len(scales) + c
+            assert np.array_equal(run.accepted[:, col], trace.accepted)
+            path = lockstep_path(x0[g, :n_coords], run.directions[:, g], run.r[:, g], scale, run.accepted[:, col])
+            assert np.array_equal(path, trace.states)
+            assert run.n_nonfinite[col] == trace.n_nonfinite_proposals
+
+
 @pytest.mark.parametrize("kernel", STUDY_KERNELS)
 @pytest.mark.parametrize("k", [1, 4, 100])
 def test_lockstep_cells_equal_single_chain_runs(kernel, k):
-    n_iter, seed, ells = 1_500, 11, (0.4, 1.6, 2.8, 6.0)
+    n_iter, seeds, ells = 1_500, (11, 12, 13), (0.4, 1.6, 2.8, 6.0)
     n_coords = min(ESS_COORD_BLOCK, k)
     target = make_iid_gaussian(k)
     scales = [ell / np.sqrt(k) for ell in ells]
-    rng = _cell_rng(seed, kernel, k)
-    x0 = rng.standard_normal(k)
-    accepted, directions, n_nonfinite = _lockstep(kernel, target, scales, x0, n_iter, rng, n_coords)
-    for c, scale in enumerate(scales):
-        ref_rng = _cell_rng(seed, kernel, k)
-        trace = _reference_chain(kernel, target, scale, ref_rng.standard_normal(k), n_iter, ref_rng, n_coords)
-        assert np.array_equal(accepted[:, c], trace.accepted)
-        assert np.array_equal(_cell_path(x0[:n_coords], directions, accepted[:, c], scale), trace.states)
-        assert n_nonfinite[c] == trace.n_nonfinite_proposals == 0
+    rngs = [_cell_rng(seed, kernel, k) for seed in seeds]
+    x0 = np.array([rng.standard_normal(k) for rng in rngs])
+    run = run_lockstep(kernel, target.log_density, x0, scales, n_iter, rngs, n_coords)
+    assert run.accepted.shape == (n_iter, len(seeds) * len(scales))
+
+    def reference_start(g):
+        rng = _cell_rng(seeds[g], kernel, k)
+        return rng.standard_normal(k), rng
+
+    _assert_chains_equal_references(kernel, target, scales, x0, n_iter, run, reference_start)
+    assert run.n_nonfinite.sum() == 0
 
 
 def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
     # -inf above x_0 = 1.5 and NaN below x_0 = -1.5: such proposals are
-    # auto-rejected and counted.  The chains start at x_0 = 3 (-inf), where
-    # any finite proposal is accepted.
+    # auto-rejected and counted.  The chains of the first group start at
+    # x_0 = 3 (-inf), where any finite proposal is accepted.
     base = make_iid_gaussian(3)
 
     def log_density(x):
@@ -100,22 +118,23 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
         return lp if x.ndim > 1 else float(lp)
 
     target = Target(dim=3, log_density=log_density)
-    x0 = np.array([3.0, 0.1, -0.2])
+    x0 = np.array([[3.0, 0.1, -0.2], [0.5, -1.0, 0.3]])
     scales = [0.3, 1.0, 2.5]
+
+    def reference_start(g):
+        return x0[g], np.random.default_rng(5 + g)
+
     for kernel in STUDY_KERNELS:
-        accepted, directions, n_nonfinite = _lockstep(kernel, target, scales, x0, 2_000, np.random.default_rng(5), 3)
-        for c, scale in enumerate(scales):
-            trace = _reference_chain(kernel, target, scale, x0, 2_000, np.random.default_rng(5), 3)
-            assert np.array_equal(accepted[:, c], trace.accepted)
-            assert np.array_equal(_cell_path(x0, directions, accepted[:, c], scale), trace.states)
-            assert n_nonfinite[c] == trace.n_nonfinite_proposals
-        assert n_nonfinite.min() > 0
+        rngs = [np.random.default_rng(5 + g) for g in range(2)]
+        run = run_lockstep(kernel, log_density, x0, scales, 2_000, rngs, 3)
+        _assert_chains_equal_references(kernel, target, scales, x0, 2_000, run, reference_start)
+        assert run.n_nonfinite.min() > 0
 
 
 def test_slice_cells_match_the_single_chain_study_metrics():
     n_coords = min(ESS_COORD_BLOCK, 4)
     for kernel in STUDY_KERNELS:
-        rows = run_study_slice(kernel, 4, 3, TINY)
+        rows = run_study_group((kernel, 4), replace(TINY, seeds=(3,)))
         assert [r.ell for r in rows] == list(TINY.ell_grid)
         for row in rows:
             rng = _cell_rng(3, kernel, 4)
@@ -127,6 +146,18 @@ def test_slice_cells_match_the_single_chain_study_metrics():
             assert row.ess_per_iter == ess / len(tail)
             one = run_study_cell(kernel, 4, row.ell, 3, TINY)
             assert (one.accept_rate, one.ess_per_iter) == (row.accept_rate, row.ess_per_iter)
+
+
+def test_group_of_seeds_equals_each_seed_run_alone():
+    spec = replace(TINY, seeds=(1, 2, 3))
+    together = run_scaling_study(spec, n_workers=1)
+    alone = [run_scaling_study(replace(spec, seeds=(s,)), n_workers=1).rows for s in spec.seeds]
+    # grid order (kernel, k, ell, seed): seed s's rows are every third row
+    assert _without_wall(together.rows) == _without_wall(
+        [row for cells in zip(*alone) for row in cells]
+    )
+    # a cell's wall_ms is its group's loop time over the group's cells
+    assert len({r.wall_ms for r in together.rows if r.kernel == "rwmh"}) == 1
 
 
 def _without_wall(rows):
@@ -144,27 +175,26 @@ def test_study_report_is_independent_of_worker_count():
 
 
 def test_study_pool_is_capped_at_its_slice_count(pool_sizes, monkeypatch):
-    from tmcmc import scaling
+    from tmcmc import chain
 
-    sizes = pool_sizes(scaling)
     run_scaling_study(TINY, n_workers=64)
-    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(chain.os, "cpu_count", lambda: 64)
     run_scaling_study(TINY)
-    n_slices = len(TINY.kernels) * len(TINY.dims) * len(TINY.seeds)
-    assert sizes == [n_slices, n_slices]
+    n_groups = len(TINY.kernels) * len(TINY.dims)  # one task per (kernel, k) group
+    assert pool_sizes == [n_groups, n_groups]
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
     spec = ScalingStudySpec(dims=(4,), ell_grid=TINY.ell_grid, n_iter=TINY.n_iter, burn_in=TINY.burn_in, seeds=(1,))
-    # k = 0 gets past the spec's validation this way, so the second slice
+    # k = 0 gets past the spec's validation this way, so the second group
     # (additive-tmcmc, k=0) raises inside whichever process runs it.
     object.__setattr__(spec, "dims", (4, 0))
     with pytest.raises(RuntimeError, match="positive integer") as info:
         run_scaling_study(spec, n_workers=n_workers)
     partial = info.value.partial_report
     assert partial.partial and partial.optima == []
-    assert _without_wall(partial.rows) == _without_wall(run_study_slice("additive-tmcmc", 4, 1, spec))
+    assert _without_wall(partial.rows) == _without_wall(run_study_group(("additive-tmcmc", 4), spec))
 
 
 def test_report_grid_shape_and_optima():
