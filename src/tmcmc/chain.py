@@ -374,12 +374,13 @@ def lockstep_path(x0_head, directions: np.ndarray, r: np.ndarray, scale: float, 
 def map_tasks(fn: Callable, tasks: Iterable, n_workers: Optional[int] = None) -> Iterator:
     """Yield ``fn(task)`` for each task, in order.
 
-    Runs on ``min(n_workers or cpu count, len(tasks))`` worker processes, or
-    in this process when that is at most 1.  An exception from a task is
-    raised when its result is reached, after the results before it.
+    Runs on ``min(n_workers, len(tasks))`` worker processes (``n_workers``
+    None: the cpu count), or in this process when that is at most 1.  An
+    exception from a task is raised when its result is reached, after the
+    results before it.
     """
     tasks = list(tasks)
-    workers = min(n_workers or os.cpu_count() or 1, len(tasks))
+    workers = min(n_workers if n_workers is not None else (os.cpu_count() or 1), len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return

@@ -15,11 +15,13 @@ alongside), with the acceptance rate interpolated at that vertex.
 Both study kernels consume their stream the same way whatever the scale and
 whatever was accepted: per step a direction ``d`` (additive: ``k`` sign
 uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals), then one
-acceptance uniform.  So one (kernel, dimension) group runs all its cells in
-lockstep through ``chain.run_lockstep``: every seed is one stream, drawn in
-the order a single-chain ``run_chain`` of the same kernel uses, and every
-(seed, ell) chain's proposal is evaluated in one batched log-density call
-per step.  Every cell is bit-identical to that single chain
+acceptance uniform.  So a group of seeds of one (kernel, dimension) pair
+runs all its cells in lockstep through ``chain.run_lockstep``: every seed is
+one stream, drawn in the order a single-chain ``run_chain`` of the same
+kernel uses, and every (seed, ell) chain's proposal is evaluated in one
+batched log-density call per step.  ``study_groups`` cuts a pair's seeds
+into groups of at most ``GROUP_SEEDS``, and into more when there are more
+workers than pairs.  Every cell is bit-identical to that single chain
 (``tests/test_scaling.py`` checks this).  A cell's ``wall_ms`` is its group's
 loop time divided by the number of (seed, ell) cells in the group.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -47,6 +50,7 @@ __all__ = [
     "CellResult",
     "OptimalRow",
     "StudyReport",
+    "study_groups",
     "run_scaling_study",
     "write_study_csv",
     "write_aggregate_csv",
@@ -136,10 +140,26 @@ def _cell_rng(seed: int, kernel: str, k: int) -> np.random.Generator:
 
 
 ESS_COORD_BLOCK = 16
+GROUP_SEEDS = 4  # the most seeds one group steps together; its record grows with them
+
+
+def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> list:
+    """The ``(kernel, k, seeds)`` groups of the study, in grid order.
+
+    Each (kernel, k) pair's seeds are cut into contiguous runs of near-equal
+    length: as few as keep ``min(n_workers, pairs x seeds)`` processes busy
+    (``n_workers`` None: the cpu count), and none longer than ``GROUP_SEEDS``.
+    """
+    pairs = [(kernel, k) for kernel in spec.kernels for k in spec.dims]
+    n_seeds = len(spec.seeds)
+    workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
+    n_runs = min(n_seeds, max(-(-min(workers, len(pairs) * n_seeds) // len(pairs)), -(-n_seeds // GROUP_SEEDS)))
+    cuts = [i * n_seeds // n_runs for i in range(n_runs + 1)]
+    return [(kernel, k, spec.seeds[lo:hi]) for kernel, k in pairs for lo, hi in zip(cuts, cuts[1:])]
 
 
 def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
-    """Run every (ell, seed) cell of one ``(kernel, k)`` group, in that order.
+    """Run every (ell, seed) cell of one ``(kernel, k, seeds)`` group, in that order.
 
     The efficiency metric is the per-iteration ESS averaged over a block of
     coordinates (all of them for small k).  The study targets are exchangeable
@@ -147,10 +167,10 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
     coordinate with several times less estimator noise, which is what makes
     the optimum localizable at the per-cell run lengths used here.
     """
-    kernel_name, k = group
+    kernel_name, k, seeds = group
     target = make_iid_gaussian(k)  # the one target_family the spec admits
     scales = [ell / np.sqrt(k) for ell in spec.ell_grid]
-    rngs = [_cell_rng(seed, kernel_name, k) for seed in spec.seeds]
+    rngs = [_cell_rng(seed, kernel_name, k) for seed in seeds]
     x0 = np.array([rng.standard_normal(k) for rng in rngs])
     n_coords = min(ESS_COORD_BLOCK, k)
     t0 = time.perf_counter()
@@ -159,7 +179,7 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
     n_kept = spec.n_iter - spec.burn_in
     rows = []
     for c, (ell, scale) in enumerate(zip(spec.ell_grid, scales)):
-        for g, seed in enumerate(spec.seeds):
+        for g, seed in enumerate(seeds):
             flags = run.accepted[:, g * len(scales) + c]
             ess = []
             for j in range(n_coords):  # one coordinate at a time, so no (n, n_coords) path is held
@@ -173,7 +193,7 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
 
 def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: ScalingStudySpec) -> CellResult:
     """Run one grid cell; deterministic given its arguments (a one-cell group)."""
-    return run_study_group((kernel_name, k), replace(spec, ell_grid=(ell,), seeds=(seed,)))[0]
+    return run_study_group((kernel_name, k, (seed,)), replace(spec, ell_grid=(ell,)))[0]
 
 
 def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar_se: np.ndarray):
@@ -199,17 +219,24 @@ def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar
 def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> StudyReport:
     """Execute the full grid and derive the per-(kernel, k) optima.
 
-    The ``(kernel, k)`` groups are independent; ``map_tasks`` runs them on
-    up to ``n_workers`` processes and returns them in grid order (kernel, k,
-    ell, seed), so the report is identical however many workers ran.  If a
-    group fails, the raised ``RuntimeError`` carries ``partial_report``: the
-    rows of the groups before it.
+    The ``study_groups`` are independent; ``map_tasks`` runs them on up to
+    ``n_workers`` processes, and the rows of each (kernel, k) pair are put
+    back in grid order (kernel, k, ell, seed), so the report is identical
+    however many workers ran.  If a group fails, the raised ``RuntimeError``
+    carries ``partial_report``: the rows of the (kernel, k) pairs before it.
     """
-    groups = [(kernel, k) for kernel in spec.kernels for k in spec.dims]
+    groups = study_groups(spec, n_workers)
+    n_ells = len(spec.ell_grid)
     rows: list = []
+    runs: list = []  # (number of seeds, cells) of the current pair's groups
     try:
-        for cells in map_tasks(partial(run_study_group, spec=spec), groups, n_workers):
-            rows += cells
+        for (_, _, seeds), cells in zip(groups, map_tasks(partial(run_study_group, spec=spec), groups, n_workers)):
+            runs.append((len(seeds), cells))
+            if sum(n for n, _ in runs) == len(spec.seeds):  # the pair's last group: rows back in (ell, seed) order
+                for c in range(n_ells):
+                    for n, part in runs:
+                        rows += part[c * n:(c + 1) * n]
+                runs = []
     except Exception as exc:
         err = RuntimeError(f"scaling-study group failed: {exc}")
         err.partial_report = StudyReport(spec, rows, [], partial=True)

@@ -106,3 +106,16 @@ def test_write_csv_of_float32_and_integer_columns(tmp_path):
     trace.write_csv(tmp_path / "blocks.csv")
     _reference_write_csv(trace, tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_workers", [0, 1])
+def test_map_tasks_runs_in_process_below_two_workers(n_workers, pool_sizes):
+    assert list(chain.map_tasks(abs, [-3, 1, -2], n_workers)) == [3, 1, 2]
+    assert pool_sizes == []
+
+
+def test_map_tasks_caps_its_pool_at_the_task_count(pool_sizes, monkeypatch):
+    monkeypatch.setattr(chain.os, "cpu_count", lambda: 64)
+    assert list(chain.map_tasks(abs, [-3, 1, -2])) == [3, 1, 2]
+    assert list(chain.map_tasks(abs, [-3, 1, -2], 2)) == [3, 1, 2]
+    assert pool_sizes == [3, 2]

@@ -16,6 +16,7 @@ from tmcmc.scaling import (
     run_scaling_study,
     run_study_cell,
     run_study_group,
+    study_groups,
     write_aggregate_csv,
     write_study_csv,
 )
@@ -134,7 +135,7 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
 def test_slice_cells_match_the_single_chain_study_metrics():
     n_coords = min(ESS_COORD_BLOCK, 4)
     for kernel in STUDY_KERNELS:
-        rows = run_study_group((kernel, 4), replace(TINY, seeds=(3,)))
+        rows = run_study_group((kernel, 4, (3,)), TINY)
         assert [r.ell for r in rows] == list(TINY.ell_grid)
         for row in rows:
             rng = _cell_rng(3, kernel, 4)
@@ -169,6 +170,9 @@ def test_study_report_is_independent_of_worker_count():
     pooled = run_scaling_study(TINY, n_workers=2)
     assert _without_wall(pooled.rows) == _without_wall(serial.rows)
     assert [asdict(o) for o in pooled.optima] == [asdict(o) for o in serial.optima]
+    one_pair = replace(TINY, kernels=("rwmh",))  # two workers, one pair: one group per seed, in two processes
+    split = run_scaling_study(one_pair, n_workers=2)
+    assert _without_wall(split.rows) == _without_wall([r for r in serial.rows if r.kernel == "rwmh"])
     # rows come in grid order: kernel, k, ell, seed
     keys = [(r.kernel, r.k, r.ell, r.seed) for r in serial.rows]
     assert keys == [(kn, k, e, s) for kn in TINY.kernels for k in TINY.dims for e in TINY.ell_grid for s in TINY.seeds]
@@ -180,8 +184,59 @@ def test_study_pool_is_capped_at_its_slice_count(pool_sizes, monkeypatch):
     run_scaling_study(TINY, n_workers=64)
     monkeypatch.setattr(chain.os, "cpu_count", lambda: 64)
     run_scaling_study(TINY)
-    n_groups = len(TINY.kernels) * len(TINY.dims)  # one task per (kernel, k) group
-    assert pool_sizes == [n_groups, n_groups]
+    n_slices = len(TINY.kernels) * len(TINY.dims) * len(TINY.seeds)
+    assert pool_sizes == [n_slices, n_slices]
+
+
+def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
+    from tmcmc import scaling
+
+    spec = replace(TINY, dims=(4, 8), seeds=tuple(range(1, 11)))
+    pairs = [(kn, k) for kn in spec.kernels for k in spec.dims]
+    # at most GROUP_SEEDS = 4 seeds a group; at least ceil(workers / pairs) groups a pair
+    cases = [(1, [3, 3, 4]), (0, [3, 3, 4]), (12, [3, 3, 4]), (13, [2, 3, 2, 3]), (17, [2, 2, 2, 2, 2])]
+    for n_workers, lengths in cases:
+        groups = study_groups(spec, n_workers)
+        assert [g[:2] for g in groups] == [p for p in pairs for _ in lengths]
+        assert [len(g[2]) for g in groups[: len(lengths)]] == lengths
+        assert sum((g[2] for g in groups[: len(lengths)]), ()) == spec.seeds
+    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 40)
+    assert [g[2] for g in study_groups(spec)[:10]] == [(s,) for s in spec.seeds]
+
+
+def test_split_groups_give_the_rows_of_whole_ones(pool_sizes, monkeypatch):
+    from tmcmc import scaling
+
+    spec = replace(TINY, seeds=(1, 2, 3))
+    whole = run_scaling_study(spec, n_workers=1)
+    singles = run_scaling_study(spec, n_workers=64)  # one group per seed, mapped in-process
+    monkeypatch.setattr(scaling, "GROUP_SEEDS", 2)
+    assert [g[2] for g in study_groups(spec, 1)] == [(1,), (2, 3)] * 2
+    uneven = run_scaling_study(spec, n_workers=1)
+    assert pool_sizes == [6]
+    for report in (singles, uneven):
+        assert _without_wall(report.rows) == _without_wall(whole.rows)
+        assert [asdict(o) for o in report.optima] == [asdict(o) for o in whole.optima]
+
+
+def test_failed_group_keeps_only_whole_pairs(pool_sizes, monkeypatch):
+    from tmcmc import scaling
+
+    run_group = scaling.run_study_group
+
+    def fail_on_the_last_seed_of_k_8(group, spec):
+        if group == ("additive-tmcmc", 8, (2,)):
+            raise MemoryError("worker lost")
+        return run_group(group, spec)
+
+    monkeypatch.setattr(scaling, "run_study_group", fail_on_the_last_seed_of_k_8)
+    spec = replace(TINY, dims=(4, 8))
+    with pytest.raises(RuntimeError, match="worker lost") as info:
+        run_scaling_study(spec, n_workers=64)  # one group per seed, mapped in-process
+    assert pool_sizes == [8]
+    # (additive-tmcmc, 8, (1,)) finished, but its pair did not: only k = 4 is kept
+    expected = run_group(("additive-tmcmc", 4, (1, 2)), spec)
+    assert _without_wall(info.value.partial_report.rows) == _without_wall(expected)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -194,7 +249,7 @@ def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
         run_scaling_study(spec, n_workers=n_workers)
     partial = info.value.partial_report
     assert partial.partial and partial.optima == []
-    assert _without_wall(partial.rows) == _without_wall(run_study_group(("additive-tmcmc", 4), spec))
+    assert _without_wall(partial.rows) == _without_wall(run_study_group(("additive-tmcmc", 4, (1,)), spec))
 
 
 def test_report_grid_shape_and_optima():
