@@ -55,7 +55,16 @@ from .verify import (
     verdicts_to_json,
 )
 
-KERNEL_CHOICES = ("additive-tmcmc", "dependent-z-tmcmc", "rwmh", "hmc", "ising-tmcmc", "zk-tmcmc")
+# kernel -> the target support kind it samples; its keys are the --kernel choices
+KERNEL_SUPPORT = {
+    "additive-tmcmc": "continuous",
+    "dependent-z-tmcmc": "continuous",
+    "rwmh": "continuous",
+    "hmc": "continuous",
+    "ising-tmcmc": "binary_spins",
+    "zk-tmcmc": "integer_lattice",
+}
+
 TARGET_CHOICES = ("iid-gaussian", "anisotropic-gaussian", "challenger", "ising", "lattice")
 
 
@@ -168,16 +177,6 @@ def _sample_one_chain(payload) -> dict:
     return trace.summary()
 
 
-KERNEL_SUPPORT = {
-    "additive-tmcmc": "continuous",
-    "dependent-z-tmcmc": "continuous",
-    "rwmh": "continuous",
-    "hmc": "continuous",
-    "ising-tmcmc": "binary_spins",
-    "zk-tmcmc": "integer_lattice",
-}
-
-
 def cmd_sample(args) -> int:
     target = _build_target(args)
     needed = KERNEL_SUPPORT[args.kernel]
@@ -251,7 +250,6 @@ def cmd_discrete_check(args) -> int:
     verdicts_to_json(verdicts, out / "discrete_check_verdicts.json")
     if args.export_matrices:
         from .discrete_kernels import ising_transition_matrix, lattice_transition_matrix, write_matrix_csv
-        from .targets import make_ising_chain, make_lattice_target
 
         spin_states, spin_K = ising_transition_matrix(make_ising_chain(3, 0.5), 0.5)
         write_matrix_csv(spin_states, spin_K, out / "ising_k3_kernel.csv")
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
     p = sub.add_parser("sample", help="run chains of one kernel on one target")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES, default="additive-tmcmc")
+    p.add_argument("--kernel", choices=tuple(KERNEL_SUPPORT), default="additive-tmcmc")
     p.add_argument("--target", choices=TARGET_CHOICES, default="iid-gaussian")
     p.add_argument("--dim", type=_positive_int, default=10, help="state dimension (positive integer)")
     p.add_argument("--iters", type=_positive_int, default=50_000, help="iterations per chain (positive integer)")

@@ -39,15 +39,21 @@ def conjugate(z: np.ndarray) -> np.ndarray:
     return -np.asarray(z)
 
 
-def _move_log_ratio(z: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    # log P(-z) - log P(z); zero coordinates contribute nothing.  The drawn
-    # move always has positive probability, but the reverse may not.
+def _move_log_ratio(z: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> float:
+    # log P(-z) - log P(z) from per-coordinate log move probabilities; zero
+    # coordinates contribute nothing.  The drawn move always has positive
+    # probability; a zero reverse probability (log -inf) gives -inf.
     pos, neg = z > 0, z < 0
-    forward = np.concatenate([p[pos], q[neg]])
-    reverse = np.concatenate([q[pos], p[neg]])
-    if np.any(reverse <= 0.0):
-        return -math.inf
-    return float(np.sum(np.log(reverse)) - np.sum(np.log(forward)))
+    reverse = np.concatenate([log_q[pos], log_p[neg]])
+    forward = np.concatenate([log_p[pos], log_q[neg]])
+    return float(np.sum(reverse) - np.sum(forward))
+
+
+def _log_tables(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Per-coordinate log move probabilities; a zero probability logs to -inf
+    # without a warning.
+    with np.errstate(divide="ignore"):
+        return np.log(p), np.log(q)
 
 
 @dataclass(frozen=True)
@@ -198,6 +204,7 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     if not np.allclose(p + q, 1.0):
         raise ValueError("additive kernel requires p_i + q_i = 1 for every coordinate")
     symmetric = bool(np.all(p == q))
+    log_p, log_q = _log_tables(p, q)
     s = cfg.eps_scale
     log_density = target.log_density
 
@@ -206,7 +213,7 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
         eps = s * abs(float(rng.standard_normal()))
         y = state.x + (z * a) * eps
         lp_y = log_density(y)
-        log_ratio = 0.0 if symmetric else _move_log_ratio(z, p, q)
+        log_ratio = 0.0 if symmetric else _move_log_ratio(z, log_p, log_q)
         return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
@@ -225,10 +232,7 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
     generator.
     """
     _, p, q = cfg.broadcast(target.dim)
-    # Taken once on contiguous copies, as ``_move_log_ratio`` takes them per
-    # step; a zero reverse probability gives -inf, as its early return does.
-    with np.errstate(divide="ignore"):
-        log_p, log_q = np.log(np.array(p)), np.log(np.array(q))
+    log_p, log_q = _log_tables(p, q)
     s = cfg.eps_scale
     log_density = target.log_density
 
@@ -239,10 +243,7 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
         y = np.asarray(transform.forward(x, eps, z), dtype=float)
         log_jac = float(transform.log_jacobian(x, eps, z))
         lp_y = log_density(y) if math.isfinite(log_jac) else -math.inf
-        pos, neg = z > 0, z < 0
-        log_ratio = float(
-            np.sum(np.concatenate([log_q[pos], log_p[neg]])) - np.sum(np.concatenate([log_p[pos], log_q[neg]]))
-        )
+        log_ratio = _move_log_ratio(z, log_p, log_q)
         return accept_step(state, ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
@@ -278,7 +279,8 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
         eps = sample_epsilon(rng, s)
         y = state.x + (z * a) * eps
         lp_y = log_density(y)
-        return accept_step(state, ChainState(y, lp_y), _move_log_ratio(z, p, q) + lp_y - state.lp, rng)
+        log_ratio = _move_log_ratio(z, *_log_tables(p, q))
+        return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
     return kernel

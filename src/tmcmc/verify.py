@@ -4,12 +4,16 @@ Every check returns a :class:`Verdict` with a numeric violation and its
 tolerance; negative controls (deliberately broken variants) are part of the
 suites so the harness demonstrably detects violations rather than merely
 confirming passes.  Continuous kernels are certified on grid-quantized
-surrogates that reuse the library's acceptance-ratio code paths, so the
-certificates are exact rather than quadrature approximations.
+surrogates, so the certificates are exact rather than quadrature
+approximations.  One builder, :func:`build_grid_tmcmc_matrix`, makes every
+surrogate on a 1-D or square 2-D grid and takes its move-probability ratio
+from the sampling kernels' own ``_move_log_ratio``; the 1-D random-walk
+surrogate is the additive p = 1/2 matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +33,7 @@ from .targets import Target, make_iid_gaussian, make_ising_chain, make_lattice_t
 from .transform_kernels import (
     DependentZConfig,
     TmcmcConfig,
+    _log_tables,
     _move_log_ratio,
     additive_forward,
     make_additive_tmcmc_kernel,
@@ -42,8 +47,6 @@ __all__ = [
     "check_aperiodicity_witness",
     "check_irreducibility",
     "build_grid_tmcmc_matrix",
-    "build_grid_general_tmcmc_matrix_2d",
-    "build_grid_rwmh_matrix",
     "check_detailed_balance_discretized",
     "check_dependent_z_balance",
     "check_two_step_reachability",
@@ -180,11 +183,24 @@ def check_irreducibility(
     return Verdict(check_name, violation, 0.0, None, details)
 
 
-def _grid_log_pi(n_states: int, half_width: float = 2.5) -> tuple[np.ndarray, np.ndarray]:
+def _grid_log_pi(n_states: int, half_width: float = 2.5) -> np.ndarray:
     if n_states > 30:
         raise ValueError(f"grid surrogate limited to 30 states, got {n_states}")
     xs = np.linspace(-half_width, half_width, n_states)
-    return xs, -0.5 * xs**2
+    return -0.5 * xs**2
+
+
+def _normalized(log_w: np.ndarray) -> np.ndarray:
+    """``exp(log_w)`` scaled to sum to one, flattened to the state ordering."""
+    w = np.exp(np.ravel(log_w) - np.max(log_w))
+    return w / w.sum()
+
+
+def _jump_weights(jump_weights: Sequence[float]) -> np.ndarray:
+    w = np.asarray(jump_weights, dtype=float)
+    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
+        raise ValueError("jump_weights must be a probability vector")
+    return w
 
 
 def build_grid_tmcmc_matrix(
@@ -194,96 +210,45 @@ def build_grid_tmcmc_matrix(
     q: float,
     move_ratio: bool = True,
 ) -> np.ndarray:
-    """Grid-quantized additive kernel on a 1-D lattice of states.
+    """Grid quantization of the ternary-move additive kernel.
 
-    The innovation is restricted to 1..J grid spacings with the given
-    probability weights; signs follow (p, q).  ``move_ratio=False`` drops the
-    move-probability correction from the acceptance ratio, a deliberate
-    negative control that breaks balance whenever ``p != q``.
-    """
-    if not math.isclose(p + q, 1.0):
-        raise ValueError("grid surrogate mirrors the additive kernel: p + q must be 1")
-    w = np.asarray(jump_weights, dtype=float)
-    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
-        raise ValueError("jump_weights must be a probability vector")
-    n = len(log_pi)
-    P = np.zeros((n, n))
-    extra = np.zeros((n, n))
-    p_arr, q_arr = np.array([p]), np.array([q])
-    for j, wj in enumerate(w, start=1):
-        for i in range(n):
-            for sign, prob in ((1, p), (-1, q)):
-                t = i + sign * j
-                if 0 <= t < n:
-                    P[i, t] += wj * prob
-                    if move_ratio:
-                        # Same acceptance-ratio code path as the sampling kernel.
-                        extra[i, t] = _move_log_ratio(np.array([float(sign)]), p_arr, q_arr)
-    return exact_transition_matrix(np.arange(n), P, np.asarray(log_pi, dtype=float), extra)
-
-
-def build_grid_general_tmcmc_matrix_2d(
-    log_pi: np.ndarray,
-    jump_weights: Sequence[float],
-    p: float,
-    q: float,
-) -> np.ndarray:
-    """Planar grid quantization of the general ternary-move kernel.
-
-    States are an n-by-n lattice; each transition draws one innovation (a
-    grid multiple) and a sign/zero pattern per coordinate, with the all-zero
-    pattern resampled, so proposal probabilities carry the corresponding
-    renormalization.  The move-ratio term reuses the sampling code path.
+    States are a 1-D lattice or a square n-by-n lattice (row-major).  Each
+    transition draws one innovation of 1..J grid spacings with the given
+    weights and a forward/backward/no-change pattern per coordinate with
+    probabilities (p, q, 1 - p - q); patterns of zero probability are skipped
+    and the all-zero pattern is redrawn, so proposal probabilities carry that
+    renormalization.  The move-ratio term is the sampling kernels'
+    ``_move_log_ratio``; ``move_ratio=False`` drops it, a deliberate negative
+    control that breaks balance whenever ``p != q``.  In 1-D with
+    ``p = q = 1/2`` this is the random-walk surrogate with symmetric +-j jumps.
     """
     log_pi = np.asarray(log_pi, dtype=float)
-    n = log_pi.shape[0]
-    if log_pi.shape != (n, n) or n * n > 30:
-        raise ValueError("2-D grid surrogate needs a square grid of at most 30 states")
-    w = np.asarray(jump_weights, dtype=float)
-    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
-        raise ValueError("jump_weights must be a probability vector")
-    if not (p > 0.0 and q > 0.0 and p + q <= 1.0):
-        raise ValueError("need p, q > 0 with p + q <= 1")
-    r0 = 1.0 - p - q
-    renorm = 1.0 - r0 * r0  # all-zero pattern is redrawn
-    p_arr, q_arr = np.array([p, p]), np.array([q, q])
-
-    def f(zi: float) -> float:
-        return p if zi > 0 else q if zi < 0 else r0
-
-    n_states = n * n
-    P = np.zeros((n_states, n_states))
-    extra = np.zeros((n_states, n_states))
-    patterns = [
-        np.array(z, dtype=float)
-        for z in ((1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1))
-    ]
-    for i1 in range(n):
-        for i2 in range(n):
-            src = i1 * n + i2
-            for j, wj in enumerate(w, start=1):
-                for z in patterns:
-                    t1, t2 = i1 + int(z[0]) * j, i2 + int(z[1]) * j
-                    if 0 <= t1 < n and 0 <= t2 < n:
-                        tgt = t1 * n + t2
-                        P[src, tgt] += wj * f(z[0]) * f(z[1]) / renorm
-                        extra[src, tgt] = _move_log_ratio(z, p_arr, q_arr)
-    return exact_transition_matrix(np.arange(n_states), P, log_pi.ravel(), extra)
-
-
-def build_grid_rwmh_matrix(log_pi: np.ndarray, jump_weights: Sequence[float]) -> np.ndarray:
-    """Grid-quantized random-walk kernel with symmetric +-j jumps."""
-    w = np.asarray(jump_weights, dtype=float)
-    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
-        raise ValueError("jump_weights must be a probability vector")
-    n = len(log_pi)
-    P = np.zeros((n, n))
-    for j, wj in enumerate(w, start=1):
-        for i in range(n):
-            for t in (i - j, i + j):
-                if 0 <= t < n:
-                    P[i, t] += wj / 2.0
-    return exact_transition_matrix(np.arange(n), P, np.asarray(log_pi, dtype=float))
+    n, d = log_pi.shape[0], log_pi.ndim
+    if log_pi.shape != (n,) * d or d > 2 or log_pi.size > 30:
+        raise ValueError("grid surrogate needs a 1-D or square 2-D grid of at most 30 states")
+    w = _jump_weights(jump_weights)
+    if not (p >= 0.0 and q >= 0.0 and 0.0 < p + q <= 1.0 + 1e-12):
+        raise ValueError("need p, q >= 0 with 0 < p + q <= 1")
+    move_prob = {1: p, -1: q, 0: max(0.0, 1.0 - p - q)}
+    renorm = 1.0 - math.prod(move_prob[0] for _ in range(d))  # the all-zero pattern is redrawn
+    log_p, log_q = _log_tables(np.full(d, p), np.full(d, q))
+    coords = np.indices(log_pi.shape).reshape(d, -1).T
+    P = np.zeros((log_pi.size, log_pi.size))
+    extra = np.zeros_like(P)
+    for pattern in itertools.product((1, -1, 0), repeat=d):
+        if not any(pattern) or not all(move_prob[zi] > 0.0 for zi in pattern):
+            continue
+        z = np.array(pattern)
+        # Same acceptance-ratio code path as the sampling kernels.
+        ratio = _move_log_ratio(z, log_p, log_q) if move_ratio else 0.0
+        for j, wj in enumerate(w, start=1):
+            targets = coords + j * z
+            inside = np.all((targets >= 0) & (targets < n), axis=1)
+            src = np.flatnonzero(inside)
+            tgt = np.ravel_multi_index(tuple(targets[inside].T), log_pi.shape)
+            P[src, tgt] += math.prod(map(move_prob.get, pattern), start=wj) / renorm
+            extra[src, tgt] = ratio
+    return exact_transition_matrix(np.arange(log_pi.size), P, log_pi.ravel(), extra)
 
 
 def check_detailed_balance_discretized(
@@ -296,20 +261,18 @@ def check_detailed_balance_discretized(
     negative_control: bool = False,
 ) -> Verdict:
     """Exact balance certificate for a grid-quantized continuous kernel."""
-    _, log_pi = _grid_log_pi(n_states)
+    log_pi = _grid_log_pi(n_states)
     if kind == "additive-tmcmc":
         K = build_grid_tmcmc_matrix(log_pi, jump_weights, p, 1.0 - p, move_ratio=move_ratio)
     elif kind == "rwmh":
-        K = build_grid_rwmh_matrix(log_pi, jump_weights)
+        K = build_grid_tmcmc_matrix(log_pi, jump_weights, 0.5, 0.5)
     else:
         raise ValueError(f"unknown grid surrogate kind {kind!r}")
-    pi = np.exp(log_pi - log_pi.max())
-    pi /= pi.sum()
     details = {"kind": kind, "n_states": n_states, "p": p, "move_ratio": move_ratio}
     if negative_control:
         details["negative_control"] = True
     return check_detailed_balance_exact(
-        K, pi, tolerance, check_name=f"detailed-balance-grid-{kind}", details=details
+        K, _normalized(log_pi), tolerance, check_name=f"detailed-balance-grid-{kind}", details=details
     )
 
 
@@ -334,12 +297,9 @@ def check_dependent_z_balance(
     """
     if mc_size < 100_000:
         raise ValueError(f"mc_size must be at least 1e5 for a usable error band, got {mc_size}")
-    xs, log_pi = _grid_log_pi(n_states)
-    pi = np.exp(log_pi - log_pi.max())
-    pi /= pi.sum()
-    w = np.asarray(jump_weights, dtype=float)
-    if not math.isclose(w.sum(), 1.0):
-        raise ValueError("jump_weights must sum to 1")
+    log_pi = _grid_log_pi(n_states)
+    pi = _normalized(log_pi)
+    w = _jump_weights(jump_weights)
 
     rng = chain_rng(seed)
     mus = [np.atleast_1d(np.asarray(m, dtype=float)) for m in (cfg.mu_1, cfg.mu_2, cfg.mu_3)]
@@ -558,11 +518,9 @@ def _planar_general_kernel_verdict() -> Verdict:
     # 5x5 grid, ternary moves with no-change probability 0.3 per coordinate
     xs = np.linspace(-2.0, 2.0, 5)
     log_pi = -0.5 * (xs[:, None] ** 2 + xs[None, :] ** 2)
-    K = build_grid_general_tmcmc_matrix_2d(log_pi, (0.6, 0.4), p=0.35, q=0.35)
-    pi = np.exp(log_pi.ravel() - log_pi.max())
-    pi /= pi.sum()
+    K = build_grid_tmcmc_matrix(log_pi, (0.6, 0.4), p=0.35, q=0.35)
     return check_detailed_balance_exact(
-        K, pi, check_name="detailed-balance-grid-general-2d", details={"n_states": 25}
+        K, _normalized(log_pi), check_name="detailed-balance-grid-general-2d", details={"n_states": 25}
     )
 
 
@@ -597,13 +555,11 @@ def run_continuous_db_suite(seed: int = 0, corrupt_acceptance: bool = False) -> 
             negative_control=True,
         ),
     ]
-    _, log_pi = _grid_log_pi(21)
-    pi = np.exp(log_pi - log_pi.max())
-    pi /= pi.sum()
-    K = perturb_kernel_matrix(build_grid_rwmh_matrix(log_pi, (0.5, 0.3, 0.2)))
+    log_pi = _grid_log_pi(21)
+    K = perturb_kernel_matrix(build_grid_tmcmc_matrix(log_pi, (0.5, 0.3, 0.2), 0.5, 0.5))
     verdicts.append(
         check_detailed_balance_exact(
-            K, pi, check_name="detailed-balance-corrupted", details={"negative_control": True}
+            K, _normalized(log_pi), check_name="detailed-balance-corrupted", details={"negative_control": True}
         )
     )
     return verdicts
@@ -637,9 +593,7 @@ def run_discrete_suite(
         states, K = ising_transition_matrix(target, p)
         if corrupt_acceptance:
             K = perturb_kernel_matrix(K)
-        log_w = np.array([target.log_density(s) for s in states])
-        pi = np.exp(log_w - log_w.max())
-        pi /= pi.sum()
+        pi = _normalized(np.array([target.log_density(s) for s in states]))
         name = f"ising-k{k}"
         details = {"negative_control": True} if corrupt_acceptance else {}
         verdicts.append(
@@ -667,9 +621,7 @@ def run_discrete_suite(
     states1, K_lat1 = lattice_transition_matrix(lat1, r=1.0, jump_scale=jump_scale, box_radius=5)
     if corrupt_acceptance:
         K_lat1 = perturb_kernel_matrix(K_lat1)
-    log_w = np.array([lat1.log_density(s) for s in states1])
-    pi1 = np.exp(log_w - log_w.max())
-    pi1 /= pi1.sum()
+    pi1 = _normalized(np.array([lat1.log_density(s) for s in states1]))
     details = {"negative_control": True} if corrupt_acceptance else {}
     verdicts.append(
         check_detailed_balance_exact(

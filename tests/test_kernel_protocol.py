@@ -24,11 +24,12 @@ from tmcmc.targets import (
     make_ising_chain,
     make_lattice_target,
 )
+from tmcmc import transform_kernels
 from tmcmc.transform_kernels import (
     DependentZConfig,
     TmcmcConfig,
     Transformation,
-    _move_log_ratio,
+    _log_tables,
     additive_transformation,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
@@ -37,6 +38,19 @@ from tmcmc.transform_kernels import (
 
 # --- the step bodies before the protocol ------------------------------------
 # Each returns ``step(x, rng, accept)`` computing both log-densities afresh.
+
+
+# The move-probability ratio the step bodies used, on probabilities rather than
+# the kernels' log tables: a frozen reference, not the live code.
+def _move_log_ratio(z: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    # log P(-z) - log P(z); zero coordinates contribute nothing.  The drawn
+    # move always has positive probability, but the reverse may not.
+    pos, neg = z > 0, z < 0
+    forward = np.concatenate([p[pos], q[neg]])
+    reverse = np.concatenate([q[pos], p[neg]])
+    if np.any(reverse <= 0.0):
+        return -math.inf
+    return float(np.sum(np.log(reverse)) - np.sum(np.log(forward)))
 
 
 def parent_additive(target, cfg):
@@ -353,3 +367,26 @@ def test_kernel_outcomes_statelessness_and_density_calls(name):
         assert np.array_equal(solo.states, states)
         assert np.array_equal(solo.log_alpha, log_alpha)
         assert np.array_equal(solo.uniforms, uniforms)
+
+
+def test_log_table_ratio_equals_the_frozen_ratio():
+    # Dependent-z style draws of (p, q, z); one in ten has a coordinate whose
+    # forward probability underflows to 0, so some reverse moves are impossible.
+    rng = np.random.default_rng(5)
+    n_impossible = 0
+    for i in range(20_000):
+        w = 3.0 * rng.standard_normal((3, 4))
+        if i % 10 == 0:
+            w[0, rng.integers(4)] = -800.0
+        w -= w.max(axis=0, keepdims=True)
+        ew = np.exp(w)
+        probs = ew / ew.sum(axis=0, keepdims=True)
+        p, q = probs[0], probs[1]
+        u = rng.random(4)
+        z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
+        expected = _move_log_ratio(z, p, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transform_kernels._move_log_ratio(z, *_log_tables(p, q)) == expected
+        n_impossible += expected == -math.inf
+    assert n_impossible > 100

@@ -32,8 +32,9 @@ def test_move_log_ratio_all_forward_ratio():
     p = np.array([0.5, 0.3, 0.6])
     q = np.array([0.2, 0.6, 0.2])
     z = np.ones(3)
-    assert_allclose(_move_log_ratio(z, p, q), np.log(q / p).sum(), rtol=1e-13)
-    assert_allclose(_move_log_ratio(conjugate(z), p, q), -np.log(q / p).sum(), rtol=1e-13)
+    log_p, log_q = np.log(p), np.log(q)
+    assert_allclose(_move_log_ratio(z, log_p, log_q), np.log(q / p).sum(), rtol=1e-13)
+    assert_allclose(_move_log_ratio(conjugate(z), log_p, log_q), -np.log(q / p).sum(), rtol=1e-13)
 
 
 # --- innovation draws -----------------------------------------------------

@@ -1,15 +1,18 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tmcmc.discrete_kernels import exact_transition_matrix
 from tmcmc.targets import make_iid_gaussian
 from tmcmc.transform_kernels import DependentZConfig
 from tmcmc.verify import (
     ROTATION_MATRICES,
     Verdict,
-    build_grid_rwmh_matrix,
+    build_grid_tmcmc_matrix,
     check_dependent_z_balance,
     check_detailed_balance_discretized,
     check_detailed_balance_exact,
@@ -33,6 +36,133 @@ def grid_gaussian(n=21):
     return log_pi, pi / pi.sum()
 
 
+def planar_log_pi():
+    xs = np.linspace(-2.0, 2.0, 5)
+    return -0.5 * (xs[:, None] ** 2 + xs[None, :] ** 2)
+
+
+# --- reference grid builders -------------------------------------------------
+# The three builders that ``build_grid_tmcmc_matrix`` replaced, with the
+# move-probability ratio they took from the kernels at the time, kept as
+# references: the one builder must return the same matrices bit for bit.
+
+
+def _move_log_ratio(z, p, q):
+    pos, neg = z > 0, z < 0
+    forward = np.concatenate([p[pos], q[neg]])
+    reverse = np.concatenate([q[pos], p[neg]])
+    if np.any(reverse <= 0.0):
+        return -math.inf
+    return float(np.sum(np.log(reverse)) - np.sum(np.log(forward)))
+
+
+def reference_grid_tmcmc_matrix(log_pi, jump_weights, p, q, move_ratio=True):
+    if not math.isclose(p + q, 1.0):
+        raise ValueError("grid surrogate mirrors the additive kernel: p + q must be 1")
+    w = np.asarray(jump_weights, dtype=float)
+    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
+        raise ValueError("jump_weights must be a probability vector")
+    n = len(log_pi)
+    P = np.zeros((n, n))
+    extra = np.zeros((n, n))
+    p_arr, q_arr = np.array([p]), np.array([q])
+    for j, wj in enumerate(w, start=1):
+        for i in range(n):
+            for sign, prob in ((1, p), (-1, q)):
+                t = i + sign * j
+                if 0 <= t < n:
+                    P[i, t] += wj * prob
+                    if move_ratio:
+                        # Same acceptance-ratio code path as the sampling kernel.
+                        extra[i, t] = _move_log_ratio(np.array([float(sign)]), p_arr, q_arr)
+    return exact_transition_matrix(np.arange(n), P, np.asarray(log_pi, dtype=float), extra)
+
+
+def reference_grid_general_tmcmc_matrix_2d(log_pi, jump_weights, p, q):
+    log_pi = np.asarray(log_pi, dtype=float)
+    n = log_pi.shape[0]
+    if log_pi.shape != (n, n) or n * n > 30:
+        raise ValueError("2-D grid surrogate needs a square grid of at most 30 states")
+    w = np.asarray(jump_weights, dtype=float)
+    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
+        raise ValueError("jump_weights must be a probability vector")
+    if not (p > 0.0 and q > 0.0 and p + q <= 1.0):
+        raise ValueError("need p, q > 0 with p + q <= 1")
+    r0 = 1.0 - p - q
+    renorm = 1.0 - r0 * r0  # all-zero pattern is redrawn
+    p_arr, q_arr = np.array([p, p]), np.array([q, q])
+
+    def f(zi: float) -> float:
+        return p if zi > 0 else q if zi < 0 else r0
+
+    n_states = n * n
+    P = np.zeros((n_states, n_states))
+    extra = np.zeros((n_states, n_states))
+    patterns = [
+        np.array(z, dtype=float)
+        for z in ((1, 1), (1, -1), (-1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1))
+    ]
+    for i1 in range(n):
+        for i2 in range(n):
+            src = i1 * n + i2
+            for j, wj in enumerate(w, start=1):
+                for z in patterns:
+                    t1, t2 = i1 + int(z[0]) * j, i2 + int(z[1]) * j
+                    if 0 <= t1 < n and 0 <= t2 < n:
+                        tgt = t1 * n + t2
+                        P[src, tgt] += wj * f(z[0]) * f(z[1]) / renorm
+                        extra[src, tgt] = _move_log_ratio(z, p_arr, q_arr)
+    return exact_transition_matrix(np.arange(n_states), P, log_pi.ravel(), extra)
+
+
+def reference_grid_rwmh_matrix(log_pi, jump_weights):
+    w = np.asarray(jump_weights, dtype=float)
+    if np.any(w < 0.0) or not math.isclose(w.sum(), 1.0):
+        raise ValueError("jump_weights must be a probability vector")
+    n = len(log_pi)
+    P = np.zeros((n, n))
+    for j, wj in enumerate(w, start=1):
+        for i in range(n):
+            for t in (i - j, i + j):
+                if 0 <= t < n:
+                    P[i, t] += wj / 2.0
+    return exact_transition_matrix(np.arange(n), P, np.asarray(log_pi, dtype=float))
+
+
+@pytest.mark.parametrize("jump_weights", [(0.5, 0.3, 0.2), (0.6, 0.4)])
+def test_one_grid_builder_equals_the_reference_builders(jump_weights):
+    log_pi, _ = grid_gaussian()
+    for p in (0.3, 0.5, 0.7):
+        for move_ratio in (True, False):
+            expected = reference_grid_tmcmc_matrix(log_pi, jump_weights, p, 1.0 - p, move_ratio)
+            K = build_grid_tmcmc_matrix(log_pi, jump_weights, p, 1.0 - p, move_ratio)
+            assert np.array_equal(K, expected), (p, move_ratio)
+    # The 1-D random-walk surrogate is the additive p = 1/2 matrix.
+    K = build_grid_tmcmc_matrix(log_pi, jump_weights, 0.5, 0.5)
+    assert np.array_equal(K, reference_grid_rwmh_matrix(log_pi, jump_weights))
+
+
+def test_one_grid_builder_equals_the_planar_reference():
+    log_pi = planar_log_pi()
+    for p, q in ((0.35, 0.35), (0.45, 0.25), (0.5, 0.5)):
+        expected = reference_grid_general_tmcmc_matrix_2d(log_pi, (0.6, 0.4), p=p, q=q)
+        assert np.array_equal(build_grid_tmcmc_matrix(log_pi, (0.6, 0.4), p=p, q=q), expected), (p, q)
+
+
+def test_grid_builder_skips_zero_probability_moves():
+    # At p = 1 the backward move has probability 0; it is never evaluated, so
+    # no log(0) is taken, and every forward move is rejected (its reverse is
+    # impossible): the kernel stays put.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_pi, pi = grid_gaussian()
+        K = build_grid_tmcmc_matrix(log_pi, (0.5, 0.3, 0.2), 1.0, 0.0)
+        v = check_detailed_balance_discretized("additive-tmcmc", p=1.0)
+    assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-12 and np.all(K >= 0.0)
+    assert check_detailed_balance_exact(K, pi).passed
+    assert v.passed and v.max_violation <= 1e-10
+
+
 def test_symmetric_kernel_uniform_target_has_zero_violation():
     K = np.full((4, 4), 0.25)
     v = check_detailed_balance_exact(K, np.full(4, 0.25))
@@ -48,7 +178,7 @@ def test_detailed_balance_rejects_bad_inputs():
 
 def test_corrupted_kernel_violation_tracks_perturbation():
     log_pi, pi = grid_gaussian()
-    K = build_grid_rwmh_matrix(log_pi, (0.5, 0.3, 0.2))
+    K = build_grid_tmcmc_matrix(log_pi, (0.5, 0.3, 0.2), 0.5, 0.5)
     v1 = check_detailed_balance_exact(perturb_kernel_matrix(K, 1e-3), pi)
     v2 = check_detailed_balance_exact(perturb_kernel_matrix(K, 2e-3), pi)
     assert not v1.passed and not v2.passed
@@ -68,18 +198,15 @@ def test_grid_surrogates_pass_at_tolerance():
 
 
 def test_planar_general_kernel_grid_balance():
-    from tmcmc.verify import build_grid_general_tmcmc_matrix_2d
-
-    xs = np.linspace(-2.0, 2.0, 5)
-    log_pi = -0.5 * (xs[:, None] ** 2 + xs[None, :] ** 2)
+    log_pi = planar_log_pi()
     for p, q in ((0.35, 0.35), (0.45, 0.25), (0.5, 0.5)):
-        K = build_grid_general_tmcmc_matrix_2d(log_pi, (0.6, 0.4), p=p, q=q)
+        K = build_grid_tmcmc_matrix(log_pi, (0.6, 0.4), p=p, q=q)
         pi = np.exp(log_pi.ravel() - log_pi.max())
         pi /= pi.sum()
         v = check_detailed_balance_exact(K, pi)
         assert v.passed, (p, q, v.max_violation)
     with pytest.raises(ValueError):
-        build_grid_general_tmcmc_matrix_2d(np.zeros((6, 6)), (1.0,), 0.3, 0.3)
+        build_grid_tmcmc_matrix(np.zeros((6, 6)), (1.0,), 0.3, 0.3)
 
 
 def test_grid_negative_control_fails_without_move_ratio():
