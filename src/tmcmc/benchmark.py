@@ -62,7 +62,7 @@ class ChallengerConfig:
 def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
     """One kernel's report from its ``cfg.n_chains`` chains, run in lockstep.
 
-    Chain ``c`` is one ``run_lockstep`` group on its own stream,
+    Chain ``c`` is one ``run_lockstep`` stream on its own generator,
     ``chain_rng(cfg.seed, c + j * cfg.n_chains)`` with ``j`` the kernel's
     index in ``BENCH_KERNELS``: its start, then per step what ``run_chain``
     of ``make_additive_tmcmc_kernel`` or ``make_rwmh_kernel`` would draw.
@@ -73,13 +73,14 @@ def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
     # Overdispersed starts relative to the posterior spread.
     x0 = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
     scale = cfg.tmcmc_eps_scale if kernel_name == "additive-tmcmc" else cfg.rwmh_sigma
-    run = run_lockstep(kernel_name, target.log_density, x0, [scale], cfg.n_iter, rngs, 2, a=cfg.tmcmc_scales)
+    run = run_lockstep([kernel_name] * cfg.n_chains, target.log_density, x0, [scale], cfg.n_iter, rngs, 2,
+                       a=cfg.tmcmc_scales)
     burn = int(cfg.burn_frac * cfg.n_iter)
     t_bar = target.info["t_bar"]
     flags = run.accepted[burn:]
     raw = []
     for c in range(cfg.n_chains):
-        tail = lockstep_path(x0[c], run.directions[:, c], run.r[:, c], scale, run.accepted[:, c])[burn:]
+        tail = lockstep_path(run, c)[burn:]
         tail[:, 0] -= tail[:, 1] * t_bar  # raw intercept
         raw.append(tail)
     del run  # the draws are spent: free them before the pooled copy

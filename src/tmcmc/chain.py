@@ -23,11 +23,11 @@ finite is accepted (``log_alpha = +inf``).  Kernels report any other broken
 proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
 
-One lockstep engine.  ``run_lockstep`` steps ``G`` groups of ``C`` chains,
-each group on its own stream, through one batched log-density call and one
-``accept_batch`` per step; ``lockstep_path`` rebuilds any of its chains,
-bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process
-pool.
+One lockstep engine.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
+each stream on its own generator and with its own kernel (additive or
+random walk), through one batched log-density call and one ``accept_batch``
+per step; ``lockstep_path`` rebuilds any of its chains, bit-identical to its
+``run_chain`` twin.  ``map_tasks`` is the one process pool.
 """
 
 from __future__ import annotations
@@ -281,16 +281,28 @@ def run_chain(
 
 
 class Lockstep(NamedTuple):
-    """What ``run_lockstep`` records: enough to rebuild every chain's path."""
+    """What ``run_lockstep`` records: enough to rebuild every chain's path.
 
-    directions: np.ndarray  # (n_iter, G, n_record): leading coordinates of each group's d
-    r: np.ndarray  # (n_iter, G): each group's innovation (1 for rwmh)
+    Stream ``g``'s chains are columns ``g * C .. g * C + C - 1`` of
+    ``accepted``.  Its directions are kept by kernel: an additive stream's
+    ``d = +a`` or ``-a`` as the sign bits of ``d`` in ``signs``, an rwmh
+    stream's normals in ``normals``, each at the stream's index among those
+    of its kernel.
+    """
+
+    additive: np.ndarray  # (G,) bool: stream g runs additive-tmcmc, else rwmh
+    x0: np.ndarray  # (G, n_record): each stream's start, leading coordinates
+    scales: np.ndarray  # (C,): the proposal scale of chain (g, c) is scales[c]
+    a: np.ndarray  # (n_record,): |a| of the leading coordinates
+    signs: np.ndarray  # (n_iter, G_add, n_record) bool: signbit(d), so d = -a where True, +a elsewhere
+    r: np.ndarray  # (n_iter, G_add): each additive stream's innovation
+    normals: np.ndarray  # (n_iter, G_rw, n_record): leading coordinates of each rwmh stream's d
     accepted: np.ndarray  # (n_iter, G * C): chain (g, c) is column g * C + c
     n_nonfinite: np.ndarray  # (G * C,): non-finite proposals per chain
 
 
 def run_lockstep(
-    kernel_name: str,
+    kernels: Sequence[str],
     log_density: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     scales: Sequence[float],
@@ -299,75 +311,101 @@ def run_lockstep(
     n_record: int,
     a=1.0,
 ) -> Lockstep:
-    """Advance ``G = len(rngs)`` groups of ``C = len(scales)`` chains in lockstep.
+    """Advance ``G = len(rngs)`` streams of ``C = len(scales)`` chains in lockstep.
 
-    Every chain of group ``g`` starts at ``x0[g]``; chain ``(g, c)`` proposes
-    ``x + d_g * (scales[c] * r_g)``.  Per step group ``g`` draws from
-    ``rngs[g]`` what ``run_chain`` of the same kernel would: for
-    ``"additive-tmcmc"`` ``k`` uniforms giving ``d_g = +a`` where below 0.5
-    and ``-a`` elsewhere (``a``: the per-coordinate move scales), then
-    ``r_g = |N(0, 1)|``; for ``"rwmh"`` ``k``
+    Stream ``g`` runs kernel ``kernels[g]`` (``"additive-tmcmc"`` or
+    ``"rwmh"``) on its own generator ``rngs[g]``.  Every chain of stream
+    ``g`` starts at ``x0[g]``; chain ``(g, c)`` proposes
+    ``x + d_g * (scales[c] * r_g)``.  Per step stream ``g`` draws what
+    ``run_chain`` of its kernel would: additive, ``k`` uniforms giving
+    ``d_g = +a`` where below 0.5 and ``-a`` elsewhere (``a``: the
+    per-coordinate move scales), then ``r_g = |N(0, 1)|``; rwmh, ``k``
     standard normals ``d_g`` and ``r_g = 1``; then one acceptance uniform,
-    shared by the group's chains.  ``log_density`` must take a ``(G * C, k)``
-    batch, row by row bit-identical to single calls.
+    shared by the stream's chains.  Each step then builds every proposal at
+    once, evaluates them in one ``log_density`` call on a ``(G * C, k)``
+    batch, which must be row by row bit-identical to single calls, and
+    decides them in one ``accept_batch``.
     """
+    if set(kernels) - {"additive-tmcmc", "rwmh"} or not len(kernels) == len(rngs) == len(x0):
+        raise ValueError("need one kernel (additive-tmcmc or rwmh), one generator and one start per stream")
     x0 = np.asarray(x0, dtype=float)
-    (n_groups, k), n_cells = x0.shape, len(scales)
+    (n_streams, k), n_cells = x0.shape, len(scales)
     scales = np.asarray(scales, dtype=float)
-    x = np.repeat(x0, n_cells, axis=0)
-    lp_x = np.repeat(log_density(x0), n_cells)
+    a = np.broadcast_to(np.asarray(a, dtype=float), (k,))
+    additive = np.array([name == "additive-tmcmc" for name in kernels], dtype=bool)
+    n_add = int(additive.sum())
+    # Rows hold the additive streams first, so that each kernel's rows are one
+    # slice; the record is put back in stream order at the end.
+    order = np.concatenate([np.flatnonzero(additive), np.flatnonzero(~additive)])
+    rngs = [rngs[g] for g in order]
+    x = np.repeat(x0[order], n_cells, axis=0)
+    lp_x = np.repeat(log_density(x0[order]), n_cells)
     y = np.empty_like(x)
-    d = np.empty((n_groups, k))
-    sr = np.tile(scales, (n_groups, 1))  # scales * r_g, one row per group
-    log_u = np.empty((n_groups, n_cells))
+    d = np.empty((n_streams, k))
+    sr = np.tile(scales, (n_streams, 1))  # scales * r_g, one row per stream
+    r_now = np.empty(n_add)
+    log_u = np.empty((n_streams, n_cells))
     # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals.
-    d_by_cell, sr_by_coord, y_by_group = d[:, None, :], sr[:, :, None], y.reshape(n_groups, n_cells, k)
-    d_rows, d_head, log_u_all = list(d), d[:, :n_record], log_u.reshape(-1)
-    additive = kernel_name == "additive-tmcmc"
-    if additive:
-        a = np.broadcast_to(np.asarray(a, dtype=float), (k,))
-        r_now = np.empty(n_groups)
-        r_by_cell = r_now[:, None]
-    directions = np.empty((n_iter, n_groups, n_record))
-    r = np.ones((n_iter, n_groups))
-    accepted = np.empty((n_iter, n_groups * n_cells), dtype=bool)
-    n_nonfinite = np.zeros(n_groups * n_cells, dtype=int)
+    d_by_cell, sr_by_coord, y_by_group = d[:, None, :], sr[:, :, None], y.reshape(n_streams, n_cells, k)
+    d_rows, log_u_all = list(d), log_u.reshape(-1)
+    d_add, sr_add, r_by_cell = d[:n_add], sr[:n_add], r_now[:, None]
+    d_add_head, d_rw_head = d[:n_add, :n_record], d[n_add:, :n_record]
+    signs = np.empty((n_iter, n_add, n_record), dtype=bool)
+    r = np.empty((n_iter, n_add))
+    normals = np.empty((n_iter, n_streams - n_add, n_record))
+    accepted = np.empty((n_iter, n_streams * n_cells), dtype=bool)
+    n_nonfinite = np.zeros(n_streams * n_cells, dtype=int)
     with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
         for i in range(n_iter):
             for g, rng in enumerate(rngs):
-                if additive:
+                if g < n_add:
                     rng.random(out=d_rows[g])  # sign uniforms, turned into d below
                     r_now[g] = abs(float(rng.standard_normal()))
                 else:
                     rng.standard_normal(out=d_rows[g])
                 u = float(rng.random())
                 log_u[g] = math.log(u) if u > 0.0 else -math.inf
-            if additive:
+            if n_add:
                 r[i] = r_now
-                np.multiply(r_by_cell, scales, out=sr)
+                np.multiply(r_by_cell, scales, out=sr_add)
                 # d = where(u < 0.5, a, -a) in two calls: BELOW_HALF - u >= +0.0 exactly when u < 0.5
-                np.copysign(a, np.subtract(BELOW_HALF, d, out=d), out=d)
+                np.copysign(a, np.subtract(BELOW_HALF, d_add, out=d_add), out=d_add)
+                np.signbit(d_add_head, out=signs[i])
             np.multiply(d_by_cell, sr_by_coord, out=y_by_group)
             y += x
             accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_all, n_nonfinite)
-            directions[i] = d_head
-    return Lockstep(directions, r, accepted, n_nonfinite)
+            if n_add < n_streams:
+                normals[i] = d_rw_head
+    back = np.empty_like(order)
+    back[order] = np.arange(n_streams)  # no argsort: its sort code would add to the resident set
+    accepted = accepted.reshape(n_iter, n_streams, n_cells)[:, back].reshape(n_iter, -1)
+    n_nonfinite = n_nonfinite.reshape(n_streams, n_cells)[back].reshape(-1)
+    return Lockstep(additive, x0[:, :n_record].copy(), scales, np.abs(a[:n_record]), signs, r, normals,
+                    accepted, n_nonfinite)
 
 
-def lockstep_path(x0_head, directions: np.ndarray, r: np.ndarray, scale: float, accepted: np.ndarray) -> np.ndarray:
-    """One lockstep chain's recorded coordinates after each step.
+def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.ndarray:
+    """Chain ``chain``'s recorded coordinates after each step.
 
-    ``directions`` (one row per step: ``(n,)`` for one coordinate or
-    ``(n, m)``), ``r`` and ``accepted`` are the chain's group's columns of a
-    ``Lockstep`` record, ``scale`` its proposal scale.  The running sum adds
-    ``d * (scale * r)`` on accepted steps and ``0`` otherwise, in step order:
-    the same floating-point additions the chain made.
+    ``chain`` is a column of ``run.accepted``.  Returns ``(n_iter,)`` for one
+    recorded coordinate ``coord``, else ``(n_iter, n_record)``.  The running
+    sum adds ``d * (scale * r)`` on accepted steps and ``0`` otherwise, in
+    step order: the same floating-point additions the chain made.
     """
-    path = np.empty((len(r) + 1,) + directions.shape[1:])
-    path[0] = x0_head
-    np.multiply(scale, r if directions.ndim == 1 else r[:, None], out=path[1:])
-    path[1:] *= directions
-    path[1:][~accepted] = 0.0
+    g, c = divmod(chain, len(run.scales))
+    j = slice(None) if coord is None else coord
+    slot = int(np.count_nonzero(run.additive[:g]))  # the stream's index among those of its kernel
+    path = np.empty((len(run.accepted) + 1,) + run.x0[g, j].shape)
+    path[0] = run.x0[g, j]
+    steps = path[1:]
+    if run.additive[g]:  # (scale * r) * a, negated where d = -a: no temporaries
+        r = run.r[:, slot]
+        np.multiply(r if steps.ndim == 1 else r[:, None], run.scales[c], out=steps)
+        steps *= run.a[j]
+        np.negative(steps, out=steps, where=run.signs[:, slot, j])
+    else:
+        np.multiply(run.normals[:, g - slot, j], run.scales[c], out=steps)
+    steps[~run.accepted[:, chain]] = 0.0
     return np.cumsum(path, axis=0, out=path)[1:]
 
 

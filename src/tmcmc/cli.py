@@ -395,12 +395,34 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         parser.error(f"argument --config: cannot read {path}: {exc}")
     if not isinstance(values, dict):
         parser.error("argument --config: file must hold a JSON object")
-    defaults = {key.replace("-", "_"): val for key, val in values.items()}
+    entries = {key.replace("-", "_"): (key, val) for key, val in values.items()}
     for action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse offers no public hook
         for sp in action.choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            given = [a for a in sp._actions if a.dest in entries]
+            sp.set_defaults(**{a.dest: _config_value(parser, a, *entries[a.dest]) for a in given})
     return argv
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):
+    """A config-file value checked and converted as its flag's text would be.
+
+    The text is the value's ``str``, a JSON list's items joined by commas; a
+    switch (a flag with a boolean default) takes a JSON boolean.  A rejected
+    value is a parser error naming ``key``.  ``null`` stands for a flag's
+    default only where that default is None.
+    """
+    if value is None and action.default is None:
+        return None
+    try:
+        if isinstance(action.default, bool) and not isinstance(value, bool):
+            raise ValueError(f"must be true or false, got {value!r}")
+        if action.type is not None:
+            value = action.type(",".join(map(str, value)) if isinstance(value, list) else str(value))
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"invalid choice {value!r} (choose from {', '.join(map(repr, action.choices))})")
+    except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+        parser.error(f"argument --config: key {key!r}: {exc}")
+    return value
 
 
 def main(argv=None) -> int:

@@ -15,15 +15,17 @@ alongside), with the acceptance rate interpolated at that vertex.
 Both study kernels consume their stream the same way whatever the scale and
 whatever was accepted: per step a direction ``d`` (additive: ``k`` sign
 uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals), then one
-acceptance uniform.  So a group of seeds of one (kernel, dimension) pair
-runs all its cells in lockstep through ``chain.run_lockstep``: every seed is
-one stream, drawn in the order a single-chain ``run_chain`` of the same
-kernel uses, and every (seed, ell) chain's proposal is evaluated in one
-batched log-density call per step.  ``study_groups`` cuts a pair's seeds
-into groups of at most ``GROUP_SEEDS``, and into more when there are more
-workers than pairs.  Every cell is bit-identical to that single chain
-(``tests/test_scaling.py`` checks this).  A cell's ``wall_ms`` is its group's
-loop time divided by the number of (seed, ell) cells in the group.
+acceptance uniform.  So the cells of one dimension run in lockstep through
+``chain.run_lockstep``.  A dimension's streams are its (seed, kernel)
+pairs, seed-major; ``study_groups`` cuts them into contiguous groups, as
+few as keep the workers busy and none holding more than ``GROUP_SEEDS``
+seeds' worth of streams.  A group steps all its streams together, each drawn
+in the order a single-chain ``run_chain`` of its kernel uses, and evaluates
+every (stream, ell) chain's proposal in one batched log-density call per
+step.  Every cell is bit-identical to that single chain
+(``tests/test_scaling.py`` checks this), however the streams are grouped.
+A cell's ``wall_ms`` is its group's loop time divided by the number of
+(stream, ell) chains in the group, whichever kernels they run.
 """
 
 from __future__ import annotations
@@ -140,26 +142,28 @@ def _cell_rng(seed: int, kernel: str, k: int) -> np.random.Generator:
 
 
 ESS_COORD_BLOCK = 16
-GROUP_SEEDS = 4  # the most seeds one group steps together; its record grows with them
+GROUP_SEEDS = 4  # a group holds at most this many seeds' worth of streams; its record grows with them
 
 
 def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> list:
-    """The ``(kernel, k, seeds)`` groups of the study, in grid order.
+    """The ``(k, streams)`` groups of the study, dimension by dimension.
 
-    Each (kernel, k) pair's seeds are cut into contiguous runs of near-equal
-    length: as few as keep ``min(n_workers, pairs x seeds)`` processes busy
-    (``n_workers`` None: the cpu count), and none longer than ``GROUP_SEEDS``.
+    A dimension's streams are its ``(seed, kernel)`` pairs, seed-major.  They
+    are cut into contiguous runs of near-equal length: as few as keep
+    ``min(n_workers, dims x streams)`` processes busy (``n_workers`` None:
+    the cpu count), and none longer than ``GROUP_SEEDS`` seeds' worth of
+    streams.
     """
-    pairs = [(kernel, k) for kernel in spec.kernels for k in spec.dims]
-    n_seeds = len(spec.seeds)
+    streams = [(seed, kernel) for seed in spec.seeds for kernel in spec.kernels]
+    n_dims, n = len(spec.dims), len(streams)
     workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    n_runs = min(n_seeds, max(-(-min(workers, len(pairs) * n_seeds) // len(pairs)), -(-n_seeds // GROUP_SEEDS)))
-    cuts = [i * n_seeds // n_runs for i in range(n_runs + 1)]
-    return [(kernel, k, spec.seeds[lo:hi]) for kernel, k in pairs for lo, hi in zip(cuts, cuts[1:])]
+    n_runs = min(n, max(-(-min(workers, n_dims * n) // n_dims), -(-len(spec.seeds) // GROUP_SEEDS)))
+    cuts = [i * n // n_runs for i in range(n_runs + 1)]
+    return [(k, tuple(streams[lo:hi])) for k in spec.dims for lo, hi in zip(cuts, cuts[1:])]
 
 
 def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
-    """Run every (ell, seed) cell of one ``(kernel, k, seeds)`` group, in that order.
+    """Run every (ell, stream) cell of one ``(k, streams)`` group, in that order.
 
     The efficiency metric is the per-iteration ESS averaged over a block of
     coordinates (all of them for small k).  The study targets are exchangeable
@@ -167,33 +171,31 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
     coordinate with several times less estimator noise, which is what makes
     the optimum localizable at the per-cell run lengths used here.
     """
-    kernel_name, k, seeds = group
+    k, streams = group
     target = make_iid_gaussian(k)  # the one target_family the spec admits
     scales = [ell / np.sqrt(k) for ell in spec.ell_grid]
-    rngs = [_cell_rng(seed, kernel_name, k) for seed in seeds]
+    rngs = [_cell_rng(seed, kernel, k) for seed, kernel in streams]
     x0 = np.array([rng.standard_normal(k) for rng in rngs])
     n_coords = min(ESS_COORD_BLOCK, k)
     t0 = time.perf_counter()
-    run = run_lockstep(kernel_name, target.log_density, x0, scales, spec.n_iter, rngs, n_coords)
+    run = run_lockstep([kernel for _, kernel in streams], target.log_density, x0, scales, spec.n_iter, rngs, n_coords)
     wall_ms = 1e3 * (time.perf_counter() - t0) / run.accepted.shape[1]
     n_kept = spec.n_iter - spec.burn_in
     rows = []
-    for c, (ell, scale) in enumerate(zip(spec.ell_grid, scales)):
-        for g, seed in enumerate(seeds):
-            flags = run.accepted[:, g * len(scales) + c]
-            ess = []
-            for j in range(n_coords):  # one coordinate at a time, so no (n, n_coords) path is held
-                path = lockstep_path(x0[g, j], run.directions[:, g, j], run.r[:, g], scale, flags)
-                ess.append(iact_and_ess(path[spec.burn_in:])[1])
-            accept_rate = acceptance_rate(flags[spec.burn_in:])
+    for c, ell in enumerate(spec.ell_grid):
+        for g, (seed, kernel) in enumerate(streams):
+            chain = g * len(scales) + c
+            # one coordinate at a time, so no (n, n_coords) path is held
+            ess = [iact_and_ess(lockstep_path(run, chain, j)[spec.burn_in:])[1] for j in range(n_coords)]
+            accept_rate = acceptance_rate(run.accepted[spec.burn_in:, chain])
             ess_per_iter = float(np.mean(ess)) / n_kept
-            rows.append(CellResult(kernel_name, k, float(ell), int(seed), accept_rate, ess_per_iter, wall_ms))
+            rows.append(CellResult(kernel, k, float(ell), int(seed), accept_rate, ess_per_iter, wall_ms))
     return rows
 
 
 def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: ScalingStudySpec) -> CellResult:
     """Run one grid cell; deterministic given its arguments (a one-cell group)."""
-    return run_study_group((kernel_name, k, (seed,)), replace(spec, ell_grid=(ell,)))[0]
+    return run_study_group((k, ((seed, kernel_name),)), replace(spec, ell_grid=(ell,)))[0]
 
 
 def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar_se: np.ndarray):
@@ -220,27 +222,28 @@ def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -
     """Execute the full grid and derive the per-(kernel, k) optima.
 
     The ``study_groups`` are independent; ``map_tasks`` runs them on up to
-    ``n_workers`` processes, and the rows of each (kernel, k) pair are put
-    back in grid order (kernel, k, ell, seed), so the report is identical
-    however many workers ran.  If a group fails, the raised ``RuntimeError``
-    carries ``partial_report``: the rows of the (kernel, k) pairs before it.
+    ``n_workers`` processes, and their rows are put back in grid order
+    (kernel, k, ell, seed), so the report is identical however many workers
+    ran.  If a group fails, the raised ``RuntimeError`` carries
+    ``partial_report``: the rows of the groups finished before it, in grid
+    order.
     """
     groups = study_groups(spec, n_workers)
-    n_ells = len(spec.ell_grid)
-    rows: list = []
-    runs: list = []  # (number of seeds, cells) of the current pair's groups
+    shape = (len(spec.kernels), len(spec.dims), len(spec.ell_grid), len(spec.seeds))
+    grid = np.empty(shape, dtype=object)  # the rows in grid order; None until their group is done
+    # the (dimension, seed, kernel) indices of every stream, in the order study_groups cuts them
+    streams = [(d, s, kn) for d in range(shape[1]) for s in range(shape[3]) for kn in range(shape[0])]
+    done = 0  # streams of the groups finished so far
     try:
-        for (_, _, seeds), cells in zip(groups, map_tasks(partial(run_study_group, spec=spec), groups, n_workers)):
-            runs.append((len(seeds), cells))
-            if sum(n for n, _ in runs) == len(spec.seeds):  # the pair's last group: rows back in (ell, seed) order
-                for c in range(n_ells):
-                    for n, part in runs:
-                        rows += part[c * n:(c + 1) * n]
-                runs = []
+        for (_, group), cells in zip(groups, map_tasks(partial(run_study_group, spec=spec), groups, n_workers)):
+            for t, (d, s, kn) in enumerate(streams[done:done + len(group)]):
+                grid[kn, d, :, s] = cells[t::len(group)]  # the cells come in (ell, stream) order
+            done += len(group)
     except Exception as exc:
         err = RuntimeError(f"scaling-study group failed: {exc}")
-        err.partial_report = StudyReport(spec, rows, [], partial=True)
+        err.partial_report = StudyReport(spec, [r for r in grid.ravel() if r is not None], [], partial=True)
         raise err from exc
+    rows = list(grid.ravel())
 
     optima = []
     for kernel in spec.kernels:

@@ -234,7 +234,7 @@ def test_scaling_study_cli_keeps_partial_work_when_a_group_fails(tmp_path, monke
     run_group = scaling.run_study_group
 
     def fail_on_second_group(group, spec):
-        if group[:2] != ("additive-tmcmc", 4):
+        if group[0] != 4:
             raise MemoryError("worker lost")
         return run_group(group, spec)
 
@@ -249,12 +249,16 @@ def test_scaling_study_cli_keeps_partial_work_when_a_group_fails(tmp_path, monke
     assert payload["partial"] is True and payload["optima"] == []
     grid = [line.split(",") for line in (out / "study_grid.csv").read_text().splitlines()]
     assert grid[0] == ["kernel", "k", "ell", "seed", "accept_rate", "ess_per_iter", "wall_ms"]
+    # one worker: one group a dimension, so k = 4 finished with both kernels
     assert [row[:4] for row in grid[1:]] == [
-        ["additive-tmcmc", "4", ell, seed] for ell in ("1.5", "2.5") for seed in ("1", "2")
+        [kernel, "4", ell, seed]
+        for kernel in ("additive-tmcmc", "rwmh")
+        for ell in ("1.5", "2.5")
+        for seed in ("1", "2")
     ]
     aggregate = (out / "study_aggregate.csv").read_text().splitlines()
     assert aggregate[0] == "kernel,k,ell,mean_accept_rate,mean_ess_per_iter,n_seeds"
-    assert len(aggregate) == 1 + 2
+    assert len(aggregate) == 1 + 2 * 2
 
 
 def test_challenger_cli_short_run(tmp_path):
@@ -291,6 +295,36 @@ def test_config_file_errors(tmp_path):
     )
     assert proc.returncode == 2
     assert "--config" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("chains", 0), ("iters", -5), ("eps-scale", 0.0), ("dim", 2.5), ("kernel", "nuts"), ("center", "no")],
+)
+def test_config_values_are_validated_like_flags(tmp_path, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmcmc.cli", "sample", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "--config" in proc.stderr and key in proc.stderr
+    assert not (out / "summary.json").exists()
+
+
+def test_config_lists_are_validated_and_parsed_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": [3, 0]}))
+    with pytest.raises(SystemExit) as info:
+        run_cli(["scaling-study", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+    assert info.value.code == 2
+    cfg.write_text(json.dumps({"dims": [3], "ell_grid": [2, 2.5], "iters": 600, "burn_in": 100, "n_seeds": 1}))
+    out = tmp_path / "ok"
+    assert run_cli(["scaling-study", "--config", str(cfg), "--workers", "1", "--out", str(out)]) == 0
+    spec = json.loads((out / "study_summary.json").read_text())["spec"]
+    assert (spec["dims"], spec["ell_grid"], spec["n_iter"]) == ([3], [2.0, 2.5], 600)
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -69,42 +69,57 @@ def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
     return run_chain(step, x0, n_iter, rng, record_coords=range(n_coords))
 
 
-def _assert_chains_equal_references(kernel, target, scales, x0, n_iter, run, reference_start):
-    """Every (group, scale) chain of ``run`` against its own ``run_chain``.
+def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start):
+    """Every (stream, scale) chain of ``run`` against its own ``run_chain``.
 
-    ``reference_start(g)`` gives group ``g``'s start and a fresh generator
-    at the state the lockstep group began stepping from.
+    ``kernels[g]`` is stream ``g``'s kernel; ``reference_start(g)`` gives
+    its start and a fresh generator at the state the lockstep stream began
+    stepping from.
     """
-    n_coords = run.directions.shape[2]
-    for g in range(x0.shape[0]):
+    n_coords = run.x0.shape[1]
+    assert run.accepted.shape == (n_iter, len(kernels) * len(scales))
+    for g, kernel in enumerate(kernels):
         for c, scale in enumerate(scales):
             start, rng = reference_start(g)
             trace = _reference_chain(kernel, target, scale, start, n_iter, rng, n_coords)
             col = g * len(scales) + c
             assert np.array_equal(run.accepted[:, col], trace.accepted)
-            path = lockstep_path(x0[g, :n_coords], run.directions[:, g], run.r[:, g], scale, run.accepted[:, col])
-            assert np.array_equal(path, trace.states)
+            assert np.array_equal(lockstep_path(run, col), trace.states)
+            for j in range(n_coords):
+                assert np.array_equal(lockstep_path(run, col, j), trace.states[:, j])
             assert run.n_nonfinite[col] == trace.n_nonfinite_proposals
 
 
-@pytest.mark.parametrize("kernel", STUDY_KERNELS)
+LOCKSTEP_STREAMS = {
+    **{kernel: [(seed, kernel) for seed in (11, 12, 13)] for kernel in STUDY_KERNELS},
+    # kernels interleaved, so the engine's additive-first rows are not the stream order
+    "mixed": [(11, "rwmh"), (11, "additive-tmcmc"), (12, "rwmh"), (13, "rwmh"), (12, "additive-tmcmc")],
+}
+
+
+@pytest.mark.parametrize("streams", LOCKSTEP_STREAMS.values(), ids=LOCKSTEP_STREAMS.keys())
 @pytest.mark.parametrize("k", [1, 4, 100])
-def test_lockstep_cells_equal_single_chain_runs(kernel, k):
-    n_iter, seeds, ells = 1_500, (11, 12, 13), (0.4, 1.6, 2.8, 6.0)
+def test_lockstep_cells_equal_single_chain_runs(streams, k):
+    n_iter, ells = 1_500, (0.4, 1.6, 2.8, 6.0)
     n_coords = min(ESS_COORD_BLOCK, k)
+    kernels = [kernel for _, kernel in streams]
     target = make_iid_gaussian(k)
     scales = [ell / np.sqrt(k) for ell in ells]
-    rngs = [_cell_rng(seed, kernel, k) for seed in seeds]
+    rngs = [_cell_rng(seed, kernel, k) for seed, kernel in streams]
     x0 = np.array([rng.standard_normal(k) for rng in rngs])
-    run = run_lockstep(kernel, target.log_density, x0, scales, n_iter, rngs, n_coords)
-    assert run.accepted.shape == (n_iter, len(seeds) * len(scales))
+    run = run_lockstep(kernels, target.log_density, x0, scales, n_iter, rngs, n_coords)
 
     def reference_start(g):
-        rng = _cell_rng(seeds[g], kernel, k)
+        rng = _cell_rng(*streams[g], k)
         return rng.standard_normal(k), rng
 
-    _assert_chains_equal_references(kernel, target, scales, x0, n_iter, run, reference_start)
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start)
     assert run.n_nonfinite.sum() == 0
+    additive = [kernel == "additive-tmcmc" for kernel in kernels]
+    assert run.additive.tolist() == additive
+    # the additive directions are kept as sign bits, the rwmh ones as floats
+    assert run.signs.dtype == bool and run.signs.shape == (1_500, sum(additive), n_coords)
+    assert run.normals.dtype == float and run.normals.shape == (1_500, len(streams) - sum(additive), n_coords)
 
 
 def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
@@ -125,28 +140,36 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
     def reference_start(g):
         return x0[g], np.random.default_rng(5 + g)
 
-    for kernel in STUDY_KERNELS:
+    for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("rwmh", "additive-tmcmc")]:
         rngs = [np.random.default_rng(5 + g) for g in range(2)]
-        run = run_lockstep(kernel, log_density, x0, scales, 2_000, rngs, 3)
-        _assert_chains_equal_references(kernel, target, scales, x0, 2_000, run, reference_start)
+        run = run_lockstep(kernels, log_density, x0, scales, 2_000, rngs, 3)
+        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start)
         assert run.n_nonfinite.min() > 0
+
+
+def test_lockstep_rejects_unknown_kernels_and_ragged_streams():
+    target = make_iid_gaussian(2)
+    x0, rngs = np.zeros((2, 2)), [np.random.default_rng(g) for g in range(2)]
+    for kernels in (("rwmh", "hmc"), ("rwmh",)):
+        with pytest.raises(ValueError, match="one kernel"):
+            run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)
 
 
 def test_slice_cells_match_the_single_chain_study_metrics():
     n_coords = min(ESS_COORD_BLOCK, 4)
-    for kernel in STUDY_KERNELS:
-        rows = run_study_group((kernel, 4, (3,)), TINY)
-        assert [r.ell for r in rows] == list(TINY.ell_grid)
-        for row in rows:
-            rng = _cell_rng(3, kernel, 4)
-            x0 = rng.standard_normal(4)
-            trace = _reference_chain(kernel, make_iid_gaussian(4), row.ell / np.sqrt(4), x0, TINY.n_iter, rng, n_coords)
-            tail = trace.tail(TINY.burn_in)
-            ess = float(np.mean([iact_and_ess(tail, j)[1] for j in range(n_coords)]))
-            assert row.accept_rate == acceptance_rate(tail)
-            assert row.ess_per_iter == ess / len(tail)
-            one = run_study_cell(kernel, 4, row.ell, 3, TINY)
-            assert (one.accept_rate, one.ess_per_iter) == (row.accept_rate, row.ess_per_iter)
+    rows = run_study_group((4, ((3, "rwmh"), (3, "additive-tmcmc"))), TINY)
+    # (ell, stream) order
+    assert [(r.ell, r.kernel) for r in rows] == [(e, kn) for e in TINY.ell_grid for kn in ("rwmh", "additive-tmcmc")]
+    for row in rows:
+        rng = _cell_rng(3, row.kernel, 4)
+        x0 = rng.standard_normal(4)
+        trace = _reference_chain(row.kernel, make_iid_gaussian(4), row.ell / np.sqrt(4), x0, TINY.n_iter, rng, n_coords)
+        tail = trace.tail(TINY.burn_in)
+        ess = float(np.mean([iact_and_ess(tail, j)[1] for j in range(n_coords)]))
+        assert row.accept_rate == acceptance_rate(tail)
+        assert row.ess_per_iter == ess / len(tail)
+        one = run_study_cell(row.kernel, 4, row.ell, 3, TINY)
+        assert (one.accept_rate, one.ess_per_iter) == (row.accept_rate, row.ess_per_iter)
 
 
 def test_group_of_seeds_equals_each_seed_run_alone():
@@ -178,30 +201,53 @@ def test_study_report_is_independent_of_worker_count():
     assert keys == [(kn, k, e, s) for kn in TINY.kernels for k in TINY.dims for e in TINY.ell_grid for s in TINY.seeds]
 
 
-def test_study_pool_is_capped_at_its_slice_count(pool_sizes, monkeypatch):
+@pytest.mark.parametrize("n_workers,pool", [(1, []), (2, [2]), (3, [3]), (64, [12])])
+def test_mixed_kernel_groups_give_the_rows_of_each_kernel_alone(n_workers, pool, pool_sizes):
+    spec = replace(TINY, dims=(4, 8), seeds=(1, 2, 3))
+    report = run_scaling_study(spec, n_workers=n_workers)  # groups mapped in-process
+    alone = {kn: run_scaling_study(replace(spec, kernels=(kn,)), n_workers=1) for kn in spec.kernels}
+    assert _without_wall(report.rows) == _without_wall(alone["additive-tmcmc"].rows + alone["rwmh"].rows)
+    assert [asdict(o) for o in report.optima] == [asdict(o) for kn in spec.kernels for o in alone[kn].optima]
+    # 1 or 2 workers: one group a dimension; 3: two, one seed's kernels split; 64: one a stream
+    assert pool_sizes == pool
+
+
+def test_study_pool_is_capped_at_its_group_count(pool_sizes, monkeypatch):
     from tmcmc import chain
 
     run_scaling_study(TINY, n_workers=64)
     monkeypatch.setattr(chain.os, "cpu_count", lambda: 64)
     run_scaling_study(TINY)
-    n_slices = len(TINY.kernels) * len(TINY.dims) * len(TINY.seeds)
-    assert pool_sizes == [n_slices, n_slices]
+    n_streams = len(TINY.kernels) * len(TINY.dims) * len(TINY.seeds)  # 64 workers: one stream a group
+    assert pool_sizes == [n_streams, n_streams]
 
 
 def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
     from tmcmc import scaling
 
     spec = replace(TINY, dims=(4, 8), seeds=tuple(range(1, 11)))
-    pairs = [(kn, k) for kn in spec.kernels for k in spec.dims]
-    # at most GROUP_SEEDS = 4 seeds a group; at least ceil(workers / pairs) groups a pair
-    cases = [(1, [3, 3, 4]), (0, [3, 3, 4]), (12, [3, 3, 4]), (13, [2, 3, 2, 3]), (17, [2, 2, 2, 2, 2])]
+    streams = tuple((s, kn) for s in spec.seeds for kn in spec.kernels)  # seed-major
+    # at most GROUP_SEEDS = 4 seeds' worth (8 streams) a group; at least ceil(workers / dims) groups a dimension
+    cases = [
+        (1, [6, 7, 7]),
+        (0, [6, 7, 7]),
+        (6, [6, 7, 7]),
+        (7, [5, 5, 5, 5]),
+        (12, [3, 3, 4, 3, 3, 4]),
+        (13, [2, 3, 3, 3, 3, 3, 3]),
+        (64, [1] * 20),
+    ]
     for n_workers, lengths in cases:
         groups = study_groups(spec, n_workers)
-        assert [g[:2] for g in groups] == [p for p in pairs for _ in lengths]
-        assert [len(g[2]) for g in groups[: len(lengths)]] == lengths
-        assert sum((g[2] for g in groups[: len(lengths)]), ()) == spec.seeds
+        assert [g[0] for g in groups] == [k for k in spec.dims for _ in lengths]
+        for dim in range(len(spec.dims)):
+            own = groups[dim * len(lengths):(dim + 1) * len(lengths)]
+            assert [len(g[1]) for g in own] == lengths
+            assert sum((g[1] for g in own), ()) == streams
     monkeypatch.setattr(scaling.os, "cpu_count", lambda: 40)
-    assert [g[2] for g in study_groups(spec)[:10]] == [(s,) for s in spec.seeds]
+    assert [g[1] for g in study_groups(spec)[:20]] == [(s,) for s in streams]
+    monkeypatch.setattr(scaling, "GROUP_SEEDS", 1)
+    assert [len(g[1]) for g in study_groups(spec, 1)] == [2] * 20
 
 
 def test_split_groups_give_the_rows_of_whole_ones(pool_sizes, monkeypatch):
@@ -209,9 +255,13 @@ def test_split_groups_give_the_rows_of_whole_ones(pool_sizes, monkeypatch):
 
     spec = replace(TINY, seeds=(1, 2, 3))
     whole = run_scaling_study(spec, n_workers=1)
-    singles = run_scaling_study(spec, n_workers=64)  # one group per seed, mapped in-process
+    singles = run_scaling_study(spec, n_workers=64)  # one group per stream, mapped in-process
     monkeypatch.setattr(scaling, "GROUP_SEEDS", 2)
-    assert [g[2] for g in study_groups(spec, 1)] == [(1,), (2, 3)] * 2
+    # seed 2's kernels land in different groups
+    assert [g[1] for g in study_groups(spec, 1)] == [
+        ((1, "additive-tmcmc"), (1, "rwmh"), (2, "additive-tmcmc")),
+        ((2, "rwmh"), (3, "additive-tmcmc"), (3, "rwmh")),
+    ]
     uneven = run_scaling_study(spec, n_workers=1)
     assert pool_sizes == [6]
     for report in (singles, uneven):
@@ -219,23 +269,25 @@ def test_split_groups_give_the_rows_of_whole_ones(pool_sizes, monkeypatch):
         assert [asdict(o) for o in report.optima] == [asdict(o) for o in whole.optima]
 
 
-def test_failed_group_keeps_only_whole_pairs(pool_sizes, monkeypatch):
+def test_failed_group_keeps_the_rows_of_finished_groups(pool_sizes, monkeypatch):
     from tmcmc import scaling
 
     run_group = scaling.run_study_group
 
-    def fail_on_the_last_seed_of_k_8(group, spec):
-        if group == ("additive-tmcmc", 8, (2,)):
+    def fail_on_seed_1_rwmh_of_k_8(group, spec):
+        if group == (8, ((1, "rwmh"),)):
             raise MemoryError("worker lost")
         return run_group(group, spec)
 
-    monkeypatch.setattr(scaling, "run_study_group", fail_on_the_last_seed_of_k_8)
+    monkeypatch.setattr(scaling, "run_study_group", fail_on_seed_1_rwmh_of_k_8)
     spec = replace(TINY, dims=(4, 8))
     with pytest.raises(RuntimeError, match="worker lost") as info:
-        run_scaling_study(spec, n_workers=64)  # one group per seed, mapped in-process
+        run_scaling_study(spec, n_workers=64)  # one group per stream, mapped in-process
     assert pool_sizes == [8]
-    # (additive-tmcmc, 8, (1,)) finished, but its pair did not: only k = 4 is kept
-    expected = run_group(("additive-tmcmc", 4, (1, 2)), spec)
+    # every group of k = 4 and (8, ((1, additive-tmcmc),)) finished: their rows, in grid order
+    whole = run_scaling_study(spec, n_workers=1).rows
+    expected = [r for r in whole if r.k == 4 or (r.kernel, r.k, r.seed) == ("additive-tmcmc", 8, 1)]
+    assert len(expected) == 2 * 3 * 2 + 3
     assert _without_wall(info.value.partial_report.rows) == _without_wall(expected)
 
 
@@ -243,13 +295,15 @@ def test_failed_group_keeps_only_whole_pairs(pool_sizes, monkeypatch):
 def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
     spec = ScalingStudySpec(dims=(4,), ell_grid=TINY.ell_grid, n_iter=TINY.n_iter, burn_in=TINY.burn_in, seeds=(1,))
     # k = 0 gets past the spec's validation this way, so the second group
-    # (additive-tmcmc, k=0) raises inside whichever process runs it.
+    # (k = 0, both kernels) raises inside whichever process runs it.
     object.__setattr__(spec, "dims", (4, 0))
     with pytest.raises(RuntimeError, match="positive integer") as info:
         run_scaling_study(spec, n_workers=n_workers)
     partial = info.value.partial_report
     assert partial.partial and partial.optima == []
-    assert _without_wall(partial.rows) == _without_wall(run_study_group(("additive-tmcmc", 4, (1,)), spec))
+    # the first group, both kernels at k = 4, finished: its rows in grid order
+    cells = run_study_group((4, ((1, "additive-tmcmc"), (1, "rwmh"))), spec)
+    assert _without_wall(partial.rows) == _without_wall(cells[0::2] + cells[1::2])
 
 
 def test_report_grid_shape_and_optima():
