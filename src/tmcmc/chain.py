@@ -24,10 +24,10 @@ proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
 
 One lockstep engine.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
-each stream on its own generator and with its own kernel (additive or
-random walk), through one batched log-density call and one ``accept_batch``
-per step; ``lockstep_path`` rebuilds any of its chains, bit-identical to its
-``run_chain`` twin.  ``map_tasks`` is the one process pool.
+each stream on its own generator and with its own kernel (the additive
+streams, then the random-walk ones), through one batched log-density call
+and one ``accept_batch`` per step; ``lockstep_path`` rebuilds any of its
+chains, bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process pool.
 """
 
 from __future__ import annotations
@@ -284,13 +284,13 @@ class Lockstep(NamedTuple):
     """What ``run_lockstep`` records: enough to rebuild every chain's path.
 
     Stream ``g``'s chains are columns ``g * C .. g * C + C - 1`` of
-    ``accepted``.  Its directions are kept by kernel: an additive stream's
-    ``d = +a`` or ``-a`` as the sign bits of ``d`` in ``signs``, an rwmh
-    stream's normals in ``normals``, each at the stream's index among those
-    of its kernel.
+    ``accepted``.  The first ``n_additive`` streams are additive, the rest
+    rwmh.  An additive stream ``g`` keeps ``d = +a`` or ``-a`` as the sign
+    bits of ``d`` in ``signs[:, g]``; an rwmh stream ``g`` keeps its normals
+    in ``normals[:, g - n_additive]``.
     """
 
-    additive: np.ndarray  # (G,) bool: stream g runs additive-tmcmc, else rwmh
+    n_additive: int  # streams 0 .. n_additive - 1 run additive-tmcmc, the rest rwmh
     x0: np.ndarray  # (G, n_record): each stream's start, leading coordinates
     scales: np.ndarray  # (C,): the proposal scale of chain (g, c) is scales[c]
     a: np.ndarray  # (n_record,): |a| of the leading coordinates
@@ -314,32 +314,28 @@ def run_lockstep(
     """Advance ``G = len(rngs)`` streams of ``C = len(scales)`` chains in lockstep.
 
     Stream ``g`` runs kernel ``kernels[g]`` (``"additive-tmcmc"`` or
-    ``"rwmh"``) on its own generator ``rngs[g]``.  Every chain of stream
-    ``g`` starts at ``x0[g]``; chain ``(g, c)`` proposes
-    ``x + d_g * (scales[c] * r_g)``.  Per step stream ``g`` draws what
-    ``run_chain`` of its kernel would: additive, ``k`` uniforms giving
-    ``d_g = +a`` where below 0.5 and ``-a`` elsewhere (``a``: the
-    per-coordinate move scales), then ``r_g = |N(0, 1)|``; rwmh, ``k``
-    standard normals ``d_g`` and ``r_g = 1``; then one acceptance uniform,
-    shared by the stream's chains.  Each step then builds every proposal at
-    once, evaluates them in one ``log_density`` call on a ``(G * C, k)``
-    batch, which must be row by row bit-identical to single calls, and
-    decides them in one ``accept_batch``.
+    ``"rwmh"``; the additive streams come first, else ``ValueError``) on its
+    own generator ``rngs[g]``.  Every chain of stream ``g`` starts at
+    ``x0[g]``; chain ``(g, c)`` proposes ``x + d_g * (scales[c] * r_g)``.
+    Per step stream ``g`` draws what ``run_chain`` of its kernel would:
+    additive, ``k`` uniforms giving ``d_g = +a`` where below 0.5 and ``-a``
+    elsewhere (``a``: the per-coordinate move scales), then
+    ``r_g = |N(0, 1)|``; rwmh, ``k`` standard normals ``d_g`` and
+    ``r_g = 1``; then one acceptance uniform, shared by the stream's chains.
+    Each step then builds every proposal at once, evaluates them in one
+    ``log_density`` call on a ``(G * C, k)`` batch, which must be row by row
+    bit-identical to single calls, and decides them in one ``accept_batch``.
     """
-    if set(kernels) - {"additive-tmcmc", "rwmh"} or not len(kernels) == len(rngs) == len(x0):
-        raise ValueError("need one kernel (additive-tmcmc or rwmh), one generator and one start per stream")
+    n_add = list(kernels).count("additive-tmcmc")
+    in_order = list(kernels) == ["additive-tmcmc"] * n_add + ["rwmh"] * (len(kernels) - n_add)
+    if not in_order or not len(kernels) == len(rngs) == len(x0):
+        raise ValueError("need one kernel (additive-tmcmc first, then rwmh), one generator and one start per stream")
     x0 = np.asarray(x0, dtype=float)
     (n_streams, k), n_cells = x0.shape, len(scales)
     scales = np.asarray(scales, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), (k,))
-    additive = np.array([name == "additive-tmcmc" for name in kernels], dtype=bool)
-    n_add = int(additive.sum())
-    # Rows hold the additive streams first, so that each kernel's rows are one
-    # slice; the record is put back in stream order at the end.
-    order = np.concatenate([np.flatnonzero(additive), np.flatnonzero(~additive)])
-    rngs = [rngs[g] for g in order]
-    x = np.repeat(x0[order], n_cells, axis=0)
-    lp_x = np.repeat(log_density(x0[order]), n_cells)
+    x = np.repeat(x0, n_cells, axis=0)
+    lp_x = np.repeat(log_density(x0), n_cells)
     y = np.empty_like(x)
     d = np.empty((n_streams, k))
     sr = np.tile(scales, (n_streams, 1))  # scales * r_g, one row per stream
@@ -376,11 +372,7 @@ def run_lockstep(
             accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_all, n_nonfinite)
             if n_add < n_streams:
                 normals[i] = d_rw_head
-    back = np.empty_like(order)
-    back[order] = np.arange(n_streams)  # no argsort: its sort code would add to the resident set
-    accepted = accepted.reshape(n_iter, n_streams, n_cells)[:, back].reshape(n_iter, -1)
-    n_nonfinite = n_nonfinite.reshape(n_streams, n_cells)[back].reshape(-1)
-    return Lockstep(additive, x0[:, :n_record].copy(), scales, np.abs(a[:n_record]), signs, r, normals,
+    return Lockstep(n_add, x0[:, :n_record].copy(), scales, np.abs(a[:n_record]), signs, r, normals,
                     accepted, n_nonfinite)
 
 
@@ -394,17 +386,16 @@ def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.
     """
     g, c = divmod(chain, len(run.scales))
     j = slice(None) if coord is None else coord
-    slot = int(np.count_nonzero(run.additive[:g]))  # the stream's index among those of its kernel
     path = np.empty((len(run.accepted) + 1,) + run.x0[g, j].shape)
     path[0] = run.x0[g, j]
     steps = path[1:]
-    if run.additive[g]:  # (scale * r) * a, negated where d = -a: no temporaries
-        r = run.r[:, slot]
+    if g < run.n_additive:  # (scale * r) * a, negated where d = -a: no temporaries
+        r = run.r[:, g]
         np.multiply(r if steps.ndim == 1 else r[:, None], run.scales[c], out=steps)
         steps *= run.a[j]
-        np.negative(steps, out=steps, where=run.signs[:, slot, j])
+        np.negative(steps, out=steps, where=run.signs[:, g, j])
     else:
-        np.multiply(run.normals[:, g - slot, j], run.scales[c], out=steps)
+        np.multiply(run.normals[:, g - run.n_additive, j], run.scales[c], out=steps)
     steps[~run.accepted[:, chain]] = 0.0
     return np.cumsum(path, axis=0, out=path)[1:]
 

@@ -17,15 +17,18 @@ whatever was accepted: per step a direction ``d`` (additive: ``k`` sign
 uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals), then one
 acceptance uniform.  So the cells of one dimension run in lockstep through
 ``chain.run_lockstep``.  A dimension's streams are its (seed, kernel)
-pairs, seed-major; ``study_groups`` cuts them into contiguous groups, as
-few as keep the workers busy and none holding more than ``GROUP_SEEDS``
-seeds' worth of streams.  A group steps all its streams together, each drawn
-in the order a single-chain ``run_chain`` of its kernel uses, and evaluates
-every (stream, ell) chain's proposal in one batched log-density call per
-step.  Every cell is bit-identical to that single chain
-(``tests/test_scaling.py`` checks this), however the streams are grouped.
-A cell's ``wall_ms`` is its group's loop time divided by the number of
-(stream, ell) chains in the group, whichever kernels they run.
+pairs, kernel-major (the additive seeds, then the rwmh ones);
+``study_groups`` cuts them into contiguous groups, one a dimension when
+serial and at least one a worker otherwise, none holding more than
+``GROUP_SEEDS`` seeds' worth of streams.  A group steps all its streams
+together, each drawn in the order a single-chain ``run_chain`` of its
+kernel uses, and evaluates every (stream, ell) chain's proposal in one
+batched log-density call per step.  Every cell is bit-identical to that
+single chain (``tests/test_scaling.py`` checks this), however the streams
+are grouped.  A cell's ``wall_ms`` is its group's loop time divided by the
+number of (stream, ell) chains in the group, whichever kernels they run: the
+cells of a group that holds both kernels show the same ``wall_ms``, so it
+does not compare the two kernels' cost per step.
 """
 
 from __future__ import annotations
@@ -148,17 +151,20 @@ GROUP_SEEDS = 4  # a group holds at most this many seeds' worth of streams; its 
 def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> list:
     """The ``(k, streams)`` groups of the study, dimension by dimension.
 
-    A dimension's streams are its ``(seed, kernel)`` pairs, seed-major.  They
-    are cut into contiguous runs of near-equal length: as few as keep
-    ``min(n_workers, dims x streams)`` processes busy (``n_workers`` None:
-    the cpu count), and none longer than ``GROUP_SEEDS`` seeds' worth of
-    streams.
+    A dimension's streams are its ``(seed, kernel)`` pairs, kernel-major, the
+    additive ones first as ``run_lockstep`` needs.  They are cut into
+    ``max(n_workers, ceil(seeds / GROUP_SEEDS))`` contiguous runs of
+    near-equal length (``n_workers`` None: the cpu count), at most one a
+    stream.  So every dimension alone, the costliest one too, can keep all
+    the workers busy, a serial study steps each dimension in one group (for
+    up to ``GROUP_SEEDS`` seeds), and no group holds more than
+    ``GROUP_SEEDS`` seeds' worth of streams.
     """
-    streams = [(seed, kernel) for seed in spec.seeds for kernel in spec.kernels]
-    n_dims, n = len(spec.dims), len(streams)
+    kernels = sorted(spec.kernels, key=STUDY_KERNELS.index)
+    streams = [(seed, kernel) for kernel in kernels for seed in spec.seeds]
     workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    n_runs = min(n, max(-(-min(workers, n_dims * n) // n_dims), -(-len(spec.seeds) // GROUP_SEEDS)))
-    cuts = [i * n // n_runs for i in range(n_runs + 1)]
+    n_runs = min(len(streams), max(workers, -(-len(spec.seeds) // GROUP_SEEDS)))
+    cuts = [i * len(streams) // n_runs for i in range(n_runs + 1)]
     return [(k, tuple(streams[lo:hi])) for k in spec.dims for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -228,22 +234,21 @@ def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -
     ``partial_report``: the rows of the groups finished before it, in grid
     order.
     """
+
+    def grid_order(r: CellResult) -> tuple:
+        return (spec.kernels.index(r.kernel), spec.dims.index(r.k), spec.ell_grid.index(r.ell),
+                spec.seeds.index(r.seed))
+
     groups = study_groups(spec, n_workers)
-    shape = (len(spec.kernels), len(spec.dims), len(spec.ell_grid), len(spec.seeds))
-    grid = np.empty(shape, dtype=object)  # the rows in grid order; None until their group is done
-    # the (dimension, seed, kernel) indices of every stream, in the order study_groups cuts them
-    streams = [(d, s, kn) for d in range(shape[1]) for s in range(shape[3]) for kn in range(shape[0])]
-    done = 0  # streams of the groups finished so far
+    rows: list = []
     try:
-        for (_, group), cells in zip(groups, map_tasks(partial(run_study_group, spec=spec), groups, n_workers)):
-            for t, (d, s, kn) in enumerate(streams[done:done + len(group)]):
-                grid[kn, d, :, s] = cells[t::len(group)]  # the cells come in (ell, stream) order
-            done += len(group)
+        for cells in map_tasks(partial(run_study_group, spec=spec), groups, n_workers):
+            rows += cells
     except Exception as exc:
         err = RuntimeError(f"scaling-study group failed: {exc}")
-        err.partial_report = StudyReport(spec, [r for r in grid.ravel() if r is not None], [], partial=True)
+        err.partial_report = StudyReport(spec, sorted(rows, key=grid_order), [], partial=True)
         raise err from exc
-    rows = list(grid.ravel())
+    rows.sort(key=grid_order)
 
     optima = []
     for kernel in spec.kernels:

@@ -92,8 +92,8 @@ def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, re
 
 LOCKSTEP_STREAMS = {
     **{kernel: [(seed, kernel) for seed in (11, 12, 13)] for kernel in STUDY_KERNELS},
-    # kernels interleaved, so the engine's additive-first rows are not the stream order
-    "mixed": [(11, "rwmh"), (11, "additive-tmcmc"), (12, "rwmh"), (13, "rwmh"), (12, "additive-tmcmc")],
+    # both kernels in one group, the additive streams first
+    "mixed": [(11, "additive-tmcmc"), (12, "additive-tmcmc"), (11, "rwmh"), (12, "rwmh"), (13, "rwmh")],
 }
 
 
@@ -115,11 +115,11 @@ def test_lockstep_cells_equal_single_chain_runs(streams, k):
 
     _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start)
     assert run.n_nonfinite.sum() == 0
-    additive = [kernel == "additive-tmcmc" for kernel in kernels]
-    assert run.additive.tolist() == additive
+    n_additive = kernels.count("additive-tmcmc")
+    assert run.n_additive == n_additive
     # the additive directions are kept as sign bits, the rwmh ones as floats
-    assert run.signs.dtype == bool and run.signs.shape == (1_500, sum(additive), n_coords)
-    assert run.normals.dtype == float and run.normals.shape == (1_500, len(streams) - sum(additive), n_coords)
+    assert run.signs.dtype == bool and run.signs.shape == (1_500, n_additive, n_coords)
+    assert run.normals.dtype == float and run.normals.shape == (1_500, len(streams) - n_additive, n_coords)
 
 
 def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
@@ -140,26 +140,26 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
     def reference_start(g):
         return x0[g], np.random.default_rng(5 + g)
 
-    for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("rwmh", "additive-tmcmc")]:
+    for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("additive-tmcmc", "rwmh")]:
         rngs = [np.random.default_rng(5 + g) for g in range(2)]
         run = run_lockstep(kernels, log_density, x0, scales, 2_000, rngs, 3)
         _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start)
         assert run.n_nonfinite.min() > 0
 
 
-def test_lockstep_rejects_unknown_kernels_and_ragged_streams():
+def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
     target = make_iid_gaussian(2)
     x0, rngs = np.zeros((2, 2)), [np.random.default_rng(g) for g in range(2)]
-    for kernels in (("rwmh", "hmc"), ("rwmh",)):
+    for kernels in (("rwmh", "hmc"), ("rwmh", "additive-tmcmc"), ("rwmh",)):
         with pytest.raises(ValueError, match="one kernel"):
             run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)
 
 
 def test_slice_cells_match_the_single_chain_study_metrics():
     n_coords = min(ESS_COORD_BLOCK, 4)
-    rows = run_study_group((4, ((3, "rwmh"), (3, "additive-tmcmc"))), TINY)
+    rows = run_study_group((4, ((3, "additive-tmcmc"), (3, "rwmh"))), TINY)
     # (ell, stream) order
-    assert [(r.ell, r.kernel) for r in rows] == [(e, kn) for e in TINY.ell_grid for kn in ("rwmh", "additive-tmcmc")]
+    assert [(r.ell, r.kernel) for r in rows] == [(e, kn) for e in TINY.ell_grid for kn in STUDY_KERNELS]
     for row in rows:
         rng = _cell_rng(3, row.kernel, 4)
         x0 = rng.standard_normal(4)
@@ -180,8 +180,9 @@ def test_group_of_seeds_equals_each_seed_run_alone():
     assert _without_wall(together.rows) == _without_wall(
         [row for cells in zip(*alone) for row in cells]
     )
-    # a cell's wall_ms is its group's loop time over the group's cells
-    assert len({r.wall_ms for r in together.rows if r.kernel == "rwmh"}) == 1
+    # a cell's wall_ms is its group's loop time over the group's chains: serially
+    # both kernels share one group, so their cells show the same wall_ms
+    assert len({r.wall_ms for r in together.rows}) == 1
 
 
 def _without_wall(rows):
@@ -199,6 +200,11 @@ def test_study_report_is_independent_of_worker_count():
     # rows come in grid order: kernel, k, ell, seed
     keys = [(r.kernel, r.k, r.ell, r.seed) for r in serial.rows]
     assert keys == [(kn, k, e, s) for kn in TINY.kernels for k in TINY.dims for e in TINY.ell_grid for s in TINY.seeds]
+    # kernels listed rwmh first: the groups still step the additive streams first, the rows follow the spec
+    swapped = run_scaling_study(replace(TINY, kernels=("rwmh", "additive-tmcmc")), n_workers=1)
+    assert _without_wall(swapped.rows) == _without_wall(
+        [r for r in serial.rows if r.kernel == "rwmh"] + [r for r in serial.rows if r.kernel == "additive-tmcmc"]
+    )
 
 
 @pytest.mark.parametrize("n_workers,pool", [(1, []), (2, [2]), (3, [3]), (64, [12])])
@@ -208,7 +214,8 @@ def test_mixed_kernel_groups_give_the_rows_of_each_kernel_alone(n_workers, pool,
     alone = {kn: run_scaling_study(replace(spec, kernels=(kn,)), n_workers=1) for kn in spec.kernels}
     assert _without_wall(report.rows) == _without_wall(alone["additive-tmcmc"].rows + alone["rwmh"].rows)
     assert [asdict(o) for o in report.optima] == [asdict(o) for kn in spec.kernels for o in alone[kn].optima]
-    # 1 or 2 workers: one group a dimension; 3: two, one seed's kernels split; 64: one a stream
+    # 1 worker: one group a dimension; 2: one a kernel; 3: three, the second (3, additive), (1, rwmh);
+    # 64: one a stream
     assert pool_sizes == pool
 
 
@@ -226,15 +233,15 @@ def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
     from tmcmc import scaling
 
     spec = replace(TINY, dims=(4, 8), seeds=tuple(range(1, 11)))
-    streams = tuple((s, kn) for s in spec.seeds for kn in spec.kernels)  # seed-major
-    # at most GROUP_SEEDS = 4 seeds' worth (8 streams) a group; at least ceil(workers / dims) groups a dimension
+    streams = tuple((s, kn) for kn in spec.kernels for s in spec.seeds)  # kernel-major
+    # at most GROUP_SEEDS = 4 seeds' worth (8 streams) a group; at least one a worker in every dimension
     cases = [
         (1, [6, 7, 7]),
         (0, [6, 7, 7]),
-        (6, [6, 7, 7]),
-        (7, [5, 5, 5, 5]),
-        (12, [3, 3, 4, 3, 3, 4]),
-        (13, [2, 3, 3, 3, 3, 3, 3]),
+        (3, [6, 7, 7]),
+        (4, [5, 5, 5, 5]),
+        (6, [3, 3, 4, 3, 3, 4]),
+        (7, [2, 3, 3, 3, 3, 3, 3]),
         (64, [1] * 20),
     ]
     for n_workers, lengths in cases:
@@ -244,8 +251,11 @@ def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
             own = groups[dim * len(lengths):(dim + 1) * len(lengths)]
             assert [len(g[1]) for g in own] == lengths
             assert sum((g[1] for g in own), ()) == streams
-    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 40)
+    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 20)
     assert [g[1] for g in study_groups(spec)[:20]] == [(s,) for s in streams]
+    # the default study on two workers: the k = 100 dimension alone fills both
+    default = study_groups(ScalingStudySpec(), 2)
+    assert [(k, len(g)) for k, g in default] == [(k, 4) for k in (10, 30, 100) for _ in range(2)]
     monkeypatch.setattr(scaling, "GROUP_SEEDS", 1)
     assert [len(g[1]) for g in study_groups(spec, 1)] == [2] * 20
 
@@ -256,11 +266,12 @@ def test_split_groups_give_the_rows_of_whole_ones(pool_sizes, monkeypatch):
     spec = replace(TINY, seeds=(1, 2, 3))
     whole = run_scaling_study(spec, n_workers=1)
     singles = run_scaling_study(spec, n_workers=64)  # one group per stream, mapped in-process
-    monkeypatch.setattr(scaling, "GROUP_SEEDS", 2)
-    # seed 2's kernels land in different groups
+    monkeypatch.setattr(scaling, "GROUP_SEEDS", 1)
+    # three groups, the second holding both kernels
     assert [g[1] for g in study_groups(spec, 1)] == [
-        ((1, "additive-tmcmc"), (1, "rwmh"), (2, "additive-tmcmc")),
-        ((2, "rwmh"), (3, "additive-tmcmc"), (3, "rwmh")),
+        ((1, "additive-tmcmc"), (2, "additive-tmcmc")),
+        ((3, "additive-tmcmc"), (1, "rwmh")),
+        ((2, "rwmh"), (3, "rwmh")),
     ]
     uneven = run_scaling_study(spec, n_workers=1)
     assert pool_sizes == [6]
@@ -284,24 +295,24 @@ def test_failed_group_keeps_the_rows_of_finished_groups(pool_sizes, monkeypatch)
     with pytest.raises(RuntimeError, match="worker lost") as info:
         run_scaling_study(spec, n_workers=64)  # one group per stream, mapped in-process
     assert pool_sizes == [8]
-    # every group of k = 4 and (8, ((1, additive-tmcmc),)) finished: their rows, in grid order
+    # every group of k = 4 and the additive ones of k = 8 finished: their rows, in grid order
     whole = run_scaling_study(spec, n_workers=1).rows
-    expected = [r for r in whole if r.k == 4 or (r.kernel, r.k, r.seed) == ("additive-tmcmc", 8, 1)]
-    assert len(expected) == 2 * 3 * 2 + 3
+    expected = [r for r in whole if r.k == 4 or r.kernel == "additive-tmcmc"]
+    assert len(expected) == 2 * 3 * 2 + 3 * 2
     assert _without_wall(info.value.partial_report.rows) == _without_wall(expected)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
     spec = ScalingStudySpec(dims=(4,), ell_grid=TINY.ell_grid, n_iter=TINY.n_iter, burn_in=TINY.burn_in, seeds=(1,))
-    # k = 0 gets past the spec's validation this way, so the second group
-    # (k = 0, both kernels) raises inside whichever process runs it.
+    # k = 0 gets past the spec's validation this way, so the groups of
+    # k = 0 raise inside whichever process runs them.
     object.__setattr__(spec, "dims", (4, 0))
     with pytest.raises(RuntimeError, match="positive integer") as info:
         run_scaling_study(spec, n_workers=n_workers)
     partial = info.value.partial_report
     assert partial.partial and partial.optima == []
-    # the first group, both kernels at k = 4, finished: its rows in grid order
+    # the groups of k = 4 finished: both kernels' rows, in grid order
     cells = run_study_group((4, ((1, "additive-tmcmc"), (1, "rwmh"))), spec)
     assert _without_wall(partial.rows) == _without_wall(cells[0::2] + cells[1::2])
 
