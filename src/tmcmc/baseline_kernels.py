@@ -88,17 +88,24 @@ class LeapfrogError(RuntimeError):
 
 
 def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
-    """Propose ``x + sigma * N(0, I)`` and accept by the density ratio."""
+    """Propose ``x + sigma * d`` (``kernel.direction``: ``k`` normals ``d``, ``r = 1``); accept by the density ratio."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     log_density = target.log_density
 
+    def direction(rng: np.random.Generator, out: np.ndarray) -> float:
+        rng.standard_normal(out=out)
+        return 1.0
+
     def kernel(state: ChainState, rng: np.random.Generator):
-        y = state.x + sigma * rng.standard_normal(state.x.size)
+        d = np.empty_like(state.x)
+        r = direction(rng, d)
+        y = state.x + d * (sigma * r)
         lp_y = log_density(y)
         return accept_step(state, ChainState(y, lp_y), lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
+    kernel.direction = direction
     return kernel
 
 

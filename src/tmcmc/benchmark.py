@@ -22,10 +22,11 @@ from typing import Optional
 
 import numpy as np
 
+from .baseline_kernels import make_rwmh_kernel
 from .chain import chain_rng, lockstep_path, map_tasks, run_lockstep
-from .diagnostics import acceptance_rate, iact_and_ess, split_rhat
+from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess, split_rhat
 from .targets import make_challenger_logistic
-from .transform_kernels import TmcmcConfig
+from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
 __all__ = ["ChallengerConfig", "run_challenger_benchmark"]
 
@@ -48,8 +49,6 @@ class ChallengerConfig:
     rhat_threshold: float = 1.05
 
     def __post_init__(self):
-        if self.n_iter < 100:
-            raise ValueError("n_iter too small for a meaningful benchmark")
         if self.n_chains < 2:
             raise ValueError("need at least 2 chains for split-chain diagnostics")
         if not 0.0 <= self.burn_frac < 1.0:
@@ -57,6 +56,9 @@ class ChallengerConfig:
         if self.rwmh_sigma <= 0.0:
             raise ValueError(f"rwmh_sigma must be positive, got {self.rwmh_sigma}")
         TmcmcConfig(scales=self.tmcmc_scales, eps_scale=self.tmcmc_eps_scale)  # raises on bad additive tuning
+        kept = self.n_iter - int(self.burn_frac * self.n_iter)
+        if kept < MIN_SAMPLES:
+            raise ValueError(f"need n_iter - int(burn_frac * n_iter) >= {MIN_SAMPLES} for the ESS, got {kept}")
 
 
 def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
@@ -64,17 +66,20 @@ def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
 
     Chain ``c`` is one ``run_lockstep`` stream on its own generator,
     ``chain_rng(cfg.seed, c + j * cfg.n_chains)`` with ``j`` the kernel's
-    index in ``BENCH_KERNELS``: its start, then per step what ``run_chain``
-    of ``make_additive_tmcmc_kernel`` or ``make_rwmh_kernel`` would draw.
+    index in ``BENCH_KERNELS``: its start, then per step the draws of the
+    kernel built from ``cfg``, at that kernel's own scale.
     """
     target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
+    if kernel_name == "additive-tmcmc":
+        scale = cfg.tmcmc_eps_scale
+        kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=scale))
+    else:
+        kernel, scale = make_rwmh_kernel(target, cfg.rwmh_sigma), cfg.rwmh_sigma
     offset = BENCH_KERNELS.index(kernel_name) * cfg.n_chains
     rngs = [chain_rng(cfg.seed, c + offset) for c in range(cfg.n_chains)]
     # Overdispersed starts relative to the posterior spread.
     x0 = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
-    scale = cfg.tmcmc_eps_scale if kernel_name == "additive-tmcmc" else cfg.rwmh_sigma
-    run = run_lockstep([kernel_name] * cfg.n_chains, target.log_density, x0, [scale], cfg.n_iter, rngs, 2,
-                       a=cfg.tmcmc_scales)
+    run = run_lockstep([kernel] * cfg.n_chains, target.log_density, x0, [scale], cfg.n_iter, rngs, 2)
     burn = int(cfg.burn_frac * cfg.n_iter)
     t_bar = target.info["t_bar"]
     flags = run.accepted[burn:]

@@ -24,10 +24,10 @@ proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
 
 One lockstep engine.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
-each stream on its own generator and with its own kernel (the additive
-streams, then the random-walk ones), through one batched log-density call
-and one ``accept_batch`` per step; ``lockstep_path`` rebuilds any of its
-chains, bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process pool.
+each on its own generator with its own symmetric kernel, whose own draw
+``kernel.direction`` it calls, through one batched log-density call and one
+``accept_batch`` per step; ``lockstep_path`` rebuilds any of its chains,
+bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process pool.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class Step(NamedTuple):
 Kernel = Callable[[ChainState, np.random.Generator], Step]
 
 CSV_BLOCK_ROWS = 4096  # rows per block in ``Trace.write_csv``
-BELOW_HALF = np.nextafter(0.5, 0.0)  # the largest double below 0.5
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -208,10 +207,10 @@ class Trace:
 
     def summary(self) -> dict:
         """JSON-ready run summary (acceptance rate, per-coordinate ESS, timing)."""
-        from .diagnostics import acceptance_rate, iact_and_ess
+        from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess
 
         ess = {}
-        if len(self) >= 100:
+        if len(self) >= MIN_SAMPLES:
             for j, coord in enumerate(self.recorded_coords):
                 _, e = iact_and_ess(self.states[:, j])
                 ess[f"x_{coord}"] = e
@@ -284,96 +283,85 @@ class Lockstep(NamedTuple):
     """What ``run_lockstep`` records: enough to rebuild every chain's path.
 
     Stream ``g``'s chains are columns ``g * C .. g * C + C - 1`` of
-    ``accepted``.  The first ``n_additive`` streams are additive, the rest
-    rwmh.  An additive stream ``g`` keeps ``d = +a`` or ``-a`` as the sign
-    bits of ``d`` in ``signs[:, g]``; an rwmh stream ``g`` keeps its normals
-    in ``normals[:, g - n_additive]``.
+    ``accepted``.  A sign-move stream ``g < n_signed`` keeps ``d = +-a`` as the
+    sign bits ``signs[:, g]`` and ``|a|`` as ``a[g]``; any other stream keeps
+    its ``d`` in ``normals[:, g - n_signed]``.
     """
 
-    n_additive: int  # streams 0 .. n_additive - 1 run additive-tmcmc, the rest rwmh
+    n_signed: int  # streams 0 .. n_signed - 1 draw sign moves d = +-a
     x0: np.ndarray  # (G, n_record): each stream's start, leading coordinates
     scales: np.ndarray  # (C,): the proposal scale of chain (g, c) is scales[c]
-    a: np.ndarray  # (n_record,): |a| of the leading coordinates
-    signs: np.ndarray  # (n_iter, G_add, n_record) bool: signbit(d), so d = -a where True, +a elsewhere
-    r: np.ndarray  # (n_iter, G_add): each additive stream's innovation
-    normals: np.ndarray  # (n_iter, G_rw, n_record): leading coordinates of each rwmh stream's d
+    a: np.ndarray  # (G_sign, n_record): |a| of each sign-move stream's leading coordinates
+    signs: np.ndarray  # (n_iter, G_sign, n_record) bool: signbit(d), so d = -a where True, +a elsewhere
+    r: np.ndarray  # (n_iter, G_sign): each sign-move stream's innovation
+    normals: np.ndarray  # (n_iter, G - G_sign, n_record): leading coordinates of each other stream's d
     accepted: np.ndarray  # (n_iter, G * C): chain (g, c) is column g * C + c
     n_nonfinite: np.ndarray  # (G * C,): non-finite proposals per chain
 
 
 def run_lockstep(
-    kernels: Sequence[str],
+    kernels: Sequence[Kernel],
     log_density: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     scales: Sequence[float],
     n_iter: int,
     rngs: Sequence[np.random.Generator],
     n_record: int,
-    a=1.0,
 ) -> Lockstep:
     """Advance ``G = len(rngs)`` streams of ``C = len(scales)`` chains in lockstep.
 
-    Stream ``g`` runs kernel ``kernels[g]`` (``"additive-tmcmc"`` or
-    ``"rwmh"``; the additive streams come first, else ``ValueError``) on its
-    own generator ``rngs[g]``.  Every chain of stream ``g`` starts at
-    ``x0[g]``; chain ``(g, c)`` proposes ``x + d_g * (scales[c] * r_g)``.
-    Per step stream ``g`` draws what ``run_chain`` of its kernel would:
-    additive, ``k`` uniforms giving ``d_g = +a`` where below 0.5 and ``-a``
-    elsewhere (``a``: the per-coordinate move scales), then
-    ``r_g = |N(0, 1)|``; rwmh, ``k`` standard normals ``d_g`` and
-    ``r_g = 1``; then one acceptance uniform, shared by the stream's chains.
-    Each step then builds every proposal at once, evaluates them in one
-    ``log_density`` call on a ``(G * C, k)`` batch, which must be row by row
-    bit-identical to single calls, and decides them in one ``accept_batch``.
+    Stream ``g`` runs ``kernels[g]`` on its own generator ``rngs[g]``: per step
+    it calls ``kernels[g].direction(rng, d_g) -> r_g``, the draw the kernel's
+    own transition makes (only symmetric kernels have one), then draws one
+    acceptance uniform shared by its chains.  Chain ``(g, c)`` starts at
+    ``x0[g]`` and proposes ``x + d_g * (scales[c] * r_g)``.  Sign-move
+    streams, whose ``direction.a`` gives ``d = +-a``, come first (else
+    ``ValueError``); any other direction must return ``r = 1``.  All
+    proposals go to one ``log_density`` call on a ``(G * C, k)`` batch, which
+    must be row by row bit-identical to single calls.
     """
-    n_add = list(kernels).count("additive-tmcmc")
-    in_order = list(kernels) == ["additive-tmcmc"] * n_add + ["rwmh"] * (len(kernels) - n_add)
-    if not in_order or not len(kernels) == len(rngs) == len(x0):
-        raise ValueError("need one kernel (additive-tmcmc first, then rwmh), one generator and one start per stream")
+    directions = [getattr(kernel, "direction", None) for kernel in kernels]
+    signed = [hasattr(direction, "a") for direction in directions]
+    n_sign = signed.count(True)
+    if None in directions or signed != sorted(signed, reverse=True) or not len(kernels) == len(rngs) == len(x0):
+        raise ValueError("need one symmetric kernel (sign-move kernels first), one generator and one start per stream")
     x0 = np.asarray(x0, dtype=float)
     (n_streams, k), n_cells = x0.shape, len(scales)
     scales = np.asarray(scales, dtype=float)
-    a = np.broadcast_to(np.asarray(a, dtype=float), (k,))
+    a = np.array([direction.a[:n_record] for direction in directions[:n_sign]]).reshape(n_sign, n_record)
     x = np.repeat(x0, n_cells, axis=0)
     lp_x = np.repeat(log_density(x0), n_cells)
     y = np.empty_like(x)
     d = np.empty((n_streams, k))
     sr = np.tile(scales, (n_streams, 1))  # scales * r_g, one row per stream
-    r_now = np.empty(n_add)
+    r_now = np.empty(n_streams)
     log_u = np.empty((n_streams, n_cells))
     # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals.
     d_by_cell, sr_by_coord, y_by_group = d[:, None, :], sr[:, :, None], y.reshape(n_streams, n_cells, k)
-    d_rows, log_u_all = list(d), log_u.reshape(-1)
-    d_add, sr_add, r_by_cell = d[:n_add], sr[:n_add], r_now[:, None]
-    d_add_head, d_rw_head = d[:n_add, :n_record], d[n_add:, :n_record]
-    signs = np.empty((n_iter, n_add, n_record), dtype=bool)
-    r = np.empty((n_iter, n_add))
-    normals = np.empty((n_iter, n_streams - n_add, n_record))
+    streams, log_u_all = list(zip(directions, rngs, d)), log_u.reshape(-1)
+    r_sign, sr_sign, r_by_cell = r_now[:n_sign], sr[:n_sign], r_now[:n_sign, None]
+    d_sign_head, d_rest_head = d[:n_sign, :n_record], d[n_sign:, :n_record]
+    signs = np.empty((n_iter, n_sign, n_record), dtype=bool)
+    r = np.empty((n_iter, n_sign))
+    normals = np.empty((n_iter, n_streams - n_sign, n_record))
     accepted = np.empty((n_iter, n_streams * n_cells), dtype=bool)
     n_nonfinite = np.zeros(n_streams * n_cells, dtype=int)
     with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
         for i in range(n_iter):
-            for g, rng in enumerate(rngs):
-                if g < n_add:
-                    rng.random(out=d_rows[g])  # sign uniforms, turned into d below
-                    r_now[g] = abs(float(rng.standard_normal()))
-                else:
-                    rng.standard_normal(out=d_rows[g])
+            for g, (direction, rng, d_g) in enumerate(streams):
+                r_now[g] = direction(rng, d_g)
                 u = float(rng.random())
                 log_u[g] = math.log(u) if u > 0.0 else -math.inf
-            if n_add:
-                r[i] = r_now
-                np.multiply(r_by_cell, scales, out=sr_add)
-                # d = where(u < 0.5, a, -a) in two calls: BELOW_HALF - u >= +0.0 exactly when u < 0.5
-                np.copysign(a, np.subtract(BELOW_HALF, d_add, out=d_add), out=d_add)
-                np.signbit(d_add_head, out=signs[i])
+            if n_sign:
+                r[i] = r_sign
+                np.multiply(r_by_cell, scales, out=sr_sign)
+                np.signbit(d_sign_head, out=signs[i])
             np.multiply(d_by_cell, sr_by_coord, out=y_by_group)
             y += x
             accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_all, n_nonfinite)
-            if n_add < n_streams:
-                normals[i] = d_rw_head
-    return Lockstep(n_add, x0[:, :n_record].copy(), scales, np.abs(a[:n_record]), signs, r, normals,
-                    accepted, n_nonfinite)
+            if n_sign < n_streams:
+                normals[i] = d_rest_head
+    return Lockstep(n_sign, x0[:, :n_record].copy(), scales, a, signs, r, normals, accepted, n_nonfinite)
 
 
 def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.ndarray:
@@ -389,13 +377,13 @@ def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.
     path = np.empty((len(run.accepted) + 1,) + run.x0[g, j].shape)
     path[0] = run.x0[g, j]
     steps = path[1:]
-    if g < run.n_additive:  # (scale * r) * a, negated where d = -a: no temporaries
+    if g < run.n_signed:  # (scale * r) * a, negated where d = -a: no temporaries
         r = run.r[:, g]
         np.multiply(r if steps.ndim == 1 else r[:, None], run.scales[c], out=steps)
-        steps *= run.a[j]
+        steps *= run.a[g, j]
         np.negative(steps, out=steps, where=run.signs[:, g, j])
-    else:
-        np.multiply(run.normals[:, g - run.n_additive, j], run.scales[c], out=steps)
+    else:  # r = 1
+        np.multiply(run.normals[:, g - run.n_signed, j], run.scales[c], out=steps)
     steps[~run.accepted[:, chain]] = 0.0
     return np.cumsum(path, axis=0, out=path)[1:]
 

@@ -25,6 +25,7 @@ __all__ = [
 
 IACT_FLOOR = 1e-2
 ESS_FLOOR = 1.0
+MIN_SAMPLES = 100  # the shortest series iact_and_ess accepts
 
 
 def acceptance_rate(trace: Union[Trace, np.ndarray]) -> float:
@@ -80,8 +81,8 @@ def iact_and_ess(
     """
     x = samples.states[:, coordinate] if isinstance(samples, Trace) else np.asarray(samples, dtype=float)
     n = x.size
-    if n < 100:
-        raise ValueError(f"need at least 100 samples to estimate the autocorrelation time, got {n}")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples to estimate the autocorrelation time, got {n}")
     if np.var(x) < 1e-300 * max(1.0, float(np.abs(x).max()) ** 2):
         return float(n), ESS_FLOOR
     if method == "batch-means":

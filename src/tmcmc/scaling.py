@@ -13,22 +13,15 @@ fitted to the log-ESS profile near its peak (the raw argmax cell is reported
 alongside), with the acceptance rate interpolated at that vertex.
 
 Both study kernels consume their stream the same way whatever the scale and
-whatever was accepted: per step a direction ``d`` (additive: ``k`` sign
-uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals), then one
-acceptance uniform.  So the cells of one dimension run in lockstep through
-``chain.run_lockstep``.  A dimension's streams are its (seed, kernel)
-pairs, kernel-major (the additive seeds, then the rwmh ones);
-``study_groups`` cuts them into contiguous groups, one a dimension when
-serial and at least one a worker otherwise, none holding more than
-``GROUP_SEEDS`` seeds' worth of streams.  A group steps all its streams
-together, each drawn in the order a single-chain ``run_chain`` of its
-kernel uses, and evaluates every (stream, ell) chain's proposal in one
-batched log-density call per step.  Every cell is bit-identical to that
-single chain (``tests/test_scaling.py`` checks this), however the streams
-are grouped.  A cell's ``wall_ms`` is its group's loop time divided by the
-number of (stream, ell) chains in the group, whichever kernels they run: the
-cells of a group that holds both kernels show the same ``wall_ms``, so it
-does not compare the two kernels' cost per step.
+whatever was accepted: per step the kernel's own ``direction`` (additive:
+``k`` sign uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals),
+then one acceptance uniform.  So the cells of one dimension run in lockstep
+through ``chain.run_lockstep``, in the groups ``study_groups`` cuts its
+(seed, kernel) streams into, and every cell is bit-identical to a
+single-chain ``run_chain`` of its kernel (``tests/test_scaling.py`` checks
+this), however the streams are grouped.  A cell's ``wall_ms`` is its
+group's loop time divided by the group's (stream, ell) chains, so the cells
+of a group that holds both kernels show the same ``wall_ms``.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
 from .chain import lockstep_path, map_tasks, run_chain, run_lockstep
-from .diagnostics import acceptance_rate, expected_acceptance_rate, iact_and_ess
+from .diagnostics import MIN_SAMPLES, acceptance_rate, expected_acceptance_rate, iact_and_ess
 from .targets import make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
@@ -81,12 +74,18 @@ class ScalingStudySpec:
     def __post_init__(self):
         if not self.dims or not self.ell_grid or not self.seeds:
             raise ValueError("dims, ell_grid, and seeds must be nonempty")
+        for name in ("dims", "ell_grid", "seeds", "kernels"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if any(k < 1 for k in self.dims):
             raise ValueError("dims must be positive integers")
         if any(e <= 0 for e in self.ell_grid):
             raise ValueError("ell_grid entries must be positive")
         if not 0 <= self.burn_in < self.n_iter:
             raise ValueError("need 0 <= burn_in < n_iter")
+        if self.n_iter - self.burn_in < MIN_SAMPLES:
+            raise ValueError(f"need n_iter - burn_in >= {MIN_SAMPLES} for the ESS, got {self.n_iter - self.burn_in}")
         if self.target_family != "iid-gaussian":
             raise ValueError(f"unknown target_family {self.target_family!r}")
         unknown = set(self.kernels) - set(STUDY_KERNELS)
@@ -144,8 +143,14 @@ def _cell_rng(seed: int, kernel: str, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_KERNEL_IDS[kernel], k)))
 
 
+def _study_kernel(name: str, target, scale: float):
+    if name == "additive-tmcmc":
+        return make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
+    return make_rwmh_kernel(target, scale)
+
+
 ESS_COORD_BLOCK = 16
-GROUP_SEEDS = 4  # a group holds at most this many seeds' worth of streams; its record grows with them
+GROUP_STREAMS = 4  # a group holds at most this many streams; its record grows with them
 
 
 def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> list:
@@ -153,17 +158,16 @@ def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> lis
 
     A dimension's streams are its ``(seed, kernel)`` pairs, kernel-major, the
     additive ones first as ``run_lockstep`` needs.  They are cut into
-    ``max(n_workers, ceil(seeds / GROUP_SEEDS))`` contiguous runs of
+    ``max(n_workers, ceil(streams / GROUP_STREAMS))`` contiguous runs of
     near-equal length (``n_workers`` None: the cpu count), at most one a
     stream.  So every dimension alone, the costliest one too, can keep all
-    the workers busy, a serial study steps each dimension in one group (for
-    up to ``GROUP_SEEDS`` seeds), and no group holds more than
-    ``GROUP_SEEDS`` seeds' worth of streams.
+    the workers busy, and no group holds more than ``GROUP_STREAMS``
+    streams.
     """
     kernels = sorted(spec.kernels, key=STUDY_KERNELS.index)
     streams = [(seed, kernel) for kernel in kernels for seed in spec.seeds]
     workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    n_runs = min(len(streams), max(workers, -(-len(spec.seeds) // GROUP_SEEDS)))
+    n_runs = min(len(streams), max(workers, -(-len(streams) // GROUP_STREAMS)))
     cuts = [i * len(streams) // n_runs for i in range(n_runs + 1)]
     return [(k, tuple(streams[lo:hi])) for k in spec.dims for lo, hi in zip(cuts, cuts[1:])]
 
@@ -180,11 +184,12 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
     k, streams = group
     target = make_iid_gaussian(k)  # the one target_family the spec admits
     scales = [ell / np.sqrt(k) for ell in spec.ell_grid]
+    kernels = [_study_kernel(kernel, target, 1.0) for _, kernel in streams]  # run at each chain's scale
     rngs = [_cell_rng(seed, kernel, k) for seed, kernel in streams]
     x0 = np.array([rng.standard_normal(k) for rng in rngs])
     n_coords = min(ESS_COORD_BLOCK, k)
     t0 = time.perf_counter()
-    run = run_lockstep([kernel for _, kernel in streams], target.log_density, x0, scales, spec.n_iter, rngs, n_coords)
+    run = run_lockstep(kernels, target.log_density, x0, scales, spec.n_iter, rngs, n_coords)
     wall_ms = 1e3 * (time.perf_counter() - t0) / run.accepted.shape[1]
     n_kept = spec.n_iter - spec.burn_in
     rows = []
@@ -320,11 +325,7 @@ def fixed_scale_ar_curve(
             target = make_iid_gaussian(k)
             rng = _cell_rng(seed, kernel_name, k)
             x0 = rng.standard_normal(k)
-            if kernel_name == "additive-tmcmc":
-                kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
-            else:
-                kernel = make_rwmh_kernel(target, scale)
-            trace = run_chain(kernel, x0, n_iter, rng, record_coords=[0])
+            trace = run_chain(_study_kernel(kernel_name, target, scale), x0, n_iter, rng, record_coords=[0])
             if burn_in:
                 trace = trace.tail(burn_in)
             curves[kernel_name].append(expected_acceptance_rate(trace))

@@ -176,11 +176,6 @@ def sample_epsilon(rng: np.random.Generator, s: float) -> float:
     return s * abs(float(rng.standard_normal()))
 
 
-def _draw_signed_z(rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
-    # p_i + q_i = 1, so a single uniform per coordinate decides the sign.
-    return np.where(rng.random(p.shape[0]) < p, 1.0, -1.0)
-
-
 def _draw_ternary_z(rng: np.random.Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Never returns the all-zero vector: that outcome is resampled, which
     # renormalizes P(z) by a constant that cancels in P(-z)/P(z).
@@ -196,27 +191,36 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
 
     Requires ``p_i + q_i = 1`` (no zero coordinates); acceptance is
     ``min{1, prod_i ratio_i * pi(y)/pi(x)}`` with ``ratio_i = q_i/p_i`` for a
-    forward coordinate and ``p_i/q_i`` for a backward one.  Skips the
-    move-ratio sum when ``p = q`` (the ratio is identically 1 then), which
-    matters in the scaling-study hot path.
+    forward coordinate and ``p_i/q_i`` for a backward one.  Its draw,
+    ``direction(rng, out) -> r``, turns ``k`` uniforms into ``out = d = z * a``
+    (``+a_i`` exactly when ``u_i < p_i``) and returns ``r = |N(0, 1)|``, so
+    ``eps = eps_scale * r``; only with ``p = q`` is it ``kernel.direction``.
     """
     a, p, q = cfg.broadcast(target.dim)
     if not np.allclose(p + q, 1.0):
         raise ValueError("additive kernel requires p_i + q_i = 1 for every coordinate")
     symmetric = bool(np.all(p == q))
     log_p, log_q = _log_tables(p, q)
+    below_p = np.nextafter(p, -1.0)  # below_p - u >= +0.0 exactly when u < p, for p in [0, 1]
     s = cfg.eps_scale
     log_density = target.log_density
 
+    def direction(rng: np.random.Generator, out: np.ndarray) -> float:
+        rng.random(out=out)
+        np.copysign(a, np.subtract(below_p, out, out=out), out=out)
+        return abs(float(rng.standard_normal()))
+
     def kernel(state: ChainState, rng: np.random.Generator):
-        z = _draw_signed_z(rng, p)
-        eps = s * abs(float(rng.standard_normal()))
-        y = state.x + (z * a) * eps
+        d = np.empty_like(state.x)
+        r = direction(rng, d)
+        y = state.x + d * (s * r)
         lp_y = log_density(y)
-        log_ratio = 0.0 if symmetric else _move_log_ratio(z, log_p, log_q)
+        log_ratio = 0.0 if symmetric else _move_log_ratio(d, log_p, log_q)  # d has the signs of z
         return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
+    if symmetric:
+        kernel.direction, direction.a = direction, a
     return kernel
 
 

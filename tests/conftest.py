@@ -9,8 +9,9 @@ class ScriptedRNG:
 
     ``uniforms`` feeds ``random()`` calls (scalar or vector, consumed in
     order) and ``normals`` feeds ``standard_normal()``; ``integers`` feeds
-    ``integers()``.  Lets tests pin down a kernel's acceptance arithmetic on a
-    hand-chosen proposal.
+    ``integers()``.  As with a numpy ``Generator``, a vector draw is sized by
+    ``size`` or written into ``out``.  Lets tests pin down a kernel's
+    acceptance arithmetic on a hand-chosen proposal.
     """
 
     def __init__(self, uniforms=(), normals=(), integers=()):
@@ -18,16 +19,21 @@ class ScriptedRNG:
         self._normals = list(normals)
         self._integers = list(integers)
 
-    def random(self, size=None):
-        if size is None:
-            return self._uniforms.pop(0)
-        out = np.array([self._uniforms.pop(0) for _ in range(int(size))])
+    @staticmethod
+    def _draw(script, size, out):
+        if size is None and out is None:
+            return script.pop(0)
+        values = [script.pop(0) for _ in range(int(size) if out is None else out.size)]
+        if out is None:
+            return np.array(values)
+        out[...] = np.reshape(values, out.shape)
         return out
 
-    def standard_normal(self, size=None):
-        if size is None:
-            return self._normals.pop(0)
-        return np.array([self._normals.pop(0) for _ in range(int(size))])
+    def random(self, size=None, out=None):
+        return self._draw(self._uniforms, size, out)
+
+    def standard_normal(self, size=None, out=None):
+        return self._draw(self._normals, size, out)
 
     def integers(self, *args, **kwargs):
         return self._integers.pop(0)

@@ -79,5 +79,9 @@ def test_report_is_independent_of_worker_count():
 def test_config_validation():
     with pytest.raises(ValueError, match="rwmh_sigma"):
         ChallengerConfig(rwmh_sigma=0.0)
+    with pytest.raises(ValueError, match="int\\(burn_frac \\* n_iter\\) >= 100"):
+        ChallengerConfig(n_iter=105)  # 95 kept after the burn-in of 10
+    assert ChallengerConfig(n_iter=112).n_iter == 112  # 101 kept
+    assert ChallengerConfig(n_iter=100, burn_frac=0.0).n_iter == 100
     with pytest.raises(ValueError, match="eps_scale"):
         run_challenger_benchmark(ChallengerConfig(n_iter=100, tmcmc_eps_scale=-1.0), n_workers=1)

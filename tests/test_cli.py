@@ -261,6 +261,24 @@ def test_scaling_study_cli_keeps_partial_work_when_a_group_fails(tmp_path, monke
     assert len(aggregate) == 1 + 2 * 2
 
 
+@pytest.mark.parametrize("args", [
+    ["scaling-study", "--dims", "4,4", "--ell-grid", "2,2,3", "--n-seeds", "2", "--workers", "1"],
+    ["scaling-study", "--dims", "4", "--iters", "150", "--burn-in", "100", "--workers", "1"],
+    ["challenger", "--iters", "100", "--workers", "1"],
+], ids=["study-repeated-values", "study-too-short-for-ess", "challenger-too-short-for-ess"])
+def test_bad_runs_exit_2_before_any_chain_runs(args, tmp_path, monkeypatch, capsys):
+    from tmcmc import benchmark, scaling
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    for module in (scaling, benchmark):
+        monkeypatch.setattr(module, "run_lockstep", no_chains)
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_challenger_cli_short_run(tmp_path):
     out = tmp_path / "chall"
     args = ["challenger", "--iters", "6000", "--chains", "2", "--seed", "11",

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from tmcmc.baseline_kernels import make_rwmh_kernel
+from tmcmc.baseline_kernels import HmcConfig, make_hmc_kernel, make_rwmh_kernel
 from tmcmc.chain import lockstep_path, run_chain, run_lockstep
 from tmcmc.diagnostics import acceptance_rate, iact_and_ess
 from tmcmc.scaling import (
@@ -39,6 +39,15 @@ def test_spec_validation():
         ScalingStudySpec(target_family="cauchy")
     with pytest.raises(ValueError):
         ScalingStudySpec(kernels=("nuts",))
+    # a repeat would run the same cells twice and count them as more seeds
+    for field, values in [("dims", (4, 4)), ("ell_grid", (2.0, 2.0, 3.0)), ("seeds", (1, 2, 1)),
+                          ("kernels", ("rwmh", "rwmh"))]:
+        with pytest.raises(ValueError, match=f"{field} must not repeat"):
+            replace(TINY, **{field: values})
+    # fewer kept iterations than the ESS needs: refused before any chain runs
+    with pytest.raises(ValueError, match="n_iter - burn_in >= 100"):
+        replace(TINY, n_iter=150, burn_in=100)
+    assert replace(TINY, n_iter=200, burn_in=100).n_iter == 200
 
 
 def test_study_cells_and_report_are_deterministic():
@@ -67,6 +76,12 @@ def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
     else:
         step = make_rwmh_kernel(target, scale)
     return run_chain(step, x0, n_iter, rng, record_coords=range(n_coords))
+
+
+def _lockstep_kernels(names, target):
+    """The kernel objects ``run_lockstep`` takes: each chain runs at its own scale."""
+    return [make_additive_tmcmc_kernel(target, TmcmcConfig()) if name == "additive-tmcmc"
+            else make_rwmh_kernel(target, 1.0) for name in names]
 
 
 def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start):
@@ -107,7 +122,7 @@ def test_lockstep_cells_equal_single_chain_runs(streams, k):
     scales = [ell / np.sqrt(k) for ell in ells]
     rngs = [_cell_rng(seed, kernel, k) for seed, kernel in streams]
     x0 = np.array([rng.standard_normal(k) for rng in rngs])
-    run = run_lockstep(kernels, target.log_density, x0, scales, n_iter, rngs, n_coords)
+    run = run_lockstep(_lockstep_kernels(kernels, target), target.log_density, x0, scales, n_iter, rngs, n_coords)
 
     def reference_start(g):
         rng = _cell_rng(*streams[g], k)
@@ -116,7 +131,7 @@ def test_lockstep_cells_equal_single_chain_runs(streams, k):
     _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start)
     assert run.n_nonfinite.sum() == 0
     n_additive = kernels.count("additive-tmcmc")
-    assert run.n_additive == n_additive
+    assert run.n_signed == n_additive
     # the additive directions are kept as sign bits, the rwmh ones as floats
     assert run.signs.dtype == bool and run.signs.shape == (1_500, n_additive, n_coords)
     assert run.normals.dtype == float and run.normals.shape == (1_500, len(streams) - n_additive, n_coords)
@@ -142,7 +157,7 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
 
     for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("additive-tmcmc", "rwmh")]:
         rngs = [np.random.default_rng(5 + g) for g in range(2)]
-        run = run_lockstep(kernels, log_density, x0, scales, 2_000, rngs, 3)
+        run = run_lockstep(_lockstep_kernels(kernels, target), log_density, x0, scales, 2_000, rngs, 3)
         _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start)
         assert run.n_nonfinite.min() > 0
 
@@ -150,9 +165,15 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
 def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
     target = make_iid_gaussian(2)
     x0, rngs = np.zeros((2, 2)), [np.random.default_rng(g) for g in range(2)]
-    for kernels in (("rwmh", "hmc"), ("rwmh", "additive-tmcmc"), ("rwmh",)):
-        with pytest.raises(ValueError, match="one kernel"):
+    additive, rwmh = _lockstep_kernels(STUDY_KERNELS, target)
+    hmc = make_hmc_kernel(target, HmcConfig(L=2, dt=0.3))
+    asymmetric = make_additive_tmcmc_kernel(target, TmcmcConfig(p=0.3, q=0.7))
+    assert not hasattr(asymmetric, "direction")  # its acceptance needs the move ratio
+    for kernels in ((additive, hmc), (asymmetric, rwmh), (rwmh, additive), (rwmh,)):
+        with pytest.raises(ValueError, match="one symmetric kernel"):
             run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)
+    with pytest.raises(ValueError, match="one symmetric kernel"):
+        run_lockstep((additive, rwmh), target.log_density, x0, [1.0], 10, rngs[:1], 2)
 
 
 def test_slice_cells_match_the_single_chain_study_metrics():
@@ -181,8 +202,9 @@ def test_group_of_seeds_equals_each_seed_run_alone():
         [row for cells in zip(*alone) for row in cells]
     )
     # a cell's wall_ms is its group's loop time over the group's chains: serially
-    # both kernels share one group, so their cells show the same wall_ms
-    assert len({r.wall_ms for r in together.rows}) == 1
+    # each kernel's three streams make one group, so each kernel shows its own wall_ms
+    wall = {kernel: {r.wall_ms for r in together.rows if r.kernel == kernel} for kernel in STUDY_KERNELS}
+    assert [len(w) for w in wall.values()] == [1, 1]
 
 
 def _without_wall(rows):
@@ -214,8 +236,7 @@ def test_mixed_kernel_groups_give_the_rows_of_each_kernel_alone(n_workers, pool,
     alone = {kn: run_scaling_study(replace(spec, kernels=(kn,)), n_workers=1) for kn in spec.kernels}
     assert _without_wall(report.rows) == _without_wall(alone["additive-tmcmc"].rows + alone["rwmh"].rows)
     assert [asdict(o) for o in report.optima] == [asdict(o) for kn in spec.kernels for o in alone[kn].optima]
-    # 1 worker: one group a dimension; 2: one a kernel; 3: three, the second (3, additive), (1, rwmh);
-    # 64: one a stream
+    # 1 and 2 workers: one group a kernel; 3: three, the second (3, additive), (1, rwmh); 64: one a stream
     assert pool_sizes == pool
 
 
@@ -234,12 +255,12 @@ def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
 
     spec = replace(TINY, dims=(4, 8), seeds=tuple(range(1, 11)))
     streams = tuple((s, kn) for kn in spec.kernels for s in spec.seeds)  # kernel-major
-    # at most GROUP_SEEDS = 4 seeds' worth (8 streams) a group; at least one a worker in every dimension
+    # at most GROUP_STREAMS = 4 streams a group; at least one a worker in every dimension
     cases = [
-        (1, [6, 7, 7]),
-        (0, [6, 7, 7]),
-        (3, [6, 7, 7]),
-        (4, [5, 5, 5, 5]),
+        (1, [4, 4, 4, 4, 4]),
+        (0, [4, 4, 4, 4, 4]),
+        (3, [4, 4, 4, 4, 4]),
+        (5, [4, 4, 4, 4, 4]),
         (6, [3, 3, 4, 3, 3, 4]),
         (7, [2, 3, 3, 3, 3, 3, 3]),
         (64, [1] * 20),
@@ -253,10 +274,17 @@ def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
             assert sum((g[1] for g in own), ()) == streams
     monkeypatch.setattr(scaling.os, "cpu_count", lambda: 20)
     assert [g[1] for g in study_groups(spec)[:20]] == [(s,) for s in streams]
-    # the default study on two workers: the k = 100 dimension alone fills both
-    default = study_groups(ScalingStudySpec(), 2)
-    assert [(k, len(g)) for k, g in default] == [(k, 4) for k in (10, 30, 100) for _ in range(2)]
-    monkeypatch.setattr(scaling, "GROUP_SEEDS", 1)
+    # the default study, serial or on two workers: one group a kernel in every dimension,
+    # so the k = 100 dimension alone fills two workers
+    for n_workers in (1, 2):
+        default = study_groups(ScalingStudySpec(), n_workers)
+        assert [(k, {kn for _, kn in g}) for k, g in default] == [
+            (k, {kn}) for k in (10, 30, 100) for kn in STUDY_KERNELS
+        ]
+        assert [len(g) for _, g in default] == [4] * 6
+    # one seed, both kernels, serial (the shape of a perfbench study pass): one group
+    assert study_groups(replace(TINY, seeds=(1,)), 1) == [(4, ((1, "additive-tmcmc"), (1, "rwmh")))]
+    monkeypatch.setattr(scaling, "GROUP_STREAMS", 2)
     assert [len(g[1]) for g in study_groups(spec, 1)] == [2] * 20
 
 
@@ -266,7 +294,7 @@ def test_split_groups_give_the_rows_of_whole_ones(pool_sizes, monkeypatch):
     spec = replace(TINY, seeds=(1, 2, 3))
     whole = run_scaling_study(spec, n_workers=1)
     singles = run_scaling_study(spec, n_workers=64)  # one group per stream, mapped in-process
-    monkeypatch.setattr(scaling, "GROUP_SEEDS", 1)
+    monkeypatch.setattr(scaling, "GROUP_STREAMS", 2)
     # three groups, the second holding both kernels
     assert [g[1] for g in study_groups(spec, 1)] == [
         ((1, "additive-tmcmc"), (2, "additive-tmcmc")),

@@ -141,6 +141,34 @@ def test_additive_step_requires_no_zero_moves():
         make_additive_tmcmc_kernel(target, TmcmcConfig(p=0.4, q=0.4))
 
 
+def test_sign_draw_moves_forward_exactly_below_p(scripted_rng):
+    # p_i in {0, 0.3, 0.5, 1} with q_i = 1 - p_i; coordinate i is fed 0.0, p_i and
+    # the doubles next to p_i that lie in [0, 1), one per transition.
+    p, a = np.array([0.0, 0.3, 0.5, 1.0]), np.array([1.0, 2.0, 0.5, 3.0])
+    base, proposals = make_iid_gaussian(4), []
+
+    def log_density(x):
+        proposals.append(x)
+        return base.log_density(x)
+
+    kernel = make_additive_tmcmc_kernel(Target(dim=4, log_density=log_density), TmcmcConfig(scales=a, p=p, q=1.0 - p))
+    edges = [[u for u in (0.0, np.nextafter(pi, -1.0), pi, np.nextafter(pi, 2.0)) if 0.0 <= u < 1.0] for pi in p]
+    state = kernel.init(np.zeros(4))
+    for j in range(max(map(len, edges))):
+        u = np.array([col[j % len(col)] for col in edges])
+        proposals.clear()
+        kernel(state, scripted_rng(uniforms=[*u, 0.5], normals=[-1.0]))  # r = 1, so y = d
+        assert np.array_equal(proposals[0], np.where(u < p, a, -a))
+    assert not hasattr(kernel, "direction")  # p != q: not runnable under the bare density ratio
+
+    symmetric = make_additive_tmcmc_kernel(base, TmcmcConfig(scales=a))
+    out = np.empty(4)
+    rng = scripted_rng(uniforms=[0.0, np.nextafter(0.5, -1.0), 0.5, np.nextafter(0.5, 2.0)], normals=[-0.7])
+    assert symmetric.direction(rng, out) == 0.7
+    assert np.array_equal(out, [1.0, 2.0, -0.5, -3.0])
+    assert np.array_equal(symmetric.direction.a, a)
+
+
 def test_general_step_zero_coordinate_stays_fixed(scripted_rng):
     target = make_iid_gaussian(3)
     cfg = TmcmcConfig(p=0.3, q=0.3)
