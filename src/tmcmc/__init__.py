@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .baseline_kernels import (
     HmcConfig,
     PhasePoint,
-    grad_potential,
     hmc_one_step_proposal_params,
     leapfrog,
     make_hmc_kernel,
     make_rwmh_kernel,
-    potential,
 )
 from .bounds import (
     AcceptanceBoundInputs,
@@ -61,7 +59,6 @@ from .transform_kernels import (
     Transformation,
     additive_forward,
     additive_transformation,
-    conjugate,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
     make_general_tmcmc_kernel,

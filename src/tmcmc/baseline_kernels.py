@@ -39,8 +39,6 @@ __all__ = [
     "PhasePoint",
     "LeapfrogError",
     "make_rwmh_kernel",
-    "potential",
-    "grad_potential",
     "leapfrog",
     "make_hmc_kernel",
     "hmc_one_step_proposal_params",
@@ -109,22 +107,12 @@ def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
     return kernel
 
 
-def potential(target: Target, x: np.ndarray) -> float:
-    """``U(x) = -log pi(x)``."""
-    return -target.log_density(np.asarray(x, dtype=float))
-
-
 def _potential_gradient(target: Target):
     """``x -> grad U(x)`` for a float array ``x``; raises if the target has no gradient."""
     grad_log_density = target.grad_log_density
     if grad_log_density is None:
         raise ValueError(f"target {target.name!r} has no gradient; HMC needs one")
     return lambda x: -np.asarray(grad_log_density(x), dtype=float)
-
-
-def grad_potential(target: Target, x: np.ndarray) -> np.ndarray:
-    """``grad U(x) = -grad log pi(x)``; requires the target gradient."""
-    return _potential_gradient(target)(np.asarray(x, dtype=float))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -209,7 +197,7 @@ def hmc_one_step_proposal_params(
         raise ValueError(f"proposal characterization requires L = 1, got L = {cfg.L}")
     x = np.asarray(x, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    score = -grad_potential(target, x)
+    score = -_potential_gradient(target)(x)
     mean = x + 0.5 * cfg.dt**2 * inv_m * score
     var = cfg.dt**2 * inv_m
     return mean, var

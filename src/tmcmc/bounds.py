@@ -115,21 +115,26 @@ def _gaussianized_tail_arg(log_edge: float, k: int, drift: float, spread_sq: flo
     return (log_edge + 0.5 * k * drift) / math.sqrt(0.5 * k * spread_sq)
 
 
-def rwmh_ar_bounds(inp: AcceptanceBoundInputs) -> LogBoundPair:
-    """Bound pair for the random-walk kernel with unit proposal covariance."""
+def _tail_bounds(inp: AcceptanceBoundInputs, c1: float, c2: float) -> LogBoundPair:
+    """Gaussianised-tail pair whose displacement terms carry the mean and variance factors ``c1``, ``c2``."""
     k, m, M = inp.k, inp.m_k, inp.M_k
     gap_M = (M - m) / M
     gap_m = (M - m) / m
     arg_lower = _gaussianized_tail_arg(
-        math.log(1.0 - inp.psi2), k, gap_M + M, gap_M**2 + 2.0 * M + M * M
+        math.log(1.0 - inp.psi2), k, gap_M + M * c1, gap_M**2 + 2.0 * M * c1 + M * M * c2
     )
     arg_upper = _gaussianized_tail_arg(
-        math.log(inp.psi1), k, -(gap_m - m), gap_m**2 + 2.0 * m + m * m
+        math.log(inp.psi1), k, -(gap_m - m * c1), gap_m**2 + 2.0 * m * c1 + m * m * c2
     )
     return LogBoundPair(
         log_lower=_log_prefactor(k, M, inp.pi_mode) + _log_upper_tail(arg_lower),
         log_upper=_log_prefactor(k, m, inp.pi_mode) + _log_upper_tail(arg_upper),
     )
+
+
+def rwmh_ar_bounds(inp: AcceptanceBoundInputs) -> LogBoundPair:
+    """Bound pair for the random-walk kernel with unit proposal covariance: HMC's at ``dt = 1``, ``lam = 0``."""
+    return _tail_bounds(inp, 1.0, 1.0)
 
 
 def rwmh_ar_asymp(k: int, M_k: float, pi_mode: float = 1.0) -> float:
@@ -168,23 +173,14 @@ def hmc_ar_bounds(inp: AcceptanceBoundInputs) -> HmcLogBounds:
     """
     if inp.dt is None:
         raise ValueError("hmc_ar_bounds requires dt")
-    k, m, M, dt, lam = inp.k, inp.m_k, inp.M_k, inp.dt, inp.lam
-    c1 = dt * dt * (1.0 + lam / k)
-    c2 = dt**4 * (1.0 + 2.0 * lam / k)
-    gap_M = (M - m) / M
-    gap_m = (M - m) / m
-    arg_lower = _gaussianized_tail_arg(
-        math.log(1.0 - inp.psi2), k, gap_M + M * c1, gap_M**2 + 2.0 * M * c1 + M * M * c2
-    )
-    arg_upper = _gaussianized_tail_arg(
-        math.log(inp.psi1), k, -(gap_m - m * c1), gap_m**2 + 2.0 * m * c1 + m * m * c2
-    )
+    k, M, dt, lam = inp.k, inp.M_k, inp.dt, inp.lam
+    pair = _tail_bounds(inp, dt * dt * (1.0 + lam / k), dt**4 * (1.0 + 2.0 * lam / k))
     asymp_large_arg = math.sqrt(0.5 * k * (1.0 + lam / k)) / (
         math.sqrt(2.0) * math.sqrt(1.0 / (M * dt * dt) + 1.0)
     )
     return HmcLogBounds(
-        log_lower=_log_prefactor(k, M, inp.pi_mode) + _log_upper_tail(arg_lower),
-        log_upper=_log_prefactor(k, m, inp.pi_mode) + _log_upper_tail(arg_upper),
+        log_lower=pair.log_lower,
+        log_upper=pair.log_upper,
         log_asymp_small_lambda=rwmh_ar_asymp(k, M),
         log_asymp_large_lambda=_log_prefactor(k, M, 1.0) + _log_upper_tail(asymp_large_arg),
     )

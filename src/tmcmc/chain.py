@@ -32,7 +32,6 @@ bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process pool.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -223,11 +222,6 @@ class Trace:
             "wall_time_s": self.meta.get("wall_time_s"),
         }
 
-    def write_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def run_chain(
     kernel: Kernel,
@@ -251,6 +245,8 @@ def run_chain(
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else chain_rng(int(rng_seed))
 
     coords = list(range(x0.size)) if record_coords is None else list(record_coords)
+    if not all(0 <= c < x0.size for c in coords):
+        raise ValueError(f"record_coords must lie in [0, {x0.size}), got {coords}")
     take = np.asarray(coords, dtype=np.intp)  # a list index costs ~3x as much per step
     states = np.empty((n_iter, len(coords)))
     accepted = np.empty(n_iter, dtype=bool)

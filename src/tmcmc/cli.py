@@ -239,10 +239,9 @@ def cmd_db_check(args) -> int:
 
 
 def cmd_discrete_check(args) -> int:
-    lattice_r = args.r if args.lattice else 0.3
     verdicts = run_discrete_suite(
         args.seed,
-        lattice_r=lattice_r,
+        lattice_r=args.r,
         jump_scale=args.jump_scale,
         corrupt_acceptance=args.corrupt_acceptance,
     )
@@ -254,7 +253,7 @@ def cmd_discrete_check(args) -> int:
         spin_states, spin_K = ising_transition_matrix(make_ising_chain(3, 0.5), 0.5)
         write_matrix_csv(spin_states, spin_K, out / "ising_k3_kernel.csv")
         lat_states, lat_K = lattice_transition_matrix(
-            make_lattice_target(1, 1.0), r=lattice_r, jump_scale=args.jump_scale, box_radius=5
+            make_lattice_target(1, 1.0), r=args.r, jump_scale=args.jump_scale, box_radius=5
         )
         write_matrix_csv(lat_states, lat_K, out / "lattice_k1_kernel.csv")
     print(format_verdict_table(verdicts))
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_db_check)
 
     p = sub.add_parser("discrete-check", help="exact discrete-kernel certificates")
-    p.add_argument("--lattice", action="store_true", help="use --r for the lattice mixture probability")
     p.add_argument("--r", type=_unit_interval, default=0.3, help="lattice coordinate-move probability in [0,1]")
     p.add_argument("--jump-scale", type=_positive_float, default=1.5, help="lattice jump scale > 0")
     p.add_argument("--corrupt-acceptance", action="store_true",

@@ -44,11 +44,6 @@ def _validate_spin_probs(p: np.ndarray) -> None:
         raise ValueError("forward probabilities must lie strictly in (0, 1)")
 
 
-def _spin_selection_log_prob(x: np.ndarray, p: np.ndarray) -> float:
-    # Probability of the move-type vector that produces x coordinatewise.
-    return float(np.sum(np.where(x > 0, np.log(p), np.log1p(-p))))
-
-
 def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
     """Spin-chain kernel.
 
@@ -58,7 +53,7 @@ def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
     """
     probs = np.broadcast_to(np.asarray(p, dtype=float), (target.dim,))
     _validate_spin_probs(probs)
-    log_up, log_down = np.log(probs), np.log1p(-probs)  # _spin_selection_log_prob's terms
+    log_up, log_down = np.log(probs), np.log1p(-probs)  # log P(select +1), log P(select -1)
     log_density = target.log_density
 
     def kernel(state: ChainState, rng: np.random.Generator):

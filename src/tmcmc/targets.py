@@ -180,11 +180,7 @@ def load_challenger_data(path: Optional[str] = None) -> list[ChallengerRecord]:
     return records
 
 
-def make_challenger_logistic(
-    prior_sd: float = 10.0,
-    center: bool = False,
-    data_path: Optional[str] = None,
-) -> Target:
+def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Target:
     """Bayesian logistic regression posterior for the O-ring failure data.
 
     The model is ``failure_i ~ Bernoulli(sigmoid(b0 + b1 * temp_i))`` with
@@ -206,12 +202,10 @@ def make_challenger_logistic(
         Prior standard deviation for both coefficients, must be positive.
     center : bool
         Sample in mean-centered-covariate coordinates (default raw).
-    data_path : str, optional
-        External CSV path; defaults to the embedded dataset.
     """
     if prior_sd <= 0.0:
         raise ValueError(f"prior_sd must be positive, got {prior_sd}")
-    records = load_challenger_data(data_path)
+    records = load_challenger_data()
     y = np.array([r.failure for r in records], dtype=float)
     temps = np.array([r.temp_f for r in records], dtype=float)
     t_bar = float(temps.mean()) if center else 0.0

@@ -19,7 +19,6 @@ from .chain import ChainState, Kernel, accept_step, init_state
 from .targets import Target
 
 __all__ = [
-    "conjugate",
     "Transformation",
     "additive_transformation",
     "TmcmcConfig",
@@ -34,19 +33,15 @@ __all__ = [
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 
-def conjugate(z: np.ndarray) -> np.ndarray:
-    """Backward move type: flips forward and backward, fixes no-change."""
-    return -np.asarray(z)
-
-
-def _move_log_ratio(z: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> float:
+def _move_log_ratio(z: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
     # log P(-z) - log P(z) from per-coordinate log move probabilities; zero
     # coordinates contribute nothing.  The drawn move always has positive
-    # probability; a zero reverse probability (log -inf) gives -inf.
+    # probability; a zero reverse probability (log -inf) gives -inf.  Tables
+    # of shape (k, n), one column per draw of (p, q), give n ratios.
     pos, neg = z > 0, z < 0
     reverse = np.concatenate([log_q[pos], log_p[neg]])
     forward = np.concatenate([log_p[pos], log_q[neg]])
-    return float(np.sum(reverse) - np.sum(forward))
+    return np.sum(reverse, axis=0) - np.sum(forward, axis=0)
 
 
 def _log_tables(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baseline_kernels import HmcConfig, PhasePoint, grad_potential, leapfrog
+from .baseline_kernels import HmcConfig, PhasePoint, _potential_gradient, leapfrog
 from .chain import chain_rng, run_chain
 from .discrete_kernels import (
     exact_transition_matrix,
@@ -292,8 +292,9 @@ def check_dependent_z_balance(
     numbers across both directions of every state pair, so each sampled
     conditional kernel satisfies balance identically and the estimator's only
     slack is roundoff; the reported violation is the excess of the mean flow
-    imbalance over four Monte Carlo standard errors.  Dropping the
-    move-probability ratio (``move_ratio=False``) breaks this decisively.
+    imbalance over four Monte Carlo standard errors.  The move-probability
+    ratio is the sampling kernels' ``_move_log_ratio``; dropping it
+    (``move_ratio=False``) breaks this decisively.
     """
     if mc_size < 100_000:
         raise ValueError(f"mc_size must be at least 1e5 for a usable error band, got {mc_size}")
@@ -315,6 +316,10 @@ def check_dependent_z_balance(
     e = np.exp(draws)
     e /= e.sum(axis=0, keepdims=True)
     p_s, q_s = e[0], e[1]
+    # Same move-ratio code as the sampling kernels, one ratio per draw.
+    log_p, log_q = _log_tables(p_s[None, :], q_s[None, :])
+    fwd_ratio = _move_log_ratio(np.ones(1), log_p, log_q) if move_ratio else 0.0
+    rev_ratio = _move_log_ratio(-np.ones(1), log_p, log_q) if move_ratio else 0.0
 
     worst = 0.0
     worst_excess = 0.0
@@ -322,12 +327,8 @@ def check_dependent_z_balance(
         for i in range(n_states - j):
             t = i + j
             # forward i -> t uses z = +1, reverse t -> i uses z = -1
-            if move_ratio:
-                fwd = wj * np.minimum(p_s, q_s * pi[t] / pi[i])
-                rev = wj * np.minimum(q_s, p_s * pi[i] / pi[t])
-            else:
-                fwd = wj * p_s * min(1.0, pi[t] / pi[i])
-                rev = wj * q_s * min(1.0, pi[i] / pi[t])
+            fwd = wj * p_s * np.minimum(1.0, np.exp(fwd_ratio) * pi[t] / pi[i])
+            rev = wj * q_s * np.minimum(1.0, np.exp(rev_ratio) * pi[i] / pi[t])
             diff = pi[i] * fwd - pi[t] * rev
             mean = float(diff.mean())
             se = float(diff.std(ddof=1) / math.sqrt(mc_size))
@@ -389,8 +390,9 @@ def _euler_flow(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint
     x = np.asarray(start.x, dtype=float).copy()
     p = np.asarray(start.p, dtype=float).copy()
     inv_m = 1.0 / cfg.mass_vector(x.size)
+    grad_u = _potential_gradient(target)
     for _ in range(cfg.L):
-        grad = grad_potential(target, x)
+        grad = grad_u(x)
         x, p = x + cfg.dt * inv_m * p, p - cfg.dt * grad
     return PhasePoint(x, p)
 

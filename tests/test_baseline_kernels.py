@@ -10,12 +10,10 @@ from tmcmc.baseline_kernels import (
     HmcConfig,
     LeapfrogError,
     PhasePoint,
-    grad_potential,
     hmc_one_step_proposal_params,
     leapfrog,
     make_hmc_kernel,
     make_rwmh_kernel,
-    potential,
 )
 from tmcmc.chain import chain_rng, run_chain
 from tmcmc.diagnostics import acceptance_rate
@@ -55,36 +53,12 @@ def test_rwmh_validation():
         make_rwmh_kernel(make_iid_gaussian(1), 0.0)
 
 
-# --- potential -------------------------------------------------------------
-
-
-def test_potential_and_gradient_for_gaussian():
-    target = make_iid_gaussian(3)
-    x = np.array([1.0, -2.0, 0.5])
-    assert_allclose(potential(target, x), 0.5 * x @ x + 1.5 * math.log(2 * math.pi))
-    assert_allclose(grad_potential(target, x), x)
-
-
-def test_grad_potential_matches_finite_differences():
-    target = make_challenger_logistic(10.0, center=True)
-    x = np.array([0.4, -0.1])
-    h = 1e-5
-    fd = np.array(
-        [
-            (potential(target, x + h * e) - potential(target, x - h * e)) / (2 * h)
-            for e in np.eye(2)
-        ]
-    )
-    assert np.max(np.abs(grad_potential(target, x) - fd)) < 1e-5
-    assert np.all(np.isfinite(grad_potential(make_challenger_logistic(10.0), np.zeros(2))))
-
-
 def test_gradientless_target_is_rejected_at_construction():
     no_grad = Target(dim=1, log_density=lambda x: 0.0)
     with pytest.raises(ValueError):
         make_hmc_kernel(no_grad, HmcConfig(L=1, dt=0.1))
     with pytest.raises(ValueError):
-        grad_potential(no_grad, np.zeros(1))
+        hmc_one_step_proposal_params(np.zeros(1), no_grad, HmcConfig(L=1, dt=0.1))
 
 
 # --- leapfrog --------------------------------------------------------------
@@ -246,7 +220,7 @@ def test_hmc_transition_costs_one_density_and_L_gradient_calls(L):
 
 def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
     """Reference HMC chain composed from the public parts: a per-step checked
-    leapfrog from a fresh gradient, ``potential`` for both energies and a
+    leapfrog from a fresh gradient, ``-log pi`` for both energies and a
     fresh density at both ends for the earlier scalar accept step
     (``parent_accept``)."""
     rng = chain_rng(seed)
@@ -258,15 +232,15 @@ def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
     for _ in range(n):
         p0 = np.sqrt(mass) * rng.standard_normal(x.size)
         y, p = x.copy(), p0.copy()
-        grad = grad_potential(target, y)
+        grad = -target.grad_log_density(y)
         for _ in range(cfg.L):
             assert np.all(np.isfinite(grad))
             y = y + dt * inv_m * (p - 0.5 * dt * grad)
-            grad_new = grad_potential(target, y)
+            grad_new = -target.grad_log_density(y)
             p = p - 0.5 * dt * (grad + grad_new)
             grad = grad_new
-        h0 = potential(target, x) + 0.5 * float(p0 @ (inv_m * p0))
-        h1 = potential(target, y) + 0.5 * float(p @ (inv_m * p))
+        h0 = -target.log_density(x) + 0.5 * float(p0 @ (inv_m * p0))
+        h1 = -target.log_density(y) + 0.5 * float(p @ (inv_m * p))
         x, _, log_alpha, u, lp, _ = parent_accept(x, y, h0 - h1, target.log_density(x), target.log_density(y), rng)
         rows.append((x, log_alpha, u, lp))
     states, log_alpha, uniforms, log_density = zip(*rows)

@@ -134,6 +134,15 @@ def test_tmcmc_reduces_to_displayed_form_when_curvatures_match():
     assert_allclose(pair.log_lower, pref + math.log(erf(arg / math.sqrt(2))), rtol=1e-12)
 
 
+@pytest.mark.parametrize("psi1, psi2", [(0.01, 0.01), (1e-4, 0.3), (0.3, 1e-4), (0.05, 0.2)])
+def test_rwmh_bounds_are_hmc_bounds_at_unit_step_without_drift(psi1, psi2):
+    for k in (1, 2, 3, 10, 50, 100, 500, 1000):
+        for m, M in ((1.0, 1.0), (0.5, 2.0), (2.0, 30.0), (0.01, 0.3)):
+            inp = AcceptanceBoundInputs(k=k, m_k=m, M_k=M, psi1=psi1, psi2=psi2, pi_mode=0.7, dt=1.0, lam=0.0)
+            r, h = rwmh_ar_bounds(inp), hmc_ar_bounds(inp)
+            assert (r.log_lower, r.log_upper) == (h.log_lower, h.log_upper)
+
+
 def test_hmc_small_lambda_asymptote_equals_rwmh_asymptote():
     inp = AcceptanceBoundInputs(k=40, m_k=2.0, M_k=3.0, dt=0.25, lam=0.0)
     h = hmc_ar_bounds(inp)

@@ -194,11 +194,12 @@ def test_db_check_exit_codes(tmp_path):
 
 def test_discrete_check_reducible_lattice_is_expected(tmp_path):
     out = tmp_path / "r0"
-    assert run_cli(["discrete-check", "--lattice", "--r", "0", "--out", str(out)]) == 0
+    assert run_cli(["discrete-check", "--r", "0", "--out", str(out)]) == 0
     payload = json.loads((out / "discrete_check_verdicts.json").read_text())
     jsonschema.validate(payload, VERDICTS_SCHEMA)
     marked = [p for p in payload if p.get("expected_failure")]
     assert len(marked) == 1
+    assert marked[0]["check_name"] == "irreducibility-lattice-k2-r0"
     assert not marked[0]["passed"]
     assert run_cli(["discrete-check", "--corrupt-acceptance", "--out", str(tmp_path / "bad")]) == 1
 

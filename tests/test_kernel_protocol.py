@@ -16,7 +16,7 @@ import pytest
 
 from tmcmc.baseline_kernels import HmcConfig, make_hmc_kernel, make_rwmh_kernel
 from tmcmc.chain import chain_rng, run_chain
-from tmcmc.discrete_kernels import _spin_selection_log_prob, make_ising_kernel, make_zk_kernel
+from tmcmc.discrete_kernels import make_ising_kernel, make_zk_kernel
 from tmcmc.targets import (
     make_anisotropic_gaussian,
     make_challenger_logistic,
@@ -51,6 +51,12 @@ def _move_log_ratio(z: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     if np.any(reverse <= 0.0):
         return -math.inf
     return float(np.sum(np.log(reverse)) - np.sum(np.log(forward)))
+
+
+# The spin kernel's move-type log-probability, as the step bodies used it.
+def _spin_selection_log_prob(x: np.ndarray, p: np.ndarray) -> float:
+    # Probability of the move-type vector that produces x coordinatewise.
+    return float(np.sum(np.where(x > 0, np.log(p), np.log1p(-p))))
 
 
 def parent_additive(target, cfg):

@@ -14,13 +14,13 @@ PUBLIC = [
     "AcceptanceBoundInputs", "ChainState", "ChallengerRecord", "DependentZConfig", "HmcConfig",
     "HmcLogBounds", "LogBoundPair", "LogConcaveMeta", "PhasePoint", "ScalingStudySpec", "Step",
     "Target", "TmcmcConfig", "Trace", "Transformation", "Verdict", "acceptance_rate",
-    "additive_forward", "additive_transformation", "chain_rng", "conjugate", "exact_transition_matrix",
-    "expected_acceptance_rate", "grad_potential", "hmc_ar_bounds", "hmc_one_step_proposal_params",
+    "additive_forward", "additive_transformation", "chain_rng", "exact_transition_matrix",
+    "expected_acceptance_rate", "hmc_ar_bounds", "hmc_one_step_proposal_params",
     "iact_and_ess", "ising_transition_matrix", "lattice_transition_matrix", "leapfrog",
     "load_challenger_data", "make_additive_tmcmc_kernel", "make_anisotropic_gaussian",
     "make_challenger_logistic", "make_dependent_z_kernel", "make_general_tmcmc_kernel",
     "make_hmc_kernel", "make_iid_gaussian", "make_ising_chain", "make_ising_kernel",
-    "make_lattice_target", "make_rwmh_kernel", "make_zk_kernel", "potential", "run_chain",
+    "make_lattice_target", "make_rwmh_kernel", "make_zk_kernel", "run_chain",
     "run_scaling_study", "rwmh_ar_asymp", "rwmh_ar_bounds", "sample_epsilon", "split_rhat",
     "stationary_distribution", "tmcmc_ar_bounds",
 ]

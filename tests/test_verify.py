@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tmcmc import verify
 from tmcmc.discrete_kernels import exact_transition_matrix
 from tmcmc.targets import make_iid_gaussian
 from tmcmc.transform_kernels import DependentZConfig
@@ -246,6 +247,17 @@ def test_dependent_z_balance_negative_control_fails():
     v = check_dependent_z_balance(
         asymmetric_cfg(), mc_size=100_000, seed=3, move_ratio=False, negative_control=True
     )
+    assert not v.passed
+    assert v.max_violation > 1e-4
+
+
+def test_dependent_z_balance_runs_the_kernels_move_ratio(monkeypatch):
+    # The certificate takes P(-z)/P(z) from the sampling kernels' code, so a
+    # wrong ratio there fails it.
+    assert check_dependent_z_balance(asymmetric_cfg(), mc_size=100_000, seed=4).passed
+    ratio = verify._move_log_ratio
+    monkeypatch.setattr(verify, "_move_log_ratio", lambda *args: 0.5 * ratio(*args))
+    v = check_dependent_z_balance(asymmetric_cfg(), mc_size=100_000, seed=4)
     assert not v.passed
     assert v.max_violation > 1e-4
 
