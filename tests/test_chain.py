@@ -119,16 +119,3 @@ def test_map_tasks_caps_its_pool_at_the_task_count(pool_sizes, monkeypatch):
     assert list(chain.map_tasks(abs, [-3, 1, -2])) == [3, 1, 2]
     assert list(chain.map_tasks(abs, [-3, 1, -2], 2)) == [3, 1, 2]
     assert pool_sizes == [3, 2]
-
-
-@pytest.mark.parametrize("coords", [[-1], [3], [0, 3]])
-def test_run_chain_rejects_out_of_range_record_coords(coords):
-    def kernel(state, rng):
-        raise AssertionError("no step may run")
-
-    def init(x):
-        raise AssertionError("the kernel may not be initialised")
-
-    kernel.init = init
-    with pytest.raises(ValueError, match="record_coords"):
-        chain.run_chain(kernel, np.zeros(3), 10, 0, record_coords=coords)

@@ -362,6 +362,9 @@ def test_run_chain_single_iteration_and_errors():
         run_chain(kernel, np.zeros(2), 0, 0)
     with pytest.raises(ValueError):
         run_chain(kernel, np.array([np.nan, 0.0]), 10, 0)
+    for coords in ([-1], [2], [0, 2]):  # rejected before the first step, not recorded or an IndexError
+        with pytest.raises(ValueError, match="record_coords"):
+            run_chain(kernel, np.zeros(2), 10, 0, record_coords=coords)
 
 
 def test_run_chain_deterministic_given_seed():
