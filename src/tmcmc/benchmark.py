@@ -18,12 +18,12 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import chain_rng, lockstep_path, map_tasks, run_lockstep
+from .chain import Lockstep, chain_rng, lockstep_path, map_tasks, pool_workers, run_lockstep
 from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess, split_rhat
 from .targets import make_challenger_logistic
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -61,48 +61,25 @@ class ChallengerConfig:
             raise ValueError(f"need n_iter - int(burn_frac * n_iter) >= {MIN_SAMPLES} for the ESS, got {kept}")
 
 
-def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
-    """One kernel's report from its ``cfg.n_chains`` chains, run in lockstep.
-
-    Chain ``c`` is one ``run_lockstep`` stream on its own generator,
-    ``chain_rng(cfg.seed, c + j * cfg.n_chains)`` with ``j`` the kernel's
-    index in ``BENCH_KERNELS``: its start, then per step the draws of the
-    kernel built from ``cfg``, at that kernel's own scale.
-    """
-    target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
-    if kernel_name == "additive-tmcmc":
-        scale = cfg.tmcmc_eps_scale
-        kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=scale))
-    else:
-        kernel, scale = make_rwmh_kernel(target, cfg.rwmh_sigma), cfg.rwmh_sigma
-    offset = BENCH_KERNELS.index(kernel_name) * cfg.n_chains
-    rngs = [chain_rng(cfg.seed, c + offset) for c in range(cfg.n_chains)]
-    # Overdispersed starts relative to the posterior spread.
-    x0 = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
-    run = run_lockstep([kernel] * cfg.n_chains, target.log_density, x0, [scale], cfg.n_iter, rngs, 2)
-    burn = int(cfg.burn_frac * cfg.n_iter)
-    t_bar = target.info["t_bar"]
-    flags = run.accepted[burn:]
-    raw = []
-    for c in range(cfg.n_chains):
-        tail = lockstep_path(run, c)[burn:]
+def _raw_tails(run: Lockstep, streams: range, burn: int, t_bar: float) -> list:
+    """The kept tail of each stream's chain, in raw (intercept, slope) coordinates."""
+    tails = []
+    for s in streams:
+        tail = lockstep_path(run, s)[burn:].copy()  # the copy lets the full path go
         tail[:, 0] -= tail[:, 1] * t_bar  # raw intercept
-        raw.append(tail)
-    del run  # the draws are spent: free them before the pooled copy
-    pooled = np.concatenate(raw, axis=0)
-    report: dict = {
-        "accept_rate": float(np.mean([acceptance_rate(flags[:, c]) for c in range(cfg.n_chains)])),
-        "mean": {},
-        "sd": {},
-        "se": {},
-        "ess": {},
-        "rhat": {},
-    }
+        tails.append(tail)
+    return tails
+
+
+def _summary(raw: list, accept: list) -> dict:
+    """One kernel's report from its chains' raw tails and acceptance rates."""
+    report: dict = {"accept_rate": float(np.mean(accept)), "mean": {}, "sd": {}, "se": {}, "ess": {}, "rhat": {}}
     for j, name in enumerate(PARAM_NAMES):
         series = [r[:, j] for r in raw]
         ess_total = float(sum(iact_and_ess(s)[1] for s in series))
-        sd = float(pooled[:, j].std(ddof=1))
-        report["mean"][name] = float(pooled[:, j].mean())
+        pooled = np.concatenate(series)  # one column at a time: no (n, 2) pooled copy
+        report["mean"][name], sd = float(pooled.mean()), float(pooled.std(ddof=1))
+        del pooled  # freed before the next column's FFTs
         report["sd"][name] = sd
         report["se"][name] = sd / np.sqrt(ess_total)
         report["ess"][name] = ess_total
@@ -110,18 +87,56 @@ def _kernel_report(kernel_name: str, cfg: ChallengerConfig) -> dict:
     return report
 
 
+def _kernel_reports(kernel_names: Sequence[str], cfg: ChallengerConfig) -> list:
+    """The named kernels' reports, each from its ``cfg.n_chains`` chains, all run in one lockstep call.
+
+    The names come in ``BENCH_KERNELS`` order, additive first as
+    ``run_lockstep`` needs.  Chain ``c`` of the kernel at index ``j`` of
+    ``BENCH_KERNELS`` is one stream on its own generator,
+    ``chain_rng(cfg.seed, c + j * cfg.n_chains)``: its start, then per step
+    the draws of the kernel built from ``cfg``, at that kernel's own scale.
+    """
+    target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
+    n = cfg.n_chains
+    kernels, scales, rngs = [], [], []
+    for name in kernel_names:
+        if name == "additive-tmcmc":
+            scale = cfg.tmcmc_eps_scale
+            kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=scale))
+        else:
+            kernel, scale = make_rwmh_kernel(target, cfg.rwmh_sigma), cfg.rwmh_sigma
+        offset = BENCH_KERNELS.index(name) * n
+        kernels += [kernel] * n
+        scales += [[scale]] * n
+        rngs += [chain_rng(cfg.seed, c + offset) for c in range(n)]
+    # Overdispersed starts relative to the posterior spread.
+    x0 = np.array([np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25]) for rng in rngs])
+    run = run_lockstep(kernels, target.log_density, x0, scales, cfg.n_iter, rngs, 2)
+    burn = int(cfg.burn_frac * cfg.n_iter)
+    t_bar = target.info["t_bar"]
+    accept = [acceptance_rate(run.accepted[burn:, s]) for s in range(len(rngs))]
+    # The random-walk tails first, so their normals are freed before the additive tails are built.
+    rwmh = _raw_tails(run, range(run.n_signed, len(rngs)), burn, t_bar)
+    run = run._replace(normals=None)
+    raw = _raw_tails(run, range(run.n_signed), burn, t_bar) + rwmh
+    del run  # the draws are spent: free them before the summaries
+    return [_summary(raw[j * n:(j + 1) * n], accept[j * n:(j + 1) * n]) for j in range(len(kernel_names))]
+
+
 def run_challenger_benchmark(
     cfg: Optional[ChallengerConfig] = None, n_workers: Optional[int] = None
 ) -> dict:
     """Run both kernels and assemble the cross-kernel agreement report.
 
-    Each kernel runs its chains in lockstep (``_kernel_report``).  The two
-    kernels are independent and ``map_tasks`` runs them on up to
-    ``n_workers`` processes; the report is the same either way.
+    The chains run in lockstep (``_kernel_reports``).  With one worker
+    (``pool_workers(n_workers) <= 1``) both kernels' chains step together
+    in one engine call; with more, ``map_tasks`` runs the two kernels in
+    parallel, one task each.  The report is the same either way.
     """
     cfg = cfg or ChallengerConfig()
     t0 = time.perf_counter()
-    reports = map_tasks(partial(_kernel_report, cfg=cfg), BENCH_KERNELS, n_workers)
+    tasks = [BENCH_KERNELS] if pool_workers(n_workers) <= 1 else [(name,) for name in BENCH_KERNELS]
+    reports = [r for task in map_tasks(partial(_kernel_reports, cfg=cfg), tasks, n_workers) for r in task]
     kernels = dict(zip(BENCH_KERNELS, reports))
 
     cross = {}

@@ -55,6 +55,7 @@ __all__ = [
     "Lockstep",
     "run_lockstep",
     "lockstep_path",
+    "pool_workers",
     "map_tasks",
 ]
 
@@ -286,7 +287,7 @@ class Lockstep(NamedTuple):
 
     n_signed: int  # streams 0 .. n_signed - 1 draw sign moves d = +-a
     x0: np.ndarray  # (G, n_record): each stream's start, leading coordinates
-    scales: np.ndarray  # (C,): the proposal scale of chain (g, c) is scales[c]
+    scales: np.ndarray  # (G, C): the proposal scale of chain (g, c) is scales[g, c]
     a: np.ndarray  # (G_sign, n_record): |a| of each sign-move stream's leading coordinates
     signs: np.ndarray  # (n_iter, G_sign, n_record) bool: signbit(d), so d = -a where True, +a elsewhere
     r: np.ndarray  # (n_iter, G_sign): each sign-move stream's innovation
@@ -299,22 +300,26 @@ def run_lockstep(
     kernels: Sequence[Kernel],
     log_density: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    scales: Sequence[float],
+    scales: Sequence,
     n_iter: int,
     rngs: Sequence[np.random.Generator],
     n_record: int,
 ) -> Lockstep:
-    """Advance ``G = len(rngs)`` streams of ``C = len(scales)`` chains in lockstep.
+    """Advance ``G = len(rngs)`` streams of ``C`` chains each in lockstep.
 
-    Stream ``g`` runs ``kernels[g]`` on its own generator ``rngs[g]``: per step
-    it calls ``kernels[g].direction(rng, d_g) -> r_g``, the draw the kernel's
-    own transition makes (only symmetric kernels have one), then draws one
-    acceptance uniform shared by its chains.  Chain ``(g, c)`` starts at
-    ``x0[g]`` and proposes ``x + d_g * (scales[c] * r_g)``.  Sign-move
-    streams, whose ``direction.a`` gives ``d = +-a``, come first (else
-    ``ValueError``); any other direction must return ``r = 1``.  All
-    proposals go to one ``log_density`` call on a ``(G * C, k)`` batch, which
-    must be row by row bit-identical to single calls.
+    ``scales`` is ``(C,)``, the same scales for every stream, or ``(G, C)``,
+    one row per stream.  Stream ``g`` runs ``kernels[g]`` on its own generator
+    ``rngs[g]``: per step it calls ``kernels[g].direction(rng, d_g) -> r_g``,
+    the draw the kernel's own transition makes (only symmetric kernels have
+    one), then draws one acceptance uniform shared by its chains.  Chain
+    ``(g, c)`` starts at ``x0[g]`` and proposes
+    ``x + d_g * (scales[g, c] * r_g)``.  Sign-move streams, whose
+    ``direction.a`` gives ``d = +-a``, come first; any other direction must
+    return ``r = 1``.  All proposals go to one ``log_density`` call on a
+    ``(G * C, k)`` batch, which must be row by row bit-identical to single
+    calls.  The leading ``n_record`` coordinates are recorded.  Bad streams,
+    ``n_iter < 1``, ``n_record`` outside ``[1, k]`` or a ``scales`` shape
+    other than these raise ``ValueError`` before the first step.
     """
     directions = [getattr(kernel, "direction", None) for kernel in kernels]
     signed = [hasattr(direction, "a") for direction in directions]
@@ -322,20 +327,29 @@ def run_lockstep(
     if None in directions or signed != sorted(signed, reverse=True) or not len(kernels) == len(rngs) == len(x0):
         raise ValueError("need one symmetric kernel (sign-move kernels first), one generator and one start per stream")
     x0 = np.asarray(x0, dtype=float)
-    (n_streams, k), n_cells = x0.shape, len(scales)
+    n_streams, k = x0.shape
     scales = np.asarray(scales, dtype=float)
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    if not 1 <= n_record <= k:
+        raise ValueError(f"n_record must lie in [1, {k}], got {n_record}")
+    if scales.ndim == 1:
+        scales = np.tile(scales, (n_streams, 1))
+    if scales.ndim != 2 or scales.shape[0] != n_streams or scales.size == 0:
+        raise ValueError(f"scales must have shape (C,) or ({n_streams}, C) with C >= 1, got {scales.shape}")
+    n_cells = scales.shape[1]
     a = np.array([direction.a[:n_record] for direction in directions[:n_sign]]).reshape(n_sign, n_record)
     x = np.repeat(x0, n_cells, axis=0)
     lp_x = np.repeat(log_density(x0), n_cells)
     y = np.empty_like(x)
     d = np.empty((n_streams, k))
-    sr = np.tile(scales, (n_streams, 1))  # scales * r_g, one row per stream
+    sr = scales.copy()  # scales * r_g, one row per stream
     r_now = np.empty(n_streams)
     log_u = np.empty((n_streams, n_cells))
     # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals.
     d_by_cell, sr_by_coord, y_by_group = d[:, None, :], sr[:, :, None], y.reshape(n_streams, n_cells, k)
     streams, log_u_all = list(zip(directions, rngs, d)), log_u.reshape(-1)
-    r_sign, sr_sign, r_by_cell = r_now[:n_sign], sr[:n_sign], r_now[:n_sign, None]
+    r_sign, sr_sign, r_by_cell, scales_sign = r_now[:n_sign], sr[:n_sign], r_now[:n_sign, None], scales[:n_sign]
     d_sign_head, d_rest_head = d[:n_sign, :n_record], d[n_sign:, :n_record]
     signs = np.empty((n_iter, n_sign, n_record), dtype=bool)
     r = np.empty((n_iter, n_sign))
@@ -350,7 +364,7 @@ def run_lockstep(
                 log_u[g] = math.log(u) if u > 0.0 else -math.inf
             if n_sign:
                 r[i] = r_sign
-                np.multiply(r_by_cell, scales, out=sr_sign)
+                np.multiply(r_by_cell, scales_sign, out=sr_sign)
                 np.signbit(d_sign_head, out=signs[i])
             np.multiply(d_by_cell, sr_by_coord, out=y_by_group)
             y += x
@@ -368,32 +382,36 @@ def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.
     sum adds ``d * (scale * r)`` on accepted steps and ``0`` otherwise, in
     step order: the same floating-point additions the chain made.
     """
-    g, c = divmod(chain, len(run.scales))
+    g, c = divmod(chain, run.scales.shape[1])
     j = slice(None) if coord is None else coord
     path = np.empty((len(run.accepted) + 1,) + run.x0[g, j].shape)
     path[0] = run.x0[g, j]
     steps = path[1:]
     if g < run.n_signed:  # (scale * r) * a, negated where d = -a: no temporaries
         r = run.r[:, g]
-        np.multiply(r if steps.ndim == 1 else r[:, None], run.scales[c], out=steps)
+        np.multiply(r if steps.ndim == 1 else r[:, None], run.scales[g, c], out=steps)
         steps *= run.a[g, j]
         np.negative(steps, out=steps, where=run.signs[:, g, j])
     else:  # r = 1
-        np.multiply(run.normals[:, g - run.n_signed, j], run.scales[c], out=steps)
+        np.multiply(run.normals[:, g - run.n_signed, j], run.scales[g, c], out=steps)
     steps[~run.accepted[:, chain]] = 0.0
     return np.cumsum(path, axis=0, out=path)[1:]
+
+
+def pool_workers(n_workers: Optional[int] = None) -> int:
+    """The worker count ``map_tasks`` caps its pool at: ``n_workers``, or the cpu count when None."""
+    return n_workers if n_workers is not None else (os.cpu_count() or 1)
 
 
 def map_tasks(fn: Callable, tasks: Iterable, n_workers: Optional[int] = None) -> Iterator:
     """Yield ``fn(task)`` for each task, in order.
 
-    Runs on ``min(n_workers, len(tasks))`` worker processes (``n_workers``
-    None: the cpu count), or in this process when that is at most 1.  An
-    exception from a task is raised when its result is reached, after the
-    results before it.
+    Runs on ``min(pool_workers(n_workers), len(tasks))`` worker processes, or
+    in this process when that is at most 1.  An exception from a task is
+    raised when its result is reached, after the results before it.
     """
     tasks = list(tasks)
-    workers = min(n_workers if n_workers is not None else (os.cpu_count() or 1), len(tasks))
+    workers = min(pool_workers(n_workers), len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return

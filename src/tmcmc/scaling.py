@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import lockstep_path, map_tasks, run_chain, run_lockstep
+from .chain import lockstep_path, map_tasks, pool_workers, run_chain, run_lockstep
 from .diagnostics import MIN_SAMPLES, acceptance_rate, expected_acceptance_rate, iact_and_ess
 from .targets import make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -166,8 +165,7 @@ def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> lis
     """
     kernels = sorted(spec.kernels, key=STUDY_KERNELS.index)
     streams = [(seed, kernel) for kernel in kernels for seed in spec.seeds]
-    workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-    n_runs = min(len(streams), max(workers, -(-len(streams) // GROUP_STREAMS)))
+    n_runs = min(len(streams), max(pool_workers(n_workers), -(-len(streams) // GROUP_STREAMS)))
     cuts = [i * len(streams) // n_runs for i in range(n_runs + 1)]
     return [(k, tuple(streams[lo:hi])) for k in spec.dims for lo, hi in zip(cuts, cuts[1:])]
 

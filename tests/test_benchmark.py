@@ -8,7 +8,7 @@ import pytest
 from tmcmc import benchmark
 from tmcmc.baseline_kernels import make_rwmh_kernel
 from tmcmc.benchmark import BENCH_KERNELS, ChallengerConfig, run_challenger_benchmark
-from tmcmc.chain import chain_rng, run_chain
+from tmcmc.chain import chain_rng, run_chain, run_lockstep
 from tmcmc.diagnostics import acceptance_rate, iact_and_ess, split_rhat
 from tmcmc.targets import make_challenger_logistic
 from tmcmc.transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -50,6 +50,11 @@ def _reference_kernel_report(kernel_name, cfg):
     return report
 
 
+def _reference_kernel_reports(kernel_names, cfg):
+    """``_kernel_reports`` from separate ``run_chain`` runs, one kernel at a time."""
+    return [_reference_kernel_report(name, cfg) for name in kernel_names]
+
+
 def _json(report):
     return json.dumps({k: v for k, v in report.items() if k != "wall_time_s"}, sort_keys=True)
 
@@ -59,7 +64,7 @@ def _json(report):
 def test_lockstep_report_equals_single_chain_runs(seed, n_chains, monkeypatch):
     cfg = ChallengerConfig(n_iter=3000, n_chains=n_chains, seed=seed)
     report = run_challenger_benchmark(cfg, n_workers=1)
-    monkeypatch.setattr(benchmark, "_kernel_report", _reference_kernel_report)
+    monkeypatch.setattr(benchmark, "_kernel_reports", _reference_kernel_reports)
     reference = run_challenger_benchmark(cfg, n_workers=1)
     assert _json(report) == _json(reference)
 
@@ -67,13 +72,27 @@ def test_lockstep_report_equals_single_chain_runs(seed, n_chains, monkeypatch):
 def test_lockstep_without_burn_in_and_raw_coordinates(monkeypatch):
     cfg = ChallengerConfig(n_iter=1000, n_chains=3, seed=7, burn_frac=0.0, center=False, rwmh_sigma=0.05)
     report = run_challenger_benchmark(cfg, n_workers=1)
-    monkeypatch.setattr(benchmark, "_kernel_report", _reference_kernel_report)
+    monkeypatch.setattr(benchmark, "_kernel_reports", _reference_kernel_reports)
     assert _json(report) == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 
-def test_report_is_independent_of_worker_count():
-    cfg = ChallengerConfig(n_iter=2000, n_chains=2, seed=5)
-    assert _json(run_challenger_benchmark(cfg, n_workers=2)) == _json(run_challenger_benchmark(cfg, n_workers=1))
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("n_chains", [2, 3])
+def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch):
+    cfg = ChallengerConfig(n_iter=2000, n_chains=n_chains, seed=5)
+    engine_streams = []
+
+    def counted(kernels, *args):
+        engine_streams.append(len(kernels))
+        return run_lockstep(kernels, *args)
+
+    monkeypatch.setattr(benchmark, "run_lockstep", counted)
+    report = _json(run_challenger_benchmark(cfg, n_workers=n_workers))
+    # one worker: both kernels' chains in one engine call; two: one call a kernel, in the pool's workers
+    assert engine_streams == ([2 * n_chains] if n_workers == 1 else [])
+    assert report == _json(run_challenger_benchmark(cfg, n_workers=3 - n_workers))
+    monkeypatch.setattr(benchmark, "_kernel_reports", _reference_kernel_reports)
+    assert report == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 
 def test_config_validation():

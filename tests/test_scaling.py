@@ -87,17 +87,19 @@ def _lockstep_kernels(names, target):
 def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start):
     """Every (stream, scale) chain of ``run`` against its own ``run_chain``.
 
-    ``kernels[g]`` is stream ``g``'s kernel; ``reference_start(g)`` gives
-    its start and a fresh generator at the state the lockstep stream began
+    ``kernels[g]`` is stream ``g``'s kernel and ``scales`` the ``(C,)`` or
+    ``(G, C)`` scales ``run`` was given; ``reference_start(g)`` gives its
+    start and a fresh generator at the state the lockstep stream began
     stepping from.
     """
     n_coords = run.x0.shape[1]
-    assert run.accepted.shape == (n_iter, len(kernels) * len(scales))
+    rows = np.broadcast_to(scales, (len(kernels), np.shape(scales)[-1]))
+    assert run.accepted.shape == (n_iter, rows.size)
     for g, kernel in enumerate(kernels):
-        for c, scale in enumerate(scales):
+        for c, scale in enumerate(rows[g]):
             start, rng = reference_start(g)
             trace = _reference_chain(kernel, target, scale, start, n_iter, rng, n_coords)
-            col = g * len(scales) + c
+            col = g * rows.shape[1] + c
             assert np.array_equal(run.accepted[:, col], trace.accepted)
             assert np.array_equal(lockstep_path(run, col), trace.states)
             for j in range(n_coords):
@@ -105,21 +107,26 @@ def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, re
             assert run.n_nonfinite[col] == trace.n_nonfinite_proposals
 
 
-LOCKSTEP_STREAMS = {
-    **{kernel: [(seed, kernel) for seed in (11, 12, 13)] for kernel in STUDY_KERNELS},
+MIXED_STREAMS = [(11, "additive-tmcmc"), (12, "additive-tmcmc"), (11, "rwmh"), (12, "rwmh"), (13, "rwmh")]
+LOCKSTEP_STREAMS = [
+    *(pytest.param([(seed, kernel) for seed in (11, 12, 13)], None, id=kernel) for kernel in STUDY_KERNELS),
     # both kernels in one group, the additive streams first
-    "mixed": [(11, "additive-tmcmc"), (12, "additive-tmcmc"), (11, "rwmh"), (12, "rwmh"), (13, "rwmh")],
-}
+    pytest.param(MIXED_STREAMS, None, id="mixed"),
+    # the same streams, each at its own row of (G, C) scales: the row is the shared one times its factor
+    pytest.param(MIXED_STREAMS, (1.0, 0.6, 1.3, 0.8, 1.7), id="mixed-own-scales"),
+]
 
 
-@pytest.mark.parametrize("streams", LOCKSTEP_STREAMS.values(), ids=LOCKSTEP_STREAMS.keys())
+@pytest.mark.parametrize("streams, stream_factors", LOCKSTEP_STREAMS)
 @pytest.mark.parametrize("k", [1, 4, 100])
-def test_lockstep_cells_equal_single_chain_runs(streams, k):
+def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k):
     n_iter, ells = 1_500, (0.4, 1.6, 2.8, 6.0)
     n_coords = min(ESS_COORD_BLOCK, k)
     kernels = [kernel for _, kernel in streams]
     target = make_iid_gaussian(k)
     scales = [ell / np.sqrt(k) for ell in ells]
+    if stream_factors is not None:
+        scales = [[f * scale for scale in scales] for f in stream_factors]
     rngs = [_cell_rng(seed, kernel, k) for seed, kernel in streams]
     x0 = np.array([rng.standard_normal(k) for rng in rngs])
     run = run_lockstep(_lockstep_kernels(kernels, target), target.log_density, x0, scales, n_iter, rngs, n_coords)
@@ -174,6 +181,19 @@ def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
             run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)
     with pytest.raises(ValueError, match="one symmetric kernel"):
         run_lockstep((additive, rwmh), target.log_density, x0, [1.0], 10, rngs[:1], 2)
+
+    def never(x):
+        raise AssertionError("the arguments are checked before the first log-density call")
+
+    for kernels in ((additive, rwmh), (rwmh, rwmh)):
+        with pytest.raises(ValueError, match="n_iter must be >= 1"):
+            run_lockstep(kernels, never, x0, [1.0], 0, rngs, 2)
+        for n_record in (0, 3):  # 0 would record nothing; 3 exceeds k = 2
+            with pytest.raises(ValueError, match=r"n_record must lie in \[1, 2\]"):
+                run_lockstep(kernels, never, x0, [1.0], 10, rngs, n_record)
+        for scales in ([], [[1.0]], np.ones((3, 1)), np.ones((2, 0)), np.ones((2, 1, 1))):
+            with pytest.raises(ValueError, match=r"scales must have shape \(C,\) or \(2, C\)"):
+                run_lockstep(kernels, never, x0, scales, 10, rngs, 2)
 
 
 def test_slice_cells_match_the_single_chain_study_metrics():
@@ -251,7 +271,7 @@ def test_study_pool_is_capped_at_its_group_count(pool_sizes, monkeypatch):
 
 
 def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
-    from tmcmc import scaling
+    from tmcmc import chain, scaling
 
     spec = replace(TINY, dims=(4, 8), seeds=tuple(range(1, 11)))
     streams = tuple((s, kn) for kn in spec.kernels for s in spec.seeds)  # kernel-major
@@ -272,7 +292,7 @@ def test_study_groups_split_seeds_for_workers_and_memory(monkeypatch):
             own = groups[dim * len(lengths):(dim + 1) * len(lengths)]
             assert [len(g[1]) for g in own] == lengths
             assert sum((g[1] for g in own), ()) == streams
-    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 20)
+    monkeypatch.setattr(chain.os, "cpu_count", lambda: 20)
     assert [g[1] for g in study_groups(spec)[:20]] == [(s,) for s in streams]
     # the default study, serial or on two workers: one group a kernel in every dimension,
     # so the k = 100 dimension alone fills two workers
