@@ -55,7 +55,6 @@ __all__ = [
     "Lockstep",
     "run_lockstep",
     "lockstep_path",
-    "pool_workers",
     "map_tasks",
 ]
 
