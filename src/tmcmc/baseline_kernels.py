@@ -1,16 +1,20 @@
 """Baseline kernels: random-walk Metropolis and Hamiltonian Monte Carlo.
 
-The leapfrog integrator is implemented in the combined-update form
+The leapfrog integrator is implemented in the combined-update form on the
+score ``s = grad log pi = -grad U``
 
-    x(t+dt) = x(t) + dt M^{-1} {p(t) - (dt/2) grad U(x(t))}
-    p(t+dt) = p(t) - (dt/2) {grad U(x(t)) + grad U(x(t+dt))}
+    x(t+dt) = x(t) + dt M^{-1} {p(t) + (dt/2) s(x(t))}
+    p(t+dt) = p(t) + (dt/2) {s(x(t)) + s(x(t+dt))}
 
 which is algebraically the usual half-kick / drift / half-kick scheme, so it
-is time-reversible and volume preserving.  The Hamiltonian uses the kinetic
-energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum refresh.
+is time-reversible and volume preserving.  It is bit-identical to the same
+form written with ``grad U``, since in IEEE arithmetic ``c*(-g) == -(c*g)``,
+``-g + -g' == -(g + g')`` and ``a + (-b) == a - b``.  The Hamiltonian uses
+the kinetic energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum
+refresh.
 
 An HMC transition costs one log-density call and ``L`` gradient calls: the
-chain state carries ``log pi`` and ``grad U`` of the current position.  A
+chain state carries ``log pi`` and ``grad log pi`` of the current position.  A
 divergent trajectory, one whose end point is non-finite, is a rejected
 transition counted in ``Trace.meta["n_nonfinite_proposals"]``; the
 integrator runs with numpy's overflow and invalid-value warnings off, and
@@ -107,28 +111,27 @@ def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
     return kernel
 
 
-def _potential_gradient(target: Target):
-    """``x -> grad U(x)`` for a float array ``x``; raises if the target has no gradient."""
-    grad_log_density = target.grad_log_density
-    if grad_log_density is None:
+def _score(target: Target):
+    """``target.grad_log_density``; raises if the target has no gradient."""
+    if target.grad_log_density is None:
         raise ValueError(f"target {target.name!r} has no gradient; HMC needs one")
-    return lambda x: -np.asarray(grad_log_density(x), dtype=float)
+    return target.grad_log_density
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _leapfrog(x, p, grad, L, drift, half_dt, grad_u):
-    """``(x, p, grad U(x))`` -> ``(x_L, p_L, grad U(x_L))`` with ``drift = dt M^{-1}``.
+def _leapfrog(x, p, s, L, drift, half_dt, score):
+    """``(x, p, grad log pi(x))`` -> ``(x_L, p_L, grad log pi(x_L))`` with ``drift = dt M^{-1}``.
 
     Unchecked: a non-finite gradient makes every later ``x`` and ``p``
     non-finite, so callers test the end point once.  Overflow and invalid
     values on the way there raise no numpy warnings.
     """
     for _ in range(L):
-        x = x + drift * (p - half_dt * grad)
-        grad_new = grad_u(x)
-        p = p - half_dt * (grad + grad_new)
-        grad = grad_new
-    return x, p, grad
+        x = x + drift * (p + half_dt * s)
+        s_new = np.asarray(score(x), dtype=float)
+        p = p + half_dt * (s + s_new)
+        s = s_new
+    return x, p, s
 
 
 def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
@@ -136,11 +139,10 @@ def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
 
     Raises ``LeapfrogError`` if the trajectory diverges (a non-finite end point).
     """
-    grad_u = _potential_gradient(target)
-    x = np.asarray(start.x, dtype=float)
+    score = _score(target)
+    x, p = np.asarray(start.x, dtype=float), np.asarray(start.p, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    p = np.asarray(start.p, dtype=float)
-    x, p, _ = _leapfrog(x, p, grad_u(x), cfg.L, cfg.dt * inv_m, 0.5 * cfg.dt, grad_u)
+    x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), cfg.L, cfg.dt * inv_m, 0.5 * cfg.dt, score)
     if not _finite(x, p):
         raise LeapfrogError(f"non-finite phase point after leapfrog step {cfg.L}")
     return PhasePoint(x, p)
@@ -151,9 +153,9 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
 
     Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
     momentum is discarded afterwards.  The state carries
-    ``(x, log pi(x), grad U(x))``; a divergent trajectory is a rejection.
+    ``(x, log pi(x), grad log pi(x))``; a divergent trajectory is a rejection.
     """
-    grad_u = _potential_gradient(target)
+    score = _score(target)
     log_density = target.log_density
     mass = cfg.mass_vector(target.dim)
     inv_m = 1.0 / mass
@@ -164,7 +166,7 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     def kernel(state: ChainState, rng: np.random.Generator):
         x = state.x
         p0 = sqrt_m * rng.standard_normal(x.size)
-        y, p, grad_y = _leapfrog(x, p0, state.grad, cfg.L, drift, half_dt, grad_u)
+        y, p, s_y = _leapfrog(x, p0, state.grad, cfg.L, drift, half_dt, score)
         if _finite(y, p):
             lp_y = log_density(y)
             h0 = -state.lp + 0.5 * float(p0 @ (inv_m * p0))
@@ -172,11 +174,11 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
             log_alpha = h0 - h1
         else:
             lp_y = log_alpha = -math.inf
-        return accept_step(state, ChainState(y, lp_y, grad_y), log_alpha, rng)
+        return accept_step(state, ChainState(y, lp_y, s_y), log_alpha, rng)
 
     def init(x) -> ChainState:
         x = np.asarray(x, dtype=float)
-        return ChainState(x, log_density(x), grad_u(x))
+        return ChainState(x, log_density(x), np.asarray(score(x), dtype=float))
 
     kernel.init = init
     return kernel
@@ -197,7 +199,5 @@ def hmc_one_step_proposal_params(
         raise ValueError(f"proposal characterization requires L = 1, got L = {cfg.L}")
     x = np.asarray(x, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    score = -_potential_gradient(target)(x)
-    mean = x + 0.5 * cfg.dt**2 * inv_m * score
-    var = cfg.dt**2 * inv_m
-    return mean, var
+    score = np.asarray(_score(target)(x), dtype=float)
+    return x + 0.5 * cfg.dt**2 * inv_m * score, cfg.dt**2 * inv_m

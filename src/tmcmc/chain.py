@@ -2,7 +2,7 @@
 
 Kernel protocol.  A kernel is a pure function ``kernel(state, rng) -> Step``
 over an explicit ``ChainState``: the position ``x``, its log-density ``lp``
-and, for HMC only, the potential gradient ``grad``.  The factory that builds
+and, for HMC only, its score ``grad = grad log pi(x)``.  The factory that builds
 a kernel also sets the function attribute ``kernel.init(x) -> ChainState``,
 which evaluates what the state carries once.  ``run_chain`` calls ``init``
 once and then hands each step's ``state`` to the next, so a transition
@@ -60,7 +60,7 @@ __all__ = [
 
 
 class ChainState(NamedTuple):
-    """Position, its log-density and, for HMC, ``grad U(x)``."""
+    """Position, its log-density and, for HMC, ``grad log pi(x)``."""
 
     x: np.ndarray
     lp: float

@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=float, default=0.5, help="spin-chain coupling (any real)")
     p.add_argument("--rate", type=_positive_float, default=1.0, help="lattice tail rate > 0")
     p.add_argument("--condition", type=_positive_float, default=10.0,
-                   help="anisotropic-gaussian precision spread (>= 1)")
+                   help="anisotropic-gaussian precisions run evenly from 1 to this value (> 0)")
     p.add_argument("--prior-sd", type=_positive_float, default=10.0, help="logistic prior sd > 0")
     p.add_argument("--center", action=argparse.BooleanOptionalAction, default=False,
                    help="sample the logistic posterior in centered-covariate coordinates")

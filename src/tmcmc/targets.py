@@ -137,13 +137,14 @@ def make_anisotropic_gaussian(precisions: Sequence[float]) -> Target:
         raise ValueError(f"precisions must all be positive, got {lam}")
     k = lam.size
     const = 0.5 * float(np.sum(np.log(lam))) - 0.5 * k * LOG_2PI
+    neg_lam = -lam
 
     def log_density(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         return const - 0.5 * float(lam @ (x * x))
 
     def grad_log_density(x: np.ndarray) -> np.ndarray:
-        return -lam * np.asarray(x, dtype=float)
+        return neg_lam * np.asarray(x, dtype=float)
 
     return Target(
         dim=k,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baseline_kernels import HmcConfig, PhasePoint, _potential_gradient, leapfrog
+from .baseline_kernels import HmcConfig, PhasePoint, _score, leapfrog
 from .chain import chain_rng, run_chain
 from .discrete_kernels import (
     exact_transition_matrix,
@@ -387,13 +387,11 @@ def check_two_step_reachability(
 
 def _euler_flow(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
     # Forward Euler: deliberately non-symplectic, used as a negative control.
-    x = np.asarray(start.x, dtype=float).copy()
-    p = np.asarray(start.p, dtype=float).copy()
+    x, p = np.asarray(start.x, dtype=float), np.asarray(start.p, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    grad_u = _potential_gradient(target)
+    score = _score(target)
     for _ in range(cfg.L):
-        grad = grad_u(x)
-        x, p = x + cfg.dt * inv_m * p, p - cfg.dt * grad
+        x, p = x + cfg.dt * inv_m * p, p + cfg.dt * np.asarray(score(x), dtype=float)
     return PhasePoint(x, p)
 
 

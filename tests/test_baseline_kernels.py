@@ -218,6 +218,46 @@ def test_hmc_transition_costs_one_density_and_L_gradient_calls(L):
     assert calls == {"density": n + 1, "grad": n * L + 1}
 
 
+@pytest.mark.parametrize(
+    "target",
+    [make_iid_gaussian(4), make_anisotropic_gaussian(np.linspace(1.0, 4.0, 4)), make_challenger_logistic(10.0)],
+    ids=lambda t: t.name,
+)
+def test_hmc_state_carries_the_score_itself(target):
+    # ChainState.grad is grad log pi(x), bit for bit: the leapfrog runs on the
+    # score, with no sign flip in between.
+    x = np.linspace(-0.8, 0.9, target.dim)
+    state = make_hmc_kernel(target, HmcConfig(L=3, dt=0.1)).init(x)
+    assert state.grad.dtype == np.float64
+    assert np.array_equal(state.grad, target.grad_log_density(x))
+
+
+def _laplace_target(k, grad):
+    """``log pi = -sum |x_i|``, whose score ``-sign(x)`` has integer values."""
+    return Target(dim=k, log_density=lambda x: -float(np.abs(x).sum()), grad_log_density=grad, name="laplace")
+
+
+@pytest.mark.parametrize(
+    "score",
+    [lambda x: [int(v) for v in -np.sign(x)], lambda x: -np.sign(x).astype(np.int64)],
+    ids=["list", "int-array"],
+)
+def test_hmc_coerces_a_list_or_integer_gradient(score):
+    # A user gradient may return a Python list or an integer array: the kernel
+    # and leapfrog() run it as floats, bit-identical to its float-array twin.
+    k, cfg = 3, HmcConfig(L=5, dt=0.2)
+    x0 = np.array([-0.7, 0.3, 1.1])
+    twin, user = _laplace_target(k, lambda x: -np.sign(x)), _laplace_target(k, score)
+    ref = run_chain(make_hmc_kernel(twin, cfg), x0, 500, 5)
+    got = run_chain(make_hmc_kernel(user, cfg), x0, 500, 5)
+    assert 0.0 < acceptance_rate(ref) < 1.0
+    for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    start = PhasePoint(x0, np.array([0.5, -1.0, 0.25]))
+    a, b = leapfrog(start, cfg, user), leapfrog(start, cfg, twin)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
+
+
 def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
     """Reference HMC chain composed from the public parts: a per-step checked
     leapfrog from a fresh gradient, ``-log pi`` for both energies and a

@@ -164,6 +164,8 @@ def test_sample_rejects_burn_in_not_below_iters():
         ("ising-tmcmc", "ising", ["--coupling", "0.4"]),
         ("zk-tmcmc", "lattice", ["--r", "0.3"]),
         ("additive-tmcmc", "challenger", ["--dim", "2", "--center"]),
+        # Precisions linspace(1, c, dim) form a valid (falling) ladder for c < 1 too.
+        ("hmc", "anisotropic-gaussian", ["--condition", "0.5"]),
     ],
 )
 def test_sample_runs_every_kernel_target_pair(tmp_path, kernel, target, extra):
