@@ -7,11 +7,10 @@ score ``s = grad log pi = -grad U``
     p(t+dt) = p(t) + (dt/2) {s(x(t)) + s(x(t+dt))}
 
 which is algebraically the usual half-kick / drift / half-kick scheme, so it
-is time-reversible and volume preserving.  It is bit-identical to the same
-form written with ``grad U``, since in IEEE arithmetic ``c*(-g) == -(c*g)``,
-``-g + -g' == -(g + g')`` and ``a + (-b) == a - b``.  The Hamiltonian uses
-the kinetic energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum
-refresh.
+is time-reversible and volume preserving.  The Hamiltonian uses the kinetic
+energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum refresh.  It is
+bit-identical to the same form in ``grad U``, since IEEE arithmetic gives
+``c*(-g) == -(c*g)``, ``-g + -g' == -(g + g')`` and ``a + (-b) == a - b``.
 
 An HMC transition costs one log-density call and ``L`` gradient calls: the
 chain state carries ``log pi`` and ``grad log pi`` of the current position.  A
@@ -200,4 +199,6 @@ def hmc_one_step_proposal_params(
     x = np.asarray(x, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
     score = np.asarray(_score(target)(x), dtype=float)
-    return x + 0.5 * cfg.dt**2 * inv_m * score, cfg.dt**2 * inv_m
+    mean = x + 0.5 * cfg.dt**2 * inv_m * score
+    var = cfg.dt**2 * inv_m
+    return mean, var
