@@ -89,14 +89,18 @@ class LeapfrogError(RuntimeError):
 
 
 def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
-    """Propose ``x + sigma * d`` (``kernel.direction``: ``k`` normals ``d``, ``r = 1``); accept by the density ratio."""
+    """Propose ``x + sigma * d`` and accept by the density ratio.
+
+    ``kernel.direction(rng, out)`` fills ``out``, ``(k,)`` or ``(b, k)`` for
+    ``b`` steps, with normals ``d`` and returns ``r = 1``, a float or ``(b,)``.
+    """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     log_density = target.log_density
 
-    def direction(rng: np.random.Generator, out: np.ndarray) -> float:
+    def direction(rng: np.random.Generator, out: np.ndarray):
         rng.standard_normal(out=out)
-        return 1.0
+        return 1.0 if out.ndim == 1 else np.ones(len(out))
 
     def kernel(state: ChainState, rng: np.random.Generator):
         d = np.empty_like(state.x)

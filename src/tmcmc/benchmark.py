@@ -11,6 +11,12 @@ model-identical (the prior is applied to the raw intercept through the exact
 change of variables) but orders of magnitude better conditioned; raw
 coordinates put the posterior on a correlation-0.995 ridge that an isotropic
 random walk cannot traverse in any reasonable run length.
+
+Every chain is one stream of ``chain.run_lockstep``, which draws it in
+blocks of 256 steps (all the block's directions and innovations, then its
+acceptance uniforms).  So the report is the one separate ``run_chain``
+chains would give only if fed that block layout; ``tmcmc sample`` runs
+``run_chain`` on plain streams and keeps its per-step order.
 """
 
 from __future__ import annotations
@@ -93,8 +99,9 @@ def _kernel_reports(kernel_names: Sequence[str], cfg: ChallengerConfig) -> list:
     The names come in ``BENCH_KERNELS`` order, additive first as
     ``run_lockstep`` needs.  Chain ``c`` of the kernel at index ``j`` of
     ``BENCH_KERNELS`` is one stream on its own generator,
-    ``chain_rng(cfg.seed, c + j * cfg.n_chains)``: its start, then per step
-    the draws of the kernel built from ``cfg``, at that kernel's own scale.
+    ``chain_rng(cfg.seed, c + j * cfg.n_chains)``: its start, then the
+    engine's 256-step blocks of draws of the kernel built from ``cfg``, at
+    that kernel's own scale.
     """
     target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
     n = cfg.n_chains

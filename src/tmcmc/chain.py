@@ -24,10 +24,15 @@ proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
 
 One lockstep engine.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
-each on its own generator with its own symmetric kernel, whose own draw
-``kernel.direction`` it calls, through one batched log-density call and one
-``accept_batch`` per step; ``lockstep_path`` rebuilds any of its chains,
-bit-identical to its ``run_chain`` twin.  ``map_tasks`` is the one process pool.
+each on its own generator with its own symmetric kernel.  A stream draws
+ahead in blocks of 256 steps: one call of its kernel's own draw
+``kernel.direction`` on a ``(b, k)`` block, then ``b`` acceptance uniforms.
+Each step is then one batched log-density call and one ``accept_batch``.  A
+one-step block is the draw order of the kernel's own transition, so a
+one-step engine run equals ``run_chain``; longer runs hand the same stream's
+numbers to their steps in block order.  ``run_chain``, and so ``tmcmc
+sample``, keeps the per-step order.  ``lockstep_path`` rebuilds any chain of
+a run bit for bit.  ``map_tasks`` is the one process pool.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ class Step(NamedTuple):
 Kernel = Callable[[ChainState, np.random.Generator], Step]
 
 CSV_BLOCK_ROWS = 4096  # rows per block in ``Trace.write_csv``
+_BLOCK_STEPS = 256  # steps each ``run_lockstep`` stream draws ahead
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -308,13 +314,15 @@ def run_lockstep(
 
     ``scales`` is ``(C,)``, the same scales for every stream, or ``(G, C)``,
     one row per stream.  Stream ``g`` runs ``kernels[g]`` on its own generator
-    ``rngs[g]``: per step it calls ``kernels[g].direction(rng, d_g) -> r_g``,
-    the draw the kernel's own transition makes (only symmetric kernels have
-    one), then draws one acceptance uniform shared by its chains.  Chain
-    ``(g, c)`` starts at ``x0[g]`` and proposes
-    ``x + d_g * (scales[g, c] * r_g)``.  Sign-move streams, whose
-    ``direction.a`` gives ``d = +-a``, come first; any other direction must
-    return ``r = 1``.  All proposals go to one ``log_density`` call on a
+    ``rngs[g]``, drawing ahead in blocks of ``b = min(256, steps left)``
+    steps: ``kernels[g].direction(rng, d_g) -> r_g`` fills the ``(b, k)``
+    directions and returns the ``(b,)`` innovations (only symmetric kernels
+    have a direction), then the stream draws ``b`` acceptance uniforms, each
+    shared by its chains.  With ``b = 1`` this is the order of the kernel's
+    own transition.  At step ``i`` chain ``(g, c)`` starts at ``x0[g]`` and
+    proposes ``x + d_g[i] * (scales[g, c] * r_g[i])``.  Sign-move streams,
+    whose ``direction.a`` gives ``d = +-a``, come first; any other direction
+    must return ``r = 1``.  All proposals go to one ``log_density`` call on a
     ``(G * C, k)`` batch, which must be row by row bit-identical to single
     calls.  The leading ``n_record`` coordinates are recorded.  Bad streams,
     ``n_iter < 1``, ``n_record`` outside ``[1, k]`` or a ``scales`` shape
@@ -341,35 +349,38 @@ def run_lockstep(
     x = np.repeat(x0, n_cells, axis=0)
     lp_x = np.repeat(log_density(x0), n_cells)
     y = np.empty_like(x)
-    d = np.empty((n_streams, k))
-    sr = scales.copy()  # scales * r_g, one row per stream
-    r_now = np.empty(n_streams)
-    log_u = np.empty((n_streams, n_cells))
-    # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals.
-    d_by_cell, sr_by_coord, y_by_group = d[:, None, :], sr[:, :, None], y.reshape(n_streams, n_cells, k)
-    streams, log_u_all = list(zip(directions, rngs, d)), log_u.reshape(-1)
-    r_sign, sr_sign, r_by_cell, scales_sign = r_now[:n_sign], sr[:n_sign], r_now[:n_sign, None], scales[:n_sign]
-    d_sign_head, d_rest_head = d[:n_sign, :n_record], d[n_sign:, :n_record]
+    y_by_group = y.reshape(n_streams, n_cells, k)
+    block = min(_BLOCK_STEPS, n_iter)
+    d = np.empty((n_streams, block, k))  # each stream's directions for the block
+    sr = np.empty((block, n_streams, n_cells))  # scales * r per step
+    sr[:, n_sign:] = scales[n_sign:]  # r = 1
+    log_u = np.empty((block, n_streams, n_cells))  # each stream's log u, shared by its chains
+    # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals at step j of a block.
+    per_step = [(d[:, j, None, :], sr[j, :, :, None], log_u[j].reshape(-1)) for j in range(block)]
     signs = np.empty((n_iter, n_sign, n_record), dtype=bool)
     r = np.empty((n_iter, n_sign))
     normals = np.empty((n_iter, n_streams - n_sign, n_record))
     accepted = np.empty((n_iter, n_streams * n_cells), dtype=bool)
     n_nonfinite = np.zeros(n_streams * n_cells, dtype=int)
     with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
-        for i in range(n_iter):
-            for g, (direction, rng, d_g) in enumerate(streams):
-                r_now[g] = direction(rng, d_g)
-                u = float(rng.random())
-                log_u[g] = math.log(u) if u > 0.0 else -math.inf
-            if n_sign:
-                r[i] = r_sign
-                np.multiply(r_by_cell, scales_sign, out=sr_sign)
-                np.signbit(d_sign_head, out=signs[i])
-            np.multiply(d_by_cell, sr_by_coord, out=y_by_group)
-            y += x
-            accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_all, n_nonfinite)
-            if n_sign < n_streams:
-                normals[i] = d_rest_head
+        for start in range(0, n_iter, block):
+            b = min(block, n_iter - start)
+            rows = slice(start, start + b)
+            for g, (direction, rng) in enumerate(zip(directions, rngs)):
+                r_g = direction(rng, d[g, :b])
+                uniforms = rng.random(b).tolist()
+                # accept_step's log u: math.log, not np.log, which can differ in the last bit
+                log_u[:b, g] = np.array([math.log(u) if u > 0.0 else -math.inf for u in uniforms])[:, None]
+                if g < n_sign:
+                    r[rows, g] = r_g
+                    np.multiply(r_g[:, None], scales[g], out=sr[:b, g])
+                    signs[rows, g] = np.signbit(d[g, :b, :n_record])  # numpy 2.4: signbit into a strided out errs
+                else:
+                    normals[rows, g - n_sign] = d[g, :b, :n_record]
+            for i, (d_i, sr_i, log_u_i) in zip(range(start, start + b), per_step):
+                np.multiply(d_i, sr_i, out=y_by_group)
+                y += x
+                accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_i, n_nonfinite)
     return Lockstep(n_sign, x0[:, :n_record].copy(), scales, a, signs, r, normals, accepted, n_nonfinite)
 
 

@@ -377,15 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Set config-file values as subparser defaults (flags still win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        parser.error("argument --config: expected a file path")
+def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
+    """Set the JSON config file's values as subparser defaults (flags still win)."""
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -398,7 +391,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         for sp in action.choices.values():
             given = [a for a in sp._actions if a.dest in entries]
             sp.set_defaults(**{a.dest: _config_value(parser, a, *entries[a.dest]) for a in given})
-    return argv
 
 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):
@@ -426,8 +418,10 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _apply_config_file(parser, argv)
     args = parser.parse_args(argv)
+    if args.config is not None:  # argparse found the path, whichever form --config took
+        _apply_config_file(parser, args.config)
+        args = parser.parse_args(argv)
     if getattr(args, "burn_in", 0) and args.burn_in >= getattr(args, "iters", float("inf")):
         parser.error(f"argument --burn-in: must be smaller than --iters, got {args.burn_in}")
     try:

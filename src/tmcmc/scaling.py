@@ -13,15 +13,19 @@ fitted to the log-ESS profile near its peak (the raw argmax cell is reported
 alongside), with the acceptance rate interpolated at that vertex.
 
 Both study kernels consume their stream the same way whatever the scale and
-whatever was accepted: per step the kernel's own ``direction`` (additive:
-``k`` sign uniforms, then one ``|N(0, 1)|``; rwmh: ``k`` standard normals),
-then one acceptance uniform.  So the cells of one dimension run in lockstep
+whatever was accepted, so the cells of one dimension run in lockstep
 through ``chain.run_lockstep``, in the groups ``study_groups`` cuts its
-(seed, kernel) streams into, and every cell is bit-identical to a
-single-chain ``run_chain`` of its kernel (``tests/test_scaling.py`` checks
-this), however the streams are grouped.  A cell's ``wall_ms`` is its
-group's loop time divided by the group's (stream, ell) chains, so the cells
-of a group that holds both kernels show the same ``wall_ms``.
+(seed, kernel) streams into.  Each stream draws in blocks of
+``b = min(256, steps left)`` steps: the kernel's own ``direction`` for the
+block (additive: ``b * k`` sign uniforms, then ``b`` values ``|N(0, 1)|``;
+rwmh: ``b * k`` standard normals), then ``b`` acceptance uniforms.  So every
+cell is the same however the streams are grouped (``tests/test_scaling.py``
+checks each against a ``run_chain`` fed this block layout).  A single-chain
+``run_chain`` on the plain stream draws per step instead, as ``tmcmc
+sample`` does, and agrees with a cell only for ``n_iter = 1``.  A cell's
+``wall_ms`` is its group's loop time divided by the group's (stream, ell)
+chains, so the cells of a group that holds both kernels show the same
+``wall_ms``.
 """
 
 from __future__ import annotations

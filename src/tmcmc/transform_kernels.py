@@ -187,9 +187,11 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     Requires ``p_i + q_i = 1`` (no zero coordinates); acceptance is
     ``min{1, prod_i ratio_i * pi(y)/pi(x)}`` with ``ratio_i = q_i/p_i`` for a
     forward coordinate and ``p_i/q_i`` for a backward one.  Its draw,
-    ``direction(rng, out) -> r``, turns ``k`` uniforms into ``out = d = z * a``
+    ``direction(rng, out) -> r``, turns uniforms into ``out = d = z * a``
     (``+a_i`` exactly when ``u_i < p_i``) and returns ``r = |N(0, 1)|``, so
     ``eps = eps_scale * r``; only with ``p = q`` is it ``kernel.direction``.
+    ``out`` is ``(k,)``, giving a float ``r``, or ``(b, k)`` for ``b`` steps,
+    giving ``(b,)``: first all ``b * k`` uniforms, then the ``b`` normals.
     """
     a, p, q = cfg.broadcast(target.dim)
     if not np.allclose(p + q, 1.0):
@@ -200,10 +202,12 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     s = cfg.eps_scale
     log_density = target.log_density
 
-    def direction(rng: np.random.Generator, out: np.ndarray) -> float:
+    def direction(rng: np.random.Generator, out: np.ndarray):
         rng.random(out=out)
         np.copysign(a, np.subtract(below_p, out, out=out), out=out)
-        return abs(float(rng.standard_normal()))
+        if out.ndim == 1:
+            return abs(float(rng.standard_normal()))
+        return np.abs(rng.standard_normal(len(out)))
 
     def kernel(state: ChainState, rng: np.random.Generator):
         d = np.empty_like(state.x)

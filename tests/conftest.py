@@ -44,6 +44,59 @@ def scripted_rng():
     return ScriptedRNG
 
 
+class BlockLayoutRNG(np.random.Generator):
+    """A ``run_lockstep`` stream's draws, served one transition at a time.
+
+    The engine draws each stream ahead in blocks of ``b = min(256, steps
+    left)`` steps: the ``b`` steps' directions (a sign-move kernel: ``b * k``
+    uniforms, then ``b`` normals; a random walk: ``b * k`` normals), then
+    ``b`` acceptance uniforms.  Built on ``rng`` where the stream starts
+    stepping and handed to ``run_chain`` for ``n_iter`` transitions, this
+    generator takes its draws in that layout from ``rng``'s bit generator and
+    serves a kernel's ``random(out=)``, ``standard_normal()``, ``random()``
+    and ``standard_normal(out=)`` calls from them, so the chain is the one the
+    engine steps.
+    """
+
+    BLOCK_STEPS = 256
+
+    def __init__(self, rng, n_iter):
+        super().__init__(rng.bit_generator)
+        self._left, self._i, self._u = n_iter, 0, ()
+
+    def _open_block(self):
+        assert self._left > 0, "more transitions than n_iter"
+        b = min(self.BLOCK_STEPS, self._left)
+        self._left, self._i = self._left - b, 0
+        return b
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size is None
+        if out is None:  # the acceptance uniform: the step's last draw
+            self._i += 1
+            return self._u[self._i - 1]
+        if self._i == len(self._u):  # a sign-move step opens a block
+            b = self._open_block()
+            self._d, self._r, self._u = super().random((b, out.size)), super().standard_normal(b), super().random(b)
+        out[...] = self._d[self._i]
+        return out
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        assert size is None
+        if out is None:  # a sign-move step's innovation
+            return self._r[self._i]
+        if self._i == len(self._u):  # a random-walk step opens a block
+            b = self._open_block()
+            self._d, self._u = super().standard_normal((b, out.size)), super().random(b)
+        out[...] = self._d[self._i]
+        return out
+
+
+@pytest.fixture
+def block_layout_rng():
+    return BlockLayoutRNG
+
+
 def _parent_accept(x, proposal, log_alpha, lp_current, lp_proposal, rng):
     """The scalar accept step kernels used before the explicit-state protocol.
 

@@ -308,6 +308,22 @@ def test_config_file_precedence(tmp_path):
     assert s2["chains"][0]["n_iter"] == 777
 
 
+@pytest.mark.parametrize("form", ["--config={}", "--conf {}"])
+def test_config_file_in_every_form_the_parser_takes(tmp_path, form):
+    # "--config=PATH" and the abbreviation "--conf PATH" name the file as "--config PATH" does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iters": 300, "dim": 3}))
+    out = tmp_path / "inline"
+    assert run_cli(["sample", *form.format(cfg).split(" "), "--chains", "1", "--out", str(out)]) == 0
+    with open(out / "trace_chain0.csv") as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "iter,accepted,log_density,x_0,x_1,x_2" and len(rows) == 300
+    assert json.loads((out / "summary.json").read_text())["chains"][0]["n_iter"] == 300
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sample", f"--config={tmp_path / 'nope.json'}", "--out", str(tmp_path / "missing")])
+    assert info.value.code == 2
+
+
 def test_config_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     proc = subprocess.run(

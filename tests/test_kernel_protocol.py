@@ -396,3 +396,31 @@ def test_log_table_ratio_equals_the_frozen_ratio():
             assert transform_kernels._move_log_ratio(z, *_log_tables(p, q)) == expected
         n_impossible += expected == -math.inf
     assert n_impossible > 100
+
+
+@pytest.mark.parametrize("name", ["additive-tmcmc", "rwmh"])
+def test_block_direction_draws_what_single_draws_draw_in_block_order(name, scripted_rng):
+    # One draw function: (b, k) takes the b * k direction draws, then the b innovations,
+    # and row j is what a (k,) draw makes of row j's draws; (1, k) draws exactly as (k,).
+    target, b, k = make_iid_gaussian(3), 5, 3
+    if name == "additive-tmcmc":
+        kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(scales=[1.0, 0.5, 2.0]))
+    else:
+        kernel = make_rwmh_kernel(target, 0.7)
+    block, single = np.empty((b, k)), np.empty(k)
+    r = kernel.direction(np.random.default_rng(4), block)
+    assert isinstance(r, np.ndarray) and r.shape == (b,)
+    raw = np.random.default_rng(4)
+    if name == "additive-tmcmc":
+        uniforms, normals = raw.random((b, k)), raw.standard_normal(b)
+        scripts = [{"uniforms": uniforms[j], "normals": [normals[j]]} for j in range(b)]
+    else:
+        scripts = [{"normals": row} for row in raw.standard_normal((b, k))]
+    for j, script in enumerate(scripts):
+        r_j = kernel.direction(scripted_rng(**script), single)
+        assert isinstance(r_j, float) and r_j == r[j]
+        assert np.array_equal(single, block[j])
+    one, rng_one, rng_single = np.empty((1, k)), np.random.default_rng(9), np.random.default_rng(9)
+    assert kernel.direction(rng_one, one)[0] == kernel.direction(rng_single, single)
+    assert np.array_equal(one[0], single)
+    assert rng_one.random() == rng_single.random()

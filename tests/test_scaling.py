@@ -71,6 +71,7 @@ def test_cell_uses_common_streams_across_scales():
 
 
 def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
+    """``run_chain`` of the kernel at ``scale`` on ``rng``; on a ``block_layout_rng`` it is the engine's chain."""
     if kernel == "additive-tmcmc":
         step = make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
     else:
@@ -84,13 +85,14 @@ def _lockstep_kernels(names, target):
             else make_rwmh_kernel(target, 1.0) for name in names]
 
 
-def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start):
+def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, block_layout_rng):
     """Every (stream, scale) chain of ``run`` against its own ``run_chain``.
 
     ``kernels[g]`` is stream ``g``'s kernel and ``scales`` the ``(C,)`` or
     ``(G, C)`` scales ``run`` was given; ``reference_start(g)`` gives its
     start and a fresh generator at the state the lockstep stream began
-    stepping from.
+    stepping from, which the reference draws from in the engine's block
+    layout.
     """
     n_coords = run.x0.shape[1]
     rows = np.broadcast_to(scales, (len(kernels), np.shape(scales)[-1]))
@@ -98,7 +100,7 @@ def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, re
     for g, kernel in enumerate(kernels):
         for c, scale in enumerate(rows[g]):
             start, rng = reference_start(g)
-            trace = _reference_chain(kernel, target, scale, start, n_iter, rng, n_coords)
+            trace = _reference_chain(kernel, target, scale, start, n_iter, block_layout_rng(rng, n_iter), n_coords)
             col = g * rows.shape[1] + c
             assert np.array_equal(run.accepted[:, col], trace.accepted)
             assert np.array_equal(lockstep_path(run, col), trace.states)
@@ -119,7 +121,7 @@ LOCKSTEP_STREAMS = [
 
 @pytest.mark.parametrize("streams, stream_factors", LOCKSTEP_STREAMS)
 @pytest.mark.parametrize("k", [1, 4, 100])
-def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k):
+def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, block_layout_rng):
     n_iter, ells = 1_500, (0.4, 1.6, 2.8, 6.0)
     n_coords = min(ESS_COORD_BLOCK, k)
     kernels = [kernel for _, kernel in streams]
@@ -135,7 +137,7 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k):
         rng = _cell_rng(*streams[g], k)
         return rng.standard_normal(k), rng
 
-    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start)
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, block_layout_rng)
     assert run.n_nonfinite.sum() == 0
     n_additive = kernels.count("additive-tmcmc")
     assert run.n_signed == n_additive
@@ -144,7 +146,31 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k):
     assert run.normals.dtype == float and run.normals.shape == (1_500, len(streams) - n_additive, n_coords)
 
 
-def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
+@pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
+def test_lockstep_blocks_equal_single_chain_runs(n_iter, block_layout_rng):
+    # around the 256-step block: one step, one block less a step, one block, one more, a partial third
+    k, n_coords = 3, 2
+    target = make_iid_gaussian(k)
+    kernels = [kernel for _, kernel in MIXED_STREAMS]
+    scales = [[f * s for s in (0.3, 0.9, 2.0)] for f in (1.0, 0.6, 1.3, 0.8, 1.7)]
+    rngs = [_cell_rng(seed, kernel, k) for seed, kernel in MIXED_STREAMS]
+    x0 = np.array([rng.standard_normal(k) for rng in rngs])
+    run = run_lockstep(_lockstep_kernels(kernels, target), target.log_density, x0, scales, n_iter, rngs, n_coords)
+
+    def reference_start(g):
+        rng = _cell_rng(*MIXED_STREAMS[g], k)
+        return rng.standard_normal(k), rng
+
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, block_layout_rng)
+    if n_iter == 1:  # a one-step block is the order of the kernel's own transition on a plain generator
+        for g, kernel in enumerate(kernels):
+            start, rng = reference_start(g)
+            trace = _reference_chain(kernel, target, scales[g][0], start, 1, rng, n_coords)
+            assert np.array_equal(run.accepted[:, g * 3], trace.accepted)
+            assert np.array_equal(lockstep_path(run, g * 3), trace.states)
+
+
+def test_lockstep_applies_the_nonfinite_rules_of_accept_step(block_layout_rng):
     # -inf above x_0 = 1.5 and NaN below x_0 = -1.5: such proposals are
     # auto-rejected and counted.  The chains of the first group start at
     # x_0 = 3 (-inf), where any finite proposal is accepted.
@@ -165,7 +191,7 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step():
     for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("additive-tmcmc", "rwmh")]:
         rngs = [np.random.default_rng(5 + g) for g in range(2)]
         run = run_lockstep(_lockstep_kernels(kernels, target), log_density, x0, scales, 2_000, rngs, 3)
-        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start)
+        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start, block_layout_rng)
         assert run.n_nonfinite.min() > 0
 
 
@@ -196,7 +222,7 @@ def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
                 run_lockstep(kernels, never, x0, scales, 10, rngs, 2)
 
 
-def test_slice_cells_match_the_single_chain_study_metrics():
+def test_slice_cells_match_the_single_chain_study_metrics(block_layout_rng):
     n_coords = min(ESS_COORD_BLOCK, 4)
     rows = run_study_group((4, ((3, "additive-tmcmc"), (3, "rwmh"))), TINY)
     # (ell, stream) order
@@ -204,7 +230,8 @@ def test_slice_cells_match_the_single_chain_study_metrics():
     for row in rows:
         rng = _cell_rng(3, row.kernel, 4)
         x0 = rng.standard_normal(4)
-        trace = _reference_chain(row.kernel, make_iid_gaussian(4), row.ell / np.sqrt(4), x0, TINY.n_iter, rng, n_coords)
+        stream, scale = block_layout_rng(rng, TINY.n_iter), row.ell / np.sqrt(4)
+        trace = _reference_chain(row.kernel, make_iid_gaussian(4), scale, x0, TINY.n_iter, stream, n_coords)
         tail = trace.tail(TINY.burn_in)
         ess = float(np.mean([iact_and_ess(tail, j)[1] for j in range(n_coords)]))
         assert row.accept_rate == acceptance_rate(tail)
