@@ -110,7 +110,7 @@ def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
         return accept_step(state, ChainState(y, lp_y), lp_y - state.lp, rng)
 
     kernel.init = init_state(log_density)
-    kernel.direction = direction
+    kernel.direction, direction.scale = direction, sigma
     return kernel
 
 

@@ -14,9 +14,8 @@ random walk cannot traverse in any reasonable run length.
 
 Every chain is one stream of ``chain.run_lockstep``, which draws it in
 blocks of 256 steps (all the block's directions and innovations, then its
-acceptance uniforms).  So the report is the one separate ``run_chain``
-chains would give only if fed that block layout; ``tmcmc sample`` runs
-``run_chain`` on plain streams and keeps its per-step order.
+acceptance uniforms), as ``run_chain`` draws a symmetric kernel's chain.
+So the report is the one separate ``run_chain`` chains would give.
 """
 
 from __future__ import annotations

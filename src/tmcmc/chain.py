@@ -7,12 +7,15 @@ a kernel also sets the function attribute ``kernel.init(x) -> ChainState``,
 which evaluates what the state carries once.  ``run_chain`` calls ``init``
 once and then hands each step's ``state`` to the next, so a transition
 evaluates the target only at its proposal, and one kernel object can drive
-any number of chains.
+any number of chains.  A symmetric kernel also sets ``kernel.direction``,
+its draw of a direction ``d`` and an innovation ``r``, proposing
+``x + d * (scale * r)``; ``direction.scale`` is the kernel's own scale.
 
 One accept rule.  Every kernel ends its transition in ``accept_step``: it
 draws one uniform ``u`` and accepts iff ``log u < log_alpha``.  The step
 records ``u`` and ``log_alpha``, so traces are replayable:
-``accepted == (log(u) < log_alpha)`` holds row by row.
+``accepted == (log(u) < log_alpha)`` holds row by row.  The block runners
+draw their uniforms ahead and take the same decision on each.
 
 The non-finite rule (``nonfinite_rule``, which ``accept_batch`` applies to
 the whole batch of a lockstep loop): a proposal whose log-density is not finite
@@ -23,16 +26,18 @@ finite is accepted (``log_alpha = +inf``).  Kernels report any other broken
 proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
 
-One lockstep engine.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
+One block layout.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
 each on its own generator with its own symmetric kernel.  A stream draws
 ahead in blocks of 256 steps: one call of its kernel's own draw
 ``kernel.direction`` on a ``(b, k)`` block, then ``b`` acceptance uniforms.
-Each step is then one batched log-density call and one ``accept_batch``.  A
-one-step block is the draw order of the kernel's own transition, so a
-one-step engine run equals ``run_chain``; longer runs hand the same stream's
-numbers to their steps in block order.  ``run_chain``, and so ``tmcmc
-sample``, keeps the per-step order.  ``lockstep_path`` rebuilds any chain of
-a run bit for bit.  ``map_tasks`` is the one process pool.
+Each step is then one batched log-density call and one ``accept_batch``.
+``run_chain``, and so ``tmcmc sample``, runs a symmetric kernel as one
+stream of one chain in the same layout, so it equals the engine's chain; it
+steps any other kernel one transition at a time.  A one-step block is the
+draw order of the kernel's own transition; longer runs hand the same
+stream's numbers to their steps in block order.  ``lockstep_path`` rebuilds
+any chain of an engine run bit for bit.  ``map_tasks`` is the one process
+pool.
 """
 
 from __future__ import annotations
@@ -126,14 +131,35 @@ def accept_step(state: ChainState, proposal: ChainState, log_alpha: float, rng: 
     Kernels compute ``log_alpha`` from both log-densities, so it is
     non-finite whenever either is; only then does the non-finite rule run.
     """
+    u = float(rng.random())
+    return _decide(state, proposal, log_alpha, u, _log_u(u))
+
+
+def _log_u(u: float) -> float:
+    # math.log, not np.log, which can differ in the last bit; log 0 = -inf
+    return math.log(u) if u > 0.0 else -math.inf
+
+
+def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float, log_u: float) -> Step:
+    """``accept_step``'s decision on a given uniform ``u`` and its ``_log_u``."""
     nonfinite = False
     if not math.isfinite(log_alpha):
         log_alpha, nonfinite = nonfinite_rule(log_alpha, state.lp, proposal.lp)
         log_alpha, nonfinite = float(log_alpha), bool(nonfinite)
-    u = float(rng.random())
-    log_u = math.log(u) if u > 0.0 else -math.inf
     accepted = log_u < log_alpha
     return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
+
+
+def _draw_block(direction, rng: np.random.Generator, d: np.ndarray):
+    """One stream's draws for ``b = len(d)`` steps, in the block layout.
+
+    ``direction(rng, d)`` fills the ``(b, k)`` directions and returns the
+    ``(b,)`` innovations ``r``; then come the ``b`` acceptance uniforms.
+    Returns ``(r, uniforms, log_u)``, the last two as lists of floats.
+    """
+    r = direction(rng, d)
+    uniforms = rng.random(len(d)).tolist()
+    return r, uniforms, [_log_u(u) for u in uniforms]
 
 
 def accept_batch(x: np.ndarray, lp_x: np.ndarray, y: np.ndarray, lp_y: np.ndarray, log_u, n_nonfinite: np.ndarray):
@@ -239,9 +265,12 @@ def run_chain(
 ) -> Trace:
     """Run ``n_iter`` transitions of ``kernel`` from ``kernel.init(x0)``.
 
-    Deterministic given the seed.  ``record_coords`` limits which coordinates
-    are stored (memory control for large-k studies); flags, log-densities,
-    acceptance thresholds and uniforms are always stored in full.
+    Deterministic given the seed.  A symmetric kernel (one with
+    ``kernel.direction``) draws in the block layout of ``run_lockstep``; any
+    other kernel draws step by step.  ``record_coords`` limits which
+    coordinates are stored (memory control for large-k studies); flags,
+    log-densities, acceptance thresholds and uniforms are always stored in
+    full.
     """
     x0 = np.asarray(x0, dtype=float)
     if n_iter < 1:
@@ -263,8 +292,8 @@ def run_chain(
     n_bad = 0
     t0 = time.perf_counter()
     state = kernel.init(x0)
-    for i in range(n_iter):
-        step = kernel(state, rng)
+    steps = _block_steps if hasattr(kernel, "direction") else _kernel_steps
+    for i, step in enumerate(steps(kernel, state, n_iter, rng)):
         state = step.state
         states[i] = state.x[take]
         accepted[i] = step.accepted
@@ -279,6 +308,35 @@ def run_chain(
     info["wall_time_s"] = wall
     info["n_nonfinite_proposals"] = n_bad
     return Trace(states, accepted, log_density, log_alpha, uniforms, coords, info)
+
+
+def _kernel_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random.Generator) -> Iterator[Step]:
+    """``n_iter`` transitions of ``kernel`` from ``state``, each drawing its own numbers."""
+    for _ in range(n_iter):
+        step = kernel(state, rng)
+        state = step.state
+        yield step
+
+
+def _block_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random.Generator) -> Iterator[Step]:
+    """A symmetric kernel's transitions in ``run_lockstep``'s block layout.
+
+    Each block draws its directions and uniforms once (``_draw_block``) and
+    scales the directions in place to the increments ``d * (scale * r)``
+    of the kernel's own transition; a step then evaluates ``x + d`` through
+    ``kernel.init`` and decides as ``accept_step`` does.
+    """
+    direction, init = kernel.direction, kernel.init
+    buffer = np.empty((min(_BLOCK_STEPS, n_iter), state.x.size))
+    for start in range(0, n_iter, len(buffer)):
+        d = buffer[: n_iter - start]
+        r, uniforms, log_u = _draw_block(direction, rng, d)
+        d *= (direction.scale * r)[:, None]
+        for inc, u, log_u_j in zip(d, uniforms, log_u):
+            proposal = init(state.x + inc)
+            step = _decide(state, proposal, proposal.lp - state.lp, u, log_u_j)
+            state = step.state
+            yield step
 
 
 class Lockstep(NamedTuple):
@@ -367,10 +425,8 @@ def run_lockstep(
             b = min(block, n_iter - start)
             rows = slice(start, start + b)
             for g, (direction, rng) in enumerate(zip(directions, rngs)):
-                r_g = direction(rng, d[g, :b])
-                uniforms = rng.random(b).tolist()
-                # accept_step's log u: math.log, not np.log, which can differ in the last bit
-                log_u[:b, g] = np.array([math.log(u) if u > 0.0 else -math.inf for u in uniforms])[:, None]
+                r_g, _, log_u_g = _draw_block(direction, rng, d[g, :b])
+                log_u[:b, g] = np.array(log_u_g)[:, None]
                 if g < n_sign:
                     r[rows, g] = r_g
                     np.multiply(r_g[:, None], scales[g], out=sr[:b, g])

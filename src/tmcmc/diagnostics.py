@@ -8,7 +8,6 @@ the reversible kernels in this package.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -63,11 +62,7 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov / acov[0]
 
 
-def iact_and_ess(
-    samples: Union[Trace, np.ndarray],
-    coordinate: int = 0,
-    method: str = "ips",
-) -> tuple[float, float]:
+def iact_and_ess(samples: Union[Trace, np.ndarray], coordinate: int = 0) -> tuple[float, float]:
     """Integrated autocorrelation time and effective sample size of one series.
 
     Accepts a :class:`Trace` (with a coordinate index into the recorded
@@ -75,9 +70,6 @@ def iact_and_ess(
     reported at the guard values ``ess = 1`` and ``iact = n``.  Antithetic
     chains may legitimately have ``iact < 1``; estimates are floored at a
     small positive value, never at 1.
-
-    ``method='batch-means'`` switches to a square-root-batch cross-check of
-    the default initial-positive-sequence estimator.
     """
     x = samples.states[:, coordinate] if isinstance(samples, Trace) else np.asarray(samples, dtype=float)
     n = x.size
@@ -85,29 +77,13 @@ def iact_and_ess(
         raise ValueError(f"need at least {MIN_SAMPLES} samples to estimate the autocorrelation time, got {n}")
     if np.var(x) < 1e-300 * max(1.0, float(np.abs(x).max()) ** 2):
         return float(n), ESS_FLOOR
-    if method == "batch-means":
-        iact = _batch_means_iact(x)
-    elif method == "ips":
-        rho = autocorrelation(x, n - 1)
-        pair_count = n // 2
-        gamma = rho[0 : 2 * pair_count : 2] + rho[1 : 2 * pair_count : 2]
-        nonpos = np.nonzero(gamma <= 0.0)[0]
-        m_stop = int(nonpos[0]) if nonpos.size else pair_count
-        iact = 2.0 * float(np.sum(gamma[:m_stop])) - 1.0
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'ips' or 'batch-means'")
-    iact = max(iact, IACT_FLOOR)
-    ess = n / iact
-    return iact, ess
-
-
-def _batch_means_iact(x: np.ndarray) -> float:
-    n = x.size
-    b = int(math.isqrt(n))
-    n_batches = n // b
-    trimmed = x[: b * n_batches].reshape(n_batches, b)
-    means = trimmed.mean(axis=1)
-    return b * float(np.var(means, ddof=1)) / float(np.var(x, ddof=1))
+    rho = autocorrelation(x, n - 1)
+    pair_count = n // 2
+    gamma = rho[0 : 2 * pair_count : 2] + rho[1 : 2 * pair_count : 2]
+    nonpos = np.nonzero(gamma <= 0.0)[0]
+    m_stop = int(nonpos[0]) if nonpos.size else pair_count
+    iact = max(2.0 * float(np.sum(gamma[:m_stop])) - 1.0, IACT_FLOOR)
+    return iact, n / iact
 
 
 def split_rhat(chains: Sequence[np.ndarray]) -> float:

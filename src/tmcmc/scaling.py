@@ -19,10 +19,9 @@ through ``chain.run_lockstep``, in the groups ``study_groups`` cuts its
 ``b = min(256, steps left)`` steps: the kernel's own ``direction`` for the
 block (additive: ``b * k`` sign uniforms, then ``b`` values ``|N(0, 1)|``;
 rwmh: ``b * k`` standard normals), then ``b`` acceptance uniforms.  So every
-cell is the same however the streams are grouped (``tests/test_scaling.py``
-checks each against a ``run_chain`` fed this block layout).  A single-chain
-``run_chain`` on the plain stream draws per step instead, as ``tmcmc
-sample`` does, and agrees with a cell only for ``n_iter = 1``.  A cell's
+cell is the same however the streams are grouped, and equals a single-chain
+``run_chain`` of the kernel at the cell's scale on the same stream, which
+draws in the same blocks (``tests/test_scaling.py`` checks each).  A cell's
 ``wall_ms`` is its group's loop time divided by the group's (stream, ell)
 chains, so the cells of a group that holds both kernels show the same
 ``wall_ms``.

@@ -219,7 +219,7 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
 
     kernel.init = init_state(log_density)
     if symmetric:
-        kernel.direction, direction.a = direction, a
+        kernel.direction, direction.a, direction.scale = direction, a, s
     return kernel
 
 

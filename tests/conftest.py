@@ -45,17 +45,18 @@ def scripted_rng():
 
 
 class BlockLayoutRNG(np.random.Generator):
-    """A ``run_lockstep`` stream's draws, served one transition at a time.
+    """A symmetric kernel's block-layout draws, served one transition at a time.
 
-    The engine draws each stream ahead in blocks of ``b = min(256, steps
-    left)`` steps: the ``b`` steps' directions (a sign-move kernel: ``b * k``
-    uniforms, then ``b`` normals; a random walk: ``b * k`` normals), then
-    ``b`` acceptance uniforms.  Built on ``rng`` where the stream starts
-    stepping and handed to ``run_chain`` for ``n_iter`` transitions, this
-    generator takes its draws in that layout from ``rng``'s bit generator and
-    serves a kernel's ``random(out=)``, ``standard_normal()``, ``random()``
-    and ``standard_normal(out=)`` calls from them, so the chain is the one the
-    engine steps.
+    ``run_chain`` and each ``run_lockstep`` stream draw ahead in blocks of
+    ``b = min(256, steps left)`` steps: the ``b`` steps' directions (a
+    sign-move kernel: ``b * k`` uniforms, then ``b`` normals; a random walk:
+    ``b * k`` normals), then ``b`` acceptance uniforms.  Built on ``rng``
+    where the stream starts stepping and handed to ``n_iter`` transitions,
+    this generator takes its draws in that layout from ``rng``'s bit
+    generator and serves a transition's direction draw (``random`` or
+    ``standard_normal`` with ``size=k`` or ``out=``), its innovation
+    (``standard_normal()``) and its acceptance uniform (``random()``) from
+    them, so the steps are the ones the block runners take.
     """
 
     BLOCK_STEPS = 256
@@ -64,37 +65,69 @@ class BlockLayoutRNG(np.random.Generator):
         super().__init__(rng.bit_generator)
         self._left, self._i, self._u = n_iter, 0, ()
 
-    def _open_block(self):
+    def _open_block(self, size, out):
         assert self._left > 0, "more transitions than n_iter"
         b = min(self.BLOCK_STEPS, self._left)
         self._left, self._i = self._left - b, 0
-        return b
+        return b, (size if out is None else out.size)
+
+    def _row(self, out):
+        if out is None:
+            return self._d[self._i].copy()
+        out[...] = self._d[self._i]
+        return out
 
     def random(self, size=None, dtype=np.float64, out=None):
-        assert size is None
-        if out is None:  # the acceptance uniform: the step's last draw
+        if size is None and out is None:  # the acceptance uniform: the step's last draw
             self._i += 1
             return self._u[self._i - 1]
         if self._i == len(self._u):  # a sign-move step opens a block
-            b = self._open_block()
-            self._d, self._r, self._u = super().random((b, out.size)), super().standard_normal(b), super().random(b)
-        out[...] = self._d[self._i]
-        return out
+            b, k = self._open_block(size, out)
+            self._d, self._r, self._u = super().random((b, k)), super().standard_normal(b), super().random(b)
+        return self._row(out)
 
     def standard_normal(self, size=None, dtype=np.float64, out=None):
-        assert size is None
-        if out is None:  # a sign-move step's innovation
+        if size is None and out is None:  # a sign-move step's innovation
             return self._r[self._i]
         if self._i == len(self._u):  # a random-walk step opens a block
-            b = self._open_block()
-            self._d, self._u = super().standard_normal((b, out.size)), super().random(b)
-        out[...] = self._d[self._i]
-        return out
+            b, k = self._open_block(size, out)
+            self._d, self._u = super().standard_normal((b, k)), super().random(b)
+        return self._row(out)
 
 
 @pytest.fixture
 def block_layout_rng():
     return BlockLayoutRNG
+
+
+def _assert_block_steps(trace, kernel, x0, rng):
+    """``trace`` against ``len(trace)`` single transitions on a ``BlockLayoutRNG``, bit for bit.
+
+    ``trace`` is a ``run_chain`` of ``kernel`` from ``x0`` on a generator at
+    the state of ``rng``; the reference calls ``kernel(state,
+    BlockLayoutRNG(rng, n))`` step by step and must give the same states
+    (of ``trace.recorded_coords``), flags, log-densities, thresholds,
+    uniforms and non-finite count.
+    """
+    n = len(trace)
+    stream, state, rows = BlockLayoutRNG(rng, n), kernel.init(x0), []
+    for _ in range(n):
+        step = kernel(state, stream)
+        state = step.state
+        rows.append((state.x[trace.recorded_coords], step.accepted, state.lp, step.log_alpha, step.uniform,
+                     step.nonfinite))
+    states, accepted, log_density, log_alpha, uniforms, nonfinite = (np.array(c) for c in zip(*rows))
+    assert np.array_equal(trace.states, states)
+    assert np.array_equal(trace.accepted, accepted)
+    assert np.array_equal(trace.log_density, log_density)
+    assert np.array_equal(trace.log_alpha, log_alpha)
+    assert np.array_equal(trace.uniforms, uniforms)
+    assert trace.n_nonfinite_proposals == nonfinite.sum()
+
+
+@pytest.fixture
+def assert_block_steps():
+    return _assert_block_steps
 
 
 def _parent_accept(x, proposal, log_alpha, lp_current, lp_proposal, rng):

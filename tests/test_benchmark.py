@@ -1,5 +1,6 @@
 """The challenger benchmark's lockstep chains against single chains through ``run_chain``."""
 
+import copy
 import json
 from functools import partial
 
@@ -15,10 +16,11 @@ from tmcmc.targets import make_challenger_logistic
 from tmcmc.transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
 
-def _reference_kernel_report(kernel_name, cfg, block_layout_rng):
+def _reference_kernel_report(kernel_name, cfg, assert_block_steps):
     """One kernel's report from ``cfg.n_chains`` separate ``run_chain`` runs on their own streams.
 
-    Each stream serves ``run_chain`` the engine's block layout (``block_layout_rng``).
+    Each ``run_chain`` is also checked against the kernel's single transitions
+    in the block layout (``assert_block_steps``).
     """
     target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
     if kernel_name == "additive-tmcmc":
@@ -32,7 +34,9 @@ def _reference_kernel_report(kernel_name, cfg, block_layout_rng):
     for c in range(cfg.n_chains):
         rng = chain_rng(cfg.seed, c + offset)
         x0 = np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25])
-        trace = run_chain(kernel, x0, cfg.n_iter, block_layout_rng(rng, cfg.n_iter))
+        stream = copy.deepcopy(rng)
+        trace = run_chain(kernel, x0, cfg.n_iter, rng)
+        assert_block_steps(trace, kernel, x0, stream)
         burn = int(cfg.burn_frac * cfg.n_iter)
         tail = trace.tail(burn) if burn else trace
         t_bar = target.info["t_bar"]
@@ -54,14 +58,14 @@ def _reference_kernel_report(kernel_name, cfg, block_layout_rng):
     return report
 
 
-def _reference_kernel_reports(kernel_names, cfg, block_layout_rng):
+def _reference_kernel_reports(kernel_names, cfg, assert_block_steps):
     """``_kernel_reports`` from separate ``run_chain`` runs, one kernel at a time."""
-    return [_reference_kernel_report(name, cfg, block_layout_rng) for name in kernel_names]
+    return [_reference_kernel_report(name, cfg, assert_block_steps) for name in kernel_names]
 
 
-def _use_references(monkeypatch, block_layout_rng):
+def _use_references(monkeypatch, assert_block_steps):
     """Make ``_kernel_reports`` the ``run_chain`` reference."""
-    reference = partial(_reference_kernel_reports, block_layout_rng=block_layout_rng)
+    reference = partial(_reference_kernel_reports, assert_block_steps=assert_block_steps)
     monkeypatch.setattr(benchmark, "_kernel_reports", reference)
 
 
@@ -71,24 +75,24 @@ def _json(report):
 
 @pytest.mark.parametrize("n_chains", [2, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lockstep_report_equals_single_chain_runs(seed, n_chains, monkeypatch, block_layout_rng):
+def test_lockstep_report_equals_single_chain_runs(seed, n_chains, monkeypatch, assert_block_steps):
     cfg = ChallengerConfig(n_iter=3000, n_chains=n_chains, seed=seed)
     report = run_challenger_benchmark(cfg, n_workers=1)
-    _use_references(monkeypatch, block_layout_rng)
+    _use_references(monkeypatch, assert_block_steps)
     reference = run_challenger_benchmark(cfg, n_workers=1)
     assert _json(report) == _json(reference)
 
 
-def test_lockstep_without_burn_in_and_raw_coordinates(monkeypatch, block_layout_rng):
+def test_lockstep_without_burn_in_and_raw_coordinates(monkeypatch, assert_block_steps):
     cfg = ChallengerConfig(n_iter=1000, n_chains=3, seed=7, burn_frac=0.0, center=False, rwmh_sigma=0.05)
     report = run_challenger_benchmark(cfg, n_workers=1)
-    _use_references(monkeypatch, block_layout_rng)
+    _use_references(monkeypatch, assert_block_steps)
     assert _json(report) == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("n_chains", [2, 3])
-def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch, block_layout_rng):
+def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch, assert_block_steps):
     cfg = ChallengerConfig(n_iter=2000, n_chains=n_chains, seed=5)
     engine_streams = []
 
@@ -101,7 +105,7 @@ def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch,
     # one worker: both kernels' chains in one engine call; two: one call a kernel, in the pool's workers
     assert engine_streams == ([2 * n_chains] if n_workers == 1 else [])
     assert report == _json(run_challenger_benchmark(cfg, n_workers=3 - n_workers))
-    _use_references(monkeypatch, block_layout_rng)
+    _use_references(monkeypatch, assert_block_steps)
     assert report == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tmcmc.baseline_kernels import HmcConfig, make_hmc_kernel, make_rwmh_kernel
-from tmcmc.chain import chain_rng, run_chain
+from tmcmc.chain import chain_rng, lockstep_path, run_chain, run_lockstep
 from tmcmc.discrete_kernels import make_ising_kernel, make_zk_kernel
 from tmcmc.targets import (
     make_anisotropic_gaussian,
@@ -280,8 +280,7 @@ CASES = {
 }
 
 
-def parent_trace(step, x0, n, seed, accept):
-    rng = chain_rng(seed)
+def parent_trace(step, x0, n, rng, accept):
     x = np.asarray(x0, dtype=float)
     rows = []
     for _ in range(n):
@@ -292,13 +291,17 @@ def parent_trace(step, x0, n, seed, accept):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept):
+def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, block_layout_rng):
+    # run_chain steps a symmetric kernel (one with a direction) in the block layout,
+    # so its parent body draws from the same stream in that layout
     name, target, args, x0 = CASES[case]
     make_kernel, make_parent = FACTORIES[name]
+    kernel = make_kernel(target, *args)
     for seed in (1, 2, 3):
-        trace = run_chain(make_kernel(target, *args), x0, 2_000, seed)
+        trace = run_chain(kernel, x0, 2_000, seed)
+        rng = block_layout_rng(chain_rng(seed), 2_000) if hasattr(kernel, "direction") else chain_rng(seed)
         states, accepted, log_alpha, uniforms, log_density, n_nonfinite = parent_trace(
-            make_parent(target, *args), x0, 2_000, seed, parent_accept
+            make_parent(target, *args), x0, 2_000, rng, parent_accept
         )
         assert 0 < trace.accepted.sum() < len(trace)
         assert np.array_equal(trace.states, states)
@@ -339,7 +342,7 @@ def counting(target):
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
-def test_kernel_outcomes_statelessness_and_density_calls(name):
+def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng):
     holed, args, x0 = HOLED[name]
     target, calls = counting(holed)
     kernel = FACTORIES[name][0](target, *args)
@@ -356,10 +359,13 @@ def test_kernel_outcomes_statelessness_and_density_calls(name):
     # One density call per transition plus one for the initial state.
     assert len(calls) == n + 1
 
-    # One kernel object drives two interleaved chains; each equals its solo run.
+    # One kernel object drives two interleaved chains; each equals its solo run,
+    # which steps a symmetric kernel in the block layout.
     x0_b = -x0 if name != "ising" else x0[::-1].copy()
     solo_b = run_chain(kernel, x0_b, n, 12)
     rng_a, rng_b = chain_rng(11), chain_rng(12)
+    if hasattr(kernel, "direction"):
+        rng_a, rng_b = block_layout_rng(rng_a, n), block_layout_rng(rng_b, n)
     state_a, state_b = kernel.init(x0), kernel.init(x0_b)
     rows_a, rows_b = [], []
     for _ in range(n):
@@ -424,3 +430,37 @@ def test_block_direction_draws_what_single_draws_draw_in_block_order(name, scrip
     assert kernel.direction(rng_one, one)[0] == kernel.direction(rng_single, single)
     assert np.array_equal(one[0], single)
     assert rng_one.random() == rng_single.random()
+
+
+# kernel -> build(target, scale) and the scale of its holed run (HOLED)
+SYMMETRIC = {
+    "additive": (lambda target, scale: make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale)), 0.9),
+    "rwmh": (make_rwmh_kernel, 0.8),
+}
+
+
+@pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
+@pytest.mark.parametrize("name", list(SYMMETRIC))
+def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, assert_block_steps):
+    # around the 256-step block: one step, one block less a step, one block, one more, a partial third
+    build, scale = SYMMETRIC[name]
+    holed, _, x0 = HOLED[name]
+    target, calls = counting(holed)
+    kernel = build(target, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_chain(kernel, x0, n_iter, 21, record_coords=[2, 0])
+    # One density call per transition plus one for the initial state; counted rejections.
+    assert len(calls) == n_iter + 1
+    assert trace.n_nonfinite_proposals > 0 or n_iter == 1
+    assert np.all(np.isfinite(trace.log_density)) and not np.isnan(trace.log_alpha).any()
+    log_u = np.array([math.log(u) if u > 0.0 else -math.inf for u in trace.uniforms])
+    assert np.array_equal(trace.accepted, log_u < trace.log_alpha)
+    # The kernel's single transitions, drawing from the same stream in block order.
+    assert_block_steps(trace, kernel, x0, chain_rng(21))
+    # The engine: one stream of one chain, its kernel at unit scale and the scale given to the engine.
+    batch = lambda xs: np.array([holed.log_density(x) for x in xs])  # noqa: E731
+    run = run_lockstep([build(holed, 1.0)], batch, x0[None], [scale], n_iter, [chain_rng(21)], 3)
+    assert np.array_equal(run.accepted[:, 0], trace.accepted)
+    assert np.array_equal(lockstep_path(run, 0)[:, [2, 0]], trace.states)
+    assert run.n_nonfinite[0] == trace.n_nonfinite_proposals

@@ -70,13 +70,16 @@ def test_cell_uses_common_streams_across_scales():
     assert again.ess_per_iter == a.ess_per_iter
 
 
-def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
-    """``run_chain`` of the kernel at ``scale`` on ``rng``; on a ``block_layout_rng`` it is the engine's chain."""
+def _reference_kernel(kernel, target, scale):
+    """The study kernel ``kernel`` at its own ``scale``."""
     if kernel == "additive-tmcmc":
-        step = make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
-    else:
-        step = make_rwmh_kernel(target, scale)
-    return run_chain(step, x0, n_iter, rng, record_coords=range(n_coords))
+        return make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale))
+    return make_rwmh_kernel(target, scale)
+
+
+def _reference_chain(kernel, target, scale, x0, n_iter, rng, n_coords):
+    """``run_chain`` of the kernel at ``scale`` on ``rng``: the engine's chain, in the same block layout."""
+    return run_chain(_reference_kernel(kernel, target, scale), x0, n_iter, rng, record_coords=range(n_coords))
 
 
 def _lockstep_kernels(names, target):
@@ -85,14 +88,14 @@ def _lockstep_kernels(names, target):
             else make_rwmh_kernel(target, 1.0) for name in names]
 
 
-def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, block_layout_rng):
+def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps):
     """Every (stream, scale) chain of ``run`` against its own ``run_chain``.
 
     ``kernels[g]`` is stream ``g``'s kernel and ``scales`` the ``(C,)`` or
     ``(G, C)`` scales ``run`` was given; ``reference_start(g)`` gives its
     start and a fresh generator at the state the lockstep stream began
-    stepping from, which the reference draws from in the engine's block
-    layout.
+    stepping from.  Each ``run_chain`` is in turn checked against the
+    kernel's single transitions in block order (``assert_block_steps``).
     """
     n_coords = run.x0.shape[1]
     rows = np.broadcast_to(scales, (len(kernels), np.shape(scales)[-1]))
@@ -100,13 +103,15 @@ def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, re
     for g, kernel in enumerate(kernels):
         for c, scale in enumerate(rows[g]):
             start, rng = reference_start(g)
-            trace = _reference_chain(kernel, target, scale, start, n_iter, block_layout_rng(rng, n_iter), n_coords)
+            trace = _reference_chain(kernel, target, scale, start, n_iter, rng, n_coords)
             col = g * rows.shape[1] + c
             assert np.array_equal(run.accepted[:, col], trace.accepted)
             assert np.array_equal(lockstep_path(run, col), trace.states)
             for j in range(n_coords):
                 assert np.array_equal(lockstep_path(run, col, j), trace.states[:, j])
             assert run.n_nonfinite[col] == trace.n_nonfinite_proposals
+            start, rng = reference_start(g)
+            assert_block_steps(trace, _reference_kernel(kernel, target, scale), start, rng)
 
 
 MIXED_STREAMS = [(11, "additive-tmcmc"), (12, "additive-tmcmc"), (11, "rwmh"), (12, "rwmh"), (13, "rwmh")]
@@ -121,7 +126,7 @@ LOCKSTEP_STREAMS = [
 
 @pytest.mark.parametrize("streams, stream_factors", LOCKSTEP_STREAMS)
 @pytest.mark.parametrize("k", [1, 4, 100])
-def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, block_layout_rng):
+def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, assert_block_steps):
     n_iter, ells = 1_500, (0.4, 1.6, 2.8, 6.0)
     n_coords = min(ESS_COORD_BLOCK, k)
     kernels = [kernel for _, kernel in streams]
@@ -137,7 +142,7 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, bloc
         rng = _cell_rng(*streams[g], k)
         return rng.standard_normal(k), rng
 
-    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, block_layout_rng)
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps)
     assert run.n_nonfinite.sum() == 0
     n_additive = kernels.count("additive-tmcmc")
     assert run.n_signed == n_additive
@@ -147,7 +152,7 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, bloc
 
 
 @pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
-def test_lockstep_blocks_equal_single_chain_runs(n_iter, block_layout_rng):
+def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps):
     # around the 256-step block: one step, one block less a step, one block, one more, a partial third
     k, n_coords = 3, 2
     target = make_iid_gaussian(k)
@@ -161,16 +166,17 @@ def test_lockstep_blocks_equal_single_chain_runs(n_iter, block_layout_rng):
         rng = _cell_rng(*MIXED_STREAMS[g], k)
         return rng.standard_normal(k), rng
 
-    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, block_layout_rng)
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps)
     if n_iter == 1:  # a one-step block is the order of the kernel's own transition on a plain generator
         for g, kernel in enumerate(kernels):
             start, rng = reference_start(g)
-            trace = _reference_chain(kernel, target, scales[g][0], start, 1, rng, n_coords)
-            assert np.array_equal(run.accepted[:, g * 3], trace.accepted)
-            assert np.array_equal(lockstep_path(run, g * 3), trace.states)
+            step_kernel = _reference_kernel(kernel, target, scales[g][0])
+            step = step_kernel(step_kernel.init(start), rng)
+            assert run.accepted[0, g * 3] == step.accepted
+            assert np.array_equal(lockstep_path(run, g * 3)[0], step.state.x[:n_coords])
 
 
-def test_lockstep_applies_the_nonfinite_rules_of_accept_step(block_layout_rng):
+def test_lockstep_applies_the_nonfinite_rules_of_accept_step(assert_block_steps):
     # -inf above x_0 = 1.5 and NaN below x_0 = -1.5: such proposals are
     # auto-rejected and counted.  The chains of the first group start at
     # x_0 = 3 (-inf), where any finite proposal is accepted.
@@ -191,7 +197,7 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step(block_layout_rng):
     for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("additive-tmcmc", "rwmh")]:
         rngs = [np.random.default_rng(5 + g) for g in range(2)]
         run = run_lockstep(_lockstep_kernels(kernels, target), log_density, x0, scales, 2_000, rngs, 3)
-        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start, block_layout_rng)
+        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start, assert_block_steps)
         assert run.n_nonfinite.min() > 0
 
 
@@ -222,7 +228,7 @@ def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
                 run_lockstep(kernels, never, x0, scales, 10, rngs, 2)
 
 
-def test_slice_cells_match_the_single_chain_study_metrics(block_layout_rng):
+def test_slice_cells_match_the_single_chain_study_metrics():
     n_coords = min(ESS_COORD_BLOCK, 4)
     rows = run_study_group((4, ((3, "additive-tmcmc"), (3, "rwmh"))), TINY)
     # (ell, stream) order
@@ -230,8 +236,7 @@ def test_slice_cells_match_the_single_chain_study_metrics(block_layout_rng):
     for row in rows:
         rng = _cell_rng(3, row.kernel, 4)
         x0 = rng.standard_normal(4)
-        stream, scale = block_layout_rng(rng, TINY.n_iter), row.ell / np.sqrt(4)
-        trace = _reference_chain(row.kernel, make_iid_gaussian(4), scale, x0, TINY.n_iter, stream, n_coords)
+        trace = _reference_chain(row.kernel, make_iid_gaussian(4), row.ell / np.sqrt(4), x0, TINY.n_iter, rng, n_coords)
         tail = trace.tail(TINY.burn_in)
         ess = float(np.mean([iact_and_ess(tail, j)[1] for j in range(n_coords)]))
         assert row.accept_rate == acceptance_rate(tail)
