@@ -1,16 +1,22 @@
 """Baseline kernels: random-walk Metropolis and Hamiltonian Monte Carlo.
 
-The leapfrog integrator is implemented in the combined-update form on the
-score ``s = grad log pi = -grad U``
+The leapfrog integrator is the kick-drift-kick scheme on the score
+``s = grad log pi = -grad U`` with the inner half-kicks merged (Neal,
+*MCMC using Hamiltonian dynamics*, arXiv:1206.1901, section 5.2.3.3)
 
-    x(t+dt) = x(t) + dt M^{-1} {p(t) + (dt/2) s(x(t))}
-    p(t+dt) = p(t) + (dt/2) {s(x(t)) + s(x(t+dt))}
+    p += (dt/2) s(x);  L - 1 times: x += dt M^{-1} p, p += dt s(x);
+    x += dt M^{-1} p, p += (dt/2) s(x)
 
-which is algebraically the usual half-kick / drift / half-kick scheme, so it
-is time-reversible and volume preserving.  The Hamiltonian uses the kinetic
-energy ``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum refresh.  It is
-bit-identical to the same form in ``grad U``, since IEEE arithmetic gives
-``c*(-g) == -(c*g)``, ``-g + -g' == -(g + g')`` and ``a + (-b) == a - b``.
+so it is time-reversible and volume preserving.  It is the same map as the
+combined-update form ``x' = x + dt M^{-1} {p + (dt/2) s(x)}``,
+``p' = p + (dt/2) {s(x) + s(x')}`` in four array operations per step, not
+seven.  It is not bit-identical to that form: it carries the half-step
+momentum from one drift to the next, where the combined form rebuilds it
+from the full-step one, so the two round differently and agree to a few
+parts in 1e15 of each vector's size.  The map is the same, so the one-step
+proposal law below is unchanged (at ``L = 1`` even the position is computed
+by the same operations).  The Hamiltonian uses the kinetic energy
+``p' M^{-1} p / 2`` matching the ``N(0, M)`` momentum refresh.
 
 An HMC transition costs one log-density call and ``L`` gradient calls: the
 chain state carries ``log pi`` and ``grad log pi`` of the current position.  A
@@ -122,18 +128,18 @@ def _score(target: Target):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _leapfrog(x, p, s, L, drift, half_dt, score):
+def _leapfrog(x, p, s, L, drift, dt, score):
     """``(x, p, grad log pi(x))`` -> ``(x_L, p_L, grad log pi(x_L))`` with ``drift = dt M^{-1}``.
 
     Unchecked: a non-finite gradient makes every later ``x`` and ``p``
     non-finite, so callers test the end point once.  Overflow and invalid
     values on the way there raise no numpy warnings.
     """
-    for _ in range(L):
-        x = x + drift * (p + half_dt * s)
-        s_new = np.asarray(score(x), dtype=float)
-        p = p + half_dt * (s + s_new)
-        s = s_new
+    p = p + (0.5 * dt) * s  # a new array, so the kicks below may update it in place
+    for kick in (dt,) * (L - 1) + (0.5 * dt,):
+        x = x + drift * p
+        s = np.asarray(score(x), dtype=float)
+        p += kick * s
     return x, p, s
 
 
@@ -145,7 +151,7 @@ def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
     score = _score(target)
     x, p = np.asarray(start.x, dtype=float), np.asarray(start.p, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), cfg.L, cfg.dt * inv_m, 0.5 * cfg.dt, score)
+    x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), cfg.L, cfg.dt * inv_m, cfg.dt, score)
     if not _finite(x, p):
         raise LeapfrogError(f"non-finite phase point after leapfrog step {cfg.L}")
     return PhasePoint(x, p)
@@ -157,6 +163,10 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
     momentum is discarded afterwards.  The state carries
     ``(x, log pi(x), grad log pi(x))``; a divergent trajectory is a rejection.
+    ``kernel.momentum(rng, out)`` fills ``out``, ``(k,)`` or ``(b, k)`` for
+    ``b`` steps, with ``N(0, M)`` momenta, and ``kernel.trajectory(state, p)``
+    returns the proposal from momentum ``p`` and its ``log_alpha``; the
+    transition calls both, and ``run_chain`` draws a block's momenta at once.
     """
     score = _score(target)
     log_density = target.log_density
@@ -164,26 +174,30 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     inv_m = 1.0 / mass
     sqrt_m = np.sqrt(mass)
     drift = cfg.dt * inv_m
-    half_dt = 0.5 * cfg.dt
+
+    def momentum(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+        out *= sqrt_m
+
+    def trajectory(state: ChainState, p0: np.ndarray):
+        y, p, s_y = _leapfrog(state.x, p0, state.grad, cfg.L, drift, cfg.dt, score)
+        if not _finite(y, p):
+            return ChainState(y, -math.inf, s_y), -math.inf
+        lp_y = log_density(y)
+        h0 = -state.lp + 0.5 * float(p0 @ (inv_m * p0))
+        h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
+        return ChainState(y, lp_y, s_y), h0 - h1
 
     def kernel(state: ChainState, rng: np.random.Generator):
-        x = state.x
-        p0 = sqrt_m * rng.standard_normal(x.size)
-        y, p, s_y = _leapfrog(x, p0, state.grad, cfg.L, drift, half_dt, score)
-        if _finite(y, p):
-            lp_y = log_density(y)
-            h0 = -state.lp + 0.5 * float(p0 @ (inv_m * p0))
-            h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
-            log_alpha = h0 - h1
-        else:
-            lp_y = log_alpha = -math.inf
-        return accept_step(state, ChainState(y, lp_y, s_y), log_alpha, rng)
+        p0 = np.empty_like(state.x)
+        momentum(rng, p0)
+        return accept_step(state, *trajectory(state, p0), rng)
 
     def init(x) -> ChainState:
         x = np.asarray(x, dtype=float)
         return ChainState(x, log_density(x), np.asarray(score(x), dtype=float))
 
-    kernel.init = init
+    kernel.init, kernel.momentum, kernel.trajectory = init, momentum, trajectory
     return kernel
 
 

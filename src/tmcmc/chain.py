@@ -10,6 +10,8 @@ evaluates the target only at its proposal, and one kernel object can drive
 any number of chains.  A symmetric kernel also sets ``kernel.direction``,
 its draw of a direction ``d`` and an innovation ``r``, proposing
 ``x + d * (scale * r)``; ``direction.scale`` is the kernel's own scale.
+HMC sets ``kernel.momentum``, its momentum draw, and
+``kernel.trajectory(state, p) -> (proposal, log_alpha)``.
 
 One accept rule.  Every kernel ends its transition in ``accept_step``: it
 draws one uniform ``u`` and accepts iff ``log u < log_alpha``.  The step
@@ -32,12 +34,15 @@ ahead in blocks of 256 steps: one call of its kernel's own draw
 ``kernel.direction`` on a ``(b, k)`` block, then ``b`` acceptance uniforms.
 Each step is then one batched log-density call and one ``accept_batch``.
 ``run_chain``, and so ``tmcmc sample``, runs a symmetric kernel as one
-stream of one chain in the same layout, so it equals the engine's chain; it
-steps any other kernel one transition at a time.  A one-step block is the
-draw order of the kernel's own transition; longer runs hand the same
-stream's numbers to their steps in block order.  ``lockstep_path`` rebuilds
-any chain of an engine run bit for bit.  ``map_tasks`` is the one process
-pool.
+stream of one chain in the same layout, so it equals the engine's chain.
+It draws HMC in the same layout too, ``b x k`` momentum normals through
+``kernel.momentum`` and then ``b`` uniforms, a step being one trajectory;
+it steps any other kernel one transition at a time.  A one-step block is
+the draw order of the kernel's own transition; longer runs hand the same
+stream's numbers to their steps in block order.  So a block-drawn run of
+``n`` steps equals a longer run on the same seed only through its last full
+block, row ``256 * (n // 256)``.  ``lockstep_path`` rebuilds any chain of an
+engine run bit for bit.  ``map_tasks`` is the one process pool.
 """
 
 from __future__ import annotations
@@ -150,14 +155,16 @@ def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float,
     return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
 
 
-def _draw_block(direction, rng: np.random.Generator, d: np.ndarray):
+def _draw_block(draw, rng: np.random.Generator, d: np.ndarray):
     """One stream's draws for ``b = len(d)`` steps, in the block layout.
 
-    ``direction(rng, d)`` fills the ``(b, k)`` directions and returns the
-    ``(b,)`` innovations ``r``; then come the ``b`` acceptance uniforms.
-    Returns ``(r, uniforms, log_u)``, the last two as lists of floats.
+    ``draw(rng, d)`` fills the ``(b, k)`` rows: a ``direction`` fills the
+    directions and returns the ``(b,)`` innovations ``r``, HMC's
+    ``momentum`` fills the momenta and returns None.  Then come the ``b``
+    acceptance uniforms.  Returns ``(r, uniforms, log_u)``, the last two as
+    lists of floats.
     """
-    r = direction(rng, d)
+    r = draw(rng, d)
     uniforms = rng.random(len(d)).tolist()
     return r, uniforms, [_log_u(u) for u in uniforms]
 
@@ -266,11 +273,11 @@ def run_chain(
     """Run ``n_iter`` transitions of ``kernel`` from ``kernel.init(x0)``.
 
     Deterministic given the seed.  A symmetric kernel (one with
-    ``kernel.direction``) draws in the block layout of ``run_lockstep``; any
-    other kernel draws step by step.  ``record_coords`` limits which
-    coordinates are stored (memory control for large-k studies); flags,
-    log-densities, acceptance thresholds and uniforms are always stored in
-    full.
+    ``kernel.direction``) and HMC (``kernel.trajectory``) draw in the block
+    layout of ``run_lockstep``; any other kernel draws step by step.
+    ``record_coords`` limits which coordinates are stored (memory control
+    for large-k studies); flags, log-densities, acceptance thresholds and
+    uniforms are always stored in full.
     """
     x0 = np.asarray(x0, dtype=float)
     if n_iter < 1:
@@ -292,7 +299,7 @@ def run_chain(
     n_bad = 0
     t0 = time.perf_counter()
     state = kernel.init(x0)
-    steps = _block_steps if hasattr(kernel, "direction") else _kernel_steps
+    steps = _block_steps if hasattr(kernel, "direction") or hasattr(kernel, "trajectory") else _kernel_steps
     for i, step in enumerate(steps(kernel, state, n_iter, rng)):
         state = step.state
         states[i] = state.x[take]
@@ -319,22 +326,30 @@ def _kernel_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random
 
 
 def _block_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random.Generator) -> Iterator[Step]:
-    """A symmetric kernel's transitions in ``run_lockstep``'s block layout.
+    """A symmetric or HMC kernel's transitions in ``run_lockstep``'s block layout.
 
-    Each block draws its directions and uniforms once (``_draw_block``) and
-    scales the directions in place to the increments ``d * (scale * r)``
-    of the kernel's own transition; a step then evaluates ``x + d`` through
-    ``kernel.init`` and decides as ``accept_step`` does.
+    Each block draws its rows and uniforms once (``_draw_block``).  A
+    symmetric kernel's rows are its directions, scaled in place to the
+    increments ``d * (scale * r)`` of its own transition, and a step
+    evaluates ``x + d`` through ``kernel.init``; HMC's rows are its momenta
+    (``kernel.momentum``), and a step is one ``kernel.trajectory``.  Each
+    step decides as ``accept_step`` does.
     """
-    direction, init = kernel.direction, kernel.init
+    init, trajectory = kernel.init, getattr(kernel, "trajectory", None)
+    draw = kernel.direction if trajectory is None else kernel.momentum
     buffer = np.empty((min(_BLOCK_STEPS, n_iter), state.x.size))
     for start in range(0, n_iter, len(buffer)):
-        d = buffer[: n_iter - start]
-        r, uniforms, log_u = _draw_block(direction, rng, d)
-        d *= (direction.scale * r)[:, None]
-        for inc, u, log_u_j in zip(d, uniforms, log_u):
-            proposal = init(state.x + inc)
-            step = _decide(state, proposal, proposal.lp - state.lp, u, log_u_j)
+        rows = buffer[: n_iter - start]
+        r, uniforms, log_u = _draw_block(draw, rng, rows)
+        if trajectory is None:
+            rows *= (draw.scale * r)[:, None]
+        for row, u, log_u_j in zip(rows, uniforms, log_u):
+            if trajectory is None:
+                proposal = init(state.x + row)
+                log_alpha = proposal.lp - state.lp
+            else:
+                proposal, log_alpha = trajectory(state, row)
+            step = _decide(state, proposal, log_alpha, u, log_u_j)
             state = step.state
             yield step
 

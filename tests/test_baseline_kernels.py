@@ -258,12 +258,12 @@ def test_hmc_coerces_a_list_or_integer_gradient(score):
     assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
 
 
-def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
+def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept, block_layout_rng):
     """Reference HMC chain composed from the public parts: a per-step checked
-    leapfrog from a fresh gradient, ``-log pi`` for both energies and a
-    fresh density at both ends for the earlier scalar accept step
-    (``parent_accept``)."""
-    rng = chain_rng(seed)
+    merged-kick leapfrog from a fresh score, ``-log pi`` for both energies and
+    a fresh density at both ends for the earlier scalar accept step
+    (``parent_accept``), drawing from the seed's stream in the block layout."""
+    rng = block_layout_rng(chain_rng(seed), n)
     mass = cfg.mass_vector(x0.size)
     inv_m = 1.0 / mass
     dt = cfg.dt
@@ -271,14 +271,14 @@ def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
     rows = []
     for _ in range(n):
         p0 = np.sqrt(mass) * rng.standard_normal(x.size)
-        y, p = x.copy(), p0.copy()
-        grad = -target.grad_log_density(y)
-        for _ in range(cfg.L):
-            assert np.all(np.isfinite(grad))
-            y = y + dt * inv_m * (p - 0.5 * dt * grad)
-            grad_new = -target.grad_log_density(y)
-            p = p - 0.5 * dt * (grad + grad_new)
-            grad = grad_new
+        y = x.copy()
+        score = target.grad_log_density(y)
+        p = p0 + 0.5 * dt * score
+        for i in range(cfg.L):
+            assert np.all(np.isfinite(score))
+            y = y + dt * inv_m * p
+            score = target.grad_log_density(y)
+            p = p + (dt if i < cfg.L - 1 else 0.5 * dt) * score
         h0 = -target.log_density(x) + 0.5 * float(p0 @ (inv_m * p0))
         h1 = -target.log_density(y) + 0.5 * float(p @ (inv_m * p))
         x, _, log_alpha, u, lp, _ = parent_accept(x, y, h0 - h1, target.log_density(x), target.log_density(y), rng)
@@ -290,19 +290,56 @@ def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept):
 @pytest.mark.parametrize("mass", [0.7, (0.5, 1.0, 2.0, 4.0)], ids=["scalar-mass", "vector-mass"])
 @pytest.mark.parametrize("L", [1, 10])
 @pytest.mark.parametrize("target_name", ["iid", "anisotropic"])
-def test_hmc_kernel_is_bit_identical_to_the_reference_composition(mass, L, target_name, parent_accept):
+def test_hmc_kernel_is_bit_identical_to_the_reference_composition(
+    mass, L, target_name, parent_accept, block_layout_rng
+):
+    # run_chain draws HMC's momenta in the block layout, so the reference draws from that layout too
     k = 4
     target = make_iid_gaussian(k) if target_name == "iid" else make_anisotropic_gaussian(np.linspace(1.0, 4.0, k))
     cfg = HmcConfig(L=L, dt=0.6 if L == 1 else 0.15, mass=mass)
     x0 = np.linspace(-1.0, 1.0, k)
     for seed in (1, 2, 3):
         trace = run_chain(make_hmc_kernel(target, cfg), x0, 2_000, seed)
-        states, log_alpha, uniforms, log_density = _reference_hmc_trace(target, cfg, x0, 2_000, seed, parent_accept)
+        states, log_alpha, uniforms, log_density = _reference_hmc_trace(
+            target, cfg, x0, 2_000, seed, parent_accept, block_layout_rng
+        )
         assert 0.0 < acceptance_rate(trace) < 1.0
         assert np.array_equal(trace.states, states)
         assert np.array_equal(trace.log_alpha, log_alpha)
         assert np.array_equal(trace.uniforms, uniforms)
         assert np.array_equal(trace.log_density, log_density)
+
+
+def _combined_form_leapfrog(x, p, cfg, target):
+    """The combined-update leapfrog the kernel ran before the merged kicks, kept as a reference:
+    ``x' = x + dt M^{-1} {p + (dt/2) s(x)}``, ``p' = p + (dt/2) {s(x) + s(x')}`` on the score ``s``."""
+    drift, half_dt = cfg.dt / cfg.mass_vector(x.size), 0.5 * cfg.dt
+    s = target.grad_log_density(x)
+    for _ in range(cfg.L):
+        x = x + drift * (p + half_dt * s)
+        s_new = target.grad_log_density(x)
+        p = p + half_dt * (s + s_new)
+        s = s_new
+    return x, p
+
+
+@pytest.mark.parametrize("mass", [0.7, (0.5, 1.0, 2.0, 4.0)], ids=["scalar-mass", "vector-mass"])
+@pytest.mark.parametrize("L", [1, 10])
+def test_leapfrog_agrees_with_the_combined_form(mass, L):
+    # The merged-kick scheme is the same map as the combined form, rounded differently:
+    # over random phase points both agree to 1e-12 relative to each vector's largest entry.
+    target = make_anisotropic_gaussian(np.linspace(1.0, 4.0, 4))
+    cfg = HmcConfig(L=L, dt=0.6 if L == 1 else 0.15, mass=mass)
+    rng = chain_rng(18)
+    n_differ = 0
+    for _ in range(500):
+        x, p = 2.0 * rng.standard_normal(4), np.sqrt(cfg.mass_vector(4)) * rng.standard_normal(4)
+        end = leapfrog(PhasePoint(x, p), cfg, target)
+        ref_x, ref_p = _combined_form_leapfrog(x, p, cfg, target)
+        assert_allclose(end.x, ref_x, rtol=1e-12, atol=1e-12 * np.abs(ref_x).max())
+        assert_allclose(end.p, ref_p, rtol=1e-12, atol=1e-12 * np.abs(ref_p).max())
+        n_differ += not (np.array_equal(end.x, ref_x) and np.array_equal(end.p, ref_p))
+    assert n_differ > 0  # the two forms are not bit-identical
 
 
 # --- single-step proposal characterization ---------------------------------

@@ -131,24 +131,24 @@ def parent_rwmh(target, sigma):
 
 
 def parent_hmc(target, cfg):
+    # The step body in the merged-kick form the kernel now integrates in.
     mass = cfg.mass_vector(target.dim)
     inv_m = 1.0 / mass
     drift = cfg.dt * inv_m
     half_dt = 0.5 * cfg.dt
 
-    def grad_u(x):
-        return -np.asarray(target.grad_log_density(x), dtype=float)
+    def score(x):
+        return np.asarray(target.grad_log_density(x), dtype=float)
 
     def step(x, rng, accept):
-        lp_x, grad = target.log_density(x), grad_u(x)
+        lp_x, s = target.log_density(x), score(x)
         p0 = np.sqrt(mass) * rng.standard_normal(x.size)
-        y, p = x, p0
+        y, p = x, p0 + half_dt * s
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.L):
-                y = y + drift * (p - half_dt * grad)
-                grad_new = grad_u(y)
-                p = p - half_dt * (grad + grad_new)
-                grad = grad_new
+            for i in range(cfg.L):
+                y = y + drift * p
+                s = score(y)
+                p = p + (cfg.dt if i < cfg.L - 1 else half_dt) * s
         if np.isfinite(y).all() and np.isfinite(p).all():
             lp_y = target.log_density(y)
             h0 = -lp_x + 0.5 * float(p0 @ (inv_m * p0))
@@ -280,6 +280,11 @@ CASES = {
 }
 
 
+def block_drawn(kernel):
+    """Whether ``run_chain`` steps ``kernel`` in the block layout: a symmetric or HMC kernel."""
+    return hasattr(kernel, "direction") or hasattr(kernel, "trajectory")
+
+
 def parent_trace(step, x0, n, rng, accept):
     x = np.asarray(x0, dtype=float)
     rows = []
@@ -292,14 +297,14 @@ def parent_trace(step, x0, n, rng, accept):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, block_layout_rng):
-    # run_chain steps a symmetric kernel (one with a direction) in the block layout,
+    # run_chain steps a symmetric or HMC kernel in the block layout,
     # so its parent body draws from the same stream in that layout
     name, target, args, x0 = CASES[case]
     make_kernel, make_parent = FACTORIES[name]
     kernel = make_kernel(target, *args)
     for seed in (1, 2, 3):
         trace = run_chain(kernel, x0, 2_000, seed)
-        rng = block_layout_rng(chain_rng(seed), 2_000) if hasattr(kernel, "direction") else chain_rng(seed)
+        rng = block_layout_rng(chain_rng(seed), 2_000) if block_drawn(kernel) else chain_rng(seed)
         states, accepted, log_alpha, uniforms, log_density, n_nonfinite = parent_trace(
             make_parent(target, *args), x0, 2_000, rng, parent_accept
         )
@@ -360,11 +365,11 @@ def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng)
     assert len(calls) == n + 1
 
     # One kernel object drives two interleaved chains; each equals its solo run,
-    # which steps a symmetric kernel in the block layout.
+    # which steps a symmetric or HMC kernel in the block layout.
     x0_b = -x0 if name != "ising" else x0[::-1].copy()
     solo_b = run_chain(kernel, x0_b, n, 12)
     rng_a, rng_b = chain_rng(11), chain_rng(12)
-    if hasattr(kernel, "direction"):
+    if block_drawn(kernel):
         rng_a, rng_b = block_layout_rng(rng_a, n), block_layout_rng(rng_b, n)
     state_a, state_b = kernel.init(x0), kernel.init(x0_b)
     rows_a, rows_b = [], []
@@ -464,3 +469,61 @@ def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, as
     assert np.array_equal(run.accepted[:, 0], trace.accepted)
     assert np.array_equal(lockstep_path(run, 0)[:, [2, 0]], trace.states)
     assert run.n_nonfinite[0] == trace.n_nonfinite_proposals
+
+
+def cliff_gaussian(k):
+    """The ``k``-d standard Gaussian whose score overflows to infinities beyond ``|x_0| = 2.2``.
+
+    Its density is finite everywhere, so every non-finite proposal is a divergent trajectory.
+    """
+
+    def score(x):
+        return -x * 1e308 * 10.0 if abs(x[0]) > 2.2 else -x  # numpy warns of the overflow unless silenced
+
+    return dataclasses.replace(make_iid_gaussian(k), grad_log_density=score)
+
+
+@pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
+def test_run_chain_steps_hmc_in_the_block_layout(n_iter, assert_block_steps):
+    # around the 256-step block, as for the symmetric kernels; divergences land inside blocks
+    cliff = cliff_gaussian(3)
+    target, calls = counting(cliff)
+    grad_calls = []
+    target = dataclasses.replace(target, grad_log_density=lambda x: grad_calls.append(1) or cliff.grad_log_density(x))
+    cfg = HmcConfig(L=3, dt=0.15)
+    kernel = make_hmc_kernel(target, cfg)
+    x0 = np.array([1.5, -0.5, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_chain(kernel, x0, n_iter, 21, record_coords=[2, 0])
+    # Divergent trajectories are counted rejections, the only non-finite outcomes here.
+    divergent = trace.log_alpha == -math.inf
+    assert trace.n_nonfinite_proposals == divergent.sum()
+    assert trace.n_nonfinite_proposals > 0 or n_iter == 1
+    assert not trace.accepted[divergent].any() and np.all(np.isfinite(trace.states))
+    log_u = np.array([math.log(u) if u > 0.0 else -math.inf for u in trace.uniforms])
+    assert np.array_equal(trace.accepted, log_u < trace.log_alpha)
+    # One density call per finite end point plus the initial state; L gradient calls per transition plus one.
+    assert len(calls) == n_iter + 1 - trace.n_nonfinite_proposals
+    assert len(grad_calls) == n_iter * cfg.L + 1
+    # The kernel's single transitions, drawing from the same stream in block order.
+    assert_block_steps(trace, kernel, x0, chain_rng(21))
+
+
+@pytest.mark.parametrize("n_iter", [255, 300, 512])
+@pytest.mark.parametrize("name", ["additive", "rwmh", "hmc"])
+def test_block_drawn_run_is_a_prefix_of_a_longer_one_through_its_last_full_block(name, n_iter):
+    # A run of n steps draws its last block short, so it equals a 600-step run on the same seed
+    # through row 256 * floor(n / 256) and not after: the uniforms of a short block differ.
+    target = make_iid_gaussian(3)
+    kernel = {
+        "additive": lambda: make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=0.9)),
+        "rwmh": lambda: make_rwmh_kernel(target, 0.8),
+        "hmc": lambda: make_hmc_kernel(target, HmcConfig(L=3, dt=0.3)),
+    }[name]()
+    short, long = (run_chain(kernel, np.zeros(3), n, 5) for n in (n_iter, 600))
+    full = 256 * (n_iter // 256)
+    for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(short, field)[:full], getattr(long, field)[:full]), field
+    if full < n_iter:
+        assert not np.array_equal(short.uniforms[full:], long.uniforms[full:n_iter])
