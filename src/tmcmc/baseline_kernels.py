@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, accept_step, init_state
+from .chain import ChainState, Kernel, _block_kernel, init_state
 from .targets import Target
 
 __all__ = [
@@ -63,12 +63,13 @@ class HmcConfig:
     mass: Union[float, Sequence[float], np.ndarray] = 1.0
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be a positive integer, got {self.L}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if np.any(np.atleast_1d(np.asarray(self.mass, dtype=float)) <= 0.0):
-            raise ValueError("mass entries must be positive")
+        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
+            raise ValueError(f"L must be a positive integer, got {self.L!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        mass = np.asarray(self.mass, dtype=float)
+        if not np.all((0.0 < mass) & (mass < math.inf)):
+            raise ValueError("mass entries must be positive and finite")
 
     def mass_vector(self, k: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.mass, dtype=float), (k,))
@@ -97,26 +98,28 @@ class LeapfrogError(RuntimeError):
 def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
     """Propose ``x + sigma * d`` and accept by the density ratio.
 
-    ``kernel.direction(rng, out)`` fills ``out``, ``(k,)`` or ``(b, k)`` for
-    ``b`` steps, with normals ``d`` and returns ``r = 1``, a float or ``(b,)``.
+    ``kernel.direction(rng, out)`` fills a ``(k,)`` or ``(b, k)`` ``out`` with
+    normals ``d`` and returns ``r = 1``; ``kernel.draw`` scales them to ``sigma * d``.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     log_density = target.log_density
 
     def direction(rng: np.random.Generator, out: np.ndarray):
         rng.standard_normal(out=out)
         return 1.0 if out.ndim == 1 else np.ones(len(out))
 
-    def kernel(state: ChainState, rng: np.random.Generator):
-        d = np.empty_like(state.x)
-        r = direction(rng, d)
-        y = state.x + d * (sigma * r)
-        lp_y = log_density(y)
-        return accept_step(state, ChainState(y, lp_y), lp_y - state.lp, rng)
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        direction(rng, out)
+        out *= sigma  # d * (sigma * r) with r = 1
 
-    kernel.init = init_state(log_density)
-    kernel.direction, direction.scale = direction, sigma
+    def propose(state: ChainState, row: np.ndarray):
+        y = state.x + row
+        lp_y = log_density(y)
+        return ChainState(y, lp_y), lp_y - state.lp
+
+    kernel = _block_kernel(init_state(log_density), draw, propose)
+    kernel.direction = direction
     return kernel
 
 
@@ -163,10 +166,8 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
     momentum is discarded afterwards.  The state carries
     ``(x, log pi(x), grad log pi(x))``; a divergent trajectory is a rejection.
-    ``kernel.momentum(rng, out)`` fills ``out``, ``(k,)`` or ``(b, k)`` for
-    ``b`` steps, with ``N(0, M)`` momenta, and ``kernel.trajectory(state, p)``
-    returns the proposal from momentum ``p`` and its ``log_alpha``; the
-    transition calls both, and ``run_chain`` draws a block's momenta at once.
+    ``kernel.draw`` draws ``N(0, M)`` momenta and ``kernel.propose(state, p)``
+    runs the trajectory from momentum ``p``.
     """
     score = _score(target)
     log_density = target.log_density
@@ -175,11 +176,11 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     sqrt_m = np.sqrt(mass)
     drift = cfg.dt * inv_m
 
-    def momentum(rng: np.random.Generator, out: np.ndarray) -> None:
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
         rng.standard_normal(out=out)
         out *= sqrt_m
 
-    def trajectory(state: ChainState, p0: np.ndarray):
+    def propose(state: ChainState, p0: np.ndarray):
         y, p, s_y = _leapfrog(state.x, p0, state.grad, cfg.L, drift, cfg.dt, score)
         if not _finite(y, p):
             return ChainState(y, -math.inf, s_y), -math.inf
@@ -188,17 +189,11 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
         h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
         return ChainState(y, lp_y, s_y), h0 - h1
 
-    def kernel(state: ChainState, rng: np.random.Generator):
-        p0 = np.empty_like(state.x)
-        momentum(rng, p0)
-        return accept_step(state, *trajectory(state, p0), rng)
-
     def init(x) -> ChainState:
         x = np.asarray(x, dtype=float)
         return ChainState(x, log_density(x), np.asarray(score(x), dtype=float))
 
-    kernel.init, kernel.momentum, kernel.trajectory = init, momentum, trajectory
-    return kernel
+    return _block_kernel(init, draw, propose)
 
 
 def hmc_one_step_proposal_params(

@@ -58,8 +58,8 @@ class ChallengerConfig:
             raise ValueError("need at least 2 chains for split-chain diagnostics")
         if not 0.0 <= self.burn_frac < 1.0:
             raise ValueError("burn_frac must lie in [0, 1)")
-        if self.rwmh_sigma <= 0.0:
-            raise ValueError(f"rwmh_sigma must be positive, got {self.rwmh_sigma}")
+        if not 0.0 < self.rwmh_sigma < np.inf:
+            raise ValueError(f"rwmh_sigma must be positive and finite, got {self.rwmh_sigma}")
         TmcmcConfig(scales=self.tmcmc_scales, eps_scale=self.tmcmc_eps_scale)  # raises on bad additive tuning
         kept = self.n_iter - int(self.burn_frac * self.n_iter)
         if kept < MIN_SAMPLES:

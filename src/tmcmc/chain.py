@@ -7,11 +7,11 @@ a kernel also sets the function attribute ``kernel.init(x) -> ChainState``,
 which evaluates what the state carries once.  ``run_chain`` calls ``init``
 once and then hands each step's ``state`` to the next, so a transition
 evaluates the target only at its proposal, and one kernel object can drive
-any number of chains.  A symmetric kernel also sets ``kernel.direction``,
-its draw of a direction ``d`` and an innovation ``r``, proposing
-``x + d * (scale * r)``; ``direction.scale`` is the kernel's own scale.
-HMC sets ``kernel.momentum``, its momentum draw, and
-``kernel.trajectory(state, p) -> (proposal, log_alpha)``.
+any number of chains.  A block-drawn kernel (additive, random walk, HMC)
+also sets ``kernel.draw(rng, out)``, which fills a ``(k,)`` or ``(b, k)``
+``out`` with each step's input, and ``kernel.propose(state, row)``, which
+returns a proposal and its ``log_alpha``; a transition is one ``(k,)`` row,
+``propose`` and ``accept_step``.  Symmetric ones also set ``kernel.direction``.
 
 One accept rule.  Every kernel ends its transition in ``accept_step``: it
 draws one uniform ``u`` and accepts iff ``log u < log_alpha``.  The step
@@ -33,16 +33,16 @@ each on its own generator with its own symmetric kernel.  A stream draws
 ahead in blocks of 256 steps: one call of its kernel's own draw
 ``kernel.direction`` on a ``(b, k)`` block, then ``b`` acceptance uniforms.
 Each step is then one batched log-density call and one ``accept_batch``.
-``run_chain``, and so ``tmcmc sample``, runs a symmetric kernel as one
-stream of one chain in the same layout, so it equals the engine's chain.
-It draws HMC in the same layout too, ``b x k`` momentum normals through
-``kernel.momentum`` and then ``b`` uniforms, a step being one trajectory;
-it steps any other kernel one transition at a time.  A one-step block is
-the draw order of the kernel's own transition; longer runs hand the same
-stream's numbers to their steps in block order.  So a block-drawn run of
-``n`` steps equals a longer run on the same seed only through its last full
-block, row ``256 * (n // 256)``.  ``lockstep_path`` rebuilds any chain of an
-engine run bit for bit.  ``map_tasks`` is the one process pool.
+``run_chain``, and so ``tmcmc sample``, runs a block-drawn kernel in the
+same layout, ``b`` rows through ``kernel.draw`` and then ``b`` uniforms, a
+step being one ``kernel.propose``: a symmetric kernel's chain equals the
+engine's stream of one chain, and the additive kernel draws the same with
+``p != q``.  Any other kernel steps one transition at a time.  A one-step
+block is the draw order of the kernel's own transition; longer runs hand
+the same stream's numbers to their steps in block order.  So a block-drawn
+run of ``n`` steps equals a longer run on the same seed only through its
+last full block, row ``256 * (n // 256)``.  ``lockstep_path`` rebuilds any
+chain of an engine run bit for bit.  ``map_tasks`` is the one process pool.
 """
 
 from __future__ import annotations
@@ -158,15 +158,28 @@ def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float,
 def _draw_block(draw, rng: np.random.Generator, d: np.ndarray):
     """One stream's draws for ``b = len(d)`` steps, in the block layout.
 
-    ``draw(rng, d)`` fills the ``(b, k)`` rows: a ``direction`` fills the
-    directions and returns the ``(b,)`` innovations ``r``, HMC's
-    ``momentum`` fills the momenta and returns None.  Then come the ``b``
-    acceptance uniforms.  Returns ``(r, uniforms, log_u)``, the last two as
-    lists of floats.
+    ``draw(rng, d)`` fills the ``(b, k)`` rows: a ``kernel.direction``
+    fills the directions and returns the ``(b,)`` innovations ``r``, a
+    ``kernel.draw`` fills each step's input and returns None.  Then come
+    the ``b`` acceptance uniforms.  Returns ``(r, uniforms, log_u)``, the
+    last two as lists of floats.
     """
     r = draw(rng, d)
     uniforms = rng.random(len(d)).tolist()
     return r, uniforms, [_log_u(u) for u in uniforms]
+
+
+def _block_kernel(init, draw, propose) -> Kernel:
+    """The block-drawn kernel of these hooks; its transition is a one-step block of ``_block_steps``."""
+
+    def kernel(state: ChainState, rng: np.random.Generator) -> Step:
+        row = np.empty_like(state.x)
+        draw(rng, row)
+        proposal, log_alpha = propose(state, row)
+        return accept_step(state, proposal, log_alpha, rng)
+
+    kernel.init, kernel.draw, kernel.propose = init, draw, propose
+    return kernel
 
 
 def accept_batch(x: np.ndarray, lp_x: np.ndarray, y: np.ndarray, lp_y: np.ndarray, log_u, n_nonfinite: np.ndarray):
@@ -272,9 +285,9 @@ def run_chain(
 ) -> Trace:
     """Run ``n_iter`` transitions of ``kernel`` from ``kernel.init(x0)``.
 
-    Deterministic given the seed.  A symmetric kernel (one with
-    ``kernel.direction``) and HMC (``kernel.trajectory``) draw in the block
-    layout of ``run_lockstep``; any other kernel draws step by step.
+    Deterministic given the seed.  A block-drawn kernel (one with
+    ``kernel.propose``) draws in the block layout of ``run_lockstep``; any
+    other kernel draws step by step.
     ``record_coords`` limits which coordinates are stored (memory control
     for large-k studies); flags, log-densities, acceptance thresholds and
     uniforms are always stored in full.
@@ -299,7 +312,7 @@ def run_chain(
     n_bad = 0
     t0 = time.perf_counter()
     state = kernel.init(x0)
-    steps = _block_steps if hasattr(kernel, "direction") or hasattr(kernel, "trajectory") else _kernel_steps
+    steps = _block_steps if hasattr(kernel, "propose") else _kernel_steps
     for i, step in enumerate(steps(kernel, state, n_iter, rng)):
         state = step.state
         states[i] = state.x[take]
@@ -326,29 +339,14 @@ def _kernel_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random
 
 
 def _block_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random.Generator) -> Iterator[Step]:
-    """A symmetric or HMC kernel's transitions in ``run_lockstep``'s block layout.
-
-    Each block draws its rows and uniforms once (``_draw_block``).  A
-    symmetric kernel's rows are its directions, scaled in place to the
-    increments ``d * (scale * r)`` of its own transition, and a step
-    evaluates ``x + d`` through ``kernel.init``; HMC's rows are its momenta
-    (``kernel.momentum``), and a step is one ``kernel.trajectory``.  Each
-    step decides as ``accept_step`` does.
-    """
-    init, trajectory = kernel.init, getattr(kernel, "trajectory", None)
-    draw = kernel.direction if trajectory is None else kernel.momentum
+    """A block-drawn kernel's transitions in the block layout: ``kernel.draw``, then ``propose`` per row."""
+    draw, propose = kernel.draw, kernel.propose
     buffer = np.empty((min(_BLOCK_STEPS, n_iter), state.x.size))
     for start in range(0, n_iter, len(buffer)):
         rows = buffer[: n_iter - start]
-        r, uniforms, log_u = _draw_block(draw, rng, rows)
-        if trajectory is None:
-            rows *= (draw.scale * r)[:, None]
+        _, uniforms, log_u = _draw_block(draw, rng, rows)
         for row, u, log_u_j in zip(rows, uniforms, log_u):
-            if trajectory is None:
-                proposal = init(state.x + row)
-                log_alpha = proposal.lp - state.lp
-            else:
-                proposal, log_alpha = trajectory(state, row)
+            proposal, log_alpha = propose(state, row)
             step = _decide(state, proposal, log_alpha, u, log_u_j)
             state = step.state
             yield step

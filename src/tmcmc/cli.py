@@ -84,8 +84,8 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive real, got {value}")
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite real, got {value}")
     return value
 
 

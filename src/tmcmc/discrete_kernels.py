@@ -78,8 +78,8 @@ def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if jump_scale <= 0.0:
-        raise ValueError(f"jump_scale must be positive, got {jump_scale}")
+    if not 0.0 < jump_scale < math.inf:
+        raise ValueError(f"jump_scale must be positive and finite, got {jump_scale}")
     log_density = target.log_density
 
     def kernel(state: ChainState, rng: np.random.Generator):

@@ -82,8 +82,8 @@ class ScalingStudySpec:
                 raise ValueError(f"{name} must not repeat a value, got {values}")
         if any(k < 1 for k in self.dims):
             raise ValueError("dims must be positive integers")
-        if any(e <= 0 for e in self.ell_grid):
-            raise ValueError("ell_grid entries must be positive")
+        if not all(0 < e < np.inf for e in self.ell_grid):
+            raise ValueError("ell_grid entries must be positive and finite")
         if not 0 <= self.burn_in < self.n_iter:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.n_iter - self.burn_in < MIN_SAMPLES:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, accept_step, init_state
+from .chain import ChainState, Kernel, _block_kernel, accept_step, init_state
 from .targets import Target
 
 __all__ = [
@@ -102,11 +102,11 @@ class TmcmcConfig:
         a = np.atleast_1d(np.asarray(self.scales, dtype=float))
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        if np.any(a <= 0.0):
-            raise ValueError(f"scales must be positive, got {self.scales}")
-        if self.eps_scale <= 0.0:
-            raise ValueError(f"eps_scale must be positive, got {self.eps_scale}")
-        if np.any(p < 0.0) or np.any(q < 0.0) or np.any(p + q > 1.0 + 1e-12):
+        if not np.all((0.0 < a) & (a < math.inf)):
+            raise ValueError(f"scales must be positive and finite, got {self.scales}")
+        if not 0.0 < self.eps_scale < math.inf:
+            raise ValueError(f"eps_scale must be positive and finite, got {self.eps_scale}")
+        if not (np.all(p >= 0.0) and np.all(q >= 0.0) and np.all(p + q <= 1.0 + 1e-12)):
             raise ValueError("need p_i, q_i >= 0 and p_i + q_i <= 1")
         if np.all(p + q == 0.0):
             raise ValueError("at least one coordinate needs p_i + q_i > 0")
@@ -136,10 +136,11 @@ class DependentZConfig:
     scales: ArrayLike = 1.0
 
     def __post_init__(self):
-        if self.eps_scale <= 0.0:
-            raise ValueError(f"eps_scale must be positive, got {self.eps_scale}")
-        if np.any(np.atleast_1d(np.asarray(self.scales, dtype=float)) <= 0.0):
-            raise ValueError("scales must be positive")
+        a = np.asarray(self.scales, dtype=float)
+        if not 0.0 < self.eps_scale < math.inf:
+            raise ValueError(f"eps_scale must be positive and finite, got {self.eps_scale}")
+        if not np.all((0.0 < a) & (a < math.inf)):
+            raise ValueError("scales must be positive and finite")
         for name in ("sigma_1", "sigma_2", "sigma_3"):
             self._factor(getattr(self, name), name)
 
@@ -186,17 +187,16 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
 
     Requires ``p_i + q_i = 1`` (no zero coordinates); acceptance is
     ``min{1, prod_i ratio_i * pi(y)/pi(x)}`` with ``ratio_i = q_i/p_i`` for a
-    forward coordinate and ``p_i/q_i`` for a backward one.  Its draw,
-    ``direction(rng, out) -> r``, turns uniforms into ``out = d = z * a``
-    (``+a_i`` exactly when ``u_i < p_i``) and returns ``r = |N(0, 1)|``, so
-    ``eps = eps_scale * r``; only with ``p = q`` is it ``kernel.direction``.
-    ``out`` is ``(k,)``, giving a float ``r``, or ``(b, k)`` for ``b`` steps,
-    giving ``(b,)``: first all ``b * k`` uniforms, then the ``b`` normals.
+    forward coordinate and ``p_i/q_i`` for a backward one.  Its
+    ``direction(rng, out) -> r`` turns uniforms into ``out = d = z * a``
+    (``+a_i`` exactly when ``u_i < p_i``) and then returns ``r = |N(0, 1)|``,
+    a float for a ``(k,)`` ``out`` and ``(b,)`` for ``(b, k)``; ``kernel.draw``
+    scales ``d`` in place to ``d * (eps_scale * r)`` for any ``(p, q)``, and
+    only with ``p = q`` is ``direction`` also ``kernel.direction``.
     """
     a, p, q = cfg.broadcast(target.dim)
     if not np.allclose(p + q, 1.0):
         raise ValueError("additive kernel requires p_i + q_i = 1 for every coordinate")
-    symmetric = bool(np.all(p == q))
     log_p, log_q = _log_tables(p, q)
     below_p = np.nextafter(p, -1.0)  # below_p - u >= +0.0 exactly when u < p, for p in [0, 1]
     s = cfg.eps_scale
@@ -209,17 +209,24 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
             return abs(float(rng.standard_normal()))
         return np.abs(rng.standard_normal(len(out)))
 
-    def kernel(state: ChainState, rng: np.random.Generator):
-        d = np.empty_like(state.x)
-        r = direction(rng, d)
-        y = state.x + d * (s * r)
-        lp_y = log_density(y)
-        log_ratio = 0.0 if symmetric else _move_log_ratio(d, log_p, log_q)  # d has the signs of z
-        return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
+    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
+        r = direction(rng, out)
+        out *= s * r if out.ndim == 1 else (s * r)[:, None]
 
-    kernel.init = init_state(log_density)
-    if symmetric:
-        kernel.direction, direction.a, direction.scale = direction, a, s
+    def propose(state: ChainState, row: np.ndarray):
+        y = state.x + row
+        lp_y = log_density(y)
+        return ChainState(y, lp_y), lp_y - state.lp
+
+    def propose_asymmetric(state: ChainState, row: np.ndarray):
+        y = state.x + row
+        lp_y = log_density(y)
+        return ChainState(y, lp_y), _move_log_ratio(row, log_p, log_q) + lp_y - state.lp  # row has the signs of z
+
+    if not np.all(p == q):
+        return _block_kernel(init_state(log_density), draw, propose_asymmetric)
+    kernel = _block_kernel(init_state(log_density), draw, propose)
+    kernel.direction, direction.a = direction, a
     return kernel
 
 

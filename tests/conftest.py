@@ -45,18 +45,19 @@ def scripted_rng():
 
 
 class BlockLayoutRNG(np.random.Generator):
-    """A symmetric kernel's block-layout draws, served one transition at a time.
+    """A block-drawn kernel's block-layout draws, served one transition at a time.
 
     ``run_chain`` and each ``run_lockstep`` stream draw ahead in blocks of
-    ``b = min(256, steps left)`` steps: the ``b`` steps' directions (a
-    sign-move kernel: ``b * k`` uniforms, then ``b`` normals; a random walk:
-    ``b * k`` normals), then ``b`` acceptance uniforms.  Built on ``rng``
-    where the stream starts stepping and handed to ``n_iter`` transitions,
-    this generator takes its draws in that layout from ``rng``'s bit
-    generator and serves a transition's direction draw (``random`` or
-    ``standard_normal`` with ``size=k`` or ``out=``), its innovation
-    (``standard_normal()``) and its acceptance uniform (``random()``) from
-    them, so the steps are the ones the block runners take.
+    ``b = min(256, steps left)`` steps: the ``b`` steps' rows (a sign-move
+    kernel, whatever its ``p`` and ``q``: ``b * k`` uniforms, then ``b``
+    normals; a random walk or HMC: ``b * k`` normals), then ``b`` acceptance
+    uniforms.  Built on ``rng`` where the stream starts stepping and handed
+    to ``n_iter`` transitions, this generator takes its draws in that layout
+    from ``rng``'s bit generator and serves a transition's row draw
+    (``random`` or ``standard_normal`` with ``size=k`` or ``out=``), its
+    innovation (``standard_normal()``) and its acceptance uniform
+    (``random()``) from them, so the steps are the ones the block runners
+    take.
     """
 
     BLOCK_STEPS = 256

@@ -113,6 +113,7 @@ def test_hmc_config_validation():
     for bad in (dict(L=0, dt=0.1), dict(L=1, dt=0.0), dict(L=1, dt=0.1, mass=0.0)):
         with pytest.raises(ValueError):
             HmcConfig(**bad)
+    assert HmcConfig(L=np.int64(3), dt=0.1).L == 3  # numpy integers are integral
 
 
 # --- HMC -------------------------------------------------------------------

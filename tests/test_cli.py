@@ -351,6 +351,32 @@ def test_config_values_are_validated_like_flags(tmp_path, key, value):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--sigma", "--eps-scale", "--hmc-dt", "--ell-grid"])
+def test_non_finite_numbers_are_rejected(flag, value, tmp_path, capsys):
+    # nan <= 0 is false, so a check for <= 0 alone lets NaN through to a chain that never moves
+    command, text = ("scaling-study", f"1.5,{value}") if flag == "--ell-grid" else ("sample", value)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run_cli([command, f"{flag}={text}", "--iters", "300", "--out", str(out)])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity"])
+def test_non_finite_config_values_are_rejected(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(f'{{"eps_scale": {text}}}')
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sample", "--config", str(cfg), "--iters", "300", "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "eps_scale" in err
+    assert not out.exists()
+
+
 def test_config_lists_are_validated_and_parsed_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [3, 0]}))

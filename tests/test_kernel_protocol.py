@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from tmcmc.baseline_kernels import HmcConfig, make_hmc_kernel, make_rwmh_kernel
+from tmcmc.benchmark import ChallengerConfig
 from tmcmc.chain import chain_rng, lockstep_path, run_chain, run_lockstep
 from tmcmc.discrete_kernels import make_ising_kernel, make_zk_kernel
+from tmcmc.scaling import ScalingStudySpec
 from tmcmc.targets import (
     make_anisotropic_gaussian,
     make_challenger_logistic,
@@ -281,8 +283,8 @@ CASES = {
 
 
 def block_drawn(kernel):
-    """Whether ``run_chain`` steps ``kernel`` in the block layout: a symmetric or HMC kernel."""
-    return hasattr(kernel, "direction") or hasattr(kernel, "trajectory")
+    """Whether ``run_chain`` steps ``kernel`` in the block layout: one with ``kernel.propose``."""
+    return hasattr(kernel, "propose")
 
 
 def parent_trace(step, x0, n, rng, accept):
@@ -297,8 +299,8 @@ def parent_trace(step, x0, n, rng, accept):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, block_layout_rng):
-    # run_chain steps a symmetric or HMC kernel in the block layout,
-    # so its parent body draws from the same stream in that layout
+    # run_chain steps a block-drawn kernel (additive for any p and q, rwmh, HMC) in the
+    # block layout, so its parent body draws from the same stream in that layout
     name, target, args, x0 = CASES[case]
     make_kernel, make_parent = FACTORIES[name]
     kernel = make_kernel(target, *args)
@@ -365,7 +367,7 @@ def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng)
     assert len(calls) == n + 1
 
     # One kernel object drives two interleaved chains; each equals its solo run,
-    # which steps a symmetric or HMC kernel in the block layout.
+    # which steps a block-drawn kernel in the block layout.
     x0_b = -x0 if name != "ising" else x0[::-1].copy()
     solo_b = run_chain(kernel, x0_b, n, 12)
     rng_a, rng_b = chain_rng(11), chain_rng(12)
@@ -444,12 +446,8 @@ SYMMETRIC = {
 }
 
 
-@pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
-@pytest.mark.parametrize("name", list(SYMMETRIC))
-def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, assert_block_steps):
-    # around the 256-step block: one step, one block less a step, one block, one more, a partial third
-    build, scale = SYMMETRIC[name]
-    holed, _, x0 = HOLED[name]
+def block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps):
+    """``run_chain`` of ``build(holed, scale)`` from ``x0``, checked against its single transitions in block order."""
     target, calls = counting(holed)
     kernel = build(target, scale)
     with warnings.catch_warnings():
@@ -463,12 +461,34 @@ def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, as
     assert np.array_equal(trace.accepted, log_u < trace.log_alpha)
     # The kernel's single transitions, drawing from the same stream in block order.
     assert_block_steps(trace, kernel, x0, chain_rng(21))
+    return trace
+
+
+@pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
+@pytest.mark.parametrize("name", list(SYMMETRIC))
+def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, assert_block_steps):
+    # around the 256-step block: one step, one block less a step, one block, one more, a partial third
+    build, scale = SYMMETRIC[name]
+    holed, _, x0 = HOLED[name]
+    trace = block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps)
     # The engine: one stream of one chain, its kernel at unit scale and the scale given to the engine.
     batch = lambda xs: np.array([holed.log_density(x) for x in xs])  # noqa: E731
     run = run_lockstep([build(holed, 1.0)], batch, x0[None], [scale], n_iter, [chain_rng(21)], 3)
     assert np.array_equal(run.accepted[:, 0], trace.accepted)
     assert np.array_equal(lockstep_path(run, 0)[:, [2, 0]], trace.states)
     assert run.n_nonfinite[0] == trace.n_nonfinite_proposals
+
+
+def asymmetric_additive(target, scale):
+    """The additive kernel with ``p != q``: block-drawn by ``run_chain``, its acceptance needs the move ratio."""
+    return make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=scale, p=0.6, q=0.4))
+
+
+@pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
+def test_run_chain_steps_the_asymmetric_additive_kernel_in_the_block_layout(n_iter, assert_block_steps):
+    # as for the symmetric kernels, less the engine, which runs symmetric kernels only
+    holed, _, x0 = HOLED["additive"]
+    block_layout_run(asymmetric_additive, 0.9, holed, x0, n_iter, assert_block_steps)
 
 
 def cliff_gaussian(k):
@@ -511,13 +531,14 @@ def test_run_chain_steps_hmc_in_the_block_layout(n_iter, assert_block_steps):
 
 
 @pytest.mark.parametrize("n_iter", [255, 300, 512])
-@pytest.mark.parametrize("name", ["additive", "rwmh", "hmc"])
+@pytest.mark.parametrize("name", ["additive", "asymmetric", "rwmh", "hmc"])
 def test_block_drawn_run_is_a_prefix_of_a_longer_one_through_its_last_full_block(name, n_iter):
     # A run of n steps draws its last block short, so it equals a 600-step run on the same seed
     # through row 256 * floor(n / 256) and not after: the uniforms of a short block differ.
     target = make_iid_gaussian(3)
     kernel = {
         "additive": lambda: make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=0.9)),
+        "asymmetric": lambda: asymmetric_additive(target, 0.9),
         "rwmh": lambda: make_rwmh_kernel(target, 0.8),
         "hmc": lambda: make_hmc_kernel(target, HmcConfig(L=3, dt=0.3)),
     }[name]()
@@ -527,3 +548,36 @@ def test_block_drawn_run_is_a_prefix_of_a_longer_one_through_its_last_full_block
         assert np.array_equal(getattr(short, field)[:full], getattr(long, field)[:full]), field
     if full < n_iter:
         assert not np.array_equal(short.uniforms[full:], long.uniforms[full:n_iter])
+
+
+LATTICE = make_lattice_target(2, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TmcmcConfig(eps_scale=math.nan),
+    lambda: TmcmcConfig(eps_scale=math.inf),
+    lambda: TmcmcConfig(scales=(1.0, math.inf)),
+    lambda: TmcmcConfig(scales=math.nan),
+    lambda: TmcmcConfig(p=math.nan, q=0.5),
+    lambda: dataclasses.replace(DEP_Z, eps_scale=math.nan),
+    lambda: dataclasses.replace(DEP_Z, scales=math.inf),
+    lambda: HmcConfig(L=2.5, dt=0.1),
+    lambda: HmcConfig(L=2, dt=math.nan),
+    lambda: HmcConfig(L=2, dt=math.inf),
+    lambda: HmcConfig(L=2, dt=0.1, mass=(1.0, math.nan)),
+    lambda: make_rwmh_kernel(ANISO, math.nan),
+    lambda: make_rwmh_kernel(ANISO, math.inf),
+    lambda: make_zk_kernel(LATTICE, 0.3, math.nan),
+    lambda: make_zk_kernel(LATTICE, 0.3, math.inf),
+    lambda: ChallengerConfig(rwmh_sigma=math.nan),
+    lambda: ScalingStudySpec(ell_grid=(2.0, math.inf)),
+    lambda: ScalingStudySpec(ell_grid=(math.nan,)),
+], ids=[
+    "eps_scale-nan", "eps_scale-inf", "scales-inf", "scales-nan", "p-nan", "dependent-z-eps_scale-nan",
+    "dependent-z-scales-inf", "hmc-L-2.5", "hmc-dt-nan", "hmc-dt-inf", "hmc-mass-nan", "rwmh-sigma-nan",
+    "rwmh-sigma-inf", "zk-jump_scale-nan", "zk-jump_scale-inf", "challenger-rwmh_sigma-nan", "study-ell-inf",
+    "study-ell-nan",
+])
+def test_settings_reject_nan_infinite_scales_and_a_non_integer_L(build):
+    with pytest.raises(ValueError):
+        build()

@@ -207,7 +207,8 @@ def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
     additive, rwmh = _lockstep_kernels(STUDY_KERNELS, target)
     hmc = make_hmc_kernel(target, HmcConfig(L=2, dt=0.3))
     asymmetric = make_additive_tmcmc_kernel(target, TmcmcConfig(p=0.3, q=0.7))
-    assert not hasattr(asymmetric, "direction")  # its acceptance needs the move ratio
+    # run_chain draws it in blocks, but its acceptance needs the move ratio: no engine stream
+    assert hasattr(asymmetric, "propose") and not hasattr(asymmetric, "direction")
     for kernels in ((additive, hmc), (hmc, hmc), (asymmetric, rwmh), (rwmh, additive), (rwmh,)):
         with pytest.raises(ValueError, match="one symmetric kernel"):
             run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)
