@@ -240,21 +240,36 @@ class Trace:
         )
 
     def write_csv(self, path) -> None:
-        """Write ``iter,accepted,log_density,x_0,...,x_{k-1}``."""
+        """Write ``iter,accepted,log_density,x_0,...,x_{k-1}``.
+
+        Values are written as the repr of Python floats.  A row whose values
+        are bit-identical to the row above (a rejected step repeats its state)
+        reuses that row's text, so the ``repr`` cost is paid once per distinct
+        row and a trace's write cost scales with its acceptance rate.
+        """
         cols = ",".join(f"x_{i}" for i in self.recorded_coords)
+        line = "{},{},{}\n" if self.states.shape[1] else "{},{},{},\n"  # no coordinates: a trailing comma
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"iter,accepted,log_density,{cols}\n")
-            # Values are written as the repr of Python floats; converting a block of
-            # rows at a time keeps memory bounded however long the trace is.
+            # A block of rows at a time keeps memory bounded however long the trace
+            # is.  Rows are compared by their bits, not by ==: 0.0 and -0.0 compare
+            # equal but print differently, and NaN never compares equal.
+            prev, text = None, None  # the bits and text of the last row written
             for start in range(0, len(self), CSV_BLOCK_ROWS):
                 stop = start + CSV_BLOCK_ROWS
-                rows = zip(
-                    range(start, stop),
-                    self.accepted[start:stop].astype(int).tolist(),
-                    self.log_density[start:stop].astype(float).tolist(),
-                    self.states[start:stop].astype(float).tolist(),
-                )
-                fh.writelines(f"{i},{a},{lp!r},{','.join(map(repr, xs))}\n" for i, a, lp, xs in rows)
+                lp = self.log_density[start:stop]
+                block = np.empty((lp.shape[0], 1 + self.states.shape[1]))
+                block[:, 0], block[:, 1:] = lp, self.states[start:stop]
+                bits = block.view(np.uint64)
+                new = np.empty(len(block), dtype=bool)
+                new[0] = prev is None or (bits[0] != prev).any()
+                new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+                # texts[j] is the text of the j-th distinct row, texts[0] the previous block's last.
+                texts = [text, *(",".join(map(repr, row)) for row in block[new].tolist())]
+                flags = self.accepted[start:stop].astype(int).tolist()
+                rows = map(texts.__getitem__, np.cumsum(new).tolist())
+                fh.writelines(map(line.format, range(start, stop), flags, rows))
+                prev, text = bits[-1].copy(), texts[-1]
 
     def summary(self) -> dict:
         """JSON-ready run summary (acceptance rate, per-coordinate ESS, timing)."""

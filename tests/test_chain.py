@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from tmcmc import chain
+from tmcmc import (
+    HmcConfig,
+    TmcmcConfig,
+    chain,
+    make_additive_tmcmc_kernel,
+    make_hmc_kernel,
+    make_iid_gaussian,
+    make_rwmh_kernel,
+)
 from tmcmc.chain import ChainState, Trace, accept_batch, accept_step
 
 LOG_DENSITIES = [-1.5, 0.25, -math.inf, math.inf, math.nan]
@@ -67,6 +75,15 @@ def _reference_write_csv(trace, path):
             fh.write(f"{i},{int(trace.accepted[i])},{float(trace.log_density[i])!r},{xs}\n")
 
 
+def _written_bytes(trace, tmp_path):
+    """The bytes ``write_csv`` writes for ``trace``, checked against the row writer's."""
+    trace.write_csv(tmp_path / "blocks.csv")
+    _reference_write_csv(trace, tmp_path / "rows.csv")
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    return written
+
+
 SPECIAL = [-math.inf, math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, 0.0, -0.0, 0.1, 1 / 3]
 
 
@@ -84,10 +101,7 @@ def test_write_csv_bytes_equal_the_row_writer(n_rows, tmp_path):
     log_density[:2] = [-0.0, math.nan]
     zeros = np.zeros(n_rows)
     trace = Trace(states, rng.random(n_rows) < 0.5, log_density, zeros, zeros, [0, 4, 7])
-    trace.write_csv(tmp_path / "blocks.csv")
-    _reference_write_csv(trace, tmp_path / "rows.csv")
-    written = (tmp_path / "blocks.csv").read_bytes()
-    assert written == (tmp_path / "rows.csv").read_bytes()
+    written = _written_bytes(trace, tmp_path)
     assert written.count(b"\n") == n_rows + 1
     for token in (b"-inf", b"nan", b"5e-324", b"-0.0"):
         assert token in written
@@ -103,9 +117,108 @@ def test_write_csv_of_float32_and_integer_columns(tmp_path):
         np.zeros(n),
         [0, 1],
     )
-    trace.write_csv(tmp_path / "blocks.csv")
-    _reference_write_csv(trace, tmp_path / "rows.csv")
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    _written_bytes(trace, tmp_path)
+
+
+def _repeating_trace(states, log_density, recorded_coords=None):
+    """A trace of ``states`` whose accept flags do not follow its repeats: the writer reads the values."""
+    n = len(states)
+    zeros = np.zeros(n)
+    coords = list(range(states.shape[1])) if recorded_coords is None else recorded_coords
+    return Trace(states, np.arange(n) % 3 == 0, log_density, zeros, zeros, coords)
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_write_csv_of_long_runs_of_identical_rows(tmp_path):
+    n = 2 * chain.CSV_BLOCK_ROWS + 5
+    run = np.arange(n) // 1000  # runs of 1,000 identical rows, crossing both block boundaries
+    states = np.column_stack([run / 7.0, -run * 1e-300])
+    written = _written_bytes(_repeating_trace(states, -run / 3.0), tmp_path)
+    assert written.count(b"\n") == n + 1
+
+
+@pytest.mark.parametrize("row_4096", ["repeats", "signed-zero", "differs"])
+def test_write_csv_of_a_repeat_across_the_block_boundary(row_4096, tmp_path):
+    b = chain.CSV_BLOCK_ROWS
+    n = b + 3
+    states = np.random.default_rng(0).standard_normal((n, 3))
+    states[b - 1, 1] = 0.0
+    states[b] = states[b - 1]
+    if row_4096 == "signed-zero":
+        states[b, 1] = -0.0
+    elif row_4096 == "differs":
+        states[b, 2] += 1.0
+    log_density = np.full(n, -2.5)
+    lines = _written_bytes(_repeating_trace(states, log_density), tmp_path).split(b"\n")
+    same_text = lines[b].split(b",", 2)[2] == lines[b + 1].split(b",", 2)[2]
+    assert same_text == (row_4096 == "repeats")
+
+
+@pytest.mark.parametrize("column", ["state", "log_density"])
+def test_write_csv_tells_zero_from_negative_zero(column, tmp_path):
+    n = 6
+    states = np.ones((n, 2))
+    log_density = np.full(n, -1.0)
+    signs = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+    if column == "state":
+        states[:, 1] = signs
+    else:
+        log_density = signs
+    written = _written_bytes(_repeating_trace(states, log_density), tmp_path)
+    assert written.count(b"-0.0") == 3
+
+
+def test_write_csv_of_repeated_nan_rows_with_different_payloads(tmp_path):
+    payloads = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]
+    nans = [_nan(bits) for bits in payloads for _ in range(3)]
+    states = np.column_stack([nans, np.ones(len(nans))])
+    written = _written_bytes(_repeating_trace(states, np.array(nans)), tmp_path)
+    assert written.count(b"nan") == 2 * len(nans)
+
+
+@pytest.mark.parametrize("dtypes", ["float32-states", "integer-states"])
+def test_write_csv_of_repeated_float32_and_integer_columns(dtypes, tmp_path):
+    run = np.arange(30) // 4
+    if dtypes == "float32-states":
+        trace = _repeating_trace(np.column_stack([run / 3, -run / 7]).astype(np.float32), run * 10**17)
+    else:
+        trace = _repeating_trace(np.column_stack([run, -run * 10**17]), (run / 3).astype(np.float32))
+    assert _written_bytes(trace, tmp_path).count(b"\n") == len(run) + 1
+
+
+def test_write_csv_without_recorded_coordinates_keeps_the_trailing_commas(tmp_path):
+    n = chain.CSV_BLOCK_ROWS + 2
+    trace = _repeating_trace(np.empty((n, 0)), np.zeros(n), recorded_coords=[])
+    lines = _written_bytes(trace, tmp_path).splitlines()
+    assert lines[0] == b"iter,accepted,log_density,"
+    assert lines[1] == b"0,1,0.0,"
+    assert all(line.endswith(b",0.0,") for line in lines[1:])
+
+
+CHAIN_STEPS = 9_000  # crosses the block boundaries at rows 4,096 and 8,192
+
+
+def _sampling_kernel(name):
+    if name == "rwmh":  # sigma = 3 on k = 2 accepts about one step in six
+        return make_rwmh_kernel(make_iid_gaussian(2), 3.0), 2
+    if name == "additive":
+        return make_additive_tmcmc_kernel(make_iid_gaussian(10), TmcmcConfig(scales=1.0, eps_scale=1.0)), 10
+    return make_hmc_kernel(make_iid_gaussian(10), HmcConfig(L=10, dt=0.1)), 10
+
+
+@pytest.mark.parametrize("name, burn_in", [("rwmh", 0), ("additive", 0), ("hmc", 0), ("rwmh", 1_000)])
+def test_write_csv_of_sampled_chains_bytes_equal_the_row_writer(name, burn_in, tmp_path):
+    kernel, k = _sampling_kernel(name)
+    trace = chain.run_chain(kernel, np.zeros(k), CHAIN_STEPS, 7)
+    if burn_in:
+        trace = trace.tail(burn_in)
+    written = _written_bytes(trace, tmp_path)
+    assert written.count(b"\n") == len(trace) + 1
+    if name == "rwmh":
+        assert 0.0 < trace.accepted.mean() < 0.3  # most rows repeat the one above
 
 
 @pytest.mark.parametrize("n_workers", [0, 1])
