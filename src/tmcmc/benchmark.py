@@ -137,8 +137,9 @@ def run_challenger_benchmark(
     The chains run in lockstep (``_kernel_reports``).  With one worker
     (``pool_workers(n_workers) <= 1``) both kernels' chains step together
     in one engine call; with more, ``map_tasks`` runs the two kernels in
-    parallel, one task each, which on two cores takes about 30% less time
-    than the one call.  The report is the same either way.
+    parallel, one task each: the additive one in this process and the
+    random walk in one child process.  On two cores that takes about 30%
+    less time than the one call.  The report is the same either way.
     """
     cfg = cfg or ChallengerConfig()
     t0 = time.perf_counter()

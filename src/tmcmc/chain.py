@@ -42,7 +42,13 @@ block is the draw order of the kernel's own transition; longer runs hand
 the same stream's numbers to their steps in block order.  So a block-drawn
 run of ``n`` steps equals a longer run on the same seed only through its
 last full block, row ``256 * (n // 256)``.  ``lockstep_path`` rebuilds any
-chain of an engine run bit for bit.  ``map_tasks`` is the one process pool.
+chain of an engine run bit for bit.
+
+One process pool.  ``map_tasks`` runs independent tasks on ``W`` workers,
+the caller one of them.  The caller starts ``W - 1`` child processes, each
+running every ``W``-th task and sending its outcomes back over its own pipe;
+it runs its own share meanwhile and then yields the results in task order.
+A child that dies fails only the tasks of its share it had not sent.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -493,21 +498,102 @@ def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.
 
 
 def pool_workers(n_workers: Optional[int] = None) -> int:
-    """The worker count ``map_tasks`` caps its pool at: ``n_workers``, or the cpu count when None."""
+    """The worker count ``map_tasks`` caps at: ``n_workers``, or the cpu count when None.
+
+    The caller counts as one worker, so ``W`` workers start ``W - 1`` child processes.
+    """
     return n_workers if n_workers is not None else (os.cpu_count() or 1)
 
 
 def map_tasks(fn: Callable, tasks: Iterable, n_workers: Optional[int] = None) -> Iterator:
     """Yield ``fn(task)`` for each task, in order.
 
-    Runs on ``min(pool_workers(n_workers), len(tasks))`` worker processes, or
-    in this process when that is at most 1.  An exception from a task is
-    raised when its result is reached, after the results before it.
+    ``W = min(pool_workers(n_workers), len(tasks))`` workers share the tasks:
+    worker ``w`` runs tasks ``w, w + W, w + 2W, ...`` in order.  The caller is
+    worker 0.  It starts the other ``W - 1`` as child processes (the
+    platform's default ``multiprocessing`` start method), runs its own share,
+    then yields every result in task order, each child's read from that
+    child's pipe.  With ``W <= 1`` every task runs in this process.
+
+    An exception from a task is raised when its result is reached, after the
+    results before it; a child's keeps its type.  A result or exception that
+    cannot be pickled fails its task with a ``RuntimeError``; so does each
+    task a child exited without sending, the message naming its exit code.
+    No child outlives the generator: each is joined when the generator ends,
+    raises or is closed, and terminated first if it still owes results.
     """
     tasks = list(tasks)
     workers = min(pool_workers(n_workers), len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks, chunksize=1)
+    shares = []
+    try:
+        for w in range(1, workers):
+            shares.append(_Share(fn, tasks, w, workers))
+        own = list(_outcomes(fn, tasks[::workers]))
+        for i in range(len(tasks)):
+            ok, value = own[i // workers] if i % workers == 0 else shares[i % workers - 1].recv()
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for share in shares:
+            share.close()
+
+
+def _outcomes(fn: Callable, tasks: Sequence) -> Iterator:
+    """``(True, fn(task))`` for each task in order, up to the first that raises: ``(False, exc)``."""
+    for task in tasks:
+        try:
+            value = fn(task)
+        except Exception as exc:
+            yield False, exc
+            return
+        yield True, value
+
+
+class _Share:
+    """Worker ``w`` of ``W``, a child process that runs tasks ``w, w + W, ...`` of ``map_tasks``."""
+
+    def __init__(self, fn: Callable, tasks: list, w: int, workers: int):
+        import multiprocessing
+
+        self.next, self.step, self.end = w, workers, len(tasks)
+        self.conn, send = multiprocessing.Pipe(duplex=False)
+        indices = range(w, len(tasks), workers)
+        self.process = multiprocessing.Process(target=_send_outcomes, args=(fn, tasks[w::workers], indices, send))
+        self.process.start()
+        send.close()  # the child holds the only write end, so its exit ends the pipe
+
+    def recv(self) -> tuple:
+        """``(ok, value)`` of the share's next task."""
+        try:
+            index, ok, value = self.conn.recv()
+        except EOFError:
+            self.process.join()
+            code = self.process.exitcode
+            return False, RuntimeError(f"task {self.next}: its worker exited with code {code} before sending it")
+        self.next = index + self.step
+        return ok, value
+
+    def close(self) -> None:
+        """Reap the child, terminating it first if it has not sent its whole share."""
+        if self.next < self.end and self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def _send_outcomes(fn: Callable, tasks: list, indices: range, send) -> None:
+    """A child's loop: send ``(index, ok, value)`` for each task of its share, up to the first failure."""
+    for index, (ok, value) in zip(indices, _outcomes(fn, tasks)):
+        if not ok:  # the exception arrives with this traceback's text as its __cause__
+            from multiprocessing.pool import ExceptionWithTraceback
+
+            value = ExceptionWithTraceback(value, value.__traceback__)
+        try:
+            send.send((index, ok, value))
+        except Exception as exc:  # the outcome does not pickle
+            send.send((index, False, RuntimeError(f"task {index}: its outcome could not be sent back: {exc!r}")))
+            return

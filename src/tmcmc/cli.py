@@ -159,8 +159,9 @@ def _initial_state(args, target: Target, rng: np.random.Generator) -> np.ndarray
 def _sample_one_chain(payload) -> dict:
     """Run chain ``c``, write its trace CSV under ``out`` and return its summary.
 
-    The pool runs this whole task in a worker, so the CSV writer (float
-    ``repr`` bound) runs in parallel too and no ``Trace`` crosses processes.
+    ``map_tasks`` runs this whole task in one worker, so the CSV writer
+    (float ``repr`` bound) runs in parallel too and no ``Trace`` crosses
+    processes.
     """
     args, c, out = payload
     target = _build_target(args)
@@ -178,6 +179,11 @@ def _sample_one_chain(payload) -> dict:
 
 
 def cmd_sample(args) -> int:
+    """Run ``--chains`` chains on ``--workers`` workers and write their CSVs and ``summary.json``.
+
+    This process is worker 0 of ``W = min(pool_workers(args.workers), args.chains)``: it runs chains
+    ``0, W, 2W, ...`` itself while ``W - 1`` child processes run the rest.
+    """
     target = _build_target(args)
     needed = KERNEL_SUPPORT[args.kernel]
     if target.support_kind != needed:

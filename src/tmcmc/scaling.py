@@ -234,11 +234,11 @@ def run_scaling_study(spec: ScalingStudySpec, n_workers: Optional[int] = None) -
     """Execute the full grid and derive the per-(kernel, k) optima.
 
     The ``study_groups`` are independent; ``map_tasks`` runs them on up to
-    ``n_workers`` processes, and their rows are put back in grid order
-    (kernel, k, ell, seed), so the report is identical however many workers
-    ran.  If a group fails, the raised ``RuntimeError`` carries
-    ``partial_report``: the rows of the groups finished before it, in grid
-    order.
+    ``n_workers`` workers, this process one of them, and their rows are put
+    back in grid order (kernel, k, ell, seed), so the report is identical
+    however many workers ran.  If a group fails, its task raising or its
+    worker dying before it finished, the raised ``RuntimeError`` carries
+    ``partial_report``: the rows of the groups before it, in grid order.
     """
 
     def grid_order(r: CellResult) -> tuple:

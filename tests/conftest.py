@@ -157,28 +157,27 @@ def parent_accept():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace ``tmcmc.chain.ProcessPoolExecutor`` with an in-process stand-in.
+    """Replace ``tmcmc.chain._Share``, the child process of one share, with an in-process stand-in.
 
-    Returns the list that collects the ``max_workers`` of every pool
-    ``map_tasks`` opens, so a test can check the pool size without starting
-    any process.
+    Returns the list that collects the worker count ``W`` of every pooled
+    ``map_tasks`` call, so a test can check it without starting any process.
+    The stand-in runs its share's tasks in this process as they are read.
     """
     from tmcmc import chain
 
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InProcessShare:
+        def __init__(self, fn, tasks, w, workers):
+            if w == 1:  # every pooled call starts share 1
+                sizes.append(workers)
+            self.outcomes = chain._outcomes(fn, tasks[w::workers])
 
-        def __enter__(self):
-            return self
+        def recv(self):
+            return next(self.outcomes)
 
-        def __exit__(self, *exc):
-            return False
+        def close(self):
+            pass
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(chain, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(chain, "_Share", InProcessShare)
     return sizes

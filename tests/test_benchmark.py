@@ -102,8 +102,9 @@ def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch,
 
     monkeypatch.setattr(benchmark, "run_lockstep", counted)
     report = _json(run_challenger_benchmark(cfg, n_workers=n_workers))
-    # one worker: both kernels' chains in one engine call; two: one call a kernel, in the pool's workers
-    assert engine_streams == ([2 * n_chains] if n_workers == 1 else [])
+    # one worker: both kernels' chains in one engine call; two: one call a kernel, the additive
+    # one in this process (worker 0) and the random-walk one in a child
+    assert engine_streams == ([2 * n_chains] if n_workers == 1 else [n_chains])
     assert report == _json(run_challenger_benchmark(cfg, n_workers=3 - n_workers))
     _use_references(monkeypatch, assert_block_steps)
     assert report == _json(run_challenger_benchmark(cfg, n_workers=1))

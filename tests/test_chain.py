@@ -1,7 +1,11 @@
-"""The batched accept rule and the CSV writer of ``tmcmc.chain``."""
+"""The batched accept rule, the CSV writer and the process pool of ``tmcmc.chain``."""
 
 import itertools
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -232,3 +236,50 @@ def test_map_tasks_caps_its_pool_at_the_task_count(pool_sizes, monkeypatch):
     assert list(chain.map_tasks(abs, [-3, 1, -2])) == [3, 1, 2]
     assert list(chain.map_tasks(abs, [-3, 1, -2], 2)) == [3, 1, 2]
     assert pool_sizes == [3, 2]
+
+
+def _worker_task(task):
+    """``(task, pid)``, or the failure a task names: raise, exit, an unpicklable result, a long sleep."""
+    if task == "raise":
+        raise ValueError("task failed in its worker")
+    if task == "exit":
+        os._exit(3)
+    if task == "lock":
+        return threading.Lock()
+    if task == "sleep":
+        threading.Event().wait(60)
+    return task, os.getpid()
+
+
+def test_map_tasks_caller_runs_every_second_task_of_two_workers():
+    results = list(chain.map_tasks(_worker_task, range(5), 2))
+    assert [task for task, _ in results] == [0, 1, 2, 3, 4]
+    pids = [pid for _, pid in results]
+    assert pids[0::2] == [os.getpid()] * 3
+    assert pids[1] == pids[3] != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("tasks, error, match", [
+    ([0, 1, 2, "raise"], ValueError, "task failed in its worker"),
+    ([0, 1, 2, "exit"], RuntimeError, "task 3: its worker exited with code 3"),
+    ([0, "lock"], RuntimeError, "task 1: its outcome could not be sent back"),
+])
+def test_map_tasks_raises_a_child_failure_at_its_turn(tasks, error, match):
+    results = chain.map_tasks(_worker_task, tasks, 2)
+    for task in tasks[:-1]:
+        assert next(results)[0] == task  # the results before it, the child's own ones too
+    with pytest.raises(error, match=match) as info:
+        next(results)
+    if error is ValueError:  # the child's traceback comes along
+        assert 'raise ValueError("task failed in its worker")' in str(info.value.__cause__)
+    assert multiprocessing.active_children() == []
+
+
+def test_map_tasks_closed_early_stops_its_child():
+    results = chain.map_tasks(_worker_task, [0, "sleep"], 2)
+    assert next(results) == (0, os.getpid())
+    t0 = time.perf_counter()
+    results.close()  # the child is still asleep in task 1: terminated, not waited for
+    assert time.perf_counter() - t0 < 30
+    assert multiprocessing.active_children() == []

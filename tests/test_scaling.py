@@ -1,4 +1,6 @@
 import csv
+import multiprocessing
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -380,6 +382,33 @@ def test_failed_group_keeps_the_rows_of_finished_groups(pool_sizes, monkeypatch)
     whole = run_scaling_study(spec, n_workers=1).rows
     expected = [r for r in whole if r.k == 4 or r.kernel == "additive-tmcmc"]
     assert len(expected) == 2 * 3 * 2 + 3 * 2
+    assert _without_wall(info.value.partial_report.rows) == _without_wall(expected)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches the child by fork")
+def test_dead_worker_keeps_the_rows_of_the_groups_before_its_lost_one(monkeypatch):
+    from tmcmc import scaling
+
+    run_group = scaling.run_study_group
+    spec = replace(TINY, dims=(4, 8))
+    groups = study_groups(spec, 2)
+    lost = groups[3]  # the second of the child's two groups (1 and 3); the caller runs 0 and 2
+    caller = os.getpid()
+
+    def exit_on_the_lost_group(group, spec):
+        if group == lost and os.getpid() != caller:
+            os._exit(3)
+        return run_group(group, spec)
+
+    monkeypatch.setattr(scaling, "run_study_group", exit_on_the_lost_group)
+    with pytest.raises(RuntimeError, match="exited with code 3") as info:
+        run_scaling_study(spec, n_workers=2)
+    assert multiprocessing.active_children() == []
+    # the child's first group and both of the caller's finished: 18 of the 24 rows, in grid order
+    whole = run_scaling_study(spec, n_workers=1).rows
+    lost_streams = set(lost[1])
+    expected = [r for r in whole if not (r.k == lost[0] and (r.seed, r.kernel) in lost_streams)]
+    assert len(groups) == 4 and len(expected) == 18
     assert _without_wall(info.value.partial_report.rows) == _without_wall(expected)
 
 
