@@ -62,6 +62,5 @@ from .transform_kernels import (
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
     make_general_tmcmc_kernel,
-    sample_epsilon,
 )
 from .verify import Verdict

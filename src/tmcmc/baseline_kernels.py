@@ -98,20 +98,22 @@ class LeapfrogError(RuntimeError):
 def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
     """Propose ``x + sigma * d`` and accept by the density ratio.
 
-    ``kernel.direction(rng, out)`` fills a ``(k,)`` or ``(b, k)`` ``out`` with
-    normals ``d`` and returns ``r = 1``; ``kernel.draw`` scales them to ``sigma * d``.
+    ``kernel.direction(rng, out)`` fills a ``(b, k)`` ``out`` with normals
+    ``d`` and returns the ``(b,)`` innovations ``r = 1``; ``kernel.draw(rng,
+    b)`` returns the rows ``sigma * d``.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     log_density = target.log_density
 
-    def direction(rng: np.random.Generator, out: np.ndarray):
+    def direction(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         rng.standard_normal(out=out)
-        return 1.0 if out.ndim == 1 else np.ones(len(out))
+        return np.ones(len(out))
 
-    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
-        direction(rng, out)
-        out *= sigma  # d * (sigma * r) with r = 1
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
+        d = rng.standard_normal((b, target.dim))
+        d *= sigma  # d * (sigma * r) with r = 1
+        return d
 
     def propose(state: ChainState, row: np.ndarray):
         y = state.x + row
@@ -166,8 +168,8 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
     momentum is discarded afterwards.  The state carries
     ``(x, log pi(x), grad log pi(x))``; a divergent trajectory is a rejection.
-    ``kernel.draw`` draws ``N(0, M)`` momenta and ``kernel.propose(state, p)``
-    runs the trajectory from momentum ``p``.
+    ``kernel.draw(rng, b)`` draws ``b`` ``N(0, M)`` momenta and
+    ``kernel.propose(state, p)`` runs the trajectory from momentum ``p``.
     """
     score = _score(target)
     log_density = target.log_density
@@ -176,9 +178,10 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     sqrt_m = np.sqrt(mass)
     drift = cfg.dt * inv_m
 
-    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.standard_normal(out=out)
-        out *= sqrt_m
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
+        p = rng.standard_normal((b, sqrt_m.size))
+        p *= sqrt_m
+        return p
 
     def propose(state: ChainState, p0: np.ndarray):
         y, p, s_y = _leapfrog(state.x, p0, state.grad, cfg.L, drift, cfg.dt, score)

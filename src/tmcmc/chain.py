@@ -3,21 +3,21 @@
 Kernel protocol.  A kernel is a pure function ``kernel(state, rng) -> Step``
 over an explicit ``ChainState``: the position ``x``, its log-density ``lp``
 and, for HMC only, its score ``grad = grad log pi(x)``.  The factory that builds
-a kernel also sets the function attribute ``kernel.init(x) -> ChainState``,
-which evaluates what the state carries once.  ``run_chain`` calls ``init``
+a kernel also sets three function attributes: ``kernel.init(x) -> ChainState``,
+which evaluates what the state carries once; ``kernel.draw(rng, b)``, which
+returns ``b`` rows, each the random input of one step (what a row holds is up
+to the kernel); and ``kernel.propose(state, row)``, which returns a proposal
+and its ``log_alpha``.  A transition is the one-row block: ``propose(state,
+draw(rng, 1)[0])``, then ``accept_step``.  ``run_chain`` calls ``init``
 once and then hands each step's ``state`` to the next, so a transition
 evaluates the target only at its proposal, and one kernel object can drive
-any number of chains.  A block-drawn kernel (additive, random walk, HMC)
-also sets ``kernel.draw(rng, out)``, which fills a ``(k,)`` or ``(b, k)``
-``out`` with each step's input, and ``kernel.propose(state, row)``, which
-returns a proposal and its ``log_alpha``; a transition is one ``(k,)`` row,
-``propose`` and ``accept_step``.  Symmetric ones also set ``kernel.direction``.
+any number of chains.  Symmetric kernels also set ``kernel.direction``.
 
-One accept rule.  Every kernel ends its transition in ``accept_step``: it
-draws one uniform ``u`` and accepts iff ``log u < log_alpha``.  The step
-records ``u`` and ``log_alpha``, so traces are replayable:
-``accepted == (log(u) < log_alpha)`` holds row by row.  The block runners
-draw their uniforms ahead and take the same decision on each.
+One accept rule.  Every transition ends in ``accept_step``: it draws one
+uniform ``u`` and accepts iff ``log u < log_alpha``.  The step records ``u``
+and ``log_alpha``, so traces are replayable: ``accepted == (log(u) <
+log_alpha)`` holds row by row.  The block runners draw their uniforms ahead
+and take the same decision on each.
 
 The non-finite rule (``nonfinite_rule``, which ``accept_batch`` applies to
 the whole batch of a lockstep loop): a proposal whose log-density is not finite
@@ -28,21 +28,19 @@ finite is accepted (``log_alpha = +inf``).  Kernels report any other broken
 proposal, a divergent HMC trajectory or a non-finite log-Jacobian, as one
 with log-density ``-inf``.
 
-One block layout.  ``run_lockstep`` steps ``G`` streams of ``C`` chains,
-each on its own generator with its own symmetric kernel.  A stream draws
-ahead in blocks of 256 steps: one call of its kernel's own draw
-``kernel.direction`` on a ``(b, k)`` block, then ``b`` acceptance uniforms.
-Each step is then one batched log-density call and one ``accept_batch``.
-``run_chain``, and so ``tmcmc sample``, runs a block-drawn kernel in the
-same layout, ``b`` rows through ``kernel.draw`` and then ``b`` uniforms, a
-step being one ``kernel.propose``: a symmetric kernel's chain equals the
-engine's stream of one chain, and the additive kernel draws the same with
-``p != q``.  Any other kernel steps one transition at a time.  A one-step
-block is the draw order of the kernel's own transition; longer runs hand
-the same stream's numbers to their steps in block order.  So a block-drawn
-run of ``n`` steps equals a longer run on the same seed only through its
-last full block, row ``256 * (n // 256)``.  ``lockstep_path`` rebuilds any
-chain of an engine run bit for bit.
+One block layout.  ``run_chain``, and so ``tmcmc sample``, draws ahead in
+blocks of 256 steps: ``kernel.draw(rng, b)`` for the block's ``b`` rows,
+then ``b`` acceptance uniforms; a step is one ``kernel.propose`` and the
+decision on its uniform.  ``run_lockstep`` steps ``G`` streams of ``C``
+chains, each on its own generator with its own symmetric kernel, in the same
+layout: one call of the kernel's ``kernel.direction`` on a ``(b, k)`` block,
+then ``b`` uniforms, each step one batched log-density call and one
+``accept_batch``.  So a symmetric kernel's ``run_chain`` equals the engine's
+stream of one chain.  A one-row block draws what the kernel's own
+transition draws; longer runs hand the same stream's numbers to their steps
+in block order.  So a run of ``n`` steps equals a longer run on the same
+seed only through its last full block, row ``256 * (n // 256)``.
+``lockstep_path`` rebuilds any chain of an engine run bit for bit.
 
 One process pool.  ``map_tasks`` runs independent tasks on ``W`` workers,
 the caller one of them.  The caller starts ``W - 1`` child processes, each
@@ -100,7 +98,7 @@ class Step(NamedTuple):
 Kernel = Callable[[ChainState, np.random.Generator], Step]
 
 CSV_BLOCK_ROWS = 4096  # rows per block in ``Trace.write_csv``
-_BLOCK_STEPS = 256  # steps each ``run_lockstep`` stream draws ahead
+_BLOCK_STEPS = 256  # steps ``run_chain`` and each ``run_lockstep`` stream draw ahead
 
 
 def chain_rng(seed: int, chain_index: int = 0) -> np.random.Generator:
@@ -160,27 +158,11 @@ def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float,
     return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
 
 
-def _draw_block(draw, rng: np.random.Generator, d: np.ndarray):
-    """One stream's draws for ``b = len(d)`` steps, in the block layout.
-
-    ``draw(rng, d)`` fills the ``(b, k)`` rows: a ``kernel.direction``
-    fills the directions and returns the ``(b,)`` innovations ``r``, a
-    ``kernel.draw`` fills each step's input and returns None.  Then come
-    the ``b`` acceptance uniforms.  Returns ``(r, uniforms, log_u)``, the
-    last two as lists of floats.
-    """
-    r = draw(rng, d)
-    uniforms = rng.random(len(d)).tolist()
-    return r, uniforms, [_log_u(u) for u in uniforms]
-
-
 def _block_kernel(init, draw, propose) -> Kernel:
-    """The block-drawn kernel of these hooks; its transition is a one-step block of ``_block_steps``."""
+    """The kernel of these hooks; its transition is the one-row block of ``run_chain``."""
 
     def kernel(state: ChainState, rng: np.random.Generator) -> Step:
-        row = np.empty_like(state.x)
-        draw(rng, row)
-        proposal, log_alpha = propose(state, row)
+        proposal, log_alpha = propose(state, draw(rng, 1)[0])
         return accept_step(state, proposal, log_alpha, rng)
 
     kernel.init, kernel.draw, kernel.propose = init, draw, propose
@@ -305,9 +287,8 @@ def run_chain(
 ) -> Trace:
     """Run ``n_iter`` transitions of ``kernel`` from ``kernel.init(x0)``.
 
-    Deterministic given the seed.  A block-drawn kernel (one with
-    ``kernel.propose``) draws in the block layout of ``run_lockstep``; any
-    other kernel draws step by step.
+    Deterministic given the seed.  Draws in blocks of ``b = min(256, steps
+    left)`` steps: ``kernel.draw(rng, b)``, then ``b`` acceptance uniforms.
     ``record_coords`` limits which coordinates are stored (memory control
     for large-k studies); flags, log-densities, acceptance thresholds and
     uniforms are always stored in full.
@@ -331,16 +312,22 @@ def run_chain(
 
     n_bad = 0
     t0 = time.perf_counter()
+    draw, propose = kernel.draw, kernel.propose
     state = kernel.init(x0)
-    steps = _block_steps if hasattr(kernel, "propose") else _kernel_steps
-    for i, step in enumerate(steps(kernel, state, n_iter, rng)):
-        state = step.state
-        states[i] = state.x[take]
-        accepted[i] = step.accepted
-        log_density[i] = state.lp
-        log_alpha[i] = step.log_alpha
-        uniforms[i] = step.uniform
-        n_bad += step.nonfinite
+    for start in range(0, n_iter, _BLOCK_STEPS):
+        b = min(_BLOCK_STEPS, n_iter - start)
+        rows = draw(rng, b)
+        block_u = rng.random(b).tolist()
+        for i, row, u in zip(range(start, start + b), rows, block_u):
+            proposal, alpha = propose(state, row)
+            step = _decide(state, proposal, alpha, u, _log_u(u))
+            state = step.state
+            states[i] = state.x[take]
+            accepted[i] = step.accepted
+            log_density[i] = state.lp
+            log_alpha[i] = step.log_alpha
+            uniforms[i] = u
+            n_bad += step.nonfinite
     wall = time.perf_counter() - t0
 
     info = dict(meta or {})
@@ -348,28 +335,6 @@ def run_chain(
     info["wall_time_s"] = wall
     info["n_nonfinite_proposals"] = n_bad
     return Trace(states, accepted, log_density, log_alpha, uniforms, coords, info)
-
-
-def _kernel_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random.Generator) -> Iterator[Step]:
-    """``n_iter`` transitions of ``kernel`` from ``state``, each drawing its own numbers."""
-    for _ in range(n_iter):
-        step = kernel(state, rng)
-        state = step.state
-        yield step
-
-
-def _block_steps(kernel: Kernel, state: ChainState, n_iter: int, rng: np.random.Generator) -> Iterator[Step]:
-    """A block-drawn kernel's transitions in the block layout: ``kernel.draw``, then ``propose`` per row."""
-    draw, propose = kernel.draw, kernel.propose
-    buffer = np.empty((min(_BLOCK_STEPS, n_iter), state.x.size))
-    for start in range(0, n_iter, len(buffer)):
-        rows = buffer[: n_iter - start]
-        _, uniforms, log_u = _draw_block(draw, rng, rows)
-        for row, u, log_u_j in zip(rows, uniforms, log_u):
-            proposal, log_alpha = propose(state, row)
-            step = _decide(state, proposal, log_alpha, u, log_u_j)
-            state = step.state
-            yield step
 
 
 class Lockstep(NamedTuple):
@@ -458,8 +423,8 @@ def run_lockstep(
             b = min(block, n_iter - start)
             rows = slice(start, start + b)
             for g, (direction, rng) in enumerate(zip(directions, rngs)):
-                r_g, _, log_u_g = _draw_block(direction, rng, d[g, :b])
-                log_u[:b, g] = np.array(log_u_g)[:, None]
+                r_g = direction(rng, d[g, :b])
+                log_u[:b, g] = np.array([_log_u(u) for u in rng.random(b).tolist()])[:, None]
                 if g < n_sign:
                     r[rows, g] = r_g
                     np.multiply(r_g[:, None], scales[g], out=sr[:b, g])

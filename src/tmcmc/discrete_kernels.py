@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, accept_step, init_state
+from .chain import ChainState, Kernel, _block_kernel, init_state
 from .targets import Target
 
 __all__ = [
@@ -49,22 +49,25 @@ def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
 
     Per coordinate the forward sign map is chosen with probability ``p_i``
     (proposing +1) and the backward one otherwise (proposing -1); acceptance is
-    ``min{1, P(reverse move)/P(move) * pi(y)/pi(x)}``.
+    ``min{1, P(reverse move)/P(move) * pi(y)/pi(x)}``.  ``kernel.draw(rng, b)``
+    turns ``b * k`` uniforms into ``b`` rows, each a proposed spin vector.
     """
-    probs = np.broadcast_to(np.asarray(p, dtype=float), (target.dim,))
+    k = target.dim
+    probs = np.broadcast_to(np.asarray(p, dtype=float), (k,))
     _validate_spin_probs(probs)
     log_up, log_down = np.log(probs), np.log1p(-probs)  # log P(select +1), log P(select -1)
     log_density = target.log_density
 
-    def kernel(state: ChainState, rng: np.random.Generator):
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
+        return np.where(rng.random((b, k)) < probs, 1.0, -1.0)
+
+    def propose(state: ChainState, y: np.ndarray):
         x = state.x
-        y = np.where(rng.random(x.size) < probs, 1.0, -1.0)
         log_ratio = float(np.sum(np.where(x > 0, log_up, log_down))) - float(np.sum(np.where(y > 0, log_up, log_down)))
         lp_y = log_density(y)
-        return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
+        return ChainState(y, lp_y), log_ratio + lp_y - state.lp
 
-    kernel.init = init_state(log_density)
-    return kernel
+    return _block_kernel(init_state(log_density), draw, propose)
 
 
 def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
@@ -74,32 +77,36 @@ def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
     otherwise every coordinate jumps by ``z_i m`` with independent signs.  The
     magnitude is ``m = floor(eps)`` with ``eps = 1 + |N(0, jump_scale^2)|``,
     so ``m >= 1``.  Move probabilities are symmetric, hence acceptance is the
-    plain density ratio.
+    plain density ratio.  ``kernel.draw(rng, b)`` draws ``b`` branch
+    uniforms and ``b`` magnitudes, then for the single-coordinate rows their
+    coordinates (``integers(k)``) and sign uniforms, then ``k`` sign uniforms
+    per joint row; a row is the move ``y - x``.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
     if not 0.0 < jump_scale < math.inf:
         raise ValueError(f"jump_scale must be positive and finite, got {jump_scale}")
+    k = target.dim
     log_density = target.log_density
 
-    def kernel(state: ChainState, rng: np.random.Generator):
-        x = state.x
-        branch = rng.random()
-        eps = 1.0 + jump_scale * abs(float(rng.standard_normal()))
-        m = math.floor(eps)
-        if branch < r:
-            j = int(rng.integers(x.size))
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            y = x.copy()
-            y[j] += sign * m
-        else:
-            z = np.where(rng.random(x.size) < 0.5, 1.0, -1.0)
-            y = x + z * m
-        lp_y = log_density(y)
-        return accept_step(state, ChainState(y, lp_y), lp_y - state.lp, rng)
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
+        branch = rng.random(b)
+        m = np.floor(1.0 + jump_scale * np.abs(rng.standard_normal(b)))
+        single, joint = np.flatnonzero(branch < r), np.flatnonzero(branch >= r)
+        # -0.0 is the additive identity, so ``x + row`` leaves an unmoved
+        # coordinate's bits alone (x + 0.0 would turn -0.0 into +0.0)
+        rows = np.full((b, k), -0.0)
+        j = rng.integers(k, size=single.size)
+        rows[single, j] = np.where(rng.random(single.size) < 0.5, 1.0, -1.0) * m[single]
+        rows[joint] = np.where(rng.random((joint.size, k)) < 0.5, 1.0, -1.0) * m[joint, None]
+        return rows
 
-    kernel.init = init_state(log_density)
-    return kernel
+    def propose(state: ChainState, row: np.ndarray):
+        y = state.x + row
+        lp_y = log_density(y)
+        return ChainState(y, lp_y), lp_y - state.lp
+
+    return _block_kernel(init_state(log_density), draw, propose)
 
 
 def jump_magnitude_masses(jump_scale: float, m_max: int) -> tuple[np.ndarray, float]:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, accept_step, init_state
+from .chain import ChainState, Kernel, _block_kernel, init_state
 from .targets import Target
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "additive_transformation",
     "TmcmcConfig",
     "DependentZConfig",
-    "sample_epsilon",
     "additive_forward",
     "make_additive_tmcmc_kernel",
     "make_general_tmcmc_kernel",
@@ -165,33 +164,16 @@ class DependentZConfig:
         )
 
 
-def sample_epsilon(rng: np.random.Generator, s: float) -> float:
-    """Half-normal innovation: ``|N(0, s^2)|`` with density ``2 phi(e/s)/s``."""
-    if s <= 0.0:
-        raise ValueError(f"s must be positive, got {s}")
-    return s * abs(float(rng.standard_normal()))
-
-
-def _draw_ternary_z(rng: np.random.Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Never returns the all-zero vector: that outcome is resampled, which
-    # renormalizes P(z) by a constant that cancels in P(-z)/P(z).
-    while True:
-        u = rng.random(p.shape[0])
-        z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
-        if np.any(z != 0.0):
-            return z
-
-
 def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     """Additive kernel with sign-only moves ``y_i = x_i + z_i a_i eps``.
 
     Requires ``p_i + q_i = 1`` (no zero coordinates); acceptance is
     ``min{1, prod_i ratio_i * pi(y)/pi(x)}`` with ``ratio_i = q_i/p_i`` for a
     forward coordinate and ``p_i/q_i`` for a backward one.  Its
-    ``direction(rng, out) -> r`` turns uniforms into ``out = d = z * a``
-    (``+a_i`` exactly when ``u_i < p_i``) and then returns ``r = |N(0, 1)|``,
-    a float for a ``(k,)`` ``out`` and ``(b,)`` for ``(b, k)``; ``kernel.draw``
-    scales ``d`` in place to ``d * (eps_scale * r)`` for any ``(p, q)``, and
+    ``direction(rng, out) -> r`` turns ``b * k`` uniforms into the ``(b, k)``
+    ``out = d = z * a`` (``+a_i`` exactly when ``u_i < p_i``) and then
+    returns the ``(b,)`` innovations ``r = |N(0, 1)|``; ``kernel.draw(rng,
+    b)`` returns the rows ``d * (eps_scale * r)`` for any ``(p, q)``, and
     only with ``p = q`` is ``direction`` also ``kernel.direction``.
     """
     a, p, q = cfg.broadcast(target.dim)
@@ -202,16 +184,16 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     s = cfg.eps_scale
     log_density = target.log_density
 
-    def direction(rng: np.random.Generator, out: np.ndarray):
+    def direction(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         rng.random(out=out)
         np.copysign(a, np.subtract(below_p, out, out=out), out=out)
-        if out.ndim == 1:
-            return abs(float(rng.standard_normal()))
         return np.abs(rng.standard_normal(len(out)))
 
-    def draw(rng: np.random.Generator, out: np.ndarray) -> None:
-        r = direction(rng, out)
-        out *= s * r if out.ndim == 1 else (s * r)[:, None]
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
+        d = np.empty((b, a.size))
+        r = direction(rng, d)
+        d *= (s * r)[:, None]
+        return d
 
     def propose(state: ChainState, row: np.ndarray):
         y = state.x + row
@@ -237,27 +219,41 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
     acceptance multiplies the move-probability ratio, the density ratio, and
     the transformation Jacobian.  A non-finite log-Jacobian (a broken user
     transformation) makes a non-finite proposal, which is rejected and
-    counted.  With the additive transformation and ``p_i + q_i = 1`` this
-    reproduces :func:`make_additive_tmcmc_kernel` draw for draw on a shared
-    generator.
+    counted.  ``kernel.draw(rng, b)`` draws ``b * k`` uniforms for the move
+    types, redraws the all-zero rows (in row order, until none is left: that
+    renormalizes ``P(z)`` by a constant that cancels in ``P(-z)/P(z)``), then
+    ``b`` half-normal innovations ``eps = eps_scale * |N(0, 1)|``; a row is
+    ``(z, eps)``.  With the additive transformation and ``p_i + q_i = 1``
+    this reproduces :func:`make_additive_tmcmc_kernel` draw for draw on a
+    shared generator.
     """
     _, p, q = cfg.broadcast(target.dim)
     log_p, log_q = _log_tables(p, q)
     s = cfg.eps_scale
     log_density = target.log_density
 
-    def kernel(state: ChainState, rng: np.random.Generator):
+    def move_types(u: np.ndarray) -> np.ndarray:
+        return np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
+
+    def draw(rng: np.random.Generator, b: int) -> list:
+        z = move_types(rng.random((b, p.size)))
+        zero = np.flatnonzero(~z.any(axis=1))
+        while zero.size:
+            z[zero] = move_types(rng.random((zero.size, p.size)))
+            zero = zero[~z[zero].any(axis=1)]
+        eps = s * np.abs(rng.standard_normal(b))
+        return list(zip(z, eps.tolist()))
+
+    def propose(state: ChainState, row: tuple):
+        z, eps = row
         x = state.x
-        z = _draw_ternary_z(rng, p, q)
-        eps = sample_epsilon(rng, s)
         y = np.asarray(transform.forward(x, eps, z), dtype=float)
         log_jac = float(transform.log_jacobian(x, eps, z))
         lp_y = log_density(y) if math.isfinite(log_jac) else -math.inf
         log_ratio = _move_log_ratio(z, log_p, log_q)
-        return accept_step(state, ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp, rng)
+        return ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp
 
-    kernel.init = init_state(log_density)
-    return kernel
+    return _block_kernel(init_state(log_density), draw, propose)
 
 
 def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
@@ -266,31 +262,44 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
     Draws ``w_j ~ N(mu_j, Sigma_j)`` for j = 1, 2, 3, sets per coordinate
     ``p_i, q_i, 1 - p_i - q_i`` proportional to ``exp(w_ji)`` (max-subtracted),
     then proceeds as the additive kernel; the all-zero move proposes the
-    current point and is accepted as a self-transition.
+    current point and is accepted as a self-transition.  ``kernel.draw(rng,
+    b)`` draws ``b * 3k`` normals for the ``w_j``, ``b * k`` uniforms for
+    the move types and ``b`` normals for the innovations; a row is ``(noise,
+    u, eps)`` with ``noise`` of shape ``(3, k)``.  Each ``mu_j`` must have
+    shape ``(k,)``, each ``sigma_j`` ``(k,)`` or ``(k, k)`` and ``scales``
+    one value or ``k``: any other shape raises ``ValueError`` naming it.
     """
     k = target.dim
+    shapes = {f"mu_{j}": ((k,),) for j in "123"} | {f"sigma_{j}": ((k,), (k, k)) for j in "123"}
+    for name, fits in (shapes | {"scales": ((), (1,), (k,))}).items():
+        shape = np.shape(getattr(cfg, name))
+        if shape not in fits:
+            raise ValueError(f"{name} has shape {shape}; a target of dimension {k} needs {' or '.join(map(str, fits))}")
     mus = (np.asarray(cfg.mu_1, float), np.asarray(cfg.mu_2, float), np.asarray(cfg.mu_3, float))
     draws = tuple(zip(mus, cfg.factors()))
     a = np.broadcast_to(np.asarray(cfg.scales, dtype=float), (k,))
     s = cfg.eps_scale
     log_density = target.log_density
 
-    def kernel(state: ChainState, rng: np.random.Generator):
+    def draw(rng: np.random.Generator, b: int) -> list:
+        noise = rng.standard_normal((b, 3, k))
+        u = rng.random((b, k))
+        eps = s * np.abs(rng.standard_normal(b))
+        return list(zip(noise, u, eps.tolist()))
+
+    def propose(state: ChainState, row: tuple):
+        noise, u, eps = row
         w = np.empty((3, k))
         for j, (mu, L) in enumerate(draws):
-            noise = rng.standard_normal(k)
-            w[j] = mu + (L * noise if L.ndim == 1 else L @ noise)
+            w[j] = mu + (L * noise[j] if L.ndim == 1 else L @ noise[j])
         w -= w.max(axis=0, keepdims=True)
         ew = np.exp(w)
         probs = ew / ew.sum(axis=0, keepdims=True)
         p, q = probs[0], probs[1]
-        u = rng.random(k)
         z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
-        eps = sample_epsilon(rng, s)
         y = state.x + (z * a) * eps
         lp_y = log_density(y)
         log_ratio = _move_log_ratio(z, *_log_tables(p, q))
-        return accept_step(state, ChainState(y, lp_y), log_ratio + lp_y - state.lp, rng)
+        return ChainState(y, lp_y), log_ratio + lp_y - state.lp
 
-    kernel.init = init_state(log_density)
-    return kernel
+    return _block_kernel(init_state(log_density), draw, propose)

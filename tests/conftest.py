@@ -1,4 +1,6 @@
 import math
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,26 +9,26 @@ import pytest
 class ScriptedRNG:
     """Stand-in generator that replays scripted draws.
 
-    ``uniforms`` feeds ``random()`` calls (scalar or vector, consumed in
+    ``uniforms`` feeds ``random()`` calls (scalar or array, consumed in
     order) and ``normals`` feeds ``standard_normal()``; ``integers`` feeds
-    ``integers()``.  As with a numpy ``Generator``, a vector draw is sized by
-    ``size`` or written into ``out``.  Lets tests pin down a kernel's
-    acceptance arithmetic on a hand-chosen proposal.
+    ``integers()``.  As with a numpy ``Generator``, an array draw is shaped
+    by ``size`` (an int or a tuple) or written into ``out``.  Lets tests pin
+    down a kernel's acceptance arithmetic on a hand-chosen proposal.
     """
 
     def __init__(self, uniforms=(), normals=(), integers=()):
-        self._uniforms = list(uniforms)
-        self._normals = list(normals)
-        self._integers = list(integers)
+        self._uniforms = deque(uniforms)
+        self._normals = deque(normals)
+        self._integers = deque(integers)
 
-    @staticmethod
-    def _draw(script, size, out):
+    def _draw(self, script, size, out, dtype=float):
         if size is None and out is None:
-            return script.pop(0)
-        values = [script.pop(0) for _ in range(int(size) if out is None else out.size)]
+            return script.popleft()
+        n = math.prod(np.atleast_1d(size)) if out is None else out.size
+        values = np.array([script.popleft() for _ in range(n)], dtype=dtype)
         if out is None:
-            return np.array(values)
-        out[...] = np.reshape(values, out.shape)
+            return values.reshape(size)
+        out[...] = values.reshape(out.shape)
         return out
 
     def random(self, size=None, out=None):
@@ -35,8 +37,8 @@ class ScriptedRNG:
     def standard_normal(self, size=None, out=None):
         return self._draw(self._normals, size, out)
 
-    def integers(self, *args, **kwargs):
-        return self._integers.pop(0)
+    def integers(self, high, size=None):
+        return self._draw(self._integers, size, None, dtype=np.intp)
 
 
 @pytest.fixture
@@ -44,56 +46,108 @@ def scripted_rng():
     return ScriptedRNG
 
 
-class BlockLayoutRNG(np.random.Generator):
-    """A block-drawn kernel's block-layout draws, served one transition at a time.
+class BlockLayoutRNG(ScriptedRNG):
+    """A kernel's block-layout draws, served one transition at a time.
 
     ``run_chain`` and each ``run_lockstep`` stream draw ahead in blocks of
-    ``b = min(256, steps left)`` steps: the ``b`` steps' rows (a sign-move
-    kernel, whatever its ``p`` and ``q``: ``b * k`` uniforms, then ``b``
-    normals; a random walk or HMC: ``b * k`` normals), then ``b`` acceptance
-    uniforms.  Built on ``rng`` where the stream starts stepping and handed
-    to ``n_iter`` transitions, this generator takes its draws in that layout
-    from ``rng``'s bit generator and serves a transition's row draw
-    (``random`` or ``standard_normal`` with ``size=k`` or ``out=``), its
-    innovation (``standard_normal()``) and its acceptance uniform
-    (``random()``) from them, so the steps are the ones the block runners
-    take.
+    ``b = min(256, steps left)`` steps: the ``b`` steps' rows, then ``b``
+    acceptance uniforms.  ``layout(rng, b)`` replays a kernel's documented
+    order of a block's rows on ``rng`` and returns each step's share of them
+    as a script, ``{"uniforms": ..., "normals": ..., "integers": ...}`` (a
+    key may be left out), in the order the kernel's own transition draws
+    them.  Built on ``rng`` where the stream starts stepping and handed to
+    ``n_iter`` transitions, this generator opens a block on ``rng`` whenever
+    its scripts have run dry, appends each step's acceptance uniform to the
+    step's uniforms and serves the transitions' draws from the scripts, so
+    the steps are the ones the block runners take.
     """
 
     BLOCK_STEPS = 256
 
-    def __init__(self, rng, n_iter):
-        super().__init__(rng.bit_generator)
-        self._left, self._i, self._u = n_iter, 0, ()
+    def __init__(self, rng, n_iter, layout):
+        super().__init__()
+        self._rng, self._left, self._layout = rng, n_iter, layout
 
-    def _open_block(self, size, out):
-        assert self._left > 0, "more transitions than n_iter"
-        b = min(self.BLOCK_STEPS, self._left)
-        self._left, self._i = self._left - b, 0
-        return b, (size if out is None else out.size)
+    def _draw(self, script, size, out, dtype=float):
+        if not (self._uniforms or self._normals or self._integers):
+            assert self._left > 0, "more transitions than n_iter"
+            b = min(self.BLOCK_STEPS, self._left)
+            self._left -= b
+            steps = self._layout(self._rng, b)
+            for step, u in zip(steps, self._rng.random(b)):
+                self._uniforms.extend([*step.get("uniforms", ()), u])
+                self._normals.extend(step.get("normals", ()))
+                self._integers.extend(step.get("integers", ()))
+        return super()._draw(script, size, out, dtype)
 
-    def _row(self, out):
-        if out is None:
-            return self._d[self._i].copy()
-        out[...] = self._d[self._i]
-        return out
 
-    def random(self, size=None, dtype=np.float64, out=None):
-        if size is None and out is None:  # the acceptance uniform: the step's last draw
-            self._i += 1
-            return self._u[self._i - 1]
-        if self._i == len(self._u):  # a sign-move step opens a block
-            b, k = self._open_block(size, out)
-            self._d, self._r, self._u = super().random((b, k)), super().standard_normal(b), super().random(b)
-        return self._row(out)
+def sign_moves(k):
+    """The additive kernel's rows, for any ``p`` and ``q``: ``b * k`` uniforms, then ``b`` normals."""
 
-    def standard_normal(self, size=None, dtype=np.float64, out=None):
-        if size is None and out is None:  # a sign-move step's innovation
-            return self._r[self._i]
-        if self._i == len(self._u):  # a random-walk step opens a block
-            b, k = self._open_block(size, out)
-            self._d, self._u = super().standard_normal((b, k)), super().random(b)
-        return self._row(out)
+    def layout(rng, b):
+        u, r = rng.random((b, k)), rng.standard_normal(b)
+        return [{"uniforms": u[j], "normals": [r[j]]} for j in range(b)]
+
+    return layout
+
+
+def normals(k):
+    """The random walk's and HMC's rows: ``b * k`` normals."""
+    return lambda rng, b: [{"normals": row} for row in rng.standard_normal((b, k))]
+
+
+def spins(k):
+    """The spin kernel's rows: ``b * k`` uniforms."""
+    return lambda rng, b: [{"uniforms": row} for row in rng.random((b, k))]
+
+
+def ternary_moves(p, q):
+    """The general kernel's rows: ``b * k`` uniforms, the all-zero moves redrawn in row order until none
+    is left, then ``b`` normals.  A step's script holds only the uniforms of its final move."""
+    p, q = np.asarray(p), np.asarray(q)
+
+    def moves(u):
+        return ((u < p) | (u < p + q)).any(axis=1)
+
+    def layout(rng, b):
+        u = rng.random((b, p.size))
+        zero = np.flatnonzero(~moves(u))
+        while zero.size:
+            u[zero] = rng.random((zero.size, p.size))
+            zero = zero[~moves(u[zero])]
+        r = rng.standard_normal(b)
+        return [{"uniforms": u[j], "normals": [r[j]]} for j in range(b)]
+
+    return layout
+
+
+def dependent_z(k):
+    """The dependent-z kernel's rows: ``b * 3k`` normals, ``b * k`` uniforms, then ``b`` normals."""
+
+    def layout(rng, b):
+        w, u, r = rng.standard_normal((b, 3 * k)), rng.random((b, k)), rng.standard_normal(b)
+        return [{"normals": [*w[j], r[j]], "uniforms": u[j]} for j in range(b)]
+
+    return layout
+
+
+def lattice_moves(k, r):
+    """The lattice kernel's rows: ``b`` branch uniforms and ``b`` normals, then the single-coordinate
+    steps' coordinates and sign uniforms, then ``k`` sign uniforms per joint step."""
+
+    def layout(rng, b):
+        branch, n = rng.random(b), rng.standard_normal(b)
+        single = branch < r
+        coords = iter(rng.integers(k, size=single.sum()))
+        signs = iter(rng.random(single.sum()))
+        joint = iter(rng.random(((~single).sum(), k)))
+        return [
+            {"uniforms": [branch[j], next(signs)], "normals": [n[j]], "integers": [next(coords)]} if single[j]
+            else {"uniforms": [branch[j], *next(joint)], "normals": [n[j]]}
+            for j in range(b)
+        ]
+
+    return layout
 
 
 @pytest.fixture
@@ -101,17 +155,24 @@ def block_layout_rng():
     return BlockLayoutRNG
 
 
-def _assert_block_steps(trace, kernel, x0, rng):
+@pytest.fixture
+def block_layouts():
+    """The block layouts ``BlockLayoutRNG`` replays, by the kernel whose rows they draw."""
+    return SimpleNamespace(sign_moves=sign_moves, normals=normals, spins=spins, ternary_moves=ternary_moves,
+                           dependent_z=dependent_z, lattice_moves=lattice_moves)
+
+
+def _assert_block_steps(trace, kernel, x0, rng, layout):
     """``trace`` against ``len(trace)`` single transitions on a ``BlockLayoutRNG``, bit for bit.
 
     ``trace`` is a ``run_chain`` of ``kernel`` from ``x0`` on a generator at
     the state of ``rng``; the reference calls ``kernel(state,
-    BlockLayoutRNG(rng, n))`` step by step and must give the same states
-    (of ``trace.recorded_coords``), flags, log-densities, thresholds,
+    BlockLayoutRNG(rng, n, layout))`` step by step and must give the same
+    states (of ``trace.recorded_coords``), flags, log-densities, thresholds,
     uniforms and non-finite count.
     """
     n = len(trace)
-    stream, state, rows = BlockLayoutRNG(rng, n), kernel.init(x0), []
+    stream, state, rows = BlockLayoutRNG(rng, n, layout), kernel.init(x0), []
     for _ in range(n):
         step = kernel(state, stream)
         state = step.state

@@ -259,12 +259,11 @@ def test_hmc_coerces_a_list_or_integer_gradient(score):
     assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
 
 
-def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept, block_layout_rng):
+def _reference_hmc_trace(target, cfg, x0, n, parent_accept, rng):
     """Reference HMC chain composed from the public parts: a per-step checked
     merged-kick leapfrog from a fresh score, ``-log pi`` for both energies and
     a fresh density at both ends for the earlier scalar accept step
-    (``parent_accept``), drawing from the seed's stream in the block layout."""
-    rng = block_layout_rng(chain_rng(seed), n)
+    (``parent_accept``), drawing from ``rng``, a stream in the block layout."""
     mass = cfg.mass_vector(x0.size)
     inv_m = 1.0 / mass
     dt = cfg.dt
@@ -292,7 +291,7 @@ def _reference_hmc_trace(target, cfg, x0, n, seed, parent_accept, block_layout_r
 @pytest.mark.parametrize("L", [1, 10])
 @pytest.mark.parametrize("target_name", ["iid", "anisotropic"])
 def test_hmc_kernel_is_bit_identical_to_the_reference_composition(
-    mass, L, target_name, parent_accept, block_layout_rng
+    mass, L, target_name, parent_accept, block_layout_rng, block_layouts
 ):
     # run_chain draws HMC's momenta in the block layout, so the reference draws from that layout too
     k = 4
@@ -302,7 +301,7 @@ def test_hmc_kernel_is_bit_identical_to_the_reference_composition(
     for seed in (1, 2, 3):
         trace = run_chain(make_hmc_kernel(target, cfg), x0, 2_000, seed)
         states, log_alpha, uniforms, log_density = _reference_hmc_trace(
-            target, cfg, x0, 2_000, seed, parent_accept, block_layout_rng
+            target, cfg, x0, 2_000, parent_accept, block_layout_rng(chain_rng(seed), 2_000, block_layouts.normals(k))
         )
         assert 0.0 < acceptance_rate(trace) < 1.0
         assert np.array_equal(trace.states, states)

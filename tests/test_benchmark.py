@@ -16,19 +16,21 @@ from tmcmc.targets import make_challenger_logistic
 from tmcmc.transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
 
-def _reference_kernel_report(kernel_name, cfg, assert_block_steps):
+def _reference_kernel_report(kernel_name, cfg, assert_block_steps, layouts):
     """One kernel's report from ``cfg.n_chains`` separate ``run_chain`` runs on their own streams.
 
     Each ``run_chain`` is also checked against the kernel's single transitions
-    in the block layout (``assert_block_steps``).
+    in the block layout (``assert_block_steps``, the layouts of ``block_layouts``).
     """
     target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
     if kernel_name == "additive-tmcmc":
         kernel = make_additive_tmcmc_kernel(
             target, TmcmcConfig(scales=cfg.tmcmc_scales, eps_scale=cfg.tmcmc_eps_scale)
         )
+        layout = layouts.sign_moves(2)
     else:
         kernel = make_rwmh_kernel(target, cfg.rwmh_sigma)
+        layout = layouts.normals(2)
     offset = BENCH_KERNELS.index(kernel_name) * cfg.n_chains
     chains = []
     for c in range(cfg.n_chains):
@@ -36,7 +38,7 @@ def _reference_kernel_report(kernel_name, cfg, assert_block_steps):
         x0 = np.array([0.0, 0.0]) + rng.standard_normal(2) * np.array([1.5, 0.25])
         stream = copy.deepcopy(rng)
         trace = run_chain(kernel, x0, cfg.n_iter, rng)
-        assert_block_steps(trace, kernel, x0, stream)
+        assert_block_steps(trace, kernel, x0, stream, layout)
         burn = int(cfg.burn_frac * cfg.n_iter)
         tail = trace.tail(burn) if burn else trace
         t_bar = target.info["t_bar"]
@@ -58,14 +60,14 @@ def _reference_kernel_report(kernel_name, cfg, assert_block_steps):
     return report
 
 
-def _reference_kernel_reports(kernel_names, cfg, assert_block_steps):
+def _reference_kernel_reports(kernel_names, cfg, assert_block_steps, layouts):
     """``_kernel_reports`` from separate ``run_chain`` runs, one kernel at a time."""
-    return [_reference_kernel_report(name, cfg, assert_block_steps) for name in kernel_names]
+    return [_reference_kernel_report(name, cfg, assert_block_steps, layouts) for name in kernel_names]
 
 
-def _use_references(monkeypatch, assert_block_steps):
+def _use_references(monkeypatch, assert_block_steps, block_layouts):
     """Make ``_kernel_reports`` the ``run_chain`` reference."""
-    reference = partial(_reference_kernel_reports, assert_block_steps=assert_block_steps)
+    reference = partial(_reference_kernel_reports, assert_block_steps=assert_block_steps, layouts=block_layouts)
     monkeypatch.setattr(benchmark, "_kernel_reports", reference)
 
 
@@ -75,24 +77,24 @@ def _json(report):
 
 @pytest.mark.parametrize("n_chains", [2, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_lockstep_report_equals_single_chain_runs(seed, n_chains, monkeypatch, assert_block_steps):
+def test_lockstep_report_equals_single_chain_runs(seed, n_chains, monkeypatch, assert_block_steps, block_layouts):
     cfg = ChallengerConfig(n_iter=3000, n_chains=n_chains, seed=seed)
     report = run_challenger_benchmark(cfg, n_workers=1)
-    _use_references(monkeypatch, assert_block_steps)
+    _use_references(monkeypatch, assert_block_steps, block_layouts)
     reference = run_challenger_benchmark(cfg, n_workers=1)
     assert _json(report) == _json(reference)
 
 
-def test_lockstep_without_burn_in_and_raw_coordinates(monkeypatch, assert_block_steps):
+def test_lockstep_without_burn_in_and_raw_coordinates(monkeypatch, assert_block_steps, block_layouts):
     cfg = ChallengerConfig(n_iter=1000, n_chains=3, seed=7, burn_frac=0.0, center=False, rwmh_sigma=0.05)
     report = run_challenger_benchmark(cfg, n_workers=1)
-    _use_references(monkeypatch, assert_block_steps)
+    _use_references(monkeypatch, assert_block_steps, block_layouts)
     assert _json(report) == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("n_chains", [2, 3])
-def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch, assert_block_steps):
+def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch, assert_block_steps, block_layouts):
     cfg = ChallengerConfig(n_iter=2000, n_chains=n_chains, seed=5)
     engine_streams = []
 
@@ -106,7 +108,7 @@ def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch,
     # one in this process (worker 0) and the random-walk one in a child
     assert engine_streams == ([2 * n_chains] if n_workers == 1 else [n_chains])
     assert report == _json(run_challenger_benchmark(cfg, n_workers=3 - n_workers))
-    _use_references(monkeypatch, assert_block_steps)
+    _use_references(monkeypatch, assert_block_steps, block_layouts)
     assert report == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
-from tmcmc.chain import run_chain
+from tmcmc.chain import chain_rng, run_chain
 from tmcmc.discrete_kernels import (
     enumerate_box_states,
     enumerate_spin_states,
@@ -129,6 +131,49 @@ def test_zk_coordinate_branch(scripted_rng):
     # eps = 1.2 -> jump 1 on coordinate 2 only (rejected or accepted)
     if step.accepted:
         assert_allclose(step.state.x, [0.0, 0.0, 1.0])
+
+
+def within_4_sd(hits, n, prob):
+    """Whether ``hits`` of ``n`` Bernoulli(``prob``) draws lie within 4 standard deviations of ``n * prob``."""
+    return abs(hits - n * prob) < 4 * math.sqrt(n * prob * (1 - prob))
+
+
+def test_ising_draw_law():
+    # Blocks of 256 rows on one seed: coordinate i proposes +1 with probability p_i.
+    p = np.array([0.6, 0.3, 0.5, 0.85])
+    kernel = make_ising_kernel(make_ising_chain(4, 0.3), p)
+    rng = chain_rng(19)
+    rows = np.concatenate([kernel.draw(rng, 256) for _ in range(20)])
+    assert set(np.unique(rows)) == {-1.0, 1.0}
+    for i, p_i in enumerate(p):
+        assert within_4_sd((rows[:, i] > 0).sum(), len(rows), p_i), i
+
+
+def test_zk_draw_law():
+    # Blocks of 256 rows on one seed: a row is the move y - x.  A share r of rows moves one
+    # coordinate, uniform on 0..k-1; the rest move all k.  Signs are fair and the magnitude
+    # floor(1 + |N(0, s^2)|) has the masses of jump_magnitude_masses.
+    k, r, s = 3, 0.3, 1.5
+    kernel = make_zk_kernel(make_lattice_target(k, 0.5), r, s)
+    rng = chain_rng(23)
+    rows = np.concatenate([kernel.draw(rng, 256) for _ in range(20)])
+    n = len(rows)
+    moved = rows != 0.0
+    single = moved.sum(axis=1) == 1
+    assert np.all(single | moved.all(axis=1))
+    assert np.all(np.signbit(rows[~moved]))  # an unmoved coordinate holds -0.0, so x + row keeps x's bits
+    assert within_4_sd(single.sum(), n, r)
+    coords = moved[single].argmax(axis=1)
+    for j in range(k):
+        assert within_4_sd((coords == j).sum(), single.sum(), 1 / k), j
+    steps = rows[moved]
+    assert within_4_sd((steps > 0).sum(), len(steps), 0.5)
+    m = np.abs(rows).max(axis=1)
+    assert np.all(np.abs(rows[~single]) == m[~single, None])
+    masses, tail = jump_magnitude_masses(s, 4)
+    for size, mass in enumerate(masses, start=1):
+        assert within_4_sd((m == size).sum(), n, mass), size
+    assert within_4_sd((m > 4).sum(), n, tail)
 
 
 def test_zk_validation():

@@ -1,7 +1,8 @@
 """The kernel protocol across all seven kernels.
 
-Every kernel is ``kernel(state, rng) -> Step`` with ``kernel.init(x)``; the
-tests here pin its streams to the step bodies the kernels had before the
+Every kernel is ``kernel(state, rng) -> Step`` with ``kernel.init(x)``,
+``kernel.draw(rng, b)`` and ``kernel.propose(state, row)``; the tests here pin
+its block-layout streams to the step bodies the kernels had before the
 protocol (each recomputing ``log pi(x)`` and deciding through the scalar
 accept step of ``conftest``), and check the outcome of non-finite densities,
 statelessness and evaluation counts.
@@ -251,6 +252,17 @@ FACTORIES = {
     "zk": (make_zk_kernel, parent_zk),
 }
 
+# kernel -> the ``block_layouts`` layout of its rows, from ``(layouts, target, *args)``
+LAYOUTS = {
+    "additive": lambda layouts, target, cfg: layouts.sign_moves(target.dim),
+    "general": lambda layouts, target, transform, cfg: layouts.ternary_moves(*cfg.broadcast(target.dim)[1:]),
+    "dependent-z": lambda layouts, target, cfg: layouts.dependent_z(target.dim),
+    "rwmh": lambda layouts, target, sigma: layouts.normals(target.dim),
+    "hmc": lambda layouts, target, cfg: layouts.normals(target.dim),
+    "ising": lambda layouts, target, p: layouts.spins(target.dim),
+    "zk": lambda layouts, target, r, jump_scale: layouts.lattice_moves(target.dim, r),
+}
+
 # case -> (kernel, target, args, x0)
 CASES = {
     "additive-iid-k10": ("additive", make_iid_gaussian(10), (TmcmcConfig(eps_scale=0.75),), np.zeros(10)),
@@ -282,11 +294,6 @@ CASES = {
 }
 
 
-def block_drawn(kernel):
-    """Whether ``run_chain`` steps ``kernel`` in the block layout: one with ``kernel.propose``."""
-    return hasattr(kernel, "propose")
-
-
 def parent_trace(step, x0, n, rng, accept):
     x = np.asarray(x0, dtype=float)
     rows = []
@@ -298,15 +305,16 @@ def parent_trace(step, x0, n, rng, accept):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, block_layout_rng):
-    # run_chain steps a block-drawn kernel (additive for any p and q, rwmh, HMC) in the
-    # block layout, so its parent body draws from the same stream in that layout
+def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, block_layout_rng, block_layouts):
+    # run_chain steps every kernel in the block layout, so its parent body draws from
+    # the same stream in that layout
     name, target, args, x0 = CASES[case]
     make_kernel, make_parent = FACTORIES[name]
     kernel = make_kernel(target, *args)
+    layout = LAYOUTS[name](block_layouts, target, *args)
     for seed in (1, 2, 3):
         trace = run_chain(kernel, x0, 2_000, seed)
-        rng = block_layout_rng(chain_rng(seed), 2_000) if block_drawn(kernel) else chain_rng(seed)
+        rng = block_layout_rng(chain_rng(seed), 2_000, layout)
         states, accepted, log_alpha, uniforms, log_density, n_nonfinite = parent_trace(
             make_parent(target, *args), x0, 2_000, rng, parent_accept
         )
@@ -319,6 +327,16 @@ def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, 
         assert trace.n_nonfinite_proposals == n_nonfinite
         if "holes" in case or "nan" in case:
             assert n_nonfinite > 0
+    # A single transition is the one-row block, which draws what the parent body draws: on a
+    # plain generator the kernel's transitions equal the parent's.
+    rng, state, rows = chain_rng(4), kernel.init(x0), []
+    for _ in range(300):
+        step = kernel(state, rng)
+        state = step.state
+        rows.append((state.x, step.accepted, step.log_alpha, step.uniform, state.lp))
+    *parent, _ = parent_trace(make_parent(target, *args), x0, 300, chain_rng(4), parent_accept)
+    for got, want in zip((np.array(c) for c in zip(*rows)), parent):
+        assert np.array_equal(got, want)
 
 
 # --- outcomes, statelessness and evaluation counts ----------------------------------
@@ -349,7 +367,7 @@ def counting(target):
 
 
 @pytest.mark.parametrize("name", list(FACTORIES))
-def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng):
+def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng, block_layouts):
     holed, args, x0 = HOLED[name]
     target, calls = counting(holed)
     kernel = FACTORIES[name][0](target, *args)
@@ -367,12 +385,11 @@ def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng)
     assert len(calls) == n + 1
 
     # One kernel object drives two interleaved chains; each equals its solo run,
-    # which steps a block-drawn kernel in the block layout.
+    # which steps the kernel in the block layout.
     x0_b = -x0 if name != "ising" else x0[::-1].copy()
     solo_b = run_chain(kernel, x0_b, n, 12)
-    rng_a, rng_b = chain_rng(11), chain_rng(12)
-    if block_drawn(kernel):
-        rng_a, rng_b = block_layout_rng(rng_a, n), block_layout_rng(rng_b, n)
+    layout = LAYOUTS[name](block_layouts, target, *args)
+    rng_a, rng_b = block_layout_rng(chain_rng(11), n, layout), block_layout_rng(chain_rng(12), n, layout)
     state_a, state_b = kernel.init(x0), kernel.init(x0_b)
     rows_a, rows_b = [], []
     for _ in range(n):
@@ -414,13 +431,13 @@ def test_log_table_ratio_equals_the_frozen_ratio():
 @pytest.mark.parametrize("name", ["additive-tmcmc", "rwmh"])
 def test_block_direction_draws_what_single_draws_draw_in_block_order(name, scripted_rng):
     # One draw function: (b, k) takes the b * k direction draws, then the b innovations,
-    # and row j is what a (k,) draw makes of row j's draws; (1, k) draws exactly as (k,).
+    # and row j is what a (1, k) draw makes of row j's draws.
     target, b, k = make_iid_gaussian(3), 5, 3
     if name == "additive-tmcmc":
         kernel = make_additive_tmcmc_kernel(target, TmcmcConfig(scales=[1.0, 0.5, 2.0]))
     else:
         kernel = make_rwmh_kernel(target, 0.7)
-    block, single = np.empty((b, k)), np.empty(k)
+    block, one = np.empty((b, k)), np.empty((1, k))
     r = kernel.direction(np.random.default_rng(4), block)
     assert isinstance(r, np.ndarray) and r.shape == (b,)
     raw = np.random.default_rng(4)
@@ -430,13 +447,8 @@ def test_block_direction_draws_what_single_draws_draw_in_block_order(name, scrip
     else:
         scripts = [{"normals": row} for row in raw.standard_normal((b, k))]
     for j, script in enumerate(scripts):
-        r_j = kernel.direction(scripted_rng(**script), single)
-        assert isinstance(r_j, float) and r_j == r[j]
-        assert np.array_equal(single, block[j])
-    one, rng_one, rng_single = np.empty((1, k)), np.random.default_rng(9), np.random.default_rng(9)
-    assert kernel.direction(rng_one, one)[0] == kernel.direction(rng_single, single)
-    assert np.array_equal(one[0], single)
-    assert rng_one.random() == rng_single.random()
+        assert np.array_equal(kernel.direction(scripted_rng(**script), one), r[j : j + 1])
+        assert np.array_equal(one[0], block[j])
 
 
 # kernel -> build(target, scale) and the scale of its holed run (HOLED)
@@ -446,7 +458,7 @@ SYMMETRIC = {
 }
 
 
-def block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps):
+def block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps, layout):
     """``run_chain`` of ``build(holed, scale)`` from ``x0``, checked against its single transitions in block order."""
     target, calls = counting(holed)
     kernel = build(target, scale)
@@ -460,17 +472,18 @@ def block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps):
     log_u = np.array([math.log(u) if u > 0.0 else -math.inf for u in trace.uniforms])
     assert np.array_equal(trace.accepted, log_u < trace.log_alpha)
     # The kernel's single transitions, drawing from the same stream in block order.
-    assert_block_steps(trace, kernel, x0, chain_rng(21))
+    assert_block_steps(trace, kernel, x0, chain_rng(21), layout)
     return trace
 
 
 @pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
 @pytest.mark.parametrize("name", list(SYMMETRIC))
-def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, assert_block_steps):
+def test_run_chain_steps_a_symmetric_kernel_in_the_block_layout(name, n_iter, assert_block_steps, block_layouts):
     # around the 256-step block: one step, one block less a step, one block, one more, a partial third
     build, scale = SYMMETRIC[name]
-    holed, _, x0 = HOLED[name]
-    trace = block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps)
+    holed, args, x0 = HOLED[name]
+    layout = LAYOUTS[name](block_layouts, holed, *args)
+    trace = block_layout_run(build, scale, holed, x0, n_iter, assert_block_steps, layout)
     # The engine: one stream of one chain, its kernel at unit scale and the scale given to the engine.
     batch = lambda xs: np.array([holed.log_density(x) for x in xs])  # noqa: E731
     run = run_lockstep([build(holed, 1.0)], batch, x0[None], [scale], n_iter, [chain_rng(21)], 3)
@@ -485,10 +498,10 @@ def asymmetric_additive(target, scale):
 
 
 @pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
-def test_run_chain_steps_the_asymmetric_additive_kernel_in_the_block_layout(n_iter, assert_block_steps):
+def test_run_chain_steps_the_asymmetric_additive_kernel_in_the_block_layout(n_iter, assert_block_steps, block_layouts):
     # as for the symmetric kernels, less the engine, which runs symmetric kernels only
     holed, _, x0 = HOLED["additive"]
-    block_layout_run(asymmetric_additive, 0.9, holed, x0, n_iter, assert_block_steps)
+    block_layout_run(asymmetric_additive, 0.9, holed, x0, n_iter, assert_block_steps, block_layouts.sign_moves(3))
 
 
 def cliff_gaussian(k):
@@ -504,7 +517,7 @@ def cliff_gaussian(k):
 
 
 @pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
-def test_run_chain_steps_hmc_in_the_block_layout(n_iter, assert_block_steps):
+def test_run_chain_steps_hmc_in_the_block_layout(n_iter, assert_block_steps, block_layouts):
     # around the 256-step block, as for the symmetric kernels; divergences land inside blocks
     cliff = cliff_gaussian(3)
     target, calls = counting(cliff)
@@ -527,11 +540,11 @@ def test_run_chain_steps_hmc_in_the_block_layout(n_iter, assert_block_steps):
     assert len(calls) == n_iter + 1 - trace.n_nonfinite_proposals
     assert len(grad_calls) == n_iter * cfg.L + 1
     # The kernel's single transitions, drawing from the same stream in block order.
-    assert_block_steps(trace, kernel, x0, chain_rng(21))
+    assert_block_steps(trace, kernel, x0, chain_rng(21), block_layouts.normals(3))
 
 
 @pytest.mark.parametrize("n_iter", [255, 300, 512])
-@pytest.mark.parametrize("name", ["additive", "asymmetric", "rwmh", "hmc"])
+@pytest.mark.parametrize("name", ["additive", "asymmetric", "general", "dependent-z", "rwmh", "hmc", "ising", "zk"])
 def test_block_drawn_run_is_a_prefix_of_a_longer_one_through_its_last_full_block(name, n_iter):
     # A run of n steps draws its last block short, so it equals a 600-step run on the same seed
     # through row 256 * floor(n / 256) and not after: the uniforms of a short block differ.
@@ -539,10 +552,15 @@ def test_block_drawn_run_is_a_prefix_of_a_longer_one_through_its_last_full_block
     kernel = {
         "additive": lambda: make_additive_tmcmc_kernel(target, TmcmcConfig(eps_scale=0.9)),
         "asymmetric": lambda: asymmetric_additive(target, 0.9),
+        "general": lambda: make_general_tmcmc_kernel(target, additive_transformation(0.9), TmcmcConfig(p=0.3, q=0.4)),
+        "dependent-z": lambda: make_dependent_z_kernel(target, DEP_Z),
         "rwmh": lambda: make_rwmh_kernel(target, 0.8),
         "hmc": lambda: make_hmc_kernel(target, HmcConfig(L=3, dt=0.3)),
+        "ising": lambda: make_ising_kernel(make_ising_chain(3, 0.4), 0.6),
+        "zk": lambda: make_zk_kernel(make_lattice_target(3, 0.5), 0.3, 1.5),
     }[name]()
-    short, long = (run_chain(kernel, np.zeros(3), n, 5) for n in (n_iter, 600))
+    x0 = np.ones(3) if name == "ising" else np.zeros(3)
+    short, long = (run_chain(kernel, x0, n, 5) for n in (n_iter, 600))
     full = 256 * (n_iter // 256)
     for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
         assert np.array_equal(getattr(short, field)[:full], getattr(long, field)[:full]), field

@@ -21,7 +21,7 @@ PUBLIC = [
     "make_challenger_logistic", "make_dependent_z_kernel", "make_general_tmcmc_kernel",
     "make_hmc_kernel", "make_iid_gaussian", "make_ising_chain", "make_ising_kernel",
     "make_lattice_target", "make_rwmh_kernel", "make_zk_kernel", "run_chain",
-    "run_scaling_study", "rwmh_ar_asymp", "rwmh_ar_bounds", "sample_epsilon", "split_rhat",
+    "run_scaling_study", "rwmh_ar_asymp", "rwmh_ar_bounds", "split_rhat",
     "stationary_distribution", "tmcmc_ar_bounds",
 ]
 

@@ -90,14 +90,16 @@ def _lockstep_kernels(names, target):
             else make_rwmh_kernel(target, 1.0) for name in names]
 
 
-def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps):
+def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps,
+                                    layouts):
     """Every (stream, scale) chain of ``run`` against its own ``run_chain``.
 
     ``kernels[g]`` is stream ``g``'s kernel and ``scales`` the ``(C,)`` or
     ``(G, C)`` scales ``run`` was given; ``reference_start(g)`` gives its
     start and a fresh generator at the state the lockstep stream began
     stepping from.  Each ``run_chain`` is in turn checked against the
-    kernel's single transitions in block order (``assert_block_steps``).
+    kernel's single transitions in block order (``assert_block_steps``, the
+    layouts of ``block_layouts``).
     """
     n_coords = run.x0.shape[1]
     rows = np.broadcast_to(scales, (len(kernels), np.shape(scales)[-1]))
@@ -113,7 +115,8 @@ def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, re
                 assert np.array_equal(lockstep_path(run, col, j), trace.states[:, j])
             assert run.n_nonfinite[col] == trace.n_nonfinite_proposals
             start, rng = reference_start(g)
-            assert_block_steps(trace, _reference_kernel(kernel, target, scale), start, rng)
+            layout = layouts.sign_moves(start.size) if kernel == "additive-tmcmc" else layouts.normals(start.size)
+            assert_block_steps(trace, _reference_kernel(kernel, target, scale), start, rng, layout)
 
 
 MIXED_STREAMS = [(11, "additive-tmcmc"), (12, "additive-tmcmc"), (11, "rwmh"), (12, "rwmh"), (13, "rwmh")]
@@ -128,7 +131,7 @@ LOCKSTEP_STREAMS = [
 
 @pytest.mark.parametrize("streams, stream_factors", LOCKSTEP_STREAMS)
 @pytest.mark.parametrize("k", [1, 4, 100])
-def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, assert_block_steps):
+def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, assert_block_steps, block_layouts):
     n_iter, ells = 1_500, (0.4, 1.6, 2.8, 6.0)
     n_coords = min(ESS_COORD_BLOCK, k)
     kernels = [kernel for _, kernel in streams]
@@ -144,7 +147,8 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, asse
         rng = _cell_rng(*streams[g], k)
         return rng.standard_normal(k), rng
 
-    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps)
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps,
+                                        block_layouts)
     assert run.n_nonfinite.sum() == 0
     n_additive = kernels.count("additive-tmcmc")
     assert run.n_signed == n_additive
@@ -154,7 +158,7 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, asse
 
 
 @pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
-def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps):
+def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps, block_layouts):
     # around the 256-step block: one step, one block less a step, one block, one more, a partial third
     k, n_coords = 3, 2
     target = make_iid_gaussian(k)
@@ -168,7 +172,8 @@ def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps):
         rng = _cell_rng(*MIXED_STREAMS[g], k)
         return rng.standard_normal(k), rng
 
-    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps)
+    _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps,
+                                        block_layouts)
     if n_iter == 1:  # a one-step block is the order of the kernel's own transition on a plain generator
         for g, kernel in enumerate(kernels):
             start, rng = reference_start(g)
@@ -178,7 +183,7 @@ def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps):
             assert np.array_equal(lockstep_path(run, g * 3)[0], step.state.x[:n_coords])
 
 
-def test_lockstep_applies_the_nonfinite_rules_of_accept_step(assert_block_steps):
+def test_lockstep_applies_the_nonfinite_rules_of_accept_step(assert_block_steps, block_layouts):
     # -inf above x_0 = 1.5 and NaN below x_0 = -1.5: such proposals are
     # auto-rejected and counted.  The chains of the first group start at
     # x_0 = 3 (-inf), where any finite proposal is accepted.
@@ -199,7 +204,8 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step(assert_block_steps)
     for kernels in [(kernel, kernel) for kernel in STUDY_KERNELS] + [("additive-tmcmc", "rwmh")]:
         rngs = [np.random.default_rng(5 + g) for g in range(2)]
         run = run_lockstep(_lockstep_kernels(kernels, target), log_density, x0, scales, 2_000, rngs, 3)
-        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start, assert_block_steps)
+        _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start, assert_block_steps,
+                                        block_layouts)
         assert run.n_nonfinite.min() > 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from tmcmc.transform_kernels import (
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
     make_general_tmcmc_kernel,
-    sample_epsilon,
 )
 
 
@@ -26,25 +26,6 @@ def test_move_log_ratio_all_forward_ratio():
     log_p, log_q = np.log(p), np.log(q)
     assert_allclose(_move_log_ratio(z, log_p, log_q), np.log(q / p).sum(), rtol=1e-13)
     assert_allclose(_move_log_ratio(-z, log_p, log_q), -np.log(q / p).sum(), rtol=1e-13)
-
-
-# --- innovation draws -----------------------------------------------------
-
-
-def test_sample_epsilon_half_normal_mean():
-    rng = np.random.default_rng(42)
-    draws = np.array([sample_epsilon(rng, 1.0) for _ in range(10**6)])
-    assert np.all(draws >= 0.0)
-    assert abs(draws.mean() - math.sqrt(2.0 / math.pi)) < 0.003
-
-
-def test_sample_epsilon_scale_family():
-    rng1, rng2 = chain_rng(9), chain_rng(9)
-    ones = np.array([sample_epsilon(rng1, 1.0) for _ in range(100)])
-    twos = np.array([sample_epsilon(rng2, 2.0) for _ in range(100)])
-    assert_allclose(twos, 2.0 * ones, rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        sample_epsilon(rng1, 0.0)
 
 
 # --- additive transformation ---------------------------------------------
@@ -153,10 +134,10 @@ def test_sign_draw_moves_forward_exactly_below_p(scripted_rng):
     assert not hasattr(kernel, "direction")  # p != q: not runnable under the bare density ratio
 
     symmetric = make_additive_tmcmc_kernel(base, TmcmcConfig(scales=a))
-    out = np.empty(4)
+    out = np.empty((1, 4))
     rng = scripted_rng(uniforms=[0.0, np.nextafter(0.5, -1.0), 0.5, np.nextafter(0.5, 2.0)], normals=[-0.7])
-    assert symmetric.direction(rng, out) == 0.7
-    assert np.array_equal(out, [1.0, 2.0, -0.5, -3.0])
+    assert symmetric.direction(rng, out) == [0.7]
+    assert np.array_equal(out[0], [1.0, 2.0, -0.5, -3.0])
     assert np.array_equal(symmetric.direction.a, a)
 
 
@@ -195,21 +176,53 @@ def test_general_step_nonfinite_jacobian_rejects(scripted_rng):
 
 
 def test_general_specializes_to_additive_under_shared_stream():
+    # Transition by transition on one generator, and as run_chain traces over 700 steps
+    # (past a block boundary): both kernels draw the same rows in the same block layout.
     target = make_iid_gaussian(3)
-    cfg = TmcmcConfig(eps_scale=0.8, p=0.65, q=0.35)
     tfm = additive_transformation(1.0)
-    additive = make_additive_tmcmc_kernel(target, cfg)
-    general = make_general_tmcmc_kernel(target, tfm, cfg)
-    r1, r2 = chain_rng(123), chain_rng(123)
     x0 = np.array([0.1, -0.4, 2.0])
-    st1, st2 = additive.init(x0), general.init(x0)
-    for _ in range(500):
-        s1 = additive(st1, r1)
-        s2 = general(st2, r2)
-        assert np.array_equal(s1.state.x, s2.state.x)
-        assert s1.accepted == s2.accepted
-        assert s1.log_alpha == s2.log_alpha
-        st1, st2 = s1.state, s2.state
+    for p in (0.65, 0.5):
+        cfg = TmcmcConfig(eps_scale=0.8, p=p, q=1.0 - p)
+        additive = make_additive_tmcmc_kernel(target, cfg)
+        general = make_general_tmcmc_kernel(target, tfm, cfg)
+        r1, r2 = chain_rng(123), chain_rng(123)
+        st1, st2 = additive.init(x0), general.init(x0)
+        for _ in range(500):
+            s1 = additive(st1, r1)
+            s2 = general(st2, r2)
+            assert np.array_equal(s1.state.x, s2.state.x)
+            assert s1.accepted == s2.accepted
+            assert s1.log_alpha == s2.log_alpha
+            st1, st2 = s1.state, s2.state
+        t1, t2 = run_chain(additive, x0, 700, 9), run_chain(general, x0, 700, 9)
+        assert 0 < t1.accepted.sum() < len(t1)
+        for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
+            assert np.array_equal(getattr(t1, field), getattr(t2, field)), field
+
+
+def test_general_draw_law():
+    # Blocks of 256 rows on one seed: the move types follow P(z) given z != 0, and eps is
+    # half-normal with mean s * sqrt(2 / pi).  Each check is a |z| < 4 normal score.
+    p, q, s, k = np.array([0.2, 0.5, 0.05]), np.array([0.1, 0.3, 0.05]), 0.7, 3
+    cfg = TmcmcConfig(eps_scale=s, p=p, q=q)
+    kernel = make_general_tmcmc_kernel(make_iid_gaussian(k), additive_transformation(), cfg)
+    rng = chain_rng(17)
+    rows = [row for _ in range(40) for row in kernel.draw(rng, 256)]
+    z = np.array([row[0] for row in rows])
+    eps = np.array([row[1] for row in rows])
+    n = len(rows)
+    assert z.shape == (n, k) and np.all(z.any(axis=1)) and np.all(eps >= 0.0)
+    # P(z) = prod_i P(z_i) / (1 - P(0)), so P(z_i = v | z != 0) = P(z_i = v) * (1 - P(0 off i)) / (1 - P(0)).
+    none = 1.0 - p - q
+    nonzero = 1.0 - none.prod()
+    for i in range(k):
+        rest = np.delete(none, i).prod()
+        for v, pv in ((1.0, p[i]), (-1.0, q[i]), (0.0, none[i] * (1.0 - rest))):
+            prob = pv / nonzero
+            hits = (z[:, i] == v).sum()
+            assert abs(hits - n * prob) < 4 * math.sqrt(n * prob * (1 - prob)), (i, v)
+    mean, sd = s * math.sqrt(2 / math.pi), s * math.sqrt(1 - 2 / math.pi)
+    assert abs(eps.mean() - mean) < 4 * sd / math.sqrt(n)
 
 
 def multiplicative_transformation():
@@ -303,6 +316,17 @@ def test_dependent_z_all_zero_move_is_accepted_self_transition(scripted_rng):
     assert step.accepted
     assert np.array_equal(step.state.x, x)
     assert step.log_alpha == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu_1", np.zeros(3)), ("mu_3", np.zeros((5, 5))), ("sigma_2", np.ones(3)), ("sigma_3", np.eye(3)),
+    ("scales", np.ones(3)),
+])
+def test_dependent_z_kernel_rejects_fields_of_another_dimension(field, value):
+    # such a config used to build a kernel that failed inside run_chain on a broadcast error
+    cfg = dataclasses.replace(symmetric_dependent_cfg(5), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        make_dependent_z_kernel(make_iid_gaussian(5), cfg)
 
 
 def test_dependent_z_kernel_runs_and_is_deterministic():
