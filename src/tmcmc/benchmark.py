@@ -29,7 +29,7 @@ import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
 from .chain import Lockstep, chain_rng, lockstep_path, map_tasks, pool_workers, run_lockstep
-from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess, split_rhat
+from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess_rows, split_rhat
 from .targets import make_challenger_logistic
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
@@ -81,7 +81,7 @@ def _summary(raw: list, accept: list) -> dict:
     report: dict = {"accept_rate": float(np.mean(accept)), "mean": {}, "sd": {}, "se": {}, "ess": {}, "rhat": {}}
     for j, name in enumerate(PARAM_NAMES):
         series = [r[:, j] for r in raw]
-        ess_total = float(sum(iact_and_ess(s)[1] for s in series))
+        ess_total = float(sum(iact_and_ess_rows(series)[1]))  # the column views, not a stacked copy
         pooled = np.concatenate(series)  # one column at a time: no (n, 2) pooled copy
         report["mean"][name], sd = float(pooled.mean()), float(pooled.std(ddof=1))
         del pooled  # freed before the next column's FFTs

@@ -259,14 +259,18 @@ class Trace:
                 prev, text = bits[-1].copy(), texts[-1]
 
     def summary(self) -> dict:
-        """JSON-ready run summary (acceptance rate, per-coordinate ESS, timing)."""
-        from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess
+        """JSON-ready run summary (acceptance rate, per-coordinate ESS, timing).
+
+        The ESS of every recorded coordinate comes from one
+        ``iact_and_ess_rows`` call on the columns of ``states``; it is empty
+        for a trace shorter than ``MIN_SAMPLES``.
+        """
+        from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess_rows
 
         ess = {}
         if len(self) >= MIN_SAMPLES:
-            for j, coord in enumerate(self.recorded_coords):
-                _, e = iact_and_ess(self.states[:, j])
-                ess[f"x_{coord}"] = e
+            _, per_coord = iact_and_ess_rows(self.states.T)
+            ess = {f"x_{coord}": float(e) for coord, e in zip(self.recorded_coords, per_coord)}
         return {
             "seed": self.meta.get("seed"),
             "config": self.meta.get("config", {}),
@@ -438,11 +442,13 @@ def run_lockstep(
     return Lockstep(n_sign, x0[:, :n_record].copy(), scales, a, signs, r, normals, accepted, n_nonfinite)
 
 
-def lockstep_path(run: Lockstep, chain: int, coord: Optional[int] = None) -> np.ndarray:
+def lockstep_path(run: Lockstep, chain: int, coord: Union[int, slice, None] = None) -> np.ndarray:
     """Chain ``chain``'s recorded coordinates after each step.
 
-    ``chain`` is a column of ``run.accepted``.  Returns ``(n_iter,)`` for one
-    recorded coordinate ``coord``, else ``(n_iter, n_record)``.  The running
+    ``chain`` is a column of ``run.accepted``.  ``coord`` indexes the
+    recorded coordinates: an int gives ``(n_iter,)``, a slice
+    ``(n_iter, len)`` and None all of them, ``(n_iter, n_record)``; a
+    column is the same bit for bit whichever form asked for it.  The running
     sum adds ``d * (scale * r)`` on accepted steps and ``0`` otherwise, in
     step order: the same floating-point additions the chain made.
     """

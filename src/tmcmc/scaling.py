@@ -2,8 +2,8 @@
 
 For every (kernel, dimension, scale multiplier, seed) cell the engine runs a
 chain with proposal scale ``ell / sqrt(k)``, records the acceptance rate and
-the first-coordinate ESS per iteration, and then locates the
-efficiency-maximizing multiplier per (kernel, dimension).
+the ESS per iteration averaged over up to ``ESS_COORD_BLOCK`` coordinates, and
+then locates the efficiency-maximizing multiplier per (kernel, dimension).
 
 Within a (kernel, dimension, seed) triple every ``ell`` cell reuses the same
 generator stream (common random numbers), so efficiency comparisons across
@@ -40,7 +40,7 @@ import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
 from .chain import lockstep_path, map_tasks, pool_workers, run_chain, run_lockstep
-from .diagnostics import MIN_SAMPLES, acceptance_rate, expected_acceptance_rate, iact_and_ess
+from .diagnostics import MIN_SAMPLES, acceptance_rate, ess_block_rows, expected_acceptance_rate, iact_and_ess_rows
 from .targets import make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
 
@@ -193,12 +193,16 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
     run = run_lockstep(kernels, target.log_density, x0, scales, spec.n_iter, rngs, n_coords)
     wall_ms = 1e3 * (time.perf_counter() - t0) / run.accepted.shape[1]
     n_kept = spec.n_iter - spec.burn_in
+    block = ess_block_rows(n_kept)
     rows = []
     for c, ell in enumerate(spec.ell_grid):
         for g, (seed, kernel) in enumerate(streams):
             chain = g * len(scales) + c
-            # one coordinate at a time, so no (n, n_coords) path is held
-            ess = [iact_and_ess(lockstep_path(run, chain, j)[spec.burn_in:])[1] for j in range(n_coords)]
+            # one ESS block of coordinates at a time, so no (n, n_coords) path is held
+            ess = np.concatenate([
+                iact_and_ess_rows(lockstep_path(run, chain, slice(lo, lo + block))[spec.burn_in:].T)[1]
+                for lo in range(0, n_coords, block)
+            ])
             accept_rate = acceptance_rate(run.accepted[spec.burn_in:, chain])
             ess_per_iter = float(np.mean(ess)) / n_kept
             rows.append(CellResult(kernel, k, float(ell), int(seed), accept_rate, ess_per_iter, wall_ms))

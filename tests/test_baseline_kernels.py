@@ -48,6 +48,22 @@ def test_rwmh_accepts_at_mode_with_tiny_scale():
     assert acceptance_rate(trace) == 1.0
 
 
+def test_rwmh_draw_law():
+    # Blocks of 256 rows on one seed: the entries are iid N(0, sigma^2).  Each check is a
+    # |z| < 4 normal score: every coordinate's mean and variance, and each pair's correlation.
+    sigma, k = 0.6, 3
+    kernel = make_rwmh_kernel(make_iid_gaussian(k), sigma)
+    rng = chain_rng(17)
+    rows = np.concatenate([kernel.draw(rng, 256) for _ in range(40)])
+    n = len(rows)
+    assert rows.shape == (n, k)
+    for i in range(k):
+        assert abs(rows[:, i].mean()) < 4 * sigma / math.sqrt(n), i
+        assert abs(np.mean(rows[:, i] ** 2) - sigma**2) < 4 * sigma**2 * math.sqrt(2 / n), i
+        for j in range(i):
+            assert abs(np.mean(rows[:, i] * rows[:, j])) < 4 * sigma**2 / math.sqrt(n), (i, j)
+
+
 def test_rwmh_validation():
     with pytest.raises(ValueError):
         make_rwmh_kernel(make_iid_gaussian(1), 0.0)

@@ -9,7 +9,9 @@ from tmcmc.diagnostics import (
     acceptance_rate,
     autocorrelation,
     expected_acceptance_rate,
+    ess_block_rows,
     iact_and_ess,
+    iact_and_ess_rows,
     split_rhat,
 )
 
@@ -95,11 +97,89 @@ def test_iact_short_series_rejected():
         iact_and_ess(np.arange(50, dtype=float))
 
 
+def test_iact_rejects_a_series_that_is_not_1d():
+    with pytest.raises(ValueError, match=r"\(500, 3\)"):
+        iact_and_ess(chain_rng(11).standard_normal((500, 3)))
+    with pytest.raises(ValueError, match=r"\(500,\)"):
+        iact_and_ess_rows(np.ones(500))
+    with pytest.raises(ValueError, match=r"\(400,\), \(500,\)"):
+        iact_and_ess_rows([np.ones(500), np.ones(400)])
+
+
+def ar1_rows(m, n, seed, rho=0.9):
+    """``m`` AR(1) series of length ``n`` as the rows of an ``(m, n)`` array."""
+    rng = chain_rng(seed)
+    x = np.empty((m, n))
+    x[:, 0] = rng.standard_normal(m)
+    innov = rng.standard_normal((n, m)) * math.sqrt(1 - rho**2)
+    for i in range(1, n):
+        x[:, i] = rho * x[:, i - 1] + innov[i]
+    return x
+
+
+def one_series_reference(x):
+    """The one-series estimator, written out step by step on the series as given (no copy)."""
+    n = x.size
+    if np.var(x) < 1e-300 * max(1.0, float(np.abs(x).max()) ** 2):
+        return float(n), 1.0
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x - x.mean(), nfft)
+    acov = np.fft.irfft(f * np.conjugate(f), nfft)[:n] / n
+    rho = acov / acov[0]
+    gamma = rho[0 : 2 * (n // 2) : 2] + rho[1 : 2 * (n // 2) : 2]
+    nonpos = np.nonzero(gamma <= 0.0)[0]
+    iact = max(2.0 * float(np.sum(gamma[: int(nonpos[0]) if nonpos.size else n // 2])) - 1.0, 1e-2)
+    return iact, n / iact
+
+
+def assert_rows_match_one_series_calls(series):
+    iact, ess = iact_and_ess_rows(series)
+    assert iact.shape == ess.shape == (len(series),)
+    for i, x in enumerate(series):
+        assert (iact[i], ess[i]) == iact_and_ess(x) == one_series_reference(x), i
+
+
+def test_iact_rows_cross_an_eight_row_block_bit_for_bit():
+    x = ar1_rows(20, 1_800, seed=7) + 2.5
+    assert ess_block_rows(1_800) == 8  # FFT length 4,096
+    assert_rows_match_one_series_calls(x)
+    assert_rows_match_one_series_calls(list(x))
+
+
+def test_iact_rows_of_strided_columns_bit_for_bit():
+    states = ar1_rows(10, 10_000, seed=8).T.copy()  # (n, 10), C order
+    assert ess_block_rows(10_000) == 1  # FFT length 32,768: one row at a time
+    assert_rows_match_one_series_calls([states[:, j] for j in range(10)])
+
+
+def test_iact_rows_of_a_transposed_view_bit_for_bit():
+    # states.T is in Fortran order; its rows must be summed as contiguous rows are
+    states = ar1_rows(12, 1_500, seed=9).T.copy() - 40.0
+    assert_rows_match_one_series_calls(states.T)
+
+
+def test_iact_rows_flat_row_inside_a_block_gets_the_guard_values():
+    x = ar1_rows(8, 1_800, seed=10)
+    x[3] = 3.14
+    iact, ess = iact_and_ess_rows(x)
+    assert iact[3] == x.shape[1] and ess[3] == 1.0
+    assert np.all(ess[[0, 1, 2, 4, 5, 6, 7]] > 1.0)
+    assert_rows_match_one_series_calls(x)
+
+
+def test_iact_rows_of_no_series():
+    iact, ess = iact_and_ess_rows(np.empty((0, 500)))
+    assert iact.shape == ess.shape == (0,)
+
+
 def test_autocorrelation_normalization():
     x = chain_rng(4).standard_normal(4_096)
     rho = autocorrelation(x, 64)
     assert rho[0] == 1.0
     assert np.all(np.abs(rho[1:]) < 0.2)
+    f = np.fft.rfft(x - x.mean(), 8_192)  # the one-row case of the block transform, bit for bit
+    acov = np.fft.irfft(f * np.conjugate(f), 8_192)[:65] / x.size
+    assert np.array_equal(rho, acov / acov[0])
 
 
 def test_rwmh_acceptance_at_reference_scale_high_dimension():

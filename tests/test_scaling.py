@@ -113,6 +113,8 @@ def _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, re
             assert np.array_equal(lockstep_path(run, col), trace.states)
             for j in range(n_coords):
                 assert np.array_equal(lockstep_path(run, col, j), trace.states[:, j])
+            for lo, hi in ((0, n_coords), (1, n_coords), (0, (n_coords + 1) // 2)):
+                assert np.array_equal(lockstep_path(run, col, slice(lo, hi)), trace.states[:, lo:hi])
             assert run.n_nonfinite[col] == trace.n_nonfinite_proposals
             start, rng = reference_start(g)
             layout = layouts.sign_moves(start.size) if kernel == "additive-tmcmc" else layouts.normals(start.size)

@@ -225,6 +225,26 @@ def test_general_draw_law():
     assert abs(eps.mean() - mean) < 4 * sd / math.sqrt(n)
 
 
+def test_additive_draw_law():
+    # Blocks of 256 rows on one seed: coordinate i is +a_i with probability p_i, and every
+    # coordinate of a row shares one magnitude |N(0, s^2)|, with mean s * sqrt(2 / pi) and
+    # second moment s^2.  Each check is a |z| < 4 normal score.
+    p, a, s = np.array([0.2, 0.5, 0.75]), np.array([1.0, 0.5, 2.0]), 0.7  # powers of 2: |row| / a is exact
+    kernel = make_additive_tmcmc_kernel(make_iid_gaussian(3), TmcmcConfig(scales=a, eps_scale=s, p=p, q=1.0 - p))
+    rng = chain_rng(17)
+    rows = np.concatenate([kernel.draw(rng, 256) for _ in range(40)])
+    n = len(rows)
+    assert rows.shape == (n, 3)
+    for i in range(3):
+        hits = (rows[:, i] > 0.0).sum()
+        assert abs(hits - n * p[i]) < 4 * math.sqrt(n * p[i] * (1 - p[i])), i
+    mag = np.abs(rows) / a
+    assert np.array_equal(mag, np.broadcast_to(mag[:, :1], mag.shape))
+    eps = mag[:, 0]
+    assert abs(eps.mean() - s * math.sqrt(2 / math.pi)) < 4 * s * math.sqrt(1 - 2 / math.pi) / math.sqrt(n)
+    assert abs(np.mean(eps**2) - s**2) < 4 * s**2 * math.sqrt(2 / n)
+
+
 def multiplicative_transformation():
     # user-supplied family: componentwise x -> x * exp(z * eps); the conjugate
     # move inverts it and the (x, eps)-Jacobian is exp(eps * sum z)
