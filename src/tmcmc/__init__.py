@@ -57,7 +57,6 @@ from .transform_kernels import (
     DependentZConfig,
     TmcmcConfig,
     Transformation,
-    additive_forward,
     additive_transformation,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,

@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, init_state
+from .chain import ChainState, Kernel, _block_kernel, _per_coordinate, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -72,7 +72,8 @@ class HmcConfig:
             raise ValueError("mass entries must be positive and finite")
 
     def mass_vector(self, k: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.mass, dtype=float), (k,))
+        """The diagonal mass in dimension ``k``; ``mass`` must hold one value or ``k``."""
+        return _per_coordinate("mass", self.mass, k)
 
 
 def _finite(x: np.ndarray, p: np.ndarray) -> bool:
@@ -115,12 +116,7 @@ def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
         d *= sigma  # d * (sigma * r) with r = 1
         return d
 
-    def propose(state: ChainState, row: np.ndarray):
-        y = state.x + row
-        lp_y = log_density(y)
-        return ChainState(y, lp_y), lp_y - state.lp
-
-    kernel = _block_kernel(init_state(log_density), draw, propose)
+    kernel = _block_kernel(init_state(log_density), draw, _shift_propose(log_density))
     kernel.direction = direction
     return kernel
 

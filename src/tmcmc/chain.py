@@ -8,14 +8,15 @@ which evaluates what the state carries once; ``kernel.draw(rng, b)``, which
 returns ``b`` rows, each the random input of one step (what a row holds is up
 to the kernel); and ``kernel.propose(state, row)``, which returns a proposal
 and its ``log_alpha``.  A transition is the one-row block: ``propose(state,
-draw(rng, 1)[0])``, then ``accept_step``.  ``run_chain`` calls ``init``
-once and then hands each step's ``state`` to the next, so a transition
-evaluates the target only at its proposal, and one kernel object can drive
-any number of chains.  Symmetric kernels also set ``kernel.direction``.
+draw(rng, 1)[0])``, then ``_decide``.  ``run_chain`` calls ``init`` once
+and then hands each step's ``state`` to the next, so a transition evaluates
+the target only at its proposal, and one kernel object can drive any number
+of chains.  Symmetric kernels also set ``kernel.direction``; the shift
+kernels (additive with ``p = q``, rwmh, zk) share ``_shift_propose``.
 
-One accept rule.  Every transition ends in ``accept_step``: it draws one
-uniform ``u`` and accepts iff ``log u < log_alpha``.  The step records ``u``
-and ``log_alpha``, so traces are replayable: ``accepted == (log(u) <
+One accept rule.  Every transition ends in ``_decide``: on one uniform ``u``
+it accepts iff ``log u < log_alpha``.  The step records ``u`` and
+``log_alpha``, so traces are replayable: ``accepted == (log(u) <
 log_alpha)`` holds row by row.  The block runners draw their uniforms ahead
 and take the same decision on each.
 
@@ -67,7 +68,6 @@ __all__ = [
     "chain_rng",
     "init_state",
     "nonfinite_rule",
-    "accept_step",
     "accept_batch",
     "run_chain",
     "Lockstep",
@@ -121,6 +121,19 @@ def init_state(log_density: Callable[[np.ndarray], float]) -> Callable[[np.ndarr
     return init
 
 
+def _check_shape(name: str, value, k: int, fits: tuple) -> None:
+    """Raise ``ValueError`` naming the setting ``name`` unless its shape is one of ``fits``."""
+    shape = np.shape(value)
+    if shape not in fits:
+        raise ValueError(f"{name} has shape {shape}; a target of dimension {k} needs {' or '.join(map(str, fits))}")
+
+
+def _per_coordinate(name: str, value, k: int) -> np.ndarray:
+    """A kernel setting as a ``(k,)`` float array; only shapes ``()``, ``(1,)`` and ``(k,)`` broadcast."""
+    _check_shape(name, value, k, ((), (1,), (k,)))
+    return np.broadcast_to(np.asarray(value, dtype=float), (k,))
+
+
 def nonfinite_rule(log_alpha, lp_current, lp_proposal):
     """``(log_alpha, nonfinite)`` after the non-finite rule, for floats or ``(C,)`` arrays.
 
@@ -133,28 +146,22 @@ def nonfinite_rule(log_alpha, lp_current, lp_proposal):
     return log_alpha, nonfinite
 
 
-def accept_step(state: ChainState, proposal: ChainState, log_alpha: float, rng: np.random.Generator) -> Step:
-    """Metropolis test of ``proposal`` against ``state`` with a recorded uniform.
-
-    Kernels compute ``log_alpha`` from both log-densities, so it is
-    non-finite whenever either is; only then does the non-finite rule run.
-    """
-    u = float(rng.random())
-    return _decide(state, proposal, log_alpha, u, _log_u(u))
-
-
 def _log_u(u: float) -> float:
     # math.log, not np.log, which can differ in the last bit; log 0 = -inf
     return math.log(u) if u > 0.0 else -math.inf
 
 
-def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float, log_u: float) -> Step:
-    """``accept_step``'s decision on a given uniform ``u`` and its ``_log_u``."""
+def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float) -> Step:
+    """Metropolis test of ``proposal`` against ``state`` on the uniform ``u``, which the step records.
+
+    Kernels compute ``log_alpha`` from both log-densities, so it is
+    non-finite whenever either is; only then does the non-finite rule run.
+    """
     nonfinite = False
     if not math.isfinite(log_alpha):
         log_alpha, nonfinite = nonfinite_rule(log_alpha, state.lp, proposal.lp)
         log_alpha, nonfinite = float(log_alpha), bool(nonfinite)
-    accepted = log_u < log_alpha
+    accepted = _log_u(u) < log_alpha
     return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
 
 
@@ -163,14 +170,25 @@ def _block_kernel(init, draw, propose) -> Kernel:
 
     def kernel(state: ChainState, rng: np.random.Generator) -> Step:
         proposal, log_alpha = propose(state, draw(rng, 1)[0])
-        return accept_step(state, proposal, log_alpha, rng)
+        return _decide(state, proposal, log_alpha, float(rng.random()))
 
     kernel.init, kernel.draw, kernel.propose = init, draw, propose
     return kernel
 
 
+def _shift_propose(log_density: Callable[[np.ndarray], float]):
+    """``propose`` of a kernel whose row is the move ``y - x`` and whose ratio is the density ratio."""
+
+    def propose(state: ChainState, row: np.ndarray):
+        y = state.x + row
+        lp_y = log_density(y)
+        return ChainState(y, lp_y), lp_y - state.lp
+
+    return propose
+
+
 def accept_batch(x: np.ndarray, lp_x: np.ndarray, y: np.ndarray, lp_y: np.ndarray, log_u, n_nonfinite: np.ndarray):
-    """``accept_step``'s decision for a ``(C, k)`` batch of symmetric proposals, in place.
+    """``_decide``'s decision for a ``(C, k)`` batch of symmetric proposals, in place.
 
     Row ``c`` of ``(x, lp_x)`` takes row ``c`` of ``(y, lp_y)`` iff
     ``log_u[c] < log_alpha[c]``, where ``log_alpha = lp_y - lp_x`` after the
@@ -324,7 +342,7 @@ def run_chain(
         block_u = rng.random(b).tolist()
         for i, row, u in zip(range(start, start + b), rows, block_u):
             proposal, alpha = propose(state, row)
-            step = _decide(state, proposal, alpha, u, _log_u(u))
+            step = _decide(state, proposal, alpha, u)
             state = step.state
             states[i] = state.x[take]
             accepted[i] = step.accepted
@@ -445,13 +463,16 @@ def run_lockstep(
 def lockstep_path(run: Lockstep, chain: int, coord: Union[int, slice, None] = None) -> np.ndarray:
     """Chain ``chain``'s recorded coordinates after each step.
 
-    ``chain`` is a column of ``run.accepted``.  ``coord`` indexes the
-    recorded coordinates: an int gives ``(n_iter,)``, a slice
-    ``(n_iter, len)`` and None all of them, ``(n_iter, n_record)``; a
-    column is the same bit for bit whichever form asked for it.  The running
-    sum adds ``d * (scale * r)`` on accepted steps and ``0`` otherwise, in
-    step order: the same floating-point additions the chain made.
+    ``chain`` is a column of ``run.accepted``; any other value raises
+    ``ValueError``.  ``coord`` indexes the recorded coordinates: an int gives
+    ``(n_iter,)``, a slice ``(n_iter, len)`` and None all of them,
+    ``(n_iter, n_record)``; a column is the same bit for bit whichever form
+    asked for it.  The running sum adds ``d * (scale * r)`` on accepted steps
+    and ``0`` otherwise, in step order: the same floating-point additions the
+    chain made.
     """
+    if not 0 <= chain < run.accepted.shape[1]:
+        raise ValueError(f"chain must lie in [0, {run.accepted.shape[1]}), got {chain}")
     g, c = divmod(chain, run.scales.shape[1])
     j = slice(None) if coord is None else coord
     path = np.empty((len(run.accepted) + 1,) + run.x0[g, j].shape)

@@ -9,10 +9,10 @@ Subcommands
 - ``challenger``     cross-kernel benchmark on the O-ring posterior
 
 Configuration precedence: command-line flags override the JSON config file
-given by ``--config`` (keys are flag names with dashes as underscores), which
-overrides built-in defaults.  Every run is deterministic given ``--seed``
-except for wall-clock fields, which are reported but excluded from the
-byte-reproducibility contract.  ``TMCMC_OUTPUT_DIR`` sets the default output
+given by ``--config`` (keys are flag names with dashes as underscores; a key
+that is no subcommand's flag is an error), which overrides built-in defaults.
+Every run is deterministic given ``--seed`` except for wall-clock fields,
+which are reported but excluded from the byte-reproducibility contract.  ``TMCMC_OUTPUT_DIR`` sets the default output
 directory.
 """
 
@@ -230,18 +230,22 @@ def cmd_scaling_study(args) -> int:
     return 0
 
 
+def _report_verdicts(verdicts: list, path: Path) -> int:
+    """Write ``verdicts`` to ``path``, print their table and the suite line; 0 if the suite is ok, else 1."""
+    verdicts_to_json(verdicts, path)
+    print(format_verdict_table(verdicts))
+    ok = suite_ok(verdicts)
+    print(f"suite {'ok' if ok else 'FAILED'}; verdicts written to {path}")
+    return 0 if ok else 1
+
+
 def cmd_db_check(args) -> int:
     verdicts = []
     if args.suite in ("continuous", "all"):
         verdicts += run_continuous_db_suite(args.seed, corrupt_acceptance=args.corrupt_acceptance)
     if args.suite in ("structure", "all"):
         verdicts += run_structure_suite(args.seed)
-    out = _out_dir(args)
-    verdicts_to_json(verdicts, out / "db_check_verdicts.json")
-    print(format_verdict_table(verdicts))
-    ok = suite_ok(verdicts)
-    print(f"suite {'ok' if ok else 'FAILED'}; verdicts written to {out / 'db_check_verdicts.json'}")
-    return 0 if ok else 1
+    return _report_verdicts(verdicts, _out_dir(args) / "db_check_verdicts.json")
 
 
 def cmd_discrete_check(args) -> int:
@@ -252,7 +256,6 @@ def cmd_discrete_check(args) -> int:
         corrupt_acceptance=args.corrupt_acceptance,
     )
     out = _out_dir(args)
-    verdicts_to_json(verdicts, out / "discrete_check_verdicts.json")
     if args.export_matrices:
         from .discrete_kernels import ising_transition_matrix, lattice_transition_matrix, write_matrix_csv
 
@@ -262,10 +265,7 @@ def cmd_discrete_check(args) -> int:
             make_lattice_target(1, 1.0), r=args.r, jump_scale=args.jump_scale, box_radius=5
         )
         write_matrix_csv(lat_states, lat_K, out / "lattice_k1_kernel.csv")
-    print(format_verdict_table(verdicts))
-    ok = suite_ok(verdicts)
-    print(f"suite {'ok' if ok else 'FAILED'}; verdicts written to {out / 'discrete_check_verdicts.json'}")
-    return 0 if ok else 1
+    return _report_verdicts(verdicts, out / "discrete_check_verdicts.json")
 
 
 def cmd_challenger(args) -> int:
@@ -384,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
-    """Set the JSON config file's values as subparser defaults (flags still win)."""
+    """Set the JSON config file's values as subparser defaults (flags still win).
+
+    A key that is no subcommand's flag is a parser error naming it.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -393,10 +396,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, path: str) -> None:
     if not isinstance(values, dict):
         parser.error("argument --config: file must hold a JSON object")
     entries = {key.replace("-", "_"): (key, val) for key, val in values.items()}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse offers no public hook
-        for sp in action.choices.values():
-            given = [a for a in sp._actions if a.dest in entries]
-            sp.set_defaults(**{a.dest: _config_value(parser, a, *entries[a.dest]) for a in given})
+    actions = parser._subparsers._group_actions  # noqa: SLF001 - argparse offers no public hook
+    subparsers = [sp for action in actions for sp in action.choices.values()]
+    unknown = entries.keys() - {a.dest for sp in subparsers for a in sp._actions}
+    if unknown:
+        parser.error(f"argument --config: unknown key {entries[min(unknown)][0]!r}: it is no subcommand's flag")
+    for sp in subparsers:
+        given = [a for a in sp._actions if a.dest in entries]
+        sp.set_defaults(**{a.dest: _config_value(parser, a, *entries[a.dest]) for a in given})
 
 
 def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):

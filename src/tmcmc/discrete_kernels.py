@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, init_state
+from .chain import ChainState, Kernel, _block_kernel, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -101,12 +101,7 @@ def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
         rows[joint] = np.where(rng.random((joint.size, k)) < 0.5, 1.0, -1.0) * m[joint, None]
         return rows
 
-    def propose(state: ChainState, row: np.ndarray):
-        y = state.x + row
-        lp_y = log_density(y)
-        return ChainState(y, lp_y), lp_y - state.lp
-
-    return _block_kernel(init_state(log_density), draw, propose)
+    return _block_kernel(init_state(log_density), draw, _shift_propose(log_density))
 
 
 def jump_magnitude_masses(jump_scale: float, m_max: int) -> tuple[np.ndarray, float]:

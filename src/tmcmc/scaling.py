@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -207,11 +207,6 @@ def run_study_group(group: tuple, spec: ScalingStudySpec) -> list:
             ess_per_iter = float(np.mean(ess)) / n_kept
             rows.append(CellResult(kernel, k, float(ell), int(seed), accept_rate, ess_per_iter, wall_ms))
     return rows
-
-
-def run_study_cell(kernel_name: str, k: int, ell: float, seed: int, spec: ScalingStudySpec) -> CellResult:
-    """Run one grid cell; deterministic given its arguments (a one-cell group)."""
-    return run_study_group((k, ((seed, kernel_name),)), replace(spec, ell_grid=(ell,)))[0]
 
 
 def _fit_optimum(ells: np.ndarray, mean_ess: np.ndarray, mean_ar: np.ndarray, ar_se: np.ndarray):

@@ -192,10 +192,9 @@ def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Ta
     ``g0 = b0 + b1 * mean(temp)``; this is an exact volume-preserving
     reparameterization (the prior is still evaluated on the raw intercept), so
     the posterior over ``(b0, b1)`` is unchanged while the sampling geometry
-    improves dramatically.  ``info['t_bar']`` holds the centering constant and
-    ``info['to_raw']`` maps sampled states back to raw ``(b0, b1)``.  The
-    log-density also takes a ``(C, 2)`` batch and returns ``(C,)`` values,
-    each bit-identical to the single-state call on that row.
+    improves dramatically.  ``info['t_bar']`` holds the centering constant.
+    The log-density also takes a ``(C, 2)`` batch and returns ``(C,)``
+    values, each bit-identical to the single-state call on that row.
 
     Parameters
     ----------
@@ -247,7 +246,6 @@ def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Ta
             "prior_sd": float(prior_sd),
             "center": center,
             "t_bar": t_bar,
-            "to_raw": lambda b: np.array([b[..., 0] - b[..., 1] * t_bar, b[..., 1]]).T,
         },
     )
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, init_state
+from .chain import ChainState, Kernel, _block_kernel, _check_shape, _per_coordinate, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "additive_transformation",
     "TmcmcConfig",
     "DependentZConfig",
-    "additive_forward",
     "make_additive_tmcmc_kernel",
     "make_general_tmcmc_kernel",
     "make_dependent_z_kernel",
@@ -64,22 +63,17 @@ class Transformation:
     name: str = ""
 
 
-def additive_forward(x: np.ndarray, eps: float, z: np.ndarray, a: ArrayLike = 1.0) -> np.ndarray:
-    """``y_i = x_i + z_i a_i eps``; the log-Jacobian is identically zero."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z)
-    if z.shape != x.shape:
-        raise ValueError(f"z shape {z.shape} does not match x shape {x.shape}")
-    scales = np.broadcast_to(np.asarray(a, dtype=float), x.shape)
-    return x + (z * scales) * eps
-
-
 def additive_transformation(a: ArrayLike = 1.0) -> Transformation:
-    return Transformation(
-        forward=lambda x, eps, z: additive_forward(x, eps, z, a),
-        log_jacobian=lambda x, eps, z: 0.0,
-        name="additive",
-    )
+    """The additive family ``y_i = x_i + z_i a_i eps``; its log-Jacobian is identically zero."""
+
+    def forward(x: np.ndarray, eps: float, z: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        z = np.asarray(z)
+        if z.shape != x.shape:
+            raise ValueError(f"z shape {z.shape} does not match x shape {x.shape}")
+        return x + (z * np.broadcast_to(np.asarray(a, dtype=float), x.shape)) * eps
+
+    return Transformation(forward=forward, log_jacobian=lambda x, eps, z: 0.0, name="additive")
 
 
 @dataclass(frozen=True)
@@ -111,10 +105,8 @@ class TmcmcConfig:
             raise ValueError("at least one coordinate needs p_i + q_i > 0")
 
     def broadcast(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = np.broadcast_to(np.asarray(self.scales, dtype=float), (k,))
-        p = np.broadcast_to(np.asarray(self.p, dtype=float), (k,))
-        q = np.broadcast_to(np.asarray(self.q, dtype=float), (k,))
-        return a, p, q
+        """``(a, p, q)`` for a target of dimension ``k``; each setting must hold one value or ``k``."""
+        return tuple(_per_coordinate(name, getattr(self, name), k) for name in ("scales", "p", "q"))
 
 
 @dataclass(frozen=True)
@@ -198,16 +190,11 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     def propose(state: ChainState, row: np.ndarray):
         y = state.x + row
         lp_y = log_density(y)
-        return ChainState(y, lp_y), lp_y - state.lp
-
-    def propose_asymmetric(state: ChainState, row: np.ndarray):
-        y = state.x + row
-        lp_y = log_density(y)
         return ChainState(y, lp_y), _move_log_ratio(row, log_p, log_q) + lp_y - state.lp  # row has the signs of z
 
     if not np.all(p == q):
-        return _block_kernel(init_state(log_density), draw, propose_asymmetric)
-    kernel = _block_kernel(init_state(log_density), draw, propose)
+        return _block_kernel(init_state(log_density), draw, propose)
+    kernel = _block_kernel(init_state(log_density), draw, _shift_propose(log_density))
     kernel.direction, direction.a = direction, a
     return kernel
 
@@ -271,13 +258,11 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
     """
     k = target.dim
     shapes = {f"mu_{j}": ((k,),) for j in "123"} | {f"sigma_{j}": ((k,), (k, k)) for j in "123"}
-    for name, fits in (shapes | {"scales": ((), (1,), (k,))}).items():
-        shape = np.shape(getattr(cfg, name))
-        if shape not in fits:
-            raise ValueError(f"{name} has shape {shape}; a target of dimension {k} needs {' or '.join(map(str, fits))}")
+    for name, fits in shapes.items():
+        _check_shape(name, getattr(cfg, name), k, fits)
+    a = _per_coordinate("scales", cfg.scales, k)
     mus = (np.asarray(cfg.mu_1, float), np.asarray(cfg.mu_2, float), np.asarray(cfg.mu_3, float))
     draws = tuple(zip(mus, cfg.factors()))
-    a = np.broadcast_to(np.asarray(cfg.scales, dtype=float), (k,))
     s = cfg.eps_scale
     log_density = target.log_density
 

@@ -35,7 +35,7 @@ from .transform_kernels import (
     TmcmcConfig,
     _log_tables,
     _move_log_ratio,
-    additive_forward,
+    additive_transformation,
     make_additive_tmcmc_kernel,
 )
 
@@ -98,21 +98,12 @@ class Verdict:
         return out
 
 
-# The eight two-step direction matrices of the additive kernel in the plane:
-# columns are the per-step sign vectors, so a two-step move with innovations
-# (e1, e2) displaces the state by M @ (e1, e2).
+# The two-step direction matrices of the additive kernel in the plane, the eight
+# nonsingular 2x2 sign matrices: columns are the per-step sign vectors, so a
+# two-step move with innovations (e1, e2) displaces the state by M @ (e1, e2).
 ROTATION_MATRICES = tuple(
-    np.array(m, dtype=float)
-    for m in (
-        [[1, 1], [1, -1]],
-        [[-1, 1], [1, 1]],
-        [[1, -1], [-1, -1]],
-        [[-1, -1], [-1, 1]],
-        [[1, 1], [-1, 1]],
-        [[1, -1], [1, 1]],
-        [[-1, 1], [-1, -1]],
-        [[-1, -1], [1, -1]],
-    )
+    m for m in (np.reshape(signs, (2, 2)) for signs in itertools.product((1.0, -1.0), repeat=4))
+    if m[0, 0] * m[1, 1] != m[0, 1] * m[1, 0]
 )
 
 
@@ -360,13 +351,13 @@ def check_two_step_reachability(
     visit all four open quadrants.
     """
     rng = chain_rng(seed)
+    forward = additive_transformation().forward
     worst = 0.0
     for _ in range(n_random):
         x = rng.standard_normal(2)
         eps = rng.random(2) * 3.0 + 1e-3
         for M in ROTATION_MATRICES:
-            mid = additive_forward(x, eps[0], M[:, 0])
-            end = additive_forward(mid, eps[1], M[:, 1])
+            end = forward(forward(x, eps[0], M[:, 0]), eps[1], M[:, 1])
             worst = max(worst, float(np.abs(end - x - M @ eps).max()))
 
     target = make_iid_gaussian(2)
@@ -423,11 +414,14 @@ def check_leapfrog_structure(
 
     Aggregated as the max ratio of each raw error to its own tolerance, so the
     verdict tolerance is 1.  ``integrator='euler'`` swaps in a non-symplectic
-    scheme as a negative control.
+    scheme as a negative control; any other name raises ``ValueError``.
     """
     if target.dim > 3:
         raise ValueError("numeric Jacobian determinant check is limited to dim <= 3")
-    flow = leapfrog if integrator == "leapfrog" else _euler_flow
+    flows = {"leapfrog": leapfrog, "euler": _euler_flow}
+    if integrator not in flows:
+        raise ValueError(f"integrator must be 'leapfrog' or 'euler', got {integrator!r}")
+    flow = flows[integrator]
     rng = chain_rng(seed)
     rev_tol, jac_tol = 1e-10, 1e-6
     rev_err = 0.0
@@ -472,7 +466,7 @@ def check_energy_error_scaling(
 
     def median_dh(cfg: HmcConfig) -> float:
         # Same phase points for both resolutions: the ratio is a paired test.
-        gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
+        gen = chain_rng(seed, 7)
         errs = []
         for _ in range(n_points):
             x = gen.standard_normal(k)

@@ -132,6 +132,19 @@ def test_hmc_config_validation():
     assert HmcConfig(L=np.int64(3), dt=0.1).L == 3  # numpy integers are integral
 
 
+@pytest.mark.parametrize("mass", [(1.0, 2.0), np.ones((5, 1)), np.ones(6)])
+def test_hmc_mass_of_another_dimension_is_named(mass):
+    # such a mass used to fail inside np.broadcast_to with a message that did not name it
+    cfg = HmcConfig(L=1, dt=0.1, mass=mass)
+    with pytest.raises(ValueError, match=rf"mass has shape \({', '.join(map(str, np.shape(mass)))},?\); "
+                                         r"a target of dimension 5 needs \(\) or \(1,\) or \(5,\)"):
+        make_hmc_kernel(make_iid_gaussian(5), cfg)
+    with pytest.raises(ValueError, match="mass has shape"):
+        leapfrog(PhasePoint(np.zeros(5), np.zeros(5)), cfg, make_iid_gaussian(5))
+    for fits in (2.0, (2.0,), np.full(5, 2.0)):
+        assert np.array_equal(HmcConfig(L=1, dt=0.1, mass=fits).mass_vector(5), np.full(5, 2.0))
+
+
 # --- HMC -------------------------------------------------------------------
 
 

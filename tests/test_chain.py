@@ -19,7 +19,7 @@ from tmcmc import (
     make_iid_gaussian,
     make_rwmh_kernel,
 )
-from tmcmc.chain import ChainState, Trace, accept_batch, accept_step
+from tmcmc.chain import ChainState, Trace, _decide, accept_batch
 
 LOG_DENSITIES = [-1.5, 0.25, -math.inf, math.inf, math.nan]
 
@@ -34,7 +34,7 @@ def _rows():
 
 
 @pytest.mark.parametrize("shared_uniform", [False, True])
-def test_accept_batch_follows_accept_step_row_by_row(shared_uniform, scripted_rng):
+def test_accept_batch_follows_the_scalar_decision_row_by_row(shared_uniform):
     lp_x, lp_y, u = _rows()
     if shared_uniform:
         u = np.full(u.size, 0.3)
@@ -47,9 +47,7 @@ def test_accept_batch_follows_accept_step_row_by_row(shared_uniform, scripted_rn
         flags = accept_batch(bx, blp, y, lp_y, log_u[0] if shared_uniform else log_u, counts)
     for c in range(n):
         log_alpha = float(lp_y[c]) - float(lp_x[c])
-        step = accept_step(
-            ChainState(x[c], float(lp_x[c])), ChainState(y[c], float(lp_y[c])), log_alpha, scripted_rng([u[c]])
-        )
+        step = _decide(ChainState(x[c], float(lp_x[c])), ChainState(y[c], float(lp_y[c])), log_alpha, float(u[c]))
         assert flags[c] == step.accepted, (lp_x[c], lp_y[c], u[c])
         assert counts[c] == step.nonfinite
         assert np.array_equal(bx[c], step.state.x)

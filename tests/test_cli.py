@@ -377,6 +377,24 @@ def test_non_finite_config_values_are_rejected(text, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_keys_must_be_flags(tmp_path, capsys):
+    # a misspelled key used to be dropped without a word: {"sigm": 0.5} ran at sigma 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sigm": 0.5}))
+    out = tmp_path / "typo"
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sample", "--kernel", "rwmh", "--config", str(cfg), "--iters", "300", "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "'sigm'" in err
+    assert not out.exists()
+    # a key of another subcommand stays accepted, so one file can serve several
+    cfg.write_text(json.dumps({"dims": [3], "dim": 2, "iters": 300}))
+    out = tmp_path / "shared"
+    assert run_cli(["sample", "--config", str(cfg), "--chains", "1", "--workers", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["chains"][0]["n_iter"] == 300
+
+
 def test_config_lists_are_validated_and_parsed_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [3, 0]}))

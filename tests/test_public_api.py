@@ -14,7 +14,7 @@ PUBLIC = [
     "AcceptanceBoundInputs", "ChainState", "ChallengerRecord", "DependentZConfig", "HmcConfig",
     "HmcLogBounds", "LogBoundPair", "LogConcaveMeta", "PhasePoint", "ScalingStudySpec", "Step",
     "Target", "TmcmcConfig", "Trace", "Transformation", "Verdict", "acceptance_rate",
-    "additive_forward", "additive_transformation", "chain_rng", "exact_transition_matrix",
+    "additive_transformation", "chain_rng", "exact_transition_matrix",
     "expected_acceptance_rate", "hmc_ar_bounds", "hmc_one_step_proposal_params",
     "iact_and_ess", "ising_transition_matrix", "lattice_transition_matrix", "leapfrog",
     "load_challenger_data", "make_additive_tmcmc_kernel", "make_anisotropic_gaussian",

@@ -16,7 +16,6 @@ from tmcmc.scaling import (
     _cell_rng,
     fixed_scale_ar_curve,
     run_scaling_study,
-    run_study_cell,
     run_study_group,
     study_groups,
     write_aggregate_csv,
@@ -60,6 +59,11 @@ def test_study_cells_and_report_are_deterministic():
         da.pop("wall_ms"), db.pop("wall_ms")
         assert da == db
     assert [asdict(o) for o in r1.optima] == [asdict(o) for o in r2.optima]
+
+
+def run_study_cell(kernel_name, k, ell, seed, spec):
+    """One grid cell, run as a one-cell group; deterministic given its arguments."""
+    return run_study_group((k, ((seed, kernel_name),)), replace(spec, ell_grid=(ell,)))[0]
 
 
 def test_cell_uses_common_streams_across_scales():
@@ -185,7 +189,7 @@ def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps, blo
             assert np.array_equal(lockstep_path(run, g * 3)[0], step.state.x[:n_coords])
 
 
-def test_lockstep_applies_the_nonfinite_rules_of_accept_step(assert_block_steps, block_layouts):
+def test_lockstep_applies_the_nonfinite_rules(assert_block_steps, block_layouts):
     # -inf above x_0 = 1.5 and NaN below x_0 = -1.5: such proposals are
     # auto-rejected and counted.  The chains of the first group start at
     # x_0 = 3 (-inf), where any finite proposal is accepted.
@@ -209,6 +213,18 @@ def test_lockstep_applies_the_nonfinite_rules_of_accept_step(assert_block_steps,
         _assert_chains_equal_references(kernels, target, scales, x0, 2_000, run, reference_start, assert_block_steps,
                                         block_layouts)
         assert run.n_nonfinite.min() > 0
+
+
+def test_lockstep_path_rejects_a_chain_outside_the_run():
+    # chain -1 used to pair the last rwmh column of ``accepted`` with the last sign stream's record
+    target = make_iid_gaussian(3)
+    rngs = [np.random.default_rng(g) for g in range(2)]
+    run = run_lockstep(_lockstep_kernels(STUDY_KERNELS, target), target.log_density, np.zeros((2, 3)), [0.5, 1.0],
+                       50, rngs, 3)
+    assert lockstep_path(run, 3).shape == (50, 3)
+    for chain in (-1, -4, 4, 9):
+        with pytest.raises(ValueError, match=rf"chain must lie in \[0, 4\), got {chain}"):
+            lockstep_path(run, chain)
 
 
 def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():

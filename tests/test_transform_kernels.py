@@ -11,7 +11,6 @@ from tmcmc.transform_kernels import (
     DependentZConfig,
     TmcmcConfig,
     _move_log_ratio,
-    additive_forward,
     additive_transformation,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
@@ -32,13 +31,13 @@ def test_move_log_ratio_all_forward_ratio():
 
 
 def test_additive_forward_direct_substitution():
-    y = additive_forward(np.array([1.0, 2.0]), 0.5, np.array([1.0, -1.0]))
+    y = additive_transformation().forward(np.array([1.0, 2.0]), 0.5, np.array([1.0, -1.0]))
     assert_allclose(y, [1.5, 1.5])
 
 
 def test_additive_forward_identity_at_zero_innovation():
     x = np.array([0.3, -2.0, 7.0])
-    assert np.array_equal(additive_forward(x, 0.0, np.ones(3)), x)
+    assert np.array_equal(additive_transformation().forward(x, 0.0, np.ones(3)), x)
 
 
 def test_additive_inverse_identity():
@@ -49,9 +48,9 @@ def test_additive_inverse_identity():
         x = rng.standard_normal(4) * 5
         z = rng.choice([-1.0, 1.0], size=4)
         eps = float(rng.random() * 3)
-        a = rng.random(4) + 0.1
-        y = additive_forward(x, eps, z, a)
-        assert np.abs(additive_forward(y, eps, -z, a) - x).max() <= 1e-12
+        forward = additive_transformation(rng.random(4) + 0.1).forward
+        y = forward(x, eps, z)
+        assert np.abs(forward(y, eps, -z) - x).max() <= 1e-12
 
 
 def test_transformation_jacobian_reciprocity_randomized():
@@ -245,6 +244,34 @@ def test_additive_draw_law():
     assert abs(np.mean(eps**2) - s**2) < 4 * s**2 * math.sqrt(2 / n)
 
 
+def test_dependent_z_draw_law():
+    # Blocks of 256 rows on one seed: a row is (noise, u, eps) with noise iid N(0, 1) of shape
+    # (3, k), u iid U(0, 1) of shape (k,) and eps = s * |N(0, 1)|, with mean s * sqrt(2 / pi).
+    # Each check is a |z| < 4 normal score.
+    k, s = 3, 0.7
+    kernel = make_dependent_z_kernel(make_iid_gaussian(k), symmetric_dependent_cfg(k, eps_scale=s))
+    rng = chain_rng(17)
+    rows = [row for _ in range(40) for row in kernel.draw(rng, 256)]
+    noise = np.array([row[0] for row in rows])
+    u = np.array([row[1] for row in rows])
+    eps = np.array([row[2] for row in rows])
+    n = len(rows)
+    assert noise.shape == (n, 3, k) and u.shape == (n, k) and eps.shape == (n,)
+    for j in range(3):
+        for i in range(k):
+            w = noise[:, j, i]
+            assert abs(w.mean()) < 4 / math.sqrt(n), (j, i)
+            assert abs(np.mean(w**2) - 1.0) < 4 * math.sqrt(2 / n), (j, i)
+    assert np.all((0.0 <= u) & (u < 1.0))
+    for i in range(k):
+        assert abs(u[:, i].mean() - 0.5) < 4 * math.sqrt(1 / 12 / n), i
+        hits = (u[:, i] < 0.25).sum()
+        assert abs(hits - n / 4) < 4 * math.sqrt(n * 3 / 16), i
+    assert np.all(eps >= 0.0)
+    assert abs(eps.mean() - s * math.sqrt(2 / math.pi)) < 4 * s * math.sqrt(1 - 2 / math.pi) / math.sqrt(n)
+    assert abs(np.mean(eps**2) - s**2) < 4 * s**2 * math.sqrt(2 / n)
+
+
 def multiplicative_transformation():
     # user-supplied family: componentwise x -> x * exp(z * eps); the conjugate
     # move inverts it and the (x, eps)-Jacobian is exp(eps * sum z)
@@ -392,6 +419,17 @@ def test_tmcmc_config_validation():
         TmcmcConfig(p=0.7, q=0.7)
     with pytest.raises(ValueError):
         TmcmcConfig(p=0.0, q=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("scales", (1.0, 0.18)), ("p", np.full(6, 0.5)), ("q", np.full((5, 1), 0.5))])
+def test_tmcmc_config_of_another_dimension_is_named(field, value):
+    # such a setting used to fail inside np.broadcast_to with a message that did not name it
+    cfg = dataclasses.replace(TmcmcConfig(), **{field: value})
+    for make in (make_additive_tmcmc_kernel, lambda t, c: make_general_tmcmc_kernel(t, additive_transformation(), c)):
+        with pytest.raises(ValueError, match=rf"{field} has shape .*; a target of dimension 5 needs \(\) or \(1,\) or \(5,\)"):
+            make(make_iid_gaussian(5), cfg)
+    a, p, q = TmcmcConfig(scales=(2.0,), p=np.full(5, 0.5), q=0.5).broadcast(5)
+    assert [v.tolist() for v in (a, p, q)] == [[2.0] * 5, [0.5] * 5, [0.5] * 5]
 
 
 # --- chain runner ----------------------------------------------------------

@@ -314,6 +314,10 @@ def test_leapfrog_structure_verdicts():
     assert good.details["jacobian_error"] < 1e-6
     bad = check_leapfrog_structure(make_iid_gaussian(2), seed=0, integrator="euler")
     assert not bad.passed
+    # a misspelled name used to run Euler and count its failure as an expected negative control
+    for name in ("Leapfrog", "eulr", ""):
+        with pytest.raises(ValueError, match="integrator must be 'leapfrog' or 'euler'"):
+            check_leapfrog_structure(make_iid_gaussian(2), seed=0, integrator=name)
     with pytest.raises(ValueError):
         check_leapfrog_structure(make_iid_gaussian(4))
 
