@@ -14,11 +14,13 @@ the target only at its proposal, and one kernel object can drive any number
 of chains.  Symmetric kernels also set ``kernel.direction``; the shift
 kernels (additive with ``p = q``, rwmh, zk) share ``_shift_propose``.
 
-One accept rule.  Every transition ends in ``_decide``: on one uniform ``u``
-it accepts iff ``log u < log_alpha``.  The step records ``u`` and
-``log_alpha``, so traces are replayable: ``accepted == (log(u) <
-log_alpha)`` holds row by row.  The block runners draw their uniforms ahead
-and take the same decision on each.
+One accept rule.  Every step is decided by one core, ``_accept``: it
+accepts iff ``log u < log_alpha``, after the non-finite rule below.  A single
+transition ends in ``_decide``, which wraps it on one uniform ``u``;
+``run_chain`` calls it on each step of a block, with the ``log u`` of the
+block's uniforms, taken by ``math.log`` as ``_decide`` takes it.  The step
+records ``u`` and ``log_alpha``, so traces are replayable: ``accepted ==
+(log(u) < log_alpha)`` holds row by row.
 
 The non-finite rule (``nonfinite_rule``, which ``accept_batch`` applies to
 the whole batch of a lockstep loop): a proposal whose log-density is not finite
@@ -32,7 +34,8 @@ with log-density ``-inf``.
 One block layout.  ``run_chain``, and so ``tmcmc sample``, draws ahead in
 blocks of 256 steps: ``kernel.draw(rng, b)`` for the block's ``b`` rows,
 then ``b`` acceptance uniforms; a step is one ``kernel.propose`` and the
-decision on its uniform.  ``run_lockstep`` steps ``G`` streams of ``C``
+decision on its uniform.  Each block's rows of the trace are written once,
+when the block ends.  ``run_lockstep`` steps ``G`` streams of ``C``
 chains, each on its own generator with its own symmetric kernel, in the same
 layout: one call of the kernel's ``kernel.direction`` on a ``(b, k)`` block,
 then ``b`` uniforms, each step one batched log-density call and one
@@ -151,17 +154,28 @@ def _log_u(u: float) -> float:
     return math.log(u) if u > 0.0 else -math.inf
 
 
-def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float) -> Step:
-    """Metropolis test of ``proposal`` against ``state`` on the uniform ``u``, which the step records.
+def _log_uniforms(u: np.ndarray) -> list:
+    """``_log_u`` of each of a block's uniforms, as a list of Python floats; ``math.log`` itself unless one is 0."""
+    u = u.tolist()
+    return list(map(math.log if min(u) > 0.0 else _log_u, u))
+
+
+def _accept(lp: float, lp_proposal: float, log_alpha: float, log_u: float) -> tuple:
+    """``(accepted, log_alpha, nonfinite)`` of the Metropolis test ``log u < log_alpha``.
 
     Kernels compute ``log_alpha`` from both log-densities, so it is
     non-finite whenever either is; only then does the non-finite rule run.
     """
     nonfinite = False
     if not math.isfinite(log_alpha):
-        log_alpha, nonfinite = nonfinite_rule(log_alpha, state.lp, proposal.lp)
+        log_alpha, nonfinite = nonfinite_rule(log_alpha, lp, lp_proposal)
         log_alpha, nonfinite = float(log_alpha), bool(nonfinite)
-    accepted = _log_u(u) < log_alpha
+    return log_u < log_alpha, log_alpha, nonfinite
+
+
+def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float) -> Step:
+    """Metropolis test of ``proposal`` against ``state`` on the uniform ``u``, which the step records."""
+    accepted, log_alpha, nonfinite = _accept(state.lp, proposal.lp, log_alpha, _log_u(u))
     return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
 
 
@@ -253,7 +267,7 @@ class Trace:
         row and a trace's write cost scales with its acceptance rate.
         """
         cols = ",".join(f"x_{i}" for i in self.recorded_coords)
-        line = "{},{},{}\n" if self.states.shape[1] else "{},{},{},\n"  # no coordinates: a trailing comma
+        end = "\n" if self.states.shape[1] else ",\n"  # no coordinates: a trailing comma
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"iter,accepted,log_density,{cols}\n")
             # A block of rows at a time keeps memory bounded however long the trace
@@ -273,7 +287,7 @@ class Trace:
                 texts = [text, *(",".join(map(repr, row)) for row in block[new].tolist())]
                 flags = self.accepted[start:stop].astype(int).tolist()
                 rows = map(texts.__getitem__, np.cumsum(new).tolist())
-                fh.writelines(map(line.format, range(start, stop), flags, rows))
+                fh.writelines([f"{i},{flag},{row}{end}" for i, flag, row in zip(range(start, stop), flags, rows)])
                 prev, text = bits[-1].copy(), texts[-1]
 
     def summary(self) -> dict:
@@ -336,20 +350,27 @@ def run_chain(
     t0 = time.perf_counter()
     draw, propose = kernel.draw, kernel.propose
     state = kernel.init(x0)
+    # A step records its state's own x when every coordinate is recorded
+    # (states are never changed in place).  A subset is sliced once per
+    # accepted step, so a block holds no whole state until it ends.
+    whole = coords == list(range(x0.size))
+    row_x = state.x if whole else state.x[take]
     for start in range(0, n_iter, _BLOCK_STEPS):
-        b = min(_BLOCK_STEPS, n_iter - start)
-        rows = draw(rng, b)
-        block_u = rng.random(b).tolist()
-        for i, row, u in zip(range(start, start + b), rows, block_u):
+        stop = min(start + _BLOCK_STEPS, n_iter)
+        rows = draw(rng, stop - start)
+        block_u = rng.random(stop - start)
+        record = []
+        for row, log_u in zip(rows, _log_uniforms(block_u)):
             proposal, alpha = propose(state, row)
-            step = _decide(state, proposal, alpha, u)
-            state = step.state
-            states[i] = state.x[take]
-            accepted[i] = step.accepted
-            log_density[i] = state.lp
-            log_alpha[i] = step.log_alpha
-            uniforms[i] = u
-            n_bad += step.nonfinite
+            ok, alpha, bad = _accept(state.lp, proposal.lp, alpha, log_u)
+            if ok:
+                state = proposal
+                row_x = state.x if whole else state.x[take]
+            record.append((row_x, ok, state.lp, alpha, bad))
+        xs, flags, lps, alphas, bads = zip(*record)
+        states[start:stop], accepted[start:stop], log_density[start:stop] = xs, flags, lps
+        log_alpha[start:stop], uniforms[start:stop] = alphas, block_u
+        n_bad += sum(bads)
     wall = time.perf_counter() - t0
 
     info = dict(meta or {})
@@ -446,7 +467,7 @@ def run_lockstep(
             rows = slice(start, start + b)
             for g, (direction, rng) in enumerate(zip(directions, rngs)):
                 r_g = direction(rng, d[g, :b])
-                log_u[:b, g] = np.array([_log_u(u) for u in rng.random(b).tolist()])[:, None]
+                log_u[:b, g] = np.array(_log_uniforms(rng.random(b)))[:, None]
                 if g < n_sign:
                     r[rows, g] = r_g
                     np.multiply(r_g[:, None], scales[g], out=sr[:b, g])

@@ -95,6 +95,11 @@ class TmcmcConfig:
         a = np.atleast_1d(np.asarray(self.scales, dtype=float))
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
+        try:
+            np.broadcast_shapes(p.shape, q.shape)
+        except ValueError:
+            shapes = f"{np.shape(self.p)} and {np.shape(self.q)}"
+            raise ValueError(f"p and q must broadcast together, got shapes {shapes}") from None
         if not np.all((0.0 < a) & (a < math.inf)):
             raise ValueError(f"scales must be positive and finite, got {self.scales}")
         if not 0.0 < self.eps_scale < math.inf:

@@ -1,4 +1,4 @@
-"""The batched accept rule, the CSV writer and the process pool of ``tmcmc.chain``."""
+"""The batched accept rule, the chain runner's record, the CSV writer and the process pool of ``tmcmc.chain``."""
 
 import itertools
 import math
@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,78 @@ def test_write_csv_of_sampled_chains_bytes_equal_the_row_writer(name, burn_in, t
     assert written.count(b"\n") == len(trace) + 1
     if name == "rwmh":
         assert 0.0 < trace.accepted.mean() < 0.3  # most rows repeat the one above
+
+
+@pytest.mark.parametrize("name", ["additive", "hmc"])
+def test_run_chain_records_a_subset_as_the_columns_of_the_whole_record(name):
+    # 300 steps: a full block of 256, then a partial one of 44
+    kernel, k = _sampling_kernel(name)
+    whole = chain.run_chain(kernel, np.linspace(-1.0, 1.0, k), 300, 5)
+    subset = chain.run_chain(kernel, np.linspace(-1.0, 1.0, k), 300, 5, record_coords=[3, 0])
+    assert subset.recorded_coords == [3, 0] and 0.0 < subset.accepted.mean() < 1.0
+    assert np.array_equal(subset.states, whole.states[:, [3, 0]])
+    for field in ("accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(subset, field), getattr(whole, field))
+
+
+def test_run_chain_of_a_subset_holds_no_block_of_states():
+    # A block holds its 256 x k draws; while it draws the next block it holds both.  A record that
+    # kept each step's whole state alive until its block's end would add up to 256 x k more.
+    k = 20_000
+    kernel = make_rwmh_kernel(make_iid_gaussian(k), 0.01)
+    block = chain._BLOCK_STEPS * k * 8
+    tracemalloc.start()
+    try:
+        trace = chain.run_chain(kernel, np.zeros(k), 600, 1, record_coords=[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.2 < trace.accepted.mean() < 0.8
+    assert peak < 2 * block + 2**20
+
+
+class ZeroUniformRNG(np.random.Generator):
+    """A generator whose first call of ``random(b)`` hands out ``0.0`` at position ``index``."""
+
+    def __init__(self, seed, index):
+        super().__init__(np.random.PCG64(seed))
+        self.index = index
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = super().random(size, dtype, out)
+        if self.index is not None:
+            u[self.index], self.index = 0.0, None
+        return u
+
+
+def test_run_chain_decides_a_zero_uniform_as_the_scalar_decision():
+    # sigma = 3 on k = 2 rejects most steps; on u = 0 (log u = -inf) a finite proposal is accepted
+    kernel = make_rwmh_kernel(make_iid_gaussian(2), 3.0)
+    x0 = np.array([2.5, -2.5])
+    trace = chain.run_chain(kernel, x0, 200, ZeroUniformRNG(9, 100))
+    assert trace.uniforms[100] == 0.0 and trace.accepted[100]
+    assert trace.accepted.mean() < 0.5
+    rng = ZeroUniformRNG(9, 100)
+    rows, uniforms = kernel.draw(rng, 200), rng.random(200)
+    state = kernel.init(x0)
+    for i, (row, u) in enumerate(zip(rows, uniforms.tolist())):
+        proposal, log_alpha = kernel.propose(state, row)
+        step = _decide(state, proposal, log_alpha, u)
+        state = step.state
+        assert trace.states[i].tolist() == state.x.tolist()
+        assert (trace.accepted[i], trace.log_density[i], trace.log_alpha[i], trace.uniforms[i]) == (
+            step.accepted, state.lp, step.log_alpha, u)
+
+
+def test_run_lockstep_decides_a_zero_uniform_as_run_chain():
+    # one stream of one chain at the random walk's scale: run_chain's trace, bit for bit
+    target, x0 = make_iid_gaussian(2), np.array([2.5, -2.5])
+    trace = chain.run_chain(make_rwmh_kernel(target, 3.0), x0, 200, ZeroUniformRNG(9, 100))
+    batch = lambda xs: np.array([target.log_density(x) for x in xs])  # noqa: E731
+    run = chain.run_lockstep([make_rwmh_kernel(target, 1.0)], batch, x0[None], [3.0], 200, [ZeroUniformRNG(9, 100)], 2)
+    assert run.accepted[100, 0]
+    assert np.array_equal(run.accepted[:, 0], trace.accepted)
+    assert np.array_equal(chain.lockstep_path(run, 0), trace.states)
 
 
 @pytest.mark.parametrize("n_workers", [0, 1])

@@ -421,6 +421,13 @@ def test_tmcmc_config_validation():
         TmcmcConfig(p=0.0, q=0.0)
 
 
+def test_tmcmc_config_of_p_and_q_that_do_not_broadcast_is_named():
+    # the message names both fields, where numpy's broadcast error in p + q names neither
+    with pytest.raises(ValueError, match=r"p and q must broadcast together, got shapes \(2,\) and \(3,\)"):
+        TmcmcConfig(p=(0.5, 0.5), q=(0.5, 0.5, 0.5))
+    assert TmcmcConfig(p=(0.5, 0.25), q=0.5).p == (0.5, 0.25)  # a scalar still broadcasts
+
+
 @pytest.mark.parametrize("field, value", [("scales", (1.0, 0.18)), ("p", np.full(6, 0.5)), ("q", np.full((5, 1), 0.5))])
 def test_tmcmc_config_of_another_dimension_is_named(field, value):
     # such a setting used to fail inside np.broadcast_to with a message that did not name it
