@@ -34,10 +34,12 @@ with log-density ``-inf``.
 One block layout.  ``run_chain``, and so ``tmcmc sample``, draws ahead in
 blocks of 256 steps: ``kernel.draw(rng, b)`` for the block's ``b`` rows,
 then ``b`` acceptance uniforms; a step is one ``kernel.propose`` and the
-decision on its uniform.  Each block's rows of the trace are written once,
-when the block ends.  ``run_lockstep`` steps ``G`` streams of ``C``
-chains, each on its own generator with its own symmetric kernel, in the same
-layout: one call of the kernel's ``kernel.direction`` on a ``(b, k)`` block,
+decision on its uniform.  A block writes the recorded coordinates of each
+accepted state to its row as it comes, and the rest of its rows of the
+trace, flags and log-densities included, once, when the block ends.  It
+holds no state but the current one, and drops its draws before the next
+block is drawn.  ``run_lockstep`` steps ``G`` streams of ``C`` chains, each
+on its own generator with its own symmetric kernel, in the same layout: one call of the kernel's ``kernel.direction`` on a ``(b, k)`` block,
 then ``b`` uniforms, each step one batched log-density call and one
 ``accept_batch``.  So a symmetric kernel's ``run_chain`` equals the engine's
 stream of one chain.  A one-row block draws what the kernel's own
@@ -350,25 +352,27 @@ def run_chain(
     t0 = time.perf_counter()
     draw, propose = kernel.draw, kernel.propose
     state = kernel.init(x0)
-    # A step records its state's own x when every coordinate is recorded
-    # (states are never changed in place).  A subset is sliced once per
-    # accepted step, so a block holds no whole state until it ends.
-    whole = coords == list(range(x0.size))
-    row_x = state.x if whole else state.x[take]
+    # A block writes the recorded coordinates of its carried-in state to its
+    # first row and those of each accepted state to that step's row, then
+    # copies every rejected row from the row of the state it kept.  So it
+    # holds no state but the current one.  It drops its draws first, so the
+    # copy's temporary and the next block's draws take their place.
     for start in range(0, n_iter, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n_iter)
         rows = draw(rng, stop - start)
         block_u = rng.random(stop - start)
-        record = []
-        for row, log_u in zip(rows, _log_uniforms(block_u)):
+        states[start] = state.x[take]
+        kept, record = start, []
+        for i, row, log_u in zip(range(start, stop), rows, _log_uniforms(block_u)):
             proposal, alpha = propose(state, row)
             ok, alpha, bad = _accept(state.lp, proposal.lp, alpha, log_u)
             if ok:
-                state = proposal
-                row_x = state.x if whole else state.x[take]
-            record.append((row_x, ok, state.lp, alpha, bad))
-        xs, flags, lps, alphas, bads = zip(*record)
-        states[start:stop], accepted[start:stop], log_density[start:stop] = xs, flags, lps
+                state, kept = proposal, i
+                states[i] = state.x[take]
+            record.append((kept, ok, state.lp, alpha, bad))
+        del rows, row
+        kept_rows, flags, lps, alphas, bads = zip(*record)
+        states[start:stop], accepted[start:stop], log_density[start:stop] = states[list(kept_rows)], flags, lps
         log_alpha[start:stop], uniforms[start:stop] = alphas, block_u
         n_bad += sum(bads)
     wall = time.perf_counter() - t0

@@ -236,20 +236,22 @@ def test_run_chain_records_a_subset_as_the_columns_of_the_whole_record(name):
         assert np.array_equal(getattr(subset, field), getattr(whole, field))
 
 
-def test_run_chain_of_a_subset_holds_no_block_of_states():
-    # A block holds its 256 x k draws; while it draws the next block it holds both.  A record that
-    # kept each step's whole state alive until its block's end would add up to 256 x k more.
+@pytest.mark.parametrize("record_coords", [[0], None])
+def test_run_chain_holds_one_block_of_draws_beside_its_trace(record_coords):
+    # At acceptance ~0.8 a record that held each accepted state, or built its block's rows in a
+    # temporary beside the draws, would peak near two 256 x k blocks above the trace; so would
+    # one that kept a block's draws alive while drawing the next.
     k = 20_000
-    kernel = make_rwmh_kernel(make_iid_gaussian(k), 0.01)
+    kernel = make_additive_tmcmc_kernel(make_iid_gaussian(k), TmcmcConfig(scales=0.005))
     block = chain._BLOCK_STEPS * k * 8
     tracemalloc.start()
     try:
-        trace = chain.run_chain(kernel, np.zeros(k), 600, 1, record_coords=[0])
+        trace = chain.run_chain(kernel, np.zeros(k), 600, 1, record_coords=record_coords)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0.2 < trace.accepted.mean() < 0.8
-    assert peak < 2 * block + 2**20
+    assert trace.accepted.mean() > 0.7
+    assert peak < trace.states.nbytes + 1.5 * block
 
 
 class ZeroUniformRNG(np.random.Generator):
