@@ -26,7 +26,7 @@ from .bounds import (
     rwmh_ar_bounds,
     tmcmc_ar_bounds,
 )
-from .chain import ChainState, Step, Trace, chain_rng, run_chain
+from .chain import ChainState, Trace, chain_rng, run_chain
 from .diagnostics import (
     acceptance_rate,
     expected_acceptance_rate,

@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, _per_coordinate, _shift_propose, init_state
+from .chain import ChainState, Kernel, _per_coordinate, _shift_draw, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -111,14 +111,8 @@ def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
         rng.standard_normal(out=out)
         return np.ones(len(out))
 
-    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-        d = rng.standard_normal((b, target.dim))
-        d *= sigma  # d * (sigma * r) with r = 1
-        return d
-
-    kernel = _block_kernel(init_state(log_density), draw, _shift_propose(log_density))
-    kernel.direction = direction
-    return kernel
+    draw = _shift_draw(direction, sigma, target.dim)
+    return Kernel(init_state(log_density), draw, _shift_propose(log_density), direction)
 
 
 def _score(target: Target):
@@ -192,7 +186,7 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
         x = np.asarray(x, dtype=float)
         return ChainState(x, log_density(x), np.asarray(score(x), dtype=float))
 
-    return _block_kernel(init, draw, propose)
+    return Kernel(init, draw, propose)
 
 
 def hmc_one_step_proposal_params(

@@ -1,26 +1,25 @@
 """Chain driving, tracing, and reproducible seeding shared by all kernels.
 
-Kernel protocol.  A kernel is a pure function ``kernel(state, rng) -> Step``
-over an explicit ``ChainState``: the position ``x``, its log-density ``lp``
-and, for HMC only, its score ``grad = grad log pi(x)``.  The factory that builds
-a kernel also sets three function attributes: ``kernel.init(x) -> ChainState``,
-which evaluates what the state carries once; ``kernel.draw(rng, b)``, which
-returns ``b`` rows, each the random input of one step (what a row holds is up
-to the kernel); and ``kernel.propose(state, row)``, which returns a proposal
-and its ``log_alpha``.  A transition is the one-row block: ``propose(state,
-draw(rng, 1)[0])``, then ``_decide``.  ``run_chain`` calls ``init`` once
-and then hands each step's ``state`` to the next, so a transition evaluates
-the target only at its proposal, and one kernel object can drive any number
-of chains.  Symmetric kernels also set ``kernel.direction``; the shift
+Kernel protocol.  A kernel is a ``Kernel`` record of the hooks its factory
+built, over an explicit ``ChainState``: the position ``x``, its log-density
+``lp`` and, for HMC only, its score ``grad = grad log pi(x)``.
+``kernel.init(x) -> ChainState`` evaluates what the state carries once;
+``kernel.draw(rng, b)`` returns ``b`` rows, each the random input of one step
+(what a row holds is up to the kernel); and ``kernel.propose(state, row)``
+returns a proposal and its ``log_alpha``.  ``run_chain`` is the one runner
+of a chain, so a single transition is ``run_chain(kernel, x, 1, rng)``.  It
+calls ``init`` once and then hands each step's ``state`` to the next, so a
+transition evaluates the target only at its proposal, and one kernel can
+drive any number of chains.  Symmetric kernels also carry ``direction``, and
+sign-move ones their magnitudes ``a``, for ``run_lockstep``; the shift
 kernels (additive with ``p = q``, rwmh, zk) share ``_shift_propose``.
 
 One accept rule.  Every step is decided by one core, ``_accept``: it
-accepts iff ``log u < log_alpha``, after the non-finite rule below.  A single
-transition ends in ``_decide``, which wraps it on one uniform ``u``;
+accepts iff ``log u < log_alpha``, after the non-finite rule below.
 ``run_chain`` calls it on each step of a block, with the ``log u`` of the
-block's uniforms, taken by ``math.log`` as ``_decide`` takes it.  The step
-records ``u`` and ``log_alpha``, so traces are replayable: ``accepted ==
-(log(u) < log_alpha)`` holds row by row.
+block's uniforms taken by ``math.log``.  The trace records ``u`` and
+``log_alpha``, so it is replayable: ``accepted == (log(u) < log_alpha)``
+holds row by row.
 
 The non-finite rule (``nonfinite_rule``, which ``accept_batch`` applies to
 the whole batch of a lockstep loop): a proposal whose log-density is not finite
@@ -39,13 +38,12 @@ accepted state to its row as it comes, and the rest of its rows of the
 trace, flags and log-densities included, once, when the block ends.  It
 holds no state but the current one, and drops its draws before the next
 block is drawn.  ``run_lockstep`` steps ``G`` streams of ``C`` chains, each
-on its own generator with its own symmetric kernel, in the same layout: one call of the kernel's ``kernel.direction`` on a ``(b, k)`` block,
-then ``b`` uniforms, each step one batched log-density call and one
-``accept_batch``.  So a symmetric kernel's ``run_chain`` equals the engine's
-stream of one chain.  A one-row block draws what the kernel's own
-transition draws; longer runs hand the same stream's numbers to their steps
-in block order.  So a run of ``n`` steps equals a longer run on the same
-seed only through its last full block, row ``256 * (n // 256)``.
+on its own generator with its own symmetric kernel, in the same layout: one
+call of ``kernel.direction`` on a ``(b, k)`` block, then ``b`` uniforms, each
+step one batched log-density call and one ``accept_batch``.  So a symmetric
+kernel's ``run_chain`` equals the engine's stream of one chain.  A run of
+``n`` steps draws its last block short, so it equals a longer run on the
+same seed only through its last full block, row ``256 * (n // 256)``.
 ``lockstep_path`` rebuilds any chain of an engine run bit for bit.
 
 One process pool.  ``map_tasks`` runs independent tasks on ``W`` workers,
@@ -67,7 +65,6 @@ import numpy as np
 
 __all__ = [
     "ChainState",
-    "Step",
     "Trace",
     "Kernel",
     "chain_rng",
@@ -90,17 +87,21 @@ class ChainState(NamedTuple):
     grad: Optional[np.ndarray] = None
 
 
-class Step(NamedTuple):
-    """Outcome of one transition: the next state and how it was decided."""
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """A kernel's hooks (see the module docstring).
 
-    state: ChainState
-    accepted: bool
-    log_alpha: float
-    uniform: float
-    nonfinite: bool
+    Only symmetric kernels have a ``direction``, and only sign-move ones
+    ``a``.  The fields stay in the instance ``__dict__`` (no ``__slots__``),
+    so a ``functools.wraps`` wrapper carries them.
+    """
 
+    init: Callable
+    draw: Callable
+    propose: Callable
+    direction: Optional[Callable] = None
+    a: Optional[np.ndarray] = None  # the magnitudes of a sign-move kernel's d = +-a
 
-Kernel = Callable[[ChainState, np.random.Generator], Step]
 
 CSV_BLOCK_ROWS = 4096  # rows per block in ``Trace.write_csv``
 _BLOCK_STEPS = 256  # steps ``run_chain`` and each ``run_lockstep`` stream draw ahead
@@ -175,21 +176,16 @@ def _accept(lp: float, lp_proposal: float, log_alpha: float, log_u: float) -> tu
     return log_u < log_alpha, log_alpha, nonfinite
 
 
-def _decide(state: ChainState, proposal: ChainState, log_alpha: float, u: float) -> Step:
-    """Metropolis test of ``proposal`` against ``state`` on the uniform ``u``, which the step records."""
-    accepted, log_alpha, nonfinite = _accept(state.lp, proposal.lp, log_alpha, _log_u(u))
-    return Step(proposal if accepted else state, accepted, log_alpha, u, nonfinite)
+def _shift_draw(direction: Callable, scale: float, k: int) -> Callable:
+    """``draw`` of a shift kernel: the rows ``d * (scale * r)`` of ``direction``'s block ``d`` and innovations ``r``."""
 
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
+        d = np.empty((b, k))
+        r = direction(rng, d)
+        d *= (scale * r)[:, None]
+        return d
 
-def _block_kernel(init, draw, propose) -> Kernel:
-    """The kernel of these hooks; its transition is the one-row block of ``run_chain``."""
-
-    def kernel(state: ChainState, rng: np.random.Generator) -> Step:
-        proposal, log_alpha = propose(state, draw(rng, 1)[0])
-        return _decide(state, proposal, log_alpha, float(rng.random()))
-
-    kernel.init, kernel.draw, kernel.propose = init, draw, propose
-    return kernel
+    return draw
 
 
 def _shift_propose(log_density: Callable[[np.ndarray], float]):
@@ -204,7 +200,7 @@ def _shift_propose(log_density: Callable[[np.ndarray], float]):
 
 
 def accept_batch(x: np.ndarray, lp_x: np.ndarray, y: np.ndarray, lp_y: np.ndarray, log_u, n_nonfinite: np.ndarray):
-    """``_decide``'s decision for a ``(C, k)`` batch of symmetric proposals, in place.
+    """``_accept``'s decision for a ``(C, k)`` batch of symmetric proposals, in place.
 
     Row ``c`` of ``(x, lp_x)`` takes row ``c`` of ``(y, lp_y)`` iff
     ``log_u[c] < log_alpha[c]``, where ``log_alpha = lp_y - lp_x`` after the
@@ -421,18 +417,17 @@ def run_lockstep(
     steps: ``kernels[g].direction(rng, d_g) -> r_g`` fills the ``(b, k)``
     directions and returns the ``(b,)`` innovations (only symmetric kernels
     have a direction), then the stream draws ``b`` acceptance uniforms, each
-    shared by its chains.  With ``b = 1`` this is the order of the kernel's
-    own transition.  At step ``i`` chain ``(g, c)`` starts at ``x0[g]`` and
-    proposes ``x + d_g[i] * (scales[g, c] * r_g[i])``.  Sign-move streams,
-    whose ``direction.a`` gives ``d = +-a``, come first; any other direction
+    shared by its chains.  At step ``i`` chain ``(g, c)`` starts at ``x0[g]``
+    and proposes ``x + d_g[i] * (scales[g, c] * r_g[i])``.  Sign-move streams,
+    whose kernel's ``a`` gives ``d = +-a``, come first; any other direction
     must return ``r = 1``.  All proposals go to one ``log_density`` call on a
     ``(G * C, k)`` batch, which must be row by row bit-identical to single
     calls.  The leading ``n_record`` coordinates are recorded.  Bad streams,
     ``n_iter < 1``, ``n_record`` outside ``[1, k]`` or a ``scales`` shape
     other than these raise ``ValueError`` before the first step.
     """
-    directions = [getattr(kernel, "direction", None) for kernel in kernels]
-    signed = [hasattr(direction, "a") for direction in directions]
+    directions = [kernel.direction for kernel in kernels]
+    signed = [kernel.a is not None for kernel in kernels]
     n_sign = signed.count(True)
     if None in directions or signed != sorted(signed, reverse=True) or not len(kernels) == len(rngs) == len(x0):
         raise ValueError("need one symmetric kernel (sign-move kernels first), one generator and one start per stream")
@@ -448,7 +443,7 @@ def run_lockstep(
     if scales.ndim != 2 or scales.shape[0] != n_streams or scales.size == 0:
         raise ValueError(f"scales must have shape (C,) or ({n_streams}, C) with C >= 1, got {scales.shape}")
     n_cells = scales.shape[1]
-    a = np.array([direction.a[:n_record] for direction in directions[:n_sign]]).reshape(n_sign, n_record)
+    a = np.array([kernel.a[:n_record] for kernel in kernels[:n_sign]]).reshape(n_sign, n_record)
     x = np.repeat(x0, n_cells, axis=0)
     lp_x = np.repeat(log_density(x0), n_cells)
     y = np.empty_like(x)

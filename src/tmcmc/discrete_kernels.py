@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, _shift_propose, init_state
+from .chain import ChainState, Kernel, _per_coordinate, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -39,9 +39,12 @@ __all__ = [
 MAX_EXACT_STATES = 5000
 
 
-def _validate_spin_probs(p: np.ndarray) -> None:
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("forward probabilities must lie strictly in (0, 1)")
+def _spin_probs(p, k: int) -> np.ndarray:
+    """``p`` as ``(k,)`` forward probabilities, each in the open interval (0, 1); NaN is not."""
+    probs = _per_coordinate("p", p, k)
+    if not np.all((0.0 < probs) & (probs < 1.0)):
+        raise ValueError(f"forward probabilities must lie strictly in (0, 1), got {p}")
+    return probs
 
 
 def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
@@ -51,10 +54,10 @@ def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
     (proposing +1) and the backward one otherwise (proposing -1); acceptance is
     ``min{1, P(reverse move)/P(move) * pi(y)/pi(x)}``.  ``kernel.draw(rng, b)``
     turns ``b * k`` uniforms into ``b`` rows, each a proposed spin vector.
+    ``p`` holds one value or ``k``, each in the open interval (0, 1).
     """
     k = target.dim
-    probs = np.broadcast_to(np.asarray(p, dtype=float), (k,))
-    _validate_spin_probs(probs)
+    probs = _spin_probs(p, k)
     log_up, log_down = np.log(probs), np.log1p(-probs)  # log P(select +1), log P(select -1)
     log_density = target.log_density
 
@@ -67,7 +70,7 @@ def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
         lp_y = log_density(y)
         return ChainState(y, lp_y), log_ratio + lp_y - state.lp
 
-    return _block_kernel(init_state(log_density), draw, propose)
+    return Kernel(init_state(log_density), draw, propose)
 
 
 def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
@@ -101,7 +104,7 @@ def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
         rows[joint] = np.where(rng.random((joint.size, k)) < 0.5, 1.0, -1.0) * m[joint, None]
         return rows
 
-    return _block_kernel(init_state(log_density), draw, _shift_propose(log_density))
+    return Kernel(init_state(log_density), draw, _shift_propose(log_density))
 
 
 def jump_magnitude_masses(jump_scale: float, m_max: int) -> tuple[np.ndarray, float]:
@@ -185,8 +188,7 @@ def ising_transition_matrix(
     property the tests pin down).  Proposals are state-independent.
     """
     k = target.dim
-    probs = np.broadcast_to(np.asarray(p, dtype=float), (k,))
-    _validate_spin_probs(probs)
+    probs = _spin_probs(p, k)
     eps_grid = np.asarray([1.5] if eps_values is None else list(eps_values), dtype=float)
     if np.any(eps_grid <= 1.0):
         raise ValueError("innovation values must exceed 1")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _block_kernel, _check_shape, _per_coordinate, _shift_propose, init_state
+from .chain import ChainState, Kernel, _check_shape, _per_coordinate, _shift_draw, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -40,6 +40,17 @@ def _move_log_ratio(z: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
     reverse = np.concatenate([log_q[pos], log_p[neg]])
     forward = np.concatenate([log_p[pos], log_q[neg]])
     return np.sum(reverse, axis=0) - np.sum(forward, axis=0)
+
+
+def _softmax_moves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dependent-z law: ``(p, q)`` with ``(p, q, 1 - p - q)`` proportional to ``exp(w)`` down axis 0.
+
+    ``w`` holds the three draws ``w_j`` in its rows and is max-subtracted in place.
+    """
+    w -= w.max(axis=0, keepdims=True)
+    e = np.exp(w)
+    e /= e.sum(axis=0, keepdims=True)
+    return e[0], e[1]
 
 
 def _log_tables(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +131,7 @@ class DependentZConfig:
 
     Each ``sigma_j`` is a covariance descriptor for the Gaussian ``w_j``:
     a 1-D array of diagonal variances or a 2-D positive-definite matrix.
+    Every entry of each ``mu_j`` and ``sigma_j`` must be finite.
     """
 
     mu_1: np.ndarray
@@ -137,6 +149,9 @@ class DependentZConfig:
             raise ValueError(f"eps_scale must be positive and finite, got {self.eps_scale}")
         if not np.all((0.0 < a) & (a < math.inf)):
             raise ValueError("scales must be positive and finite")
+        for name in ("mu_1", "mu_2", "mu_3", "sigma_1", "sigma_2", "sigma_3"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ValueError(f"{name}: entries must be finite")
         for name in ("sigma_1", "sigma_2", "sigma_3"):
             self._factor(getattr(self, name), name)
 
@@ -171,14 +186,13 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
     ``out = d = z * a`` (``+a_i`` exactly when ``u_i < p_i``) and then
     returns the ``(b,)`` innovations ``r = |N(0, 1)|``; ``kernel.draw(rng,
     b)`` returns the rows ``d * (eps_scale * r)`` for any ``(p, q)``, and
-    only with ``p = q`` is ``direction`` also ``kernel.direction``.
+    only with ``p = q`` are ``direction`` and ``a`` also the kernel's.
     """
     a, p, q = cfg.broadcast(target.dim)
     if not np.allclose(p + q, 1.0):
         raise ValueError("additive kernel requires p_i + q_i = 1 for every coordinate")
     log_p, log_q = _log_tables(p, q)
     below_p = np.nextafter(p, -1.0)  # below_p - u >= +0.0 exactly when u < p, for p in [0, 1]
-    s = cfg.eps_scale
     log_density = target.log_density
 
     def direction(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -186,22 +200,15 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
         np.copysign(a, np.subtract(below_p, out, out=out), out=out)
         return np.abs(rng.standard_normal(len(out)))
 
-    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-        d = np.empty((b, a.size))
-        r = direction(rng, d)
-        d *= (s * r)[:, None]
-        return d
-
     def propose(state: ChainState, row: np.ndarray):
         y = state.x + row
         lp_y = log_density(y)
         return ChainState(y, lp_y), _move_log_ratio(row, log_p, log_q) + lp_y - state.lp  # row has the signs of z
 
+    draw = _shift_draw(direction, cfg.eps_scale, a.size)
     if not np.all(p == q):
-        return _block_kernel(init_state(log_density), draw, propose)
-    kernel = _block_kernel(init_state(log_density), draw, _shift_propose(log_density))
-    kernel.direction, direction.a = direction, a
-    return kernel
+        return Kernel(init_state(log_density), draw, propose)
+    return Kernel(init_state(log_density), draw, _shift_propose(log_density), direction, a)
 
 
 def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: TmcmcConfig) -> Kernel:
@@ -245,7 +252,7 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
         log_ratio = _move_log_ratio(z, log_p, log_q)
         return ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp
 
-    return _block_kernel(init_state(log_density), draw, propose)
+    return Kernel(init_state(log_density), draw, propose)
 
 
 def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
@@ -282,14 +289,11 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
         w = np.empty((3, k))
         for j, (mu, L) in enumerate(draws):
             w[j] = mu + (L * noise[j] if L.ndim == 1 else L @ noise[j])
-        w -= w.max(axis=0, keepdims=True)
-        ew = np.exp(w)
-        probs = ew / ew.sum(axis=0, keepdims=True)
-        p, q = probs[0], probs[1]
+        p, q = _softmax_moves(w)
         z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
         y = state.x + (z * a) * eps
         lp_y = log_density(y)
         log_ratio = _move_log_ratio(z, *_log_tables(p, q))
         return ChainState(y, lp_y), log_ratio + lp_y - state.lp
 
-    return _block_kernel(init_state(log_density), draw, propose)
+    return Kernel(init_state(log_density), draw, propose)

@@ -35,6 +35,7 @@ from .transform_kernels import (
     TmcmcConfig,
     _log_tables,
     _move_log_ratio,
+    _softmax_moves,
     additive_transformation,
     make_additive_tmcmc_kernel,
 )
@@ -283,9 +284,10 @@ def check_dependent_z_balance(
     numbers across both directions of every state pair, so each sampled
     conditional kernel satisfies balance identically and the estimator's only
     slack is roundoff; the reported violation is the excess of the mean flow
-    imbalance over four Monte Carlo standard errors.  The move-probability
-    ratio is the sampling kernels' ``_move_log_ratio``; dropping it
-    (``move_ratio=False``) breaks this decisively.
+    imbalance over four Monte Carlo standard errors.  The ``(p, q)`` law is
+    the kernel's ``_softmax_moves`` and the move-probability ratio its
+    ``_move_log_ratio``; dropping the ratio (``move_ratio=False``) breaks
+    this decisively.
     """
     if mc_size < 100_000:
         raise ValueError(f"mc_size must be at least 1e5 for a usable error band, got {mc_size}")
@@ -303,10 +305,7 @@ def check_dependent_z_balance(
         L = factors[j]
         scale = float(L[0]) if L.ndim == 1 else float(L[0, 0])
         draws[j] = mus[j][0] + scale * rng.standard_normal(mc_size)
-    draws -= draws.max(axis=0, keepdims=True)
-    e = np.exp(draws)
-    e /= e.sum(axis=0, keepdims=True)
-    p_s, q_s = e[0], e[1]
+    p_s, q_s = _softmax_moves(draws)
     # Same move-ratio code as the sampling kernels, one ratio per draw.
     log_p, log_q = _log_tables(p_s[None, :], q_s[None, :])
     fwd_ratio = _move_log_ratio(np.ones(1), log_p, log_q) if move_ratio else 0.0

@@ -5,18 +5,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tmcmc.chain import run_chain
 
-class ScriptedRNG:
-    """Stand-in generator that replays scripted draws.
+
+class ScriptedRNG(np.random.Generator):
+    """Generator that replays scripted draws.
 
     ``uniforms`` feeds ``random()`` calls (scalar or array, consumed in
     order) and ``normals`` feeds ``standard_normal()``; ``integers`` feeds
-    ``integers()``.  As with a numpy ``Generator``, an array draw is shaped
-    by ``size`` (an int or a tuple) or written into ``out``.  Lets tests pin
+    ``integers()``.  As with any ``Generator``, an array draw is shaped by
+    ``size`` (an int or a tuple) or written into ``out``.  It is a
+    ``Generator``, so ``run_chain(kernel, x, 1, rng)`` takes it: tests pin
     down a kernel's acceptance arithmetic on a hand-chosen proposal.
     """
 
     def __init__(self, uniforms=(), normals=(), integers=()):
+        super().__init__(np.random.PCG64(0))  # its own draws are never served
         self._uniforms = deque(uniforms)
         self._normals = deque(normals)
         self._integers = deque(integers)
@@ -54,12 +58,12 @@ class BlockLayoutRNG(ScriptedRNG):
     acceptance uniforms.  ``layout(rng, b)`` replays a kernel's documented
     order of a block's rows on ``rng`` and returns each step's share of them
     as a script, ``{"uniforms": ..., "normals": ..., "integers": ...}`` (a
-    key may be left out), in the order the kernel's own transition draws
-    them.  Built on ``rng`` where the stream starts stepping and handed to
-    ``n_iter`` transitions, this generator opens a block on ``rng`` whenever
-    its scripts have run dry, appends each step's acceptance uniform to the
-    step's uniforms and serves the transitions' draws from the scripts, so
-    the steps are the ones the block runners take.
+    key may be left out), in the order a one-step ``run_chain`` draws them.
+    Built on ``rng`` where the stream starts stepping and handed to
+    ``n_iter`` one-step ``run_chain`` calls, this generator opens a block on
+    ``rng`` whenever its scripts have run dry, appends each step's acceptance
+    uniform to the step's uniforms and serves the transitions' draws from the
+    scripts, so the steps are the ones the block runners take.
     """
 
     BLOCK_STEPS = 256
@@ -166,25 +170,21 @@ def _assert_block_steps(trace, kernel, x0, rng, layout):
     """``trace`` against ``len(trace)`` single transitions on a ``BlockLayoutRNG``, bit for bit.
 
     ``trace`` is a ``run_chain`` of ``kernel`` from ``x0`` on a generator at
-    the state of ``rng``; the reference calls ``kernel(state,
-    BlockLayoutRNG(rng, n, layout))`` step by step and must give the same
-    states (of ``trace.recorded_coords``), flags, log-densities, thresholds,
-    uniforms and non-finite count.
+    the state of ``rng``; the reference runs ``run_chain(kernel, x, 1,
+    BlockLayoutRNG(rng, n, layout))`` step by step, each from the last
+    one's state, and must give the same states (of
+    ``trace.recorded_coords``), flags, log-densities, thresholds, uniforms
+    and non-finite count.
     """
     n = len(trace)
-    stream, state, rows = BlockLayoutRNG(rng, n, layout), kernel.init(x0), []
+    stream, x, steps = BlockLayoutRNG(rng, n, layout), x0, []
     for _ in range(n):
-        step = kernel(state, stream)
-        state = step.state
-        rows.append((state.x[trace.recorded_coords], step.accepted, state.lp, step.log_alpha, step.uniform,
-                     step.nonfinite))
-    states, accepted, log_density, log_alpha, uniforms, nonfinite = (np.array(c) for c in zip(*rows))
-    assert np.array_equal(trace.states, states)
-    assert np.array_equal(trace.accepted, accepted)
-    assert np.array_equal(trace.log_density, log_density)
-    assert np.array_equal(trace.log_alpha, log_alpha)
-    assert np.array_equal(trace.uniforms, uniforms)
-    assert trace.n_nonfinite_proposals == nonfinite.sum()
+        steps.append(run_chain(kernel, x, 1, stream))
+        x = steps[-1].states[0]
+    assert np.array_equal(trace.states, np.array([step.states[0, trace.recorded_coords] for step in steps]))
+    for name in ("accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(trace, name), np.concatenate([getattr(step, name) for step in steps])), name
+    assert trace.n_nonfinite_proposals == sum(step.n_nonfinite_proposals for step in steps)
 
 
 @pytest.fixture

@@ -37,8 +37,8 @@ def test_rwmh_density_ratio_hand_value(scripted_rng):
     target = make_iid_gaussian(1)
     rng = scripted_rng(uniforms=[0.9], normals=[1.0])
     kernel = make_rwmh_kernel(target, 1.0)
-    step = kernel(kernel.init(np.zeros(1)), rng)
-    assert_allclose(step.log_alpha, -0.5, rtol=1e-13)
+    step = run_chain(kernel, np.zeros(1), 1, rng)
+    assert_allclose(step.log_alpha[0], -0.5, rtol=1e-13)
 
 
 def test_rwmh_accepts_at_mode_with_tiny_scale():
@@ -162,14 +162,14 @@ def test_hmc_matches_rwmh_on_flat_potential_shared_stream():
     k, dt, m = 3, 0.3, 4.0
     hmc_kernel = make_hmc_kernel(uniform_patch_target(k), HmcConfig(L=1, dt=dt, mass=m))
     rw_kernel = make_rwmh_kernel(uniform_patch_target(k), dt / math.sqrt(m))
-    st_h, st_r = hmc_kernel.init(np.zeros(k)), rw_kernel.init(np.zeros(k))
+    x_h, x_r = np.zeros(k), np.zeros(k)
     r_h, r_r = chain_rng(17), chain_rng(17)
     for _ in range(100):
-        s_h = hmc_kernel(st_h, r_h)
-        s_r = rw_kernel(st_r, r_r)
-        assert_allclose(s_h.state.x, s_r.state.x, rtol=0, atol=1e-15)
-        assert s_h.accepted and s_r.accepted
-        st_h, st_r = s_h.state, s_r.state
+        s_h = run_chain(hmc_kernel, x_h, 1, r_h)
+        s_r = run_chain(rw_kernel, x_r, 1, r_r)
+        assert_allclose(s_h.states[0], s_r.states[0], rtol=0, atol=1e-15)
+        assert s_h.accepted[0] and s_r.accepted[0]
+        x_h, x_r = s_h.states[0], s_r.states[0]
 
 
 def test_hmc_stationary_moments_on_gaussian():
@@ -431,8 +431,8 @@ def test_hmc_step_energy_accounting(scripted_rng):
     cfg = HmcConfig(L=1, dt=0.1)
     rng = scripted_rng(uniforms=[0.5], normals=[1.0])
     kernel = make_hmc_kernel(target, cfg)
-    step = kernel(kernel.init(np.array([1.0])), rng)
+    step = run_chain(kernel, np.array([1.0]), 1, rng)
     end = leapfrog(PhasePoint(np.array([1.0]), np.array([1.0])), cfg, target)
     h0 = 0.5 * 1.0 + 0.5 * 1.0
     h1 = 0.5 * float(end.x[0]) ** 2 + 0.5 * float(end.p[0]) ** 2
-    assert_allclose(step.log_alpha, h0 - h1, rtol=1e-12)
+    assert_allclose(step.log_alpha[0], h0 - h1, rtol=1e-12)

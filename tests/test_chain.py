@@ -20,7 +20,7 @@ from tmcmc import (
     make_iid_gaussian,
     make_rwmh_kernel,
 )
-from tmcmc.chain import ChainState, Trace, _decide, accept_batch
+from tmcmc.chain import Trace, _accept, accept_batch
 
 LOG_DENSITIES = [-1.5, 0.25, -math.inf, math.inf, math.nan]
 
@@ -48,11 +48,11 @@ def test_accept_batch_follows_the_scalar_decision_row_by_row(shared_uniform):
         flags = accept_batch(bx, blp, y, lp_y, log_u[0] if shared_uniform else log_u, counts)
     for c in range(n):
         log_alpha = float(lp_y[c]) - float(lp_x[c])
-        step = _decide(ChainState(x[c], float(lp_x[c])), ChainState(y[c], float(lp_y[c])), log_alpha, float(u[c]))
-        assert flags[c] == step.accepted, (lp_x[c], lp_y[c], u[c])
-        assert counts[c] == step.nonfinite
-        assert np.array_equal(bx[c], step.state.x)
-        assert np.array_equal(blp[c], step.state.lp, equal_nan=True)
+        accepted, _, nonfinite = _accept(float(lp_x[c]), float(lp_y[c]), log_alpha, float(log_u[c]))
+        assert flags[c] == accepted, (lp_x[c], lp_y[c], u[c])
+        assert counts[c] == nonfinite
+        assert np.array_equal(bx[c], y[c] if accepted else x[c])
+        assert np.array_equal(blp[c], lp_y[c] if accepted else lp_x[c], equal_nan=True)
     assert flags.any() and not flags.all()
     assert counts.any()
 
@@ -280,11 +280,12 @@ def test_run_chain_decides_a_zero_uniform_as_the_scalar_decision():
     state = kernel.init(x0)
     for i, (row, u) in enumerate(zip(rows, uniforms.tolist())):
         proposal, log_alpha = kernel.propose(state, row)
-        step = _decide(state, proposal, log_alpha, u)
-        state = step.state
+        log_u = math.log(u) if u > 0.0 else -math.inf
+        accepted, log_alpha, _ = _accept(state.lp, proposal.lp, log_alpha, log_u)
+        state = proposal if accepted else state
         assert trace.states[i].tolist() == state.x.tolist()
         assert (trace.accepted[i], trace.log_density[i], trace.log_alpha[i], trace.uniforms[i]) == (
-            step.accepted, state.lp, step.log_alpha, u)
+            accepted, state.lp, log_alpha, u)
 
 
 def test_run_lockstep_decides_a_zero_uniform_as_run_chain():

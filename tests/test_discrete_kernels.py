@@ -76,10 +76,17 @@ def test_ising_innovation_grid_invariance_exact():
 
 def test_ising_probability_validation():
     target = make_ising_chain(2, 0.1)
-    with pytest.raises(ValueError):
-        ising_transition_matrix(target, 1.0)
-    with pytest.raises(ValueError):
-        make_ising_kernel(target, 0.0)
+    for build in (ising_transition_matrix, make_ising_kernel):
+        # NaN passed a test of p <= 0 or p >= 1, and its chain accepted nothing, with NaN log_alpha
+        for p in (1.0, 0.0, -0.2, math.nan, (0.5, math.nan), (0.5, 1.0)):
+            with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):
+                build(target, p)
+        # a p of another length is named, where it failed on numpy's bare broadcast error
+        for p, shape in (((0.5, 0.5, 0.5), r"\(3,\)"), (np.full((2, 2), 0.5), r"\(2, 2\)")):
+            with pytest.raises(ValueError, match=rf"p has shape {shape}; a target of dimension 2 needs"):
+                build(target, p)
+        build(target, (0.3, 0.6))
+        build(target, [0.4])
 
 
 # --- generic matrix assembly ------------------------------------------------
@@ -117,9 +124,9 @@ def test_zk_step_floor_jump_magnitude(scripted_rng):
     # z uniforms (0.2, 0.8) -> (+1, -1); final uniform small -> accept
     rng = scripted_rng(uniforms=[0.9, 0.2, 0.8, 1e-12], normals=[1.7])
     kernel = make_zk_kernel(target, r=0.3, jump_scale=1.0)
-    step = kernel(kernel.init(np.array([1.0, 2.0])), rng)
-    assert step.accepted
-    assert_allclose(step.state.x, [3.0, 0.0])
+    step = run_chain(kernel, np.array([1.0, 2.0]), 1, rng)
+    assert step.accepted[0]
+    assert_allclose(step.states[0], [3.0, 0.0])
 
 
 def test_zk_coordinate_branch(scripted_rng):
@@ -127,10 +134,10 @@ def test_zk_coordinate_branch(scripted_rng):
     # branch uniform 0.1 < r -> coordinate move on index 2 with sign +
     rng = scripted_rng(uniforms=[0.1, 0.4, 0.9999], normals=[0.2], integers=[2])
     kernel = make_zk_kernel(target, r=0.5, jump_scale=1.0)
-    step = kernel(kernel.init(np.zeros(3)), rng)
+    step = run_chain(kernel, np.zeros(3), 1, rng)
     # eps = 1.2 -> jump 1 on coordinate 2 only (rejected or accepted)
-    if step.accepted:
-        assert_allclose(step.state.x, [0.0, 0.0, 1.0])
+    if step.accepted[0]:
+        assert_allclose(step.states[0], [0.0, 0.0, 1.0])
 
 
 def within_4_sd(hits, n, prob):

@@ -1,7 +1,7 @@
 """The kernel protocol across all seven kernels.
 
-Every kernel is ``kernel(state, rng) -> Step`` with ``kernel.init(x)``,
-``kernel.draw(rng, b)`` and ``kernel.propose(state, row)``; the tests here pin
+Every kernel is a ``Kernel`` record of ``kernel.init(x)``, ``kernel.draw(rng,
+b)`` and ``kernel.propose(state, row)``, run by ``run_chain``; the tests here pin
 its block-layout streams to the step bodies the kernels had before the
 protocol (each recomputing ``log pi(x)`` and deciding through the scalar
 accept step of ``conftest``), and check the outcome of non-finite densities,
@@ -328,15 +328,19 @@ def test_kernel_is_bit_identical_to_the_parent_composition(case, parent_accept, 
         if "holes" in case or "nan" in case:
             assert n_nonfinite > 0
     # A single transition is the one-row block, which draws what the parent body draws: on a
-    # plain generator the kernel's transitions equal the parent's.
-    rng, state, rows = chain_rng(4), kernel.init(x0), []
+    # plain generator the kernel's transitions, each from the last one's state, equal the parent's.
+    rng, x, steps = chain_rng(4), x0, []
     for _ in range(300):
-        step = kernel(state, rng)
-        state = step.state
-        rows.append((state.x, step.accepted, step.log_alpha, step.uniform, state.lp))
-    *parent, _ = parent_trace(make_parent(target, *args), x0, 300, chain_rng(4), parent_accept)
-    for got, want in zip((np.array(c) for c in zip(*rows)), parent):
-        assert np.array_equal(got, want)
+        steps.append(run_chain(kernel, x, 1, rng))
+        x = steps[-1].states[0]
+    states, accepted, log_alpha, uniforms, log_density, n_nonfinite = parent_trace(
+        make_parent(target, *args), x0, 300, chain_rng(4), parent_accept
+    )
+    assert np.array_equal(np.concatenate([step.states for step in steps]), states)
+    for name, want in (("accepted", accepted), ("log_alpha", log_alpha), ("uniforms", uniforms),
+                       ("log_density", log_density)):
+        assert np.array_equal(np.concatenate([getattr(step, name) for step in steps]), want), name
+    assert sum(step.n_nonfinite_proposals for step in steps) == n_nonfinite
 
 
 # --- outcomes, statelessness and evaluation counts ----------------------------------
@@ -390,19 +394,14 @@ def test_kernel_outcomes_statelessness_and_density_calls(name, block_layout_rng,
     solo_b = run_chain(kernel, x0_b, n, 12)
     layout = LAYOUTS[name](block_layouts, target, *args)
     rng_a, rng_b = block_layout_rng(chain_rng(11), n, layout), block_layout_rng(chain_rng(12), n, layout)
-    state_a, state_b = kernel.init(x0), kernel.init(x0_b)
-    rows_a, rows_b = [], []
+    x_a, x_b, steps_a, steps_b = x0, x0_b, [], []
     for _ in range(n):
-        step_a = kernel(state_a, rng_a)
-        step_b = kernel(state_b, rng_b)
-        state_a, state_b = step_a.state, step_b.state
-        rows_a.append((state_a.x, step_a.log_alpha, step_a.uniform))
-        rows_b.append((state_b.x, step_b.log_alpha, step_b.uniform))
-    for solo, rows in ((solo_a, rows_a), (solo_b, rows_b)):
-        states, log_alpha, uniforms = (np.array(c) for c in zip(*rows))
-        assert np.array_equal(solo.states, states)
-        assert np.array_equal(solo.log_alpha, log_alpha)
-        assert np.array_equal(solo.uniforms, uniforms)
+        steps_a.append(run_chain(kernel, x_a, 1, rng_a))
+        steps_b.append(run_chain(kernel, x_b, 1, rng_b))
+        x_a, x_b = steps_a[-1].states[0], steps_b[-1].states[0]
+    for solo, steps in ((solo_a, steps_a), (solo_b, steps_b)):
+        for name in ("states", "log_alpha", "uniforms"):
+            assert np.array_equal(getattr(solo, name), np.concatenate([getattr(step, name) for step in steps])), name
 
 
 def test_log_table_ratio_equals_the_frozen_ratio():

@@ -12,7 +12,7 @@ SRC = os.pathsep.join([str(Path(tmcmc.__file__).parents[1]), os.environ.get("PYT
 
 PUBLIC = [
     "AcceptanceBoundInputs", "ChainState", "ChallengerRecord", "DependentZConfig", "HmcConfig",
-    "HmcLogBounds", "LogBoundPair", "LogConcaveMeta", "PhasePoint", "ScalingStudySpec", "Step",
+    "HmcLogBounds", "LogBoundPair", "LogConcaveMeta", "PhasePoint", "ScalingStudySpec",
     "Target", "TmcmcConfig", "Trace", "Transformation", "Verdict", "acceptance_rate",
     "additive_transformation", "chain_rng", "exact_transition_matrix",
     "expected_acceptance_rate", "hmc_ar_bounds", "hmc_one_step_proposal_params",

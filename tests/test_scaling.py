@@ -178,15 +178,9 @@ def test_lockstep_blocks_equal_single_chain_runs(n_iter, assert_block_steps, blo
         rng = _cell_rng(*MIXED_STREAMS[g], k)
         return rng.standard_normal(k), rng
 
+    # at n_iter = 1 each reference is a single transition on a plain generator
     _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps,
                                         block_layouts)
-    if n_iter == 1:  # a one-step block is the order of the kernel's own transition on a plain generator
-        for g, kernel in enumerate(kernels):
-            start, rng = reference_start(g)
-            step_kernel = _reference_kernel(kernel, target, scales[g][0])
-            step = step_kernel(step_kernel.init(start), rng)
-            assert run.accepted[0, g * 3] == step.accepted
-            assert np.array_equal(lockstep_path(run, g * 3)[0], step.state.x[:n_coords])
 
 
 def test_lockstep_applies_the_nonfinite_rules(assert_block_steps, block_layouts):
@@ -234,7 +228,7 @@ def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
     hmc = make_hmc_kernel(target, HmcConfig(L=2, dt=0.3))
     asymmetric = make_additive_tmcmc_kernel(target, TmcmcConfig(p=0.3, q=0.7))
     # run_chain draws it in blocks, but its acceptance needs the move ratio: no engine stream
-    assert hasattr(asymmetric, "propose") and not hasattr(asymmetric, "direction")
+    assert asymmetric.direction is None
     for kernels in ((additive, hmc), (hmc, hmc), (asymmetric, rwmh), (rwmh, additive), (rwmh,)):
         with pytest.raises(ValueError, match="one symmetric kernel"):
             run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)

@@ -69,8 +69,7 @@ def test_transformation_jacobian_reciprocity_randomized():
 
 
 # --- single steps with scripted randomness --------------------------------
-# A scripted generator is not a ``Generator``, so these call one transition
-# directly: ``kernel(kernel.init(x), rng)``.
+# One transition is ``run_chain(kernel, x, 1, rng)``, read at row 0.
 
 
 def test_additive_step_acceptance_ratio_hand_value(scripted_rng):
@@ -78,12 +77,12 @@ def test_additive_step_acceptance_ratio_hand_value(scripted_rng):
     target = make_iid_gaussian(1)
     kernel = make_additive_tmcmc_kernel(target, TmcmcConfig())
     rng = scripted_rng(uniforms=[0.2, 0.999999], normals=[1.0])
-    step = kernel(kernel.init(np.zeros(1)), rng)
-    assert_allclose(step.log_alpha, -0.5, rtol=1e-13)
-    assert not step.accepted  # log(0.999999) > -0.5 is false only for u < e^-0.5
+    step = run_chain(kernel, np.zeros(1), 1, rng)
+    assert_allclose(step.log_alpha[0], -0.5, rtol=1e-13)
+    assert not step.accepted[0]  # log(0.999999) > -0.5 is false only for u < e^-0.5
     rng = scripted_rng(uniforms=[0.2, 0.5], normals=[1.0])
-    step = kernel(kernel.init(np.zeros(1)), rng)
-    assert step.accepted and step.state.x[0] == 1.0
+    step = run_chain(kernel, np.zeros(1), 1, rng)
+    assert step.accepted[0] and step.states[0, 0] == 1.0
 
 
 def test_additive_step_symmetric_probs_reduce_to_density_ratio(scripted_rng):
@@ -91,19 +90,19 @@ def test_additive_step_symmetric_probs_reduce_to_density_ratio(scripted_rng):
     x = np.array([0.4, -1.0])
     rng = scripted_rng(uniforms=[0.9, 0.1, 0.3], normals=[0.75])
     kernel = make_additive_tmcmc_kernel(target, TmcmcConfig())
-    step = kernel(kernel.init(x), rng)
+    step = run_chain(kernel, x, 1, rng)
     y = x + 0.75 * np.array([-1.0, 1.0])
-    assert_allclose(step.log_alpha, target.log_density(y) - target.log_density(x), rtol=1e-13)
+    assert_allclose(step.log_alpha[0], target.log_density(y) - target.log_density(x), rtol=1e-13)
 
 
 def test_additive_step_zero_innovation_accepts(scripted_rng):
     target = make_iid_gaussian(2)
     rng = scripted_rng(uniforms=[0.1, 0.2, 0.99], normals=[0.0])
     kernel = make_additive_tmcmc_kernel(target, TmcmcConfig())
-    step = kernel(kernel.init(np.array([1.0, 2.0])), rng)
-    assert step.accepted
-    assert step.log_alpha == 0.0
-    assert np.array_equal(step.state.x, [1.0, 2.0])
+    step = run_chain(kernel, np.array([1.0, 2.0]), 1, rng)
+    assert step.accepted[0]
+    assert step.log_alpha[0] == 0.0
+    assert np.array_equal(step.states[0], [1.0, 2.0])
 
 
 def test_additive_step_requires_no_zero_moves():
@@ -124,20 +123,18 @@ def test_sign_draw_moves_forward_exactly_below_p(scripted_rng):
 
     kernel = make_additive_tmcmc_kernel(Target(dim=4, log_density=log_density), TmcmcConfig(scales=a, p=p, q=1.0 - p))
     edges = [[u for u in (0.0, np.nextafter(pi, -1.0), pi, np.nextafter(pi, 2.0)) if 0.0 <= u < 1.0] for pi in p]
-    state = kernel.init(np.zeros(4))
     for j in range(max(map(len, edges))):
         u = np.array([col[j % len(col)] for col in edges])
-        proposals.clear()
-        kernel(state, scripted_rng(uniforms=[*u, 0.5], normals=[-1.0]))  # r = 1, so y = d
-        assert np.array_equal(proposals[0], np.where(u < p, a, -a))
-    assert not hasattr(kernel, "direction")  # p != q: not runnable under the bare density ratio
+        run_chain(kernel, np.zeros(4), 1, scripted_rng(uniforms=[*u, 0.5], normals=[-1.0]))  # r = 1, so y = d
+        assert np.array_equal(proposals[-1], np.where(u < p, a, -a))  # the initial state's call comes first
+    assert kernel.direction is None and kernel.a is None  # p != q: not runnable under the bare density ratio
 
     symmetric = make_additive_tmcmc_kernel(base, TmcmcConfig(scales=a))
     out = np.empty((1, 4))
     rng = scripted_rng(uniforms=[0.0, np.nextafter(0.5, -1.0), 0.5, np.nextafter(0.5, 2.0)], normals=[-0.7])
     assert symmetric.direction(rng, out) == [0.7]
     assert np.array_equal(out[0], [1.0, 2.0, -0.5, -3.0])
-    assert np.array_equal(symmetric.direction.a, a)
+    assert np.array_equal(symmetric.a, a)
 
 
 def test_general_step_zero_coordinate_stays_fixed(scripted_rng):
@@ -146,8 +143,8 @@ def test_general_step_zero_coordinate_stays_fixed(scripted_rng):
     # uniforms: z draws (0.1 -> +1, 0.5 -> -1, 0.9 -> 0), then acceptance
     rng = scripted_rng(uniforms=[0.1, 0.5, 0.9, 0.5], normals=[0.6])
     kernel = make_general_tmcmc_kernel(target, additive_transformation(), cfg)
-    step = kernel(kernel.init(np.zeros(3)), rng)
-    proposal_third = step.state.x[2] if step.accepted else 0.0
+    step = run_chain(kernel, np.zeros(3), 1, rng)
+    proposal_third = step.states[0, 2] if step.accepted[0] else 0.0
     assert proposal_third == 0.0
 
 
@@ -157,8 +154,8 @@ def test_general_step_resamples_all_zero_move(scripted_rng):
     # first z draw lands in the no-change band and must be redrawn
     rng = scripted_rng(uniforms=[0.95, 0.1, 0.7], normals=[0.5])
     kernel = make_general_tmcmc_kernel(target, additive_transformation(), cfg)
-    step = kernel(kernel.init(np.zeros(1)), rng)
-    assert step.state.x[0] != 0.0 or not step.accepted
+    step = run_chain(kernel, np.zeros(1), 1, rng)
+    assert step.states[0, 0] != 0.0 or not step.accepted[0]
 
 
 def test_general_step_nonfinite_jacobian_rejects(scripted_rng):
@@ -168,10 +165,10 @@ def test_general_step_nonfinite_jacobian_rejects(scripted_rng):
     broken = Transformation(forward=lambda x, e, z: x + e * z, log_jacobian=lambda x, e, z: math.nan)
     rng = scripted_rng(uniforms=[0.1, 0.5], normals=[0.5])
     kernel = make_general_tmcmc_kernel(target, broken, TmcmcConfig())
-    step = kernel(kernel.init(np.zeros(1)), rng)
-    assert not step.accepted
-    assert step.nonfinite
-    assert step.log_alpha == -math.inf
+    step = run_chain(kernel, np.zeros(1), 1, rng)
+    assert not step.accepted[0]
+    assert step.n_nonfinite_proposals == 1
+    assert step.log_alpha[0] == -math.inf
 
 
 def test_general_specializes_to_additive_under_shared_stream():
@@ -185,14 +182,14 @@ def test_general_specializes_to_additive_under_shared_stream():
         additive = make_additive_tmcmc_kernel(target, cfg)
         general = make_general_tmcmc_kernel(target, tfm, cfg)
         r1, r2 = chain_rng(123), chain_rng(123)
-        st1, st2 = additive.init(x0), general.init(x0)
+        x1, x2 = x0, x0
         for _ in range(500):
-            s1 = additive(st1, r1)
-            s2 = general(st2, r2)
-            assert np.array_equal(s1.state.x, s2.state.x)
-            assert s1.accepted == s2.accepted
-            assert s1.log_alpha == s2.log_alpha
-            st1, st2 = s1.state, s2.state
+            s1 = run_chain(additive, x1, 1, r1)
+            s2 = run_chain(general, x2, 1, r2)
+            assert np.array_equal(s1.states, s2.states)
+            assert s1.accepted[0] == s2.accepted[0]
+            assert s1.log_alpha[0] == s2.log_alpha[0]
+            x1, x2 = s1.states[0], s2.states[0]
         t1, t2 = run_chain(additive, x0, 700, 9), run_chain(general, x0, 700, 9)
         assert 0 < t1.accepted.sum() < len(t1)
         for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
@@ -347,10 +344,10 @@ def test_dependent_z_degenerate_softmax_gives_thirds(scripted_rng):
     )
     x = np.array([0.2, -0.1])
     kernel = make_dependent_z_kernel(target, cfg)
-    step = kernel(kernel.init(x), rng)
+    step = run_chain(kernel, x, 1, rng)
     y = x + 0.5 * np.array([1.0, -1.0])
     # p = q = 1/3 exactly, so the move ratio cancels for sign-only moves
-    assert_allclose(step.log_alpha, target.log_density(y) - target.log_density(x), rtol=1e-12)
+    assert_allclose(step.log_alpha[0], target.log_density(y) - target.log_density(x), rtol=1e-12)
 
 
 def test_dependent_z_all_zero_move_is_accepted_self_transition(scripted_rng):
@@ -359,10 +356,10 @@ def test_dependent_z_all_zero_move_is_accepted_self_transition(scripted_rng):
     rng = scripted_rng(uniforms=[0.8, 0.9, 0.4], normals=[0.0] * 6 + [1.0])
     x = np.array([1.0, -2.0])
     kernel = make_dependent_z_kernel(target, cfg)
-    step = kernel(kernel.init(x), rng)
-    assert step.accepted
-    assert np.array_equal(step.state.x, x)
-    assert step.log_alpha == 0.0
+    step = run_chain(kernel, x, 1, rng)
+    assert step.accepted[0]
+    assert np.array_equal(step.states[0], x)
+    assert step.log_alpha[0] == 0.0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -374,6 +371,17 @@ def test_dependent_z_kernel_rejects_fields_of_another_dimension(field, value):
     cfg = dataclasses.replace(symmetric_dependent_cfg(5), **{field: value})
     with pytest.raises(ValueError, match=field):
         make_dependent_z_kernel(make_iid_gaussian(5), cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu_1", np.array([math.nan, 0.0, 0.0])), ("mu_3", np.array([0.0, -math.inf, 0.0])),
+    ("sigma_1", np.array([math.nan, 1.0, 1.0])), ("sigma_2", np.array([1.0, 1.0, math.inf])),
+    ("sigma_3", np.diag([1.0, math.nan, 1.0])), ("sigma_3", np.diag([1.0, 1.0, math.inf])),
+])
+def test_dependent_z_config_rejects_non_finite_means_and_covariances(field, value):
+    # a NaN variance passed the test s <= 0, and its coordinate never moved while the chain accepted
+    with pytest.raises(ValueError, match=rf"{field}: entries must be finite"):
+        dataclasses.replace(symmetric_dependent_cfg(3), **{field: value})
 
 
 def test_dependent_z_kernel_runs_and_is_deterministic():
