@@ -8,7 +8,9 @@ single-coordinate update with a joint move of all coordinates by the same
 integer jump.  No Jacobians appear in either acceptance ratio.
 
 For small state spaces the kernels are also materialized as exact stochastic
-matrices, which is what the detailed-balance certification consumes.
+matrices, which is what the detailed-balance certification consumes; one
+builder, ``_translation_matrix``, makes those of the lattice kernel and of
+``tmcmc.verify``'s grid surrogates from their lists of moves.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ def _spin_probs(p, k: int) -> np.ndarray:
     if not np.all((0.0 < probs) & (probs < 1.0)):
         raise ValueError(f"forward probabilities must lie strictly in (0, 1), got {p}")
     return probs
+
+
+def _check_lattice(r: float, jump_scale: float) -> None:
+    """The lattice kernel's settings: ``r`` in [0, 1] and ``jump_scale`` positive and finite; NaN is neither."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r}")
+    if not 0.0 < jump_scale < math.inf:
+        raise ValueError(f"jump_scale must be positive and finite, got {jump_scale}")
 
 
 def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
@@ -85,10 +95,7 @@ def make_zk_kernel(target: Target, r: float, jump_scale: float) -> Kernel:
     coordinates (``integers(k)``) and sign uniforms, then ``k`` sign uniforms
     per joint row; a row is the move ``y - x``.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    if not 0.0 < jump_scale < math.inf:
-        raise ValueError(f"jump_scale must be positive and finite, got {jump_scale}")
+    _check_lattice(r, jump_scale)
     k = target.dim
     log_density = target.log_density
 
@@ -142,25 +149,29 @@ def exact_transition_matrix(
     n = len(states)
     if n > MAX_EXACT_STATES:
         raise ValueError(f"state space too large for exact construction: {n} > {MAX_EXACT_STATES}")
+    # Every guard is written so that NaN fails it.
     P = np.asarray(proposal_probs, dtype=float)
-    if P.shape != (n, n) or np.any(P < 0.0):
+    if P.shape != (n, n) or not np.all(P >= 0.0):
         raise ValueError("proposal_probs must be a nonnegative (n, n) matrix")
     row_sums = P.sum(axis=1)
-    if np.any(row_sums > 1.0 + 1e-9):
+    if not np.all(row_sums <= 1.0 + 1e-9):
         raise RuntimeError(f"internal error: proposal rows sum to {row_sums.max()} > 1")
     log_pi = np.asarray(log_pi, dtype=float)
     extra = np.zeros((n, n)) if extra_log_ratio is None else np.asarray(extra_log_ratio, dtype=float)
 
-    log_alpha = extra + log_pi[None, :] - log_pi[:, None]
+    with np.errstate(invalid="ignore"):  # inf - inf is caught just below
+        log_alpha = extra + log_pi[None, :] - log_pi[:, None]
+    if np.isnan(log_alpha).any():
+        raise ValueError("log_pi and extra_log_ratio must give every pair a log acceptance ratio, not NaN")
     alpha = np.minimum(1.0, np.exp(np.minimum(log_alpha, 0.0)))
     K = P * alpha
     np.fill_diagonal(K, 0.0)
     diag = 1.0 - K.sum(axis=1)
-    if np.any(diag < -1e-12):
+    if not np.all(diag >= -1e-12):
         raise RuntimeError(f"internal error: negative self-transition mass {diag.min()}")
     np.fill_diagonal(K, np.maximum(diag, 0.0))
     err = np.abs(K.sum(axis=1) - 1.0).max()
-    if err > 1e-12:
+    if not err <= 1e-12:
         raise RuntimeError(f"internal error: kernel rows sum to 1 +- {err}")
     return K
 
@@ -176,6 +187,27 @@ def enumerate_box_states(k: int, box_radius: int) -> np.ndarray:
     return np.array(list(itertools.product(rng, repeat=k)), dtype=float)
 
 
+def _translation_matrix(log_pi: np.ndarray, moves) -> np.ndarray:
+    """Metropolis matrix of a translation kernel on the row-major box grid that ``log_pi`` spans.
+
+    Each of ``moves``, in order, is a ``(delta, prob, log_ratio)`` triple: every state whose
+    ``state + delta`` (in grid steps) lies in the box proposes it with probability ``prob`` and
+    log move-probability ratio ``log_ratio``; a move out of the box is a rejection.
+    """
+    log_pi = np.asarray(log_pi, dtype=float)
+    coords = np.indices(log_pi.shape).reshape(log_pi.ndim, -1).T
+    P = np.zeros((log_pi.size, log_pi.size))
+    extra = np.zeros_like(P)
+    for delta, prob, log_ratio in moves:
+        targets = coords + delta
+        inside = np.all((targets >= 0) & (targets < log_pi.shape), axis=1)
+        src = np.flatnonzero(inside)
+        tgt = np.ravel_multi_index(tuple(targets[inside].T), log_pi.shape)
+        P[src, tgt] += prob
+        extra[src, tgt] = log_ratio
+    return exact_transition_matrix(np.arange(log_pi.size), P, log_pi.ravel(), extra)
+
+
 def ising_transition_matrix(
     target: Target,
     p: Union[float, np.ndarray],
@@ -183,50 +215,30 @@ def ising_transition_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact kernel matrix of the spin kernel over all ``2^k`` states.
 
-    ``eps_values`` is an innovation grid on ``(1, inf)``; the sign maps are
-    constant over that range, so any grid yields the identical matrix (a
-    property the tests pin down).  Proposals are state-independent.
+    ``eps_values`` is a non-empty innovation grid on ``(1, inf)``; the sign
+    maps are constant over that range, so any grid yields the identical matrix
+    (a property the tests pin down).  Proposals are state-independent.
     """
     k = target.dim
     probs = _spin_probs(p, k)
     eps_grid = np.asarray([1.5] if eps_values is None else list(eps_values), dtype=float)
-    if np.any(eps_grid <= 1.0):
-        raise ValueError("innovation values must exceed 1")
-    weights = np.full(eps_grid.size, 1.0 / eps_grid.size)
+    if eps_grid.size == 0 or not np.all(eps_grid > 1.0):
+        raise ValueError(f"innovation values must be a non-empty grid, each above 1, got {eps_grid.tolist()}")
 
     states = enumerate_spin_states(k)
-    n = states.shape[0]
-    # Selection probability of each state as a proposal, computed through the
-    # sign maps for every grid value.  On (1, inf) the maps are constant
-    # (forward always +1, backward always -1), so the per-value probabilities
-    # are bitwise identical and marginalizing over the grid is a no-op; two
-    # different grids therefore yield the same matrix exactly.
-    per_eps = []
-    for eps in eps_grid:
-        forward = np.sign(states + eps)
-        backward = np.sign(states - eps)
-        sel_eps = np.array(
-            [
-                math.exp(
-                    float(
-                        np.sum(
-                            np.where(
-                                s == forward[idx],
-                                np.log(probs),
-                                np.where(s == backward[idx], np.log1p(-probs), -np.inf),
-                            )
-                        )
-                    )
-                )
-                for idx, s in enumerate(states)
-            ]
-        )
-        per_eps.append(sel_eps)
-    sel = per_eps[0]
-    for other in per_eps[1:]:
-        if not np.array_equal(sel, other):
-            raise RuntimeError("internal error: sign maps not constant on (1, inf)")
-    P = np.tile(sel, (n, 1))
+    # Log selection probability of each state as a proposal through the sign maps, for
+    # (grid value, state, coordinate) at once.  On (1, inf) the maps are constant (forward
+    # +1, backward -1), so every grid value gives the same bits.
+    shifted = eps_grid[:, None, None]
+    per_grid = np.where(
+        states == np.sign(states + shifted),
+        np.log(probs),
+        np.where(states == np.sign(states - shifted), np.log1p(-probs), -np.inf),
+    ).sum(axis=2)
+    if not np.all(per_grid == per_grid[0]):
+        raise RuntimeError("internal error: sign maps not constant on (1, inf)")
+    sel = np.array([math.exp(v) for v in per_grid[0].tolist()])
+    P = np.tile(sel, (len(sel), 1))
     log_sel = np.log(sel)
     extra = log_sel[:, None] - log_sel[None, :]
     log_pi = np.array([target.log_density(s) for s in states])
@@ -244,37 +256,26 @@ def lattice_transition_matrix(
     Proposals leaving the box are rejected (self-transitions), so the matrix
     is exactly stochastic; jump magnitudes above ``2 * box_radius`` always
     leave the box and are folded into the diagonal via the tail mass.
+    ``box_radius`` must be a nonnegative integer.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    k = target.dim
+    _check_lattice(r, jump_scale)
+    if isinstance(box_radius, bool) or not isinstance(box_radius, (int, np.integer)) or box_radius < 0:
+        raise ValueError(f"box_radius must be a nonnegative integer, got {box_radius!r}")
+    k, side = target.dim, 2 * box_radius + 1
+    if side**k > MAX_EXACT_STATES:  # before the states and the (n, n) matrices are made
+        raise ValueError(f"state space too large for exact construction: {side**k} > {MAX_EXACT_STATES}")
     states = enumerate_box_states(k, box_radius)
-    n = states.shape[0]
     masses, _tail = jump_magnitude_masses(jump_scale, 2 * box_radius)
-    index = {tuple(s): i for i, s in enumerate(states)}
-
-    P = np.zeros((n, n))
-    for i, x in enumerate(states):
-        for m_idx, g in enumerate(masses):
-            m = m_idx + 1
-            if r > 0.0:
-                piece = r * g / (2.0 * k)
-                for j in range(k):
-                    for sign in (1.0, -1.0):
-                        y = x.copy()
-                        y[j] += sign * m
-                        tgt = index.get(tuple(y))
-                        if tgt is not None:
-                            P[i, tgt] += piece
-            if r < 1.0:
-                piece = (1.0 - r) * g / (2.0**k)
-                for z in itertools.product((-1.0, 1.0), repeat=k):
-                    y = x + m * np.asarray(z)
-                    tgt = index.get(tuple(y))
-                    if tgt is not None:
-                        P[i, tgt] += piece
+    axes = np.eye(k, dtype=int)
+    signs = np.array(list(itertools.product((-1, 1), repeat=k)))
+    moves = []  # magnitude-major, single-coordinate before joint: at k = 1 both add to one entry
+    for m, g in enumerate(masses, start=1):
+        if r > 0.0:
+            moves += [(sign * m * e, r * g / (2.0 * k), 0.0) for e in axes for sign in (1, -1)]
+        if r < 1.0:
+            moves += [(m * z, (1.0 - r) * g / (2.0**k), 0.0) for z in signs]
     log_pi = np.array([target.log_density(s) for s in states])
-    return states, exact_transition_matrix(states, P, log_pi)
+    return states, _translation_matrix(log_pi.reshape((side,) * k), moves)
 
 
 def write_matrix_csv(states: np.ndarray, K: np.ndarray, path) -> None:

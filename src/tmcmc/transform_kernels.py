@@ -42,11 +42,16 @@ def _move_log_ratio(z: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
     return np.sum(reverse, axis=0) - np.sum(forward, axis=0)
 
 
-def _softmax_moves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_moves(draws, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The dependent-z law: ``(p, q)`` with ``(p, q, 1 - p - q)`` proportional to ``exp(w)`` down axis 0.
 
-    ``w`` holds the three draws ``w_j`` in its rows and is max-subtracted in place.
+    ``w_j = mu_j + L_j noise_j`` for the ``(mu_j, L_j)`` pairs of ``draws``,
+    ``L_j`` a 1-D diagonal or a 2-D left factor.  ``noise`` is ``(3, k)`` for
+    one draw, or ``(3, 1, n)`` for ``n`` draws at ``k = 1``.
     """
+    w = np.empty(noise.shape)
+    for j, (mu, L) in enumerate(draws):
+        w[j] = mu + (L * noise[j] if L.ndim == 1 else L @ noise[j])
     w -= w.max(axis=0, keepdims=True)
     e = np.exp(w)
     e /= e.sum(axis=0, keepdims=True)
@@ -286,10 +291,7 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
 
     def propose(state: ChainState, row: tuple):
         noise, u, eps = row
-        w = np.empty((3, k))
-        for j, (mu, L) in enumerate(draws):
-            w[j] = mu + (L * noise[j] if L.ndim == 1 else L @ noise[j])
-        p, q = _softmax_moves(w)
+        p, q = _softmax_moves(draws, noise)
         z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
         y = state.x + (z * a) * eps
         lp_y = log_density(y)

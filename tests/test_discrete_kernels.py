@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,106 @@ from tmcmc.discrete_kernels import (
 )
 from tmcmc.targets import make_ising_chain, make_lattice_target
 from tmcmc.verify import check_detailed_balance_exact
+
+
+# --- reference exact builders ------------------------------------------------
+# The spin and lattice builders as they were before the lattice kernel and the
+# grid surrogates shared one translation-matrix builder, kept as references:
+# the builders must return the same matrices bit for bit.
+
+
+def reference_ising_transition_matrix(target, p, eps_values=None):
+    k = target.dim
+    probs = np.broadcast_to(np.asarray(p, dtype=float), (k,))
+    eps_grid = np.asarray([1.5] if eps_values is None else list(eps_values), dtype=float)
+    states = enumerate_spin_states(k)
+    n = states.shape[0]
+    per_eps = []
+    for eps in eps_grid:
+        forward = np.sign(states + eps)
+        backward = np.sign(states - eps)
+        sel_eps = np.array(
+            [
+                math.exp(
+                    float(
+                        np.sum(
+                            np.where(
+                                s == forward[idx],
+                                np.log(probs),
+                                np.where(s == backward[idx], np.log1p(-probs), -np.inf),
+                            )
+                        )
+                    )
+                )
+                for idx, s in enumerate(states)
+            ]
+        )
+        per_eps.append(sel_eps)
+    sel = per_eps[0]
+    for other in per_eps[1:]:
+        assert np.array_equal(sel, other)
+    P = np.tile(sel, (n, 1))
+    log_sel = np.log(sel)
+    extra = log_sel[:, None] - log_sel[None, :]
+    log_pi = np.array([target.log_density(s) for s in states])
+    return states, exact_transition_matrix(states, P, log_pi, extra)
+
+
+def reference_lattice_transition_matrix(target, r, jump_scale, box_radius):
+    k = target.dim
+    states = enumerate_box_states(k, box_radius)
+    n = states.shape[0]
+    masses, _tail = jump_magnitude_masses(jump_scale, 2 * box_radius)
+    index = {tuple(s): i for i, s in enumerate(states)}
+
+    P = np.zeros((n, n))
+    for i, x in enumerate(states):
+        for m_idx, g in enumerate(masses):
+            m = m_idx + 1
+            if r > 0.0:
+                piece = r * g / (2.0 * k)
+                for j in range(k):
+                    for sign in (1.0, -1.0):
+                        y = x.copy()
+                        y[j] += sign * m
+                        tgt = index.get(tuple(y))
+                        if tgt is not None:
+                            P[i, tgt] += piece
+            if r < 1.0:
+                piece = (1.0 - r) * g / (2.0**k)
+                for z in itertools.product((-1.0, 1.0), repeat=k):
+                    y = x + m * np.asarray(z)
+                    tgt = index.get(tuple(y))
+                    if tgt is not None:
+                        P[i, tgt] += piece
+    log_pi = np.array([target.log_density(s) for s in states])
+    return states, exact_transition_matrix(states, P, log_pi)
+
+
+def assert_same_matrix(built, expected, label):
+    assert np.array_equal(built[0], expected[0]) and np.array_equal(built[1], expected[1]), label
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lattice_builder_equals_the_reference(k):
+    # Every (r, jump_scale) at box radii 2-5; at k = 3 the two largest boxes (729 and 1,331
+    # states, where the reference's per-state loop takes 0.1-0.3 s a matrix) run one jump scale.
+    target = make_lattice_target(k, 0.7)
+    for box_radius in (2, 3, 4, 5):
+        scales = (1.5,) if k == 3 and box_radius > 3 else (0.7, 1.5, 3.0)
+        for r, s in itertools.product((0.0, 0.3, 0.5, 1.0), scales):
+            expected = reference_lattice_transition_matrix(target, r, s, box_radius)
+            assert_same_matrix(lattice_transition_matrix(target, r, s, box_radius), expected, (box_radius, r, s))
+
+
+def test_ising_builder_equals_the_reference():
+    grids = (None, (1.2,), (3.0, 400.0), (2.0, 7.25, 31.0), (1.0000001, 5.0, 1e300))
+    rng = np.random.default_rng(3)
+    for k in range(1, 10):
+        target = make_ising_chain(k, 0.3)
+        for p, eps_values in itertools.product((0.5, 0.65, rng.uniform(0.05, 0.95, k)), grids):
+            expected = reference_ising_transition_matrix(target, p, eps_values)
+            assert_same_matrix(ising_transition_matrix(target, p, eps_values), expected, (k, p, eps_values))
 
 
 def normalized_masses(target, states):
@@ -70,8 +171,10 @@ def test_ising_innovation_grid_invariance_exact():
     _, K1 = ising_transition_matrix(target, 0.55, eps_values=(1.2,))
     _, K2 = ising_transition_matrix(target, 0.55, eps_values=(3.0, 400.0))
     assert np.array_equal(K1, K2)
-    with pytest.raises(ValueError):
-        ising_transition_matrix(target, 0.55, eps_values=(0.9,))
+    # NaN passed a test of eps <= 1 and gave a NaN matrix; an empty grid raised ZeroDivisionError
+    for eps_values in ((0.9,), (1.0,), (2.0, 0.5), (math.nan,), (2.0, math.nan), ()):
+        with pytest.raises(ValueError, match="non-empty grid, each above 1"):
+            ising_transition_matrix(target, 0.55, eps_values=eps_values)
 
 
 def test_ising_probability_validation():
@@ -106,6 +209,16 @@ def test_exact_transition_matrix_bug_trap():
         exact_transition_matrix(states, over, np.zeros(2))
     with pytest.raises(ValueError):
         exact_transition_matrix(states, -over, np.zeros(2))
+    # NaN passed every guard, and a NaN move ratio or log-density gave a NaN row
+    P = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_transition_matrix(states, np.array([[0.5, math.nan], [0.5, 0.5]]), np.zeros(2))
+    with pytest.raises(ValueError, match="not NaN"):
+        exact_transition_matrix(states, P, np.zeros(2), np.array([[0.0, math.nan], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not NaN"):
+        exact_transition_matrix(states, P, np.array([0.0, math.nan]))
+    with pytest.raises(ValueError, match="not NaN"):
+        exact_transition_matrix(states, P, np.full(2, -math.inf))
 
 
 # --- lattice kernel ---------------------------------------------------------
@@ -185,10 +298,24 @@ def test_zk_draw_law():
 
 def test_zk_validation():
     target = make_lattice_target(1, 1.0)
-    with pytest.raises(ValueError):
-        make_zk_kernel(target, r=1.5, jump_scale=1.0)
-    with pytest.raises(ValueError):
-        make_zk_kernel(target, r=0.5, jump_scale=0.0)
+    # The kernel and its exact matrix check r and jump_scale alike.  The matrix took a jump_scale of
+    # 0 or NaN and gave NaN rows, and -1 failed as "proposal_probs must be nonnegative".
+    for build in (make_zk_kernel, lambda t, r, s: lattice_transition_matrix(t, r, s, 2)):
+        for r in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"r must lie in \[0, 1\]"):
+                build(target, r, 1.0)
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="jump_scale must be positive and finite"):
+                build(target, 0.5, s)
+    # a box radius of -1 raised a bare IndexError
+    for box_radius in (-1, 1.5, True, "3"):
+        with pytest.raises(ValueError, match="box_radius must be a nonnegative integer"):
+            lattice_transition_matrix(target, 0.5, 1.0, box_radius)
+    states, K = lattice_transition_matrix(target, 0.5, 1.0, np.int64(0))
+    assert states.shape == (1, 1) and np.array_equal(K, np.ones((1, 1)))
+    # refused before its 9,261 states and two (n, n) matrices are made
+    with pytest.raises(ValueError, match="too large for exact construction: 9261 > 5000"):
+        lattice_transition_matrix(make_lattice_target(3, 1.0), 0.5, 1.0, 10)
 
 
 def test_lattice_k1_exact_detailed_balance():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from tmcmc import verify
 from tmcmc.discrete_kernels import exact_transition_matrix
 from tmcmc.targets import make_iid_gaussian
-from tmcmc.transform_kernels import DependentZConfig
+from tmcmc.transform_kernels import DependentZConfig, _softmax_moves
 from tmcmc.verify import (
     ROTATION_MATRICES,
     Verdict,
@@ -175,6 +175,12 @@ def test_detailed_balance_rejects_bad_inputs():
         check_detailed_balance_exact(np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         check_detailed_balance_exact(np.full((2, 2), 0.5), np.array([0.9, 0.2]))
+    # a NaN matrix or pi passed these checks and gave a NaN violation
+    for check in (check_detailed_balance_exact, verify.check_stationarity):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            check(np.array([[0.5, math.nan], [0.5, 0.5]]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="pi must be positive"):
+        check_detailed_balance_exact(np.full((2, 2), 0.5), np.array([0.5, math.nan]))
 
 
 def test_corrupted_kernel_violation_tracks_perturbation():
@@ -262,6 +268,23 @@ def test_dependent_z_balance_runs_the_kernels_move_ratio(monkeypatch):
     assert v.max_violation > 1e-4
 
 
+def test_dependent_z_balance_draws_the_kernels_law(monkeypatch):
+    # One (p, q) law: the certificate's batched noise, one column a draw, gives each column the
+    # (p, q) that the kernel's propose computes from that column alone, bit for bit.
+    cfg = asymmetric_cfg()
+    draws = tuple(zip((cfg.mu_1, cfg.mu_2, cfg.mu_3), cfg.factors()))
+    noise = np.random.default_rng(5).standard_normal((3, 1, 50))
+    p_s, q_s = _softmax_moves(draws, noise.copy())
+    for i in range(50):
+        p, q = _softmax_moves(draws, noise[:, :, i].copy())
+        assert p_s[0, i] == p[0] and q_s[0, i] == q[0], i
+    calls = []
+    spy = lambda draws, noise: calls.append(noise.shape) or _softmax_moves(draws, noise)  # noqa: E731
+    monkeypatch.setattr(verify, "_softmax_moves", spy)
+    assert check_dependent_z_balance(cfg, mc_size=100_000, seed=4).passed
+    assert calls == [(3, 1, 100_000)]
+
+
 def test_dependent_z_balance_requires_enough_samples():
     with pytest.raises(ValueError):
         check_dependent_z_balance(symmetric_cfg(), mc_size=50_000)
@@ -342,6 +365,10 @@ def test_suite_ok_logic():
     assert suite_ok([good, neg_ok, expected])
     assert not suite_ok([good, bad])
     assert not suite_ok([good, neg_bad])
+    # a NaN violation detected nothing, yet counted as a failing negative control
+    neg_nan = Verdict("f", math.nan, 1.0, details={"negative_control": True})
+    assert not suite_ok([good, neg_nan])
+    assert "UNEXPECTED PASS" in format_verdict_table([neg_nan])
 
 
 def test_verdict_json_schema_fields(tmp_path):
