@@ -63,7 +63,7 @@ class HmcConfig:
     mass: Union[float, Sequence[float], np.ndarray] = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
+        if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
             raise ValueError(f"L must be a positive integer, got {self.L!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
@@ -88,6 +88,8 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
+        if np.shape(self.x) != np.shape(self.p):
+            raise ValueError(f"x has shape {np.shape(self.x)} but p has shape {np.shape(self.p)}; they must match")
         if not _finite(self.x, self.p):
             raise ValueError("phase point components must be finite")
 
@@ -122,20 +124,28 @@ def _score(target: Target):
     return target.grad_log_density
 
 
+def _kicks(cfg: HmcConfig) -> tuple:
+    """The ``L`` kicks ``(dt, ..., dt, dt/2)`` and the first half kick, as float64 (so is a float32 score's kick)."""
+    dt, half_dt = np.float64(cfg.dt), np.float64(0.5 * cfg.dt)
+    return (dt,) * (cfg.L - 1) + (half_dt,), half_dt
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _leapfrog(x, p, s, L, drift, dt, score):
+def _leapfrog(x, p, s, kicks, drift, half_dt, score):
     """``(x, p, grad log pi(x))`` -> ``(x_L, p_L, grad log pi(x_L))`` with ``drift = dt M^{-1}``.
 
-    Unchecked: a non-finite gradient makes every later ``x`` and ``p``
-    non-finite, so callers test the end point once.  Overflow and invalid
-    values on the way there raise no numpy warnings.
+    ``kicks, half_dt = _kicks(cfg)``; ``score`` may return a list or an
+    integer array, and only the end score is coerced to float64.  Unchecked:
+    a non-finite gradient makes every later ``x`` and ``p`` non-finite, so
+    callers test the end point once.  Overflow and invalid values on the way
+    there raise no numpy warnings.
     """
-    p = p + (0.5 * dt) * s  # a new array, so the kicks below may update it in place
-    for kick in (dt,) * (L - 1) + (0.5 * dt,):
+    p = p + half_dt * s  # a new array, so the kicks below may update it in place
+    for kick in kicks:
         x = x + drift * p
-        s = np.asarray(score(x), dtype=float)
-        p += kick * s
-    return x, p, s
+        s = score(x)
+        p += np.multiply(kick, s)
+    return x, p, np.asarray(s, dtype=float)
 
 
 def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
@@ -146,7 +156,8 @@ def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
     score = _score(target)
     x, p = np.asarray(start.x, dtype=float), np.asarray(start.p, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), cfg.L, cfg.dt * inv_m, cfg.dt, score)
+    kicks, half_dt = _kicks(cfg)
+    x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), kicks, cfg.dt * inv_m, half_dt, score)
     if not _finite(x, p):
         raise LeapfrogError(f"non-finite phase point after leapfrog step {cfg.L}")
     return PhasePoint(x, p)
@@ -158,28 +169,38 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     Accepts with probability ``min{1, exp(-H(x'', p'') + H(x, p'))}``; the
     momentum is discarded afterwards.  The state carries
     ``(x, log pi(x), grad log pi(x))``; a divergent trajectory is a rejection.
-    ``kernel.draw(rng, b)`` draws ``b`` ``N(0, M)`` momenta and
-    ``kernel.propose(state, p)`` runs the trajectory from momentum ``p``.
+    ``kernel.draw(rng, b)`` draws ``b`` ``N(0, M)`` momenta ``p`` and returns
+    the ``(b, k + 1)`` rows ``(p, p' M^{-1} p / 2)``, the kinetic energies
+    taken for the whole block at once; ``kernel.propose(state, row)`` runs the
+    trajectory from the row's momentum.  Its finite test is one test of the
+    end position, then the end kinetic energy; only a non-finite energy tests
+    the end momentum, which tells a divergence from an energy that overflowed.
     """
     score = _score(target)
     log_density = target.log_density
-    mass = cfg.mass_vector(target.dim)
+    k = target.dim
+    mass = cfg.mass_vector(k)
     inv_m = 1.0 / mass
     sqrt_m = np.sqrt(mass)
     drift = cfg.dt * inv_m
+    kicks, half_dt = _kicks(cfg)
 
     def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-        p = rng.standard_normal((b, sqrt_m.size))
+        p = rng.standard_normal((b, k))
         p *= sqrt_m
-        return p
+        # vecdot runs the same dot kernel as ``p @ (inv_m * p)`` on each row
+        return np.column_stack((p, 0.5 * np.vecdot(p, inv_m * p)))
 
-    def propose(state: ChainState, p0: np.ndarray):
-        y, p, s_y = _leapfrog(state.x, p0, state.grad, cfg.L, drift, cfg.dt, score)
-        if not _finite(y, p):
+    def propose(state: ChainState, row: np.ndarray):
+        y, p, s_y = _leapfrog(state.x, row[:k], state.grad, kicks, drift, half_dt, score)
+        if not np.isfinite(y).all():
+            return ChainState(y, -math.inf, s_y), -math.inf
+        k1 = float(p @ (inv_m * p))
+        if not math.isfinite(k1) and not np.isfinite(p).all():
             return ChainState(y, -math.inf, s_y), -math.inf
         lp_y = log_density(y)
-        h0 = -state.lp + 0.5 * float(p0 @ (inv_m * p0))
-        h1 = -lp_y + 0.5 * float(p @ (inv_m * p))
+        h0 = -state.lp + float(row[k])
+        h1 = -lp_y + 0.5 * k1
         return ChainState(y, lp_y, s_y), h0 - h1
 
     def init(x) -> ChainState:

@@ -112,7 +112,7 @@ def make_iid_gaussian(k: int) -> Target:
         return const - 0.5 * np.vecdot(x, x)
 
     def grad_log_density(x: np.ndarray) -> np.ndarray:
-        return -np.asarray(x, dtype=float)
+        return np.negative(x, dtype=float)
 
     return Target(
         dim=k,
@@ -133,8 +133,8 @@ def make_anisotropic_gaussian(precisions: Sequence[float]) -> Target:
     lam = np.asarray(precisions, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("precisions must be a nonempty 1-D sequence")
-    if np.any(lam <= 0.0):
-        raise ValueError(f"precisions must all be positive, got {lam}")
+    if not np.all((0.0 < lam) & (lam < np.inf)):  # NaN fails both tests
+        raise ValueError(f"precisions must all be positive and finite, got {lam}")
     k = lam.size
     const = 0.5 * float(np.sum(np.log(lam))) - 0.5 * k * LOG_2PI
     neg_lam = -lam
@@ -144,7 +144,7 @@ def make_anisotropic_gaussian(precisions: Sequence[float]) -> Target:
         return const - 0.5 * float(lam @ (x * x))
 
     def grad_log_density(x: np.ndarray) -> np.ndarray:
-        return neg_lam * np.asarray(x, dtype=float)
+        return neg_lam * x  # a list or an integer array is multiplied as float64
 
     return Target(
         dim=k,
@@ -203,8 +203,8 @@ def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Ta
     center : bool
         Sample in mean-centered-covariate coordinates (default raw).
     """
-    if prior_sd <= 0.0:
-        raise ValueError(f"prior_sd must be positive, got {prior_sd}")
+    if not 0.0 < prior_sd < np.inf:
+        raise ValueError(f"prior_sd must be positive and finite, got {prior_sd}")
     records = load_challenger_data()
     y = np.array([r.failure for r in records], dtype=float)
     temps = np.array([r.temp_f for r in records], dtype=float)
@@ -257,6 +257,8 @@ def make_ising_chain(k: int, coupling: float) -> Target:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
 
     def log_density(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -281,8 +283,8 @@ def make_lattice_target(k: int, rate: float) -> Target:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0.0 < rate < np.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
 
     def log_density(x: np.ndarray) -> float:
         return -rate * float(np.sum(np.abs(np.asarray(x, dtype=float))))

@@ -132,6 +132,21 @@ def test_hmc_config_validation():
     assert HmcConfig(L=np.int64(3), dt=0.1).L == 3  # numpy integers are integral
 
 
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_hmc_config_refuses_a_boolean_L(flag):
+    # bool is an int, so an isinstance test alone would run L=True as L = 1
+    with pytest.raises(ValueError, match="L must be a positive integer"):
+        HmcConfig(L=flag, dt=0.1)
+
+
+def test_phase_point_names_both_shapes():
+    # otherwise leapfrog() dies later on numpy's bare broadcast error, which names neither
+    with pytest.raises(ValueError, match=r"x has shape \(3,\) but p has shape \(2,\)"):
+        PhasePoint(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match=r"x has shape \(2,\) but p has shape \(2, 1\)"):
+        PhasePoint(np.zeros(2), np.zeros((2, 1)))
+
+
 @pytest.mark.parametrize("mass", [(1.0, 2.0), np.ones((5, 1)), np.ones(6)])
 def test_hmc_mass_of_another_dimension_is_named(mass):
     # such a mass used to fail inside np.broadcast_to with a message that did not name it
@@ -212,6 +227,22 @@ def test_divergent_trajectory_raises_no_numpy_warnings():
     assert trace.n_nonfinite_proposals == 50
 
 
+@pytest.mark.parametrize("L, n_nonfinite", [(40, 0), (100, 0), (240, 300), (400, 300)])
+def test_divergent_anisotropic_chain_counts_as_before_with_warnings_as_errors(L, n_nonfinite):
+    # dt = 1.5 is past the leapfrog's stability limit 2 / sqrt(10) for precision 10.  Below
+    # L = 120 no trajectory overflows; from L = 240 every one does, and its end position is
+    # non-finite.  The counts are the ones the kernel gave when it tested the end position and
+    # momentum before taking the energies: the position test must run before the end kinetic
+    # energy, which would warn of its overflow, and a non-finite energy alone must not count.
+    target = make_anisotropic_gaussian(np.linspace(1.0, 10.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_chain(make_hmc_kernel(target, HmcConfig(L=L, dt=1.5)), np.zeros(10), 300, 7)
+    assert trace.n_nonfinite_proposals == n_nonfinite
+    assert not trace.accepted.any()
+    assert np.count_nonzero(trace.log_alpha == -np.inf) == n_nonfinite
+
+
 def test_nonfinite_end_momentum_is_a_counted_rejection():
     # The gradient is NaN beyond x = 2 while the density stays finite there,
     # so a one-step trajectory can end at a finite x with a NaN momentum.
@@ -226,6 +257,19 @@ def test_nonfinite_end_momentum_is_a_counted_rejection():
     assert not trace.accepted[rejected_as_nonfinite].any()
     assert not np.isnan(trace.log_alpha).any()
     assert trace.states.max() <= 2.0
+
+
+def test_overflowing_end_energy_is_a_rejection_not_a_divergence():
+    # A flat density with a huge constant score: the end point and momentum stay finite, but the
+    # end kinetic energy overflows to inf.  The transition is rejected by its energy (log_alpha =
+    # -inf) and not counted as non-finite, since the momentum test finds a finite momentum.
+    k = 2
+    target = Target(dim=k, log_density=lambda x: 0.0, grad_log_density=lambda x: np.full(k, 1e200), name="flat")
+    with np.errstate(over="ignore"):
+        trace = run_chain(make_hmc_kernel(target, HmcConfig(L=2, dt=0.5)), np.zeros(k), 20, 3)
+    assert np.all(trace.log_alpha == -np.inf)
+    assert not trace.accepted.any()
+    assert trace.n_nonfinite_proposals == 0
 
 
 @pytest.mark.parametrize("L", [1, 7])
@@ -286,6 +330,44 @@ def test_hmc_coerces_a_list_or_integer_gradient(score):
     start = PhasePoint(x0, np.array([0.5, -1.0, 0.25]))
     a, b = leapfrog(start, cfg, user), leapfrog(start, cfg, twin)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
+
+
+def test_hmc_runs_a_float32_gradient_in_float64():
+    # The kicks are float64 scalars, so a float32 score is kicked in float64, bit-identical to
+    # its twin that returns the same values as float64; a Python float kick would round in float32.
+    base = make_anisotropic_gaussian(np.linspace(1.0, 4.0, 3))
+
+    def score32(x):
+        return base.grad_log_density(x).astype(np.float32)
+
+    user = dataclasses.replace(base, grad_log_density=score32)
+    twin = dataclasses.replace(base, grad_log_density=lambda x: score32(x).astype(float))
+    cfg, x0 = HmcConfig(L=5, dt=0.3), np.array([-0.7, 0.3, 1.1])
+    ref = run_chain(make_hmc_kernel(twin, cfg), x0, 300, 5)
+    got = run_chain(make_hmc_kernel(user, cfg), x0, 300, 5)
+    assert 0.0 < acceptance_rate(ref) < 1.0
+    for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    assert make_hmc_kernel(user, cfg).init(x0).grad.dtype == np.float64
+
+
+@pytest.mark.parametrize("mass", ["scalar", "vector"])
+@pytest.mark.parametrize("k", [1, 3, 10, 100])
+def test_hmc_draw_holds_each_momentum_and_its_kinetic_energy(k, mass):
+    # A draw row is (p, p' M^{-1} p / 2): the block's energies in one vecdot, each bit-identical
+    # to the energy of its row alone; the momenta are the N(0, M) normals of the block.
+    m = 0.7 if mass == "scalar" else np.linspace(0.5, 4.0, k)
+    cfg = HmcConfig(L=1, dt=0.1, mass=m)
+    kernel = make_hmc_kernel(make_iid_gaussian(k), cfg)
+    rows = kernel.draw(chain_rng(3), 256)
+    assert rows.shape == (256, k + 1) and rows.dtype == np.float64
+    inv_m = 1.0 / cfg.mass_vector(k)
+    for row in rows:
+        p = row[:k].copy()
+        assert row[k] == 0.5 * float(p @ (inv_m * p))
+    normals = chain_rng(3).standard_normal((256, k))
+    normals *= np.sqrt(cfg.mass_vector(k))
+    assert np.array_equal(rows[:, :k], normals)
 
 
 def _reference_hmc_trace(target, cfg, x0, n, parent_accept, rng):

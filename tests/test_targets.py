@@ -93,6 +93,22 @@ def test_gradients_match_finite_differences(factory):
         assert np.max(np.abs(g - fd) / (1.0 + np.abs(g))) < 1e-5
 
 
+@pytest.mark.parametrize("factory", [make_iid_gaussian, lambda k: make_anisotropic_gaussian(np.linspace(1.0, 4.0, k))],
+                         ids=["iid", "anisotropic"])
+def test_gaussian_gradients_take_lists_and_integer_arrays_as_float64(factory):
+    # The gradients take the position as given: a list or an integer array must give the
+    # float-array call's values, bit for bit and as float64.
+    target = factory(4)
+    ints = [-3, 0, 2, 7]
+    ref = target.grad_log_density(np.array(ints, dtype=float))
+    assert ref.dtype == np.float64
+    for x in (ints, np.array(ints), np.array(ints, dtype=np.int32)):
+        g = target.grad_log_density(x)
+        assert g.dtype == np.float64
+        assert np.array_equal(g, ref)
+        assert np.array_equal(np.signbit(g), np.signbit(ref))  # -0.0 where x is 0
+
+
 def test_log_concave_sandwich_for_gaussians():
     # Strong concavity/smoothness: between any two points the log-density gap
     # is bracketed by the quadratic bounds with the declared curvatures.
@@ -112,6 +128,24 @@ def test_log_concave_sandwich_for_gaussians():
 def test_log_concave_meta_validation():
     with pytest.raises(ValueError):
         LogConcaveMeta(m_k=2.0, M_k=1.0, mode=np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: make_anisotropic_gaussian([1.0, v]), "precisions"),
+        (make_challenger_logistic, "prior_sd"),
+        (lambda v: make_lattice_target(2, v), "rate"),
+        (lambda v: make_ising_chain(3, v), "coupling"),
+    ],
+    ids=["anisotropic-gaussian", "challenger-logistic", "lattice", "ising-chain"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_target_factories_name_a_nonfinite_parameter(build, name, value):
+    # NaN fails every comparison, so a check for <= 0 alone let it through to a density that is
+    # NaN everywhere; an infinite precision or rate made every density NaN or -inf as well.
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        build(value)
 
 
 # --- Challenger data and posterior ---------------------------------------
