@@ -21,9 +21,10 @@ by the same operations).  The Hamiltonian uses the kinetic energy
 An HMC transition costs one log-density call and ``L`` gradient calls: the
 chain state carries ``log pi`` and ``grad log pi`` of the current position.  A
 divergent trajectory, one whose end point is non-finite, is a rejected
-transition counted in ``Trace.meta["n_nonfinite_proposals"]``; the
-integrator runs with numpy's overflow and invalid-value warnings off, and
-only the public ``leapfrog()`` raises ``LeapfrogError`` for a divergence.
+transition counted in ``Trace.meta["n_nonfinite_proposals"]``; the kernel's
+whole proposal, end energy and end log-density included, runs with numpy's
+overflow and invalid-value warnings off, and only the public ``leapfrog()``
+raises ``LeapfrogError`` for a divergence.
 
 Note on parameterization: for a single leapfrog step of size ``dt`` the
 position proposal is exactly Gaussian with mean
@@ -124,23 +125,28 @@ def _score(target: Target):
     return target.grad_log_density
 
 
-def _kicks(cfg: HmcConfig) -> tuple:
-    """The ``L`` kicks ``(dt, ..., dt, dt/2)`` and the first half kick, as float64 (so is a float32 score's kick)."""
-    dt, half_dt = np.float64(cfg.dt), np.float64(0.5 * cfg.dt)
+def _kicks(cfg: HmcConfig, k: int) -> tuple:
+    """The ``L`` kicks ``(dt, ..., dt, dt/2)`` and the first half kick, as float64 ``(k,)`` vectors.
+
+    A vector times the score is numpy's cheapest multiply (a float64 scalar
+    costs more to dispatch), and it kicks a float32 score in float64.
+    """
+    dt, half_dt = np.full(k, cfg.dt, dtype=float), np.full(k, 0.5 * cfg.dt, dtype=float)
     return (dt,) * (cfg.L - 1) + (half_dt,), half_dt
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _leapfrog(x, p, s, kicks, drift, half_dt, score):
     """``(x, p, grad log pi(x))`` -> ``(x_L, p_L, grad log pi(x_L))`` with ``drift = dt M^{-1}``.
 
-    ``kicks, half_dt = _kicks(cfg)``; ``score`` may return a list or an
+    ``kicks, half_dt = _kicks(cfg, k)``; ``score`` may return a list or an
     integer array, and only the end score is coerced to float64.  Unchecked:
     a non-finite gradient makes every later ``x`` and ``p`` non-finite, so
-    callers test the end point once.  Overflow and invalid values on the way
-    there raise no numpy warnings.
+    callers test the end point once.  Both callers, the kernel's ``propose``
+    and the public ``leapfrog()``, run it under ``np.errstate(over="ignore",
+    invalid="ignore")``, so overflow and invalid values on the way there
+    raise no numpy warnings.
     """
-    p = p + half_dt * s  # a new array, so the kicks below may update it in place
+    p = p + np.multiply(half_dt, s)  # a new array, so the kicks below may update it in place
     for kick in kicks:
         x = x + drift * p
         s = score(x)
@@ -156,8 +162,9 @@ def leapfrog(start: PhasePoint, cfg: HmcConfig, target: Target) -> PhasePoint:
     score = _score(target)
     x, p = np.asarray(start.x, dtype=float), np.asarray(start.p, dtype=float)
     inv_m = 1.0 / cfg.mass_vector(x.size)
-    kicks, half_dt = _kicks(cfg)
-    x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), kicks, cfg.dt * inv_m, half_dt, score)
+    kicks, half_dt = _kicks(cfg, x.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, p, _ = _leapfrog(x, p, np.asarray(score(x), dtype=float), kicks, cfg.dt * inv_m, half_dt, score)
     if not _finite(x, p):
         raise LeapfrogError(f"non-finite phase point after leapfrog step {cfg.L}")
     return PhasePoint(x, p)
@@ -175,6 +182,10 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     trajectory from the row's momentum.  Its finite test is one test of the
     end position, then the end kinetic energy; only a non-finite energy tests
     the end momentum, which tells a divergence from an energy that overflowed.
+    The whole of ``propose``, the trajectory, its finite tests, the end
+    energy and the end log-density, runs under ``np.errstate(over="ignore",
+    invalid="ignore")``: a divergent or overflowing trajectory is a quiet
+    rejection.
     """
     score = _score(target)
     log_density = target.log_density
@@ -183,19 +194,21 @@ def make_hmc_kernel(target: Target, cfg: HmcConfig) -> Kernel:
     inv_m = 1.0 / mass
     sqrt_m = np.sqrt(mass)
     drift = cfg.dt * inv_m
-    kicks, half_dt = _kicks(cfg)
+    kicks, half_dt = _kicks(cfg, k)
 
     def draw(rng: np.random.Generator, b: int) -> np.ndarray:
         p = rng.standard_normal((b, k))
         p *= sqrt_m
-        # vecdot runs the same dot kernel as ``p @ (inv_m * p)`` on each row
+        # vecdot runs the same dot kernel as ``p.dot(inv_m * p)`` on each row
         return np.column_stack((p, 0.5 * np.vecdot(p, inv_m * p)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def propose(state: ChainState, row: np.ndarray):
         y, p, s_y = _leapfrog(state.x, row[:k], state.grad, kicks, drift, half_dt, score)
-        if not np.isfinite(y).all():
+        # An inf or NaN makes y'y non-finite; a finite y whose y'y overflows takes the full test.
+        if not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
             return ChainState(y, -math.inf, s_y), -math.inf
-        k1 = float(p @ (inv_m * p))
+        k1 = float(p.dot(inv_m * p))
         if not math.isfinite(k1) and not np.isfinite(p).all():
             return ChainState(y, -math.inf, s_y), -math.inf
         lp_y = log_density(y)

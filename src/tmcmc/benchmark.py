@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import Lockstep, chain_rng, lockstep_path, map_tasks, pool_workers, run_lockstep
+from .chain import Lockstep, _check_count, chain_rng, lockstep_path, map_tasks, pool_workers, run_lockstep
 from .diagnostics import MIN_SAMPLES, acceptance_rate, iact_and_ess_rows, split_rhat
 from .targets import make_challenger_logistic
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -54,12 +54,17 @@ class ChallengerConfig:
     rhat_threshold: float = 1.05
 
     def __post_init__(self):
-        if self.n_chains < 2:
-            raise ValueError("need at least 2 chains for split-chain diagnostics")
+        _check_count("n_iter", self.n_iter, 1)
+        _check_count("n_chains", self.n_chains, 2)  # split-chain diagnostics need two
         if not 0.0 <= self.burn_frac < 1.0:
             raise ValueError("burn_frac must lie in [0, 1)")
         if not 0.0 < self.rwmh_sigma < np.inf:
             raise ValueError(f"rwmh_sigma must be positive and finite, got {self.rwmh_sigma}")
+        # A NaN or a negative band, or a NaN threshold, could never pass.
+        if not 0.0 < self.agreement_band_se < np.inf:
+            raise ValueError(f"agreement_band_se must be positive and finite, got {self.agreement_band_se}")
+        if not 0.0 < self.rhat_threshold < np.inf:
+            raise ValueError(f"rhat_threshold must be positive and finite, got {self.rhat_threshold}")
         TmcmcConfig(scales=self.tmcmc_scales, eps_scale=self.tmcmc_eps_scale)  # raises on bad additive tuning
         kept = self.n_iter - int(self.burn_frac * self.n_iter)
         if kept < MIN_SAMPLES:

@@ -134,6 +134,14 @@ def _check_shape(name: str, value, k: int, fits: tuple) -> None:
         raise ValueError(f"{name} has shape {shape}; a target of dimension {k} needs {' or '.join(map(str, fits))}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (a bool is not) ``>= least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _per_coordinate(name: str, value, k: int) -> np.ndarray:
     """A kernel setting as a ``(k,)`` float array; only shapes ``()``, ``(1,)`` and ``(k,)`` broadcast."""
     _check_shape(name, value, k, ((), (1,), (k,)))
@@ -207,10 +215,13 @@ def accept_batch(x: np.ndarray, lp_x: np.ndarray, y: np.ndarray, lp_y: np.ndarra
     non-finite rule; ``log_u`` may also be one value shared by every row.
     Non-finite proposals are counted into the ``(C,)`` array ``n_nonfinite``.
     Returns the ``(C,)`` accept flags.  Run it under
-    ``np.errstate(invalid="ignore")``: an ``inf - inf`` is replaced by the rule.
+    ``np.errstate(over="ignore", invalid="ignore")``, as ``run_lockstep``
+    does: an ``inf - inf`` is replaced by the rule, and the finite test
+    ``log_alpha' log_alpha`` overflows when finite ratios are huge; the rule
+    then leaves every ratio as it is.
     """
     log_alpha = lp_y - lp_x
-    if not math.isfinite(log_alpha.sum()):  # some density is non-finite
+    if not math.isfinite(log_alpha.dot(log_alpha)):  # some density is non-finite, or the squares overflow
         log_alpha, nonfinite = nonfinite_rule(log_alpha, lp_x, lp_y)
         n_nonfinite += nonfinite
     accepted = log_u < log_alpha
@@ -328,8 +339,7 @@ def run_chain(
     uniforms are always stored in full.
     """
     x0 = np.asarray(x0, dtype=float)
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    _check_count("n_iter", n_iter, 1)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else chain_rng(int(rng_seed))
@@ -423,8 +433,9 @@ def run_lockstep(
     must return ``r = 1``.  All proposals go to one ``log_density`` call on a
     ``(G * C, k)`` batch, which must be row by row bit-identical to single
     calls.  The leading ``n_record`` coordinates are recorded.  Bad streams,
-    ``n_iter < 1``, ``n_record`` outside ``[1, k]`` or a ``scales`` shape
-    other than these raise ``ValueError`` before the first step.
+    an ``n_iter`` that is not an integer ``>= 1``, ``n_record`` outside
+    ``[1, k]`` or a ``scales`` shape other than these raise ``ValueError``
+    before the first step.
     """
     directions = [kernel.direction for kernel in kernels]
     signed = [kernel.a is not None for kernel in kernels]
@@ -434,8 +445,7 @@ def run_lockstep(
     x0 = np.asarray(x0, dtype=float)
     n_streams, k = x0.shape
     scales = np.asarray(scales, dtype=float)
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    _check_count("n_iter", n_iter, 1)
     if not 1 <= n_record <= k:
         raise ValueError(f"n_record must lie in [1, {k}], got {n_record}")
     if scales.ndim == 1:
@@ -460,7 +470,7 @@ def run_lockstep(
     normals = np.empty((n_iter, n_streams - n_sign, n_record))
     accepted = np.empty((n_iter, n_streams * n_cells), dtype=bool)
     n_nonfinite = np.zeros(n_streams * n_cells, dtype=int)
-    with np.errstate(invalid="ignore"):  # inf - inf: replaced by accept_batch's rule
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and huge ratios: see accept_batch
         for start in range(0, n_iter, block):
             b = min(block, n_iter - start)
             rows = slice(start, start + b)

@@ -107,8 +107,8 @@ def make_iid_gaussian(k: int) -> Target:
     def log_density(x: np.ndarray):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return const - 0.5 * float(x @ x)
-        # vecdot runs the same dot kernel as ``x @ x`` on each row.
+            return const - 0.5 * float(x.dot(x))
+        # vecdot runs the same dot kernel as ``x.dot(x)`` on each row.
         return const - 0.5 * np.vecdot(x, x)
 
     def grad_log_density(x: np.ndarray) -> np.ndarray:
@@ -141,7 +141,7 @@ def make_anisotropic_gaussian(precisions: Sequence[float]) -> Target:
 
     def log_density(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return const - 0.5 * float(lam @ (x * x))
+        return const - 0.5 * float(lam.dot(x * x))
 
     def grad_log_density(x: np.ndarray) -> np.ndarray:
         return neg_lam * x  # a list or an integer array is multiplied as float64
@@ -217,9 +217,9 @@ def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Ta
         if beta.ndim == 1:
             b0, b1 = float(beta[0]), float(beta[1])
             eta = b0 + b1 * t_cov
-            loglik = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
+            loglik = float(y.dot(eta) - np.sum(np.logaddexp(0.0, eta)))
         else:
-            # Row by row the same operations: vecdot runs ``y @ eta``'s dot kernel.
+            # Row by row the same operations: vecdot runs ``y.dot(eta)``'s dot kernel.
             b0, b1 = beta[:, 0], beta[:, 1]
             eta = b0[:, None] + b1[:, None] * t_cov
             loglik = np.vecdot(eta, y) - np.logaddexp(0.0, eta).sum(axis=1)
@@ -232,7 +232,7 @@ def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Ta
         resid = y - 1.0 / (1.0 + np.exp(-eta))
         raw0 = b0 - b1 * t_bar
         g0 = float(np.sum(resid)) - 2.0 * inv_two_var * raw0
-        g1 = float(t_cov @ resid) - 2.0 * inv_two_var * (b1 - raw0 * t_bar)
+        g1 = float(t_cov.dot(resid)) - 2.0 * inv_two_var * (b1 - raw0 * t_bar)
         return np.array([g0, g1])
 
     return Target(
@@ -264,7 +264,7 @@ def make_ising_chain(k: int, coupling: float) -> Target:
         x = np.asarray(x, dtype=float)
         if k == 1:
             return 0.0
-        return coupling * float(x[:-1] @ x[1:])
+        return coupling * float(x[:-1].dot(x[1:]))
 
     return Target(
         dim=k,

@@ -10,6 +10,7 @@ from tmcmc.baseline_kernels import (
     HmcConfig,
     LeapfrogError,
     PhasePoint,
+    _kicks,
     hmc_one_step_proposal_params,
     leapfrog,
     make_hmc_kernel,
@@ -241,6 +242,56 @@ def test_divergent_anisotropic_chain_counts_as_before_with_warnings_as_errors(L,
     assert trace.n_nonfinite_proposals == n_nonfinite
     assert not trace.accepted.any()
     assert np.count_nonzero(trace.log_alpha == -np.inf) == n_nonfinite
+
+
+@pytest.mark.parametrize("L", [120, 160, 220])
+def test_overflowing_anisotropic_chain_is_quiet_with_warnings_as_errors(L):
+    # Between L = 120 and 220 at dt = 1.5 the trajectories end at finite but huge points, where
+    # the end energy, y'y and the target's x * x overflow.  All of it runs in propose's errstate
+    # scope, so with warnings as errors the chain is the one run with warnings ignored: every
+    # proposal a counted rejection (its log-density is -inf).
+    target = make_anisotropic_gaussian(np.linspace(1.0, 10.0, 10))
+    cfg = HmcConfig(L=L, dt=1.5)
+    end = leapfrog(PhasePoint(np.zeros(10), make_hmc_kernel(target, cfg).draw(chain_rng(7), 1)[0, :10]), cfg, target)
+    assert np.abs(end.x).max() > 1e154  # finite, since leapfrog() did not raise, and y'y overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = run_chain(make_hmc_kernel(target, cfg), np.zeros(10), 300, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_chain(make_hmc_kernel(target, cfg), np.zeros(10), 300, 7)
+    assert trace.n_nonfinite_proposals == ref.n_nonfinite_proposals == 300
+    for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(trace, field), getattr(ref, field)), field
+
+
+def test_trajectory_ending_at_a_huge_finite_point_is_decided_quietly():
+    # A flat density with a constant score, started at 1e160: every end point is finite but its
+    # y'y overflows, so the finite test falls through to the full one and the energies decide, as
+    # from the origin, where nothing overflows.  No warning is raised on the way.
+    k = 3
+    target = Target(dim=k, log_density=lambda x: 0.0, grad_log_density=lambda x: np.full(k, 0.3), name="tilted")
+    cfg = HmcConfig(L=4, dt=0.5)
+    ref = run_chain(make_hmc_kernel(target, cfg), np.zeros(k), 400, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_chain(make_hmc_kernel(target, cfg), np.full(k, 1e160), 400, 6)
+    assert 0.0 < acceptance_rate(trace) < 1.0
+    assert trace.n_nonfinite_proposals == 0
+    assert np.all(trace.states == 1e160)  # dt p is below the spacing of floats at 1e160
+    for field in ("accepted", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(trace, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("dt", [0.3, 1, np.float32(0.3)])
+def test_kicks_are_float64_vectors(dt):
+    # The kicks are (k,) float64 vectors, whatever type dt has: (dt, ..., dt, dt/2) and dt/2.
+    cfg = HmcConfig(L=3, dt=dt)
+    kicks, half_dt = _kicks(cfg, 4)
+    assert len(kicks) == 3
+    for kick, value in zip((*kicks, half_dt), (dt, dt, 0.5 * dt, 0.5 * dt)):
+        assert kick.dtype == np.float64 and kick.shape == (4,)
+        assert kick.tolist() == [float(value)] * 4
 
 
 def test_nonfinite_end_momentum_is_a_counted_rejection():

@@ -112,6 +112,17 @@ def test_report_is_independent_of_worker_count(n_chains, n_workers, monkeypatch,
     assert report == _json(run_challenger_benchmark(cfg, n_workers=1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("agreement_band_se", float("nan")), ("agreement_band_se", -1.0), ("rhat_threshold", float("nan")),
+     ("n_chains", 2.5), ("n_chains", True), ("n_iter", 2000.5)],
+)
+def test_config_names_a_field_that_could_never_pass_or_run(field, value):
+    # A NaN or negative band and a NaN threshold fail every report; a fractional count fails in range().
+    with pytest.raises(ValueError, match=field):
+        ChallengerConfig(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="rwmh_sigma"):
         ChallengerConfig(rwmh_sigma=0.0)

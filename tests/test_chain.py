@@ -4,9 +4,11 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from tmcmc import (
     make_rwmh_kernel,
 )
 from tmcmc.chain import Trace, _accept, accept_batch
+from tmcmc.targets import Target
 
 LOG_DENSITIES = [-1.5, 0.25, -math.inf, math.inf, math.nan]
 
@@ -297,6 +300,53 @@ def test_run_lockstep_decides_a_zero_uniform_as_run_chain():
     assert run.accepted[100, 0]
     assert np.array_equal(run.accepted[:, 0], trace.accepted)
     assert np.array_equal(chain.lockstep_path(run, 0), trace.states)
+
+
+def test_accept_batch_with_huge_finite_ratios_takes_the_plain_decision():
+    # Finite log-densities about 1e200 apart: the finite test's log_alpha' log_alpha overflows, so
+    # the batch goes through the non-finite rule, which must leave every ratio as it is and count
+    # nothing.  Under the scope the docstring names, the overflow raises no warning.
+    lp_x = np.array([1e200, -1e200, 0.5, -2.0, 3e199, -7e199])
+    lp_y = np.array([-1e200, 1e200, 0.25, -1.0, -4e199, 8e199])
+    log_u = np.log(np.full(6, 0.5))
+    x, y, lp = np.zeros((6, 2)), np.ones((6, 2)), lp_x.copy()
+    counts = np.zeros(6, dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            flags = accept_batch(x, lp, y, lp_y, log_u, counts)
+    assert flags.tolist() == (log_u < lp_y - lp_x).tolist() == [False, True, True, True, False, True]
+    assert counts.tolist() == [0] * 6
+    assert np.array_equal(lp, np.where(flags, lp_y, lp_x))
+
+
+def test_run_lockstep_decides_huge_finite_ratios_as_run_chain_without_warnings():
+    # A log-density of slope 1e200: every ratio is finite and huge, so each step's finite test
+    # overflows inside run_lockstep's own errstate scope.  The flags are run_chain's.
+    def log_density(x):
+        x = np.asarray(x)
+        return 1e200 * x[..., 0] if x.ndim > 1 else 1e200 * float(x[0])
+
+    target = Target(dim=2, log_density=log_density, name="steep")
+    x0 = np.array([2.5, -2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = chain.run_chain(make_rwmh_kernel(target, 3.0), x0, 300, 4)
+        run = chain.run_lockstep([make_rwmh_kernel(target, 1.0)], log_density, x0[None], [3.0], 300, [chain.chain_rng(4)], 2)
+    assert 0.0 < trace.accepted.mean() < 1.0
+    assert np.array_equal(run.accepted[:, 0], trace.accepted)
+    assert run.n_nonfinite.tolist() == [0] == [trace.n_nonfinite_proposals]
+    assert np.array_equal(chain.lockstep_path(run, 0), trace.states)
+
+
+@pytest.mark.parametrize(
+    "n_iter, message", [(2.5, "n_iter must be an integer, got 2.5"), (True, "n_iter must be an integer, got True"),
+                        (0, "n_iter must be >= 1, got 0")]
+)
+def test_run_chain_names_an_n_iter_that_is_not_a_positive_integer(n_iter, message):
+    kernel = make_rwmh_kernel(make_iid_gaussian(2), 1.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chain.run_chain(kernel, np.zeros(2), n_iter, 1)
 
 
 @pytest.mark.parametrize("n_workers", [0, 1])

@@ -50,6 +50,63 @@ def test_iid_gaussian_batched_rows_equal_single_calls(k):
     assert np.array_equal(values, singles)  # bit for bit, not approximately
 
 
+def _matmul_form(family, k):
+    """A 1-D density and, as its reference, the same arithmetic with ``@`` for its dot."""
+    if family == "iid":
+        target = make_iid_gaussian(k)
+        const = target.log_density(np.zeros(k))  # const - 0.5 * 0.0, exactly
+        return target, lambda x: const - 0.5 * float(x @ x)
+    if family == "anisotropic":
+        lam = np.linspace(0.5, 4.0, k)
+        target = make_anisotropic_gaussian(lam)
+        const = target.log_density(np.zeros(k))
+        return target, lambda x: const - 0.5 * float(lam @ (x * x))
+    target = make_ising_chain(k, 0.7)
+    return target, lambda x: 0.7 * float(x[:-1] @ x[1:]) if k > 1 else 0.0
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 100, 20_000])
+@pytest.mark.parametrize("family", ["iid", "anisotropic", "ising"])
+def test_one_state_densities_equal_their_matmul_form(family, k):
+    # The densities take their dots with ndarray.dot, which runs the BLAS dot that ``@`` runs on
+    # 1-D operands: each value equals the ``@`` form bit for bit, from a float array, a list and
+    # an integer array alike.
+    target, reference = _matmul_form(family, k)
+    rng = np.random.default_rng(k)
+    ints = rng.integers(-5, 6, size=k)
+    for x in (rng.standard_normal(k) * 3.0, rng.standard_normal(k) * 1e-3, ints.astype(float)):
+        assert target.log_density(x) == reference(x)
+    for x in (ints, ints.tolist(), ints.astype(np.int32)):
+        assert target.log_density(x) == reference(ints.astype(float))
+    if family == "iid":  # the batched rows take vecdot, row by row the single call's value
+        batch = rng.standard_normal((3, k))
+        assert target.log_density(batch).tolist() == [target.log_density(row.copy()) for row in batch]
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_challenger_density_and_gradient_equal_their_matmul_form(center):
+    # The logistic density's ``y . eta`` and the gradient's ``t_cov . resid`` are ndarray.dot:
+    # bit-identical to the same arithmetic with ``@``, from floats, a list and integers.
+    target = make_challenger_logistic(10.0, center=center)
+    y, t_bar, inv_two_var = target.info["y"], target.info["t_bar"], 0.5 / (10.0 * 10.0)
+    t_cov = target.info["temps"] - t_bar
+
+    def reference(beta):
+        b0, b1 = float(beta[0]), float(beta[1])
+        eta = b0 + b1 * t_cov
+        raw0 = b0 - b1 * t_bar
+        lp = float(y @ eta - np.sum(np.logaddexp(0.0, eta))) - inv_two_var * (raw0 * raw0 + b1 * b1)
+        resid = y - 1.0 / (1.0 + np.exp(-eta))
+        return lp, float(t_cov @ resid) - 2.0 * inv_two_var * (b1 - raw0 * t_bar)
+
+    betas = list(np.random.default_rng(29).standard_normal((500, 2)) * (3.0, 0.2))
+    betas += [[1, 0], [-2, 0], np.array([3, -1]), np.array([0, 0], dtype=np.int32)]
+    for beta in betas:
+        lp, g1 = reference(beta)
+        assert target.log_density(beta) == lp
+        assert target.grad_log_density(beta)[1] == g1
+
+
 def test_iid_gaussian_rejects_zero_dim():
     with pytest.raises(ValueError):
         make_iid_gaussian(0)
