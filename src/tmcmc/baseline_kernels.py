@@ -41,7 +41,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _per_coordinate, _shift_draw, _shift_propose, init_state
+from .chain import (
+    ChainState, Kernel, _check_count, _check_positive, _per_coordinate, _shift_draw, _shift_propose, init_state,
+)
 from .targets import Target
 
 __all__ = [
@@ -64,13 +66,9 @@ class HmcConfig:
     mass: Union[float, Sequence[float], np.ndarray] = 1.0
 
     def __post_init__(self):
-        if isinstance(self.L, bool) or not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValueError(f"L must be a positive integer, got {self.L!r}")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        mass = np.asarray(self.mass, dtype=float)
-        if not np.all((0.0 < mass) & (mass < math.inf)):
-            raise ValueError("mass entries must be positive and finite")
+        _check_count("L", self.L, 1)
+        _check_positive("dt", self.dt)
+        _check_positive("mass", self.mass)
 
     def mass_vector(self, k: int) -> np.ndarray:
         """The diagonal mass in dimension ``k``; ``mass`` must hold one value or ``k``."""
@@ -106,8 +104,7 @@ def make_rwmh_kernel(target: Target, sigma: float) -> Kernel:
     ``d`` and returns the ``(b,)`` innovations ``r = 1``; ``kernel.draw(rng,
     b)`` returns the rows ``sigma * d``.
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _check_positive("sigma", sigma)
     log_density = target.log_density
 
     def direction(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from .chain import _check_count, _check_positive
+
 __all__ = [
     "AcceptanceBoundInputs",
     "LogBoundPair",
@@ -50,18 +52,16 @@ class AcceptanceBoundInputs:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        _check_count("k", self.k, 1)
         if not (0.0 < self.m_k <= self.M_k):
             raise ValueError(f"need 0 < m_k <= M_k, got ({self.m_k}, {self.M_k})")
         if not (0.0 < self.psi1 < 1.0 and 0.0 < self.psi2 < 1.0 and self.psi1 < 1.0 - self.psi2):
             raise ValueError(f"psi window invalid: psi1={self.psi1}, psi2={self.psi2}")
-        if self.pi_mode <= 0.0:
-            raise ValueError(f"pi_mode must be positive, got {self.pi_mode}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        _check_positive("pi_mode", self.pi_mode)
+        if self.dt is not None:
+            _check_positive("dt", self.dt)
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):  # NaN fails both tests
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,9 @@ def rwmh_ar_bounds(inp: AcceptanceBoundInputs) -> LogBoundPair:
 
 def rwmh_ar_asymp(k: int, M_k: float, pi_mode: float = 1.0) -> float:
     """Log of the large-k random-walk form ``(2pi)^{k/2}/M_k^k {1 - Phi(sqrt(k/2))}``."""
-    if k < 1 or M_k <= 0.0 or pi_mode <= 0.0:
-        raise ValueError("need k >= 1, M_k > 0, pi_mode > 0")
+    _check_count("k", k, 1)
+    _check_positive("M_k", M_k)
+    _check_positive("pi_mode", pi_mode)
     return _log_prefactor(k, M_k, pi_mode) + _log_upper_tail(math.sqrt(0.5 * k))
 
 

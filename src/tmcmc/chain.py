@@ -142,6 +142,13 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless each entry of ``value`` is a number (not a bool) in ``(0, inf)``."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or not np.all((0.0 < a) & (a < math.inf)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _per_coordinate(name: str, value, k: int) -> np.ndarray:
     """A kernel setting as a ``(k,)`` float array; only shapes ``()``, ``(1,)`` and ``(k,)`` broadcast."""
     _check_shape(name, value, k, ((), (1,), (k,)))

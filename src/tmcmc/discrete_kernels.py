@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _per_coordinate, _shift_propose, init_state
+from .chain import ChainState, Kernel, _check_count, _check_positive, _per_coordinate, _shift_propose, init_state
 from .targets import Target
 
 __all__ = [
@@ -53,8 +53,7 @@ def _check_lattice(r: float, jump_scale: float) -> None:
     """The lattice kernel's settings: ``r`` in [0, 1] and ``jump_scale`` positive and finite; NaN is neither."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if not 0.0 < jump_scale < math.inf:
-        raise ValueError(f"jump_scale must be positive and finite, got {jump_scale}")
+    _check_positive("jump_scale", jump_scale)
 
 
 def make_ising_kernel(target: Target, p: Union[float, np.ndarray]) -> Kernel:
@@ -259,8 +258,7 @@ def lattice_transition_matrix(
     ``box_radius`` must be a nonnegative integer.
     """
     _check_lattice(r, jump_scale)
-    if isinstance(box_radius, bool) or not isinstance(box_radius, (int, np.integer)) or box_radius < 0:
-        raise ValueError(f"box_radius must be a nonnegative integer, got {box_radius!r}")
+    _check_count("box_radius", box_radius, 0)
     k, side = target.dim, 2 * box_radius + 1
     if side**k > MAX_EXACT_STATES:  # before the states and the (n, n) matrices are made
         raise ValueError(f"state space too large for exact construction: {side**k} > {MAX_EXACT_STATES}")

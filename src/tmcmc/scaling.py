@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baseline_kernels import make_rwmh_kernel
-from .chain import lockstep_path, map_tasks, pool_workers, run_chain, run_lockstep
+from .chain import _check_count, _check_positive, lockstep_path, map_tasks, pool_workers, run_chain, run_lockstep
 from .diagnostics import MIN_SAMPLES, acceptance_rate, ess_block_rows, expected_acceptance_rate, iact_and_ess_rows
 from .targets import make_iid_gaussian
 from .transform_kernels import TmcmcConfig, make_additive_tmcmc_kernel
@@ -80,10 +80,13 @@ class ScalingStudySpec:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
-        if any(k < 1 for k in self.dims):
-            raise ValueError("dims must be positive integers")
-        if not all(0 < e < np.inf for e in self.ell_grid):
-            raise ValueError("ell_grid entries must be positive and finite")
+        for k in self.dims:
+            _check_count("dims", k, 1)
+        _check_positive("ell_grid", self.ell_grid)
+        _check_count("n_iter", self.n_iter, 1)
+        _check_count("burn_in", self.burn_in, 0)
+        for seed in self.seeds:
+            _check_count("seeds", seed, 0)
         if not 0 <= self.burn_in < self.n_iter:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.n_iter - self.burn_in < MIN_SAMPLES:

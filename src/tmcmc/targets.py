@@ -16,6 +16,8 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
+from .chain import _check_count, _check_positive
+
 __all__ = [
     "SupportKind",
     "LogConcaveMeta",
@@ -88,8 +90,7 @@ class Target:
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        _check_count("dim", self.dim, 1)
 
 
 def make_iid_gaussian(k: int) -> Target:
@@ -100,8 +101,7 @@ def make_iid_gaussian(k: int) -> Target:
     log-density also takes a ``(C, k)`` batch of states and returns ``(C,)``
     values, each bit-identical to the single-state call on that row.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_count("k", k, 1)
     const = -0.5 * k * LOG_2PI
 
     def log_density(x: np.ndarray):
@@ -133,8 +133,7 @@ def make_anisotropic_gaussian(precisions: Sequence[float]) -> Target:
     lam = np.asarray(precisions, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("precisions must be a nonempty 1-D sequence")
-    if not np.all((0.0 < lam) & (lam < np.inf)):  # NaN fails both tests
-        raise ValueError(f"precisions must all be positive and finite, got {lam}")
+    _check_positive("precisions", lam)
     k = lam.size
     const = 0.5 * float(np.sum(np.log(lam))) - 0.5 * k * LOG_2PI
     neg_lam = -lam
@@ -203,8 +202,7 @@ def make_challenger_logistic(prior_sd: float = 10.0, center: bool = False) -> Ta
     center : bool
         Sample in mean-centered-covariate coordinates (default raw).
     """
-    if not 0.0 < prior_sd < np.inf:
-        raise ValueError(f"prior_sd must be positive and finite, got {prior_sd}")
+    _check_positive("prior_sd", prior_sd)
     records = load_challenger_data()
     y = np.array([r.failure for r in records], dtype=float)
     temps = np.array([r.temp_f for r in records], dtype=float)
@@ -255,8 +253,7 @@ def make_ising_chain(k: int, coupling: float) -> Target:
 
     ``log pi(x) = coupling * sum_i x_i x_{i+1}`` over nearest-neighbor bonds.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_count("k", k, 1)
     if not np.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")
 
@@ -281,10 +278,8 @@ def make_lattice_target(k: int, rate: float) -> Target:
     ``log pi(x) = -rate * sum_i |x_i|``; heavy enough tails that integer jumps
     of several units still see appreciable mass.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not 0.0 < rate < np.inf:
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    _check_count("k", k, 1)
+    _check_positive("rate", rate)
 
     def log_density(x: np.ndarray) -> float:
         return -rate * float(np.sum(np.abs(np.asarray(x, dtype=float))))

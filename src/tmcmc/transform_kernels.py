@@ -15,7 +15,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainState, Kernel, _check_shape, _per_coordinate, _shift_draw, _shift_propose, init_state
+from .chain import (
+    ChainState, Kernel, _check_positive, _check_shape, _per_coordinate, _shift_draw, _shift_propose, init_state,
+)
 from .targets import Target
 
 __all__ = [
@@ -108,7 +110,6 @@ class TmcmcConfig:
     q: ArrayLike = 0.5
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.scales, dtype=float))
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
         try:
@@ -116,10 +117,8 @@ class TmcmcConfig:
         except ValueError:
             shapes = f"{np.shape(self.p)} and {np.shape(self.q)}"
             raise ValueError(f"p and q must broadcast together, got shapes {shapes}") from None
-        if not np.all((0.0 < a) & (a < math.inf)):
-            raise ValueError(f"scales must be positive and finite, got {self.scales}")
-        if not 0.0 < self.eps_scale < math.inf:
-            raise ValueError(f"eps_scale must be positive and finite, got {self.eps_scale}")
+        _check_positive("scales", self.scales)
+        _check_positive("eps_scale", self.eps_scale)
         if not (np.all(p >= 0.0) and np.all(q >= 0.0) and np.all(p + q <= 1.0 + 1e-12)):
             raise ValueError("need p_i, q_i >= 0 and p_i + q_i <= 1")
         if np.all(p + q == 0.0):
@@ -149,11 +148,8 @@ class DependentZConfig:
     scales: ArrayLike = 1.0
 
     def __post_init__(self):
-        a = np.asarray(self.scales, dtype=float)
-        if not 0.0 < self.eps_scale < math.inf:
-            raise ValueError(f"eps_scale must be positive and finite, got {self.eps_scale}")
-        if not np.all((0.0 < a) & (a < math.inf)):
-            raise ValueError("scales must be positive and finite")
+        _check_positive("eps_scale", self.eps_scale)
+        _check_positive("scales", self.scales)
         for name in ("mu_1", "mu_2", "mu_3", "sigma_1", "sigma_2", "sigma_3"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ValueError(f"{name}: entries must be finite")

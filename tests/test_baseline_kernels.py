@@ -136,7 +136,7 @@ def test_hmc_config_validation():
 @pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
 def test_hmc_config_refuses_a_boolean_L(flag):
     # bool is an int, so an isinstance test alone would run L=True as L = 1
-    with pytest.raises(ValueError, match="L must be a positive integer"):
+    with pytest.raises(ValueError, match="L must be an integer"):
         HmcConfig(L=flag, dt=0.1)
 
 

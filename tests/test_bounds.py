@@ -29,6 +29,14 @@ def test_inputs_validation():
         AcceptanceBoundInputs(k=2, m_k=1.0, M_k=1.0, pi_mode=0.0)
     with pytest.raises(ValueError):
         AcceptanceBoundInputs(k=2, m_k=1.0, M_k=1.0, lam=-1.0)
+    # NaN fails every comparison, so a test for <= 0 or < 0 alone would pass it on to a NaN bound
+    for field, value in (("pi_mode", math.nan), ("pi_mode", math.inf), ("dt", math.nan), ("lam", math.nan),
+                         ("lam", math.inf), ("k", 10.5), ("k", True)):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AcceptanceBoundInputs(**{"k": 10, "m_k": 1.0, "M_k": 2.0, field: value})
+    for args, field in (((10, math.nan), "M_k"), ((10, 1.0, math.nan), "pi_mode"), ((10.5, 1.0), "k")):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            rwmh_ar_asymp(*args)
 
 
 def test_rwmh_asymp_closed_form_k2():

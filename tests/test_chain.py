@@ -349,6 +349,15 @@ def test_run_chain_names_an_n_iter_that_is_not_a_positive_integer(n_iter, messag
         chain.run_chain(kernel, np.zeros(2), n_iter, 1)
 
 
+def test_check_positive_takes_only_numbers_in_the_open_half_line():
+    for good in (0.5, 3, np.float32(1e-30), np.int64(2), [1, 2.5], np.full((2, 3), 1e300)):
+        chain._check_positive("scale", good)
+    # NaN fails every comparison; "1.0" would pass a float conversion and fail only when the chain runs
+    for bad in (0.0, -1.0, math.nan, math.inf, [1.0, math.nan], np.array([2.0, 0.0]), True, "1.0", None, 1j):
+        with pytest.raises(ValueError, match="^scale must be positive and finite, got "):
+            chain._check_positive("scale", bad)
+
+
 @pytest.mark.parametrize("n_workers", [0, 1])
 def test_map_tasks_runs_in_process_below_two_workers(n_workers, pool_sizes):
     assert list(chain.map_tasks(abs, [-3, 1, -2], n_workers)) == [3, 1, 2]

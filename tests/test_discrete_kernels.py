@@ -309,7 +309,7 @@ def test_zk_validation():
                 build(target, 0.5, s)
     # a box radius of -1 raised a bare IndexError
     for box_radius in (-1, 1.5, True, "3"):
-        with pytest.raises(ValueError, match="box_radius must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="box_radius must be (an integer|>= 0)"):
             lattice_transition_matrix(target, 0.5, 1.0, box_radius)
     states, K = lattice_transition_matrix(target, 0.5, 1.0, np.int64(0))
     assert states.shape == (1, 1) and np.array_equal(K, np.ones((1, 1)))

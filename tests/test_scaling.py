@@ -1,6 +1,8 @@
 import csv
+import math
 import multiprocessing
 import os
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -49,6 +51,20 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="n_iter - burn_in >= 100"):
         replace(TINY, n_iter=150, burn_in=100)
     assert replace(TINY, n_iter=200, burn_in=100).n_iter == 200
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("dims", (2.5,), "dims must be an integer, got 2.5"), ("dims", (True,), "dims must be an integer, got True"),
+     ("dims", (4, 0), "dims must be >= 1, got 0"), ("n_iter", 300.5, "n_iter must be an integer, got 300.5"),
+     ("burn_in", 50.0, "burn_in must be an integer, got 50.0"), ("seeds", (1.5,), "seeds must be an integer, got 1.5"),
+     ("seeds", (-1,), "seeds must be >= 0, got -1"), ("ell_grid", (2.0, math.nan), "ell_grid must be positive")],
+)
+def test_spec_names_a_field_that_no_group_could_run(field, value, message):
+    # Refused when the spec is made, before any group runs.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(TINY, **{field: value})
+    assert replace(TINY, dims=(np.int64(4),), seeds=(np.int64(0),)).dims == (4,)
 
 
 def test_study_cells_and_report_are_deterministic():
@@ -436,7 +452,7 @@ def test_failed_slice_keeps_rows_of_finished_slices(n_workers):
     # k = 0 gets past the spec's validation this way, so the groups of
     # k = 0 raise inside whichever process runs them.
     object.__setattr__(spec, "dims", (4, 0))
-    with pytest.raises(RuntimeError, match="positive integer") as info:
+    with pytest.raises(RuntimeError, match="k must be >= 1") as info:
         run_scaling_study(spec, n_workers=n_workers)
     partial = info.value.partial_report
     assert partial.partial and partial.optima == []

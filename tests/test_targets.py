@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from tmcmc.targets import (
     ChallengerRecord,
     LogConcaveMeta,
+    Target,
     load_challenger_data,
     make_anisotropic_gaussian,
     make_challenger_logistic,
@@ -110,6 +111,24 @@ def test_challenger_density_and_gradient_equal_their_matmul_form(center):
 def test_iid_gaussian_rejects_zero_dim():
     with pytest.raises(ValueError):
         make_iid_gaussian(0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda k: Target(dim=k, log_density=lambda x: 0.0), "dim"),
+        (make_iid_gaussian, "k"),
+        (lambda k: make_ising_chain(k, 0.1), "k"),
+        (lambda k: make_lattice_target(k, 1.0), "k"),
+    ],
+    ids=["Target", "iid-gaussian", "ising-chain", "lattice"],
+)
+def test_a_dimension_must_be_an_integer(build, name):
+    # A dimension counts coordinates: a fraction or a bool is refused by name, a numpy integer is not.
+    for bad in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build(bad)
+    assert build(np.int64(3)).dim == 3
 
 
 def test_anisotropic_reduces_to_iid():
