@@ -58,6 +58,7 @@ class ChallengerConfig:
     def __post_init__(self):
         _check_count("n_iter", self.n_iter, 1)
         _check_count("n_chains", self.n_chains, 2)  # split-chain diagnostics need two
+        _check_count("seed", self.seed, 0)
         if not 0.0 <= self.burn_frac < 1.0:
             raise ValueError("burn_frac must lie in [0, 1)")
         # A NaN or a negative band, or a NaN threshold, could never pass.
@@ -69,11 +70,15 @@ class ChallengerConfig:
             raise ValueError(f"need n_iter - int(burn_frac * n_iter) >= {MIN_SAMPLES} for the ESS, got {kept}")
 
 
-def _raw_tails(run: Lockstep, streams: range, burn: int, t_bar: float) -> list:
-    """The kept tail of each stream's chain, in raw (intercept, slope) coordinates."""
+def _raw_tails(run: Lockstep, burn: int, t_bar: float) -> list:
+    """The kept tail of each one-chain stream's chain, in raw (intercept, slope) coordinates.
+
+    Each stream's record is freed once its tail is built.
+    """
     tails = []
-    for s in streams:
+    for s in range(len(run.streams)):
         tail = lockstep_path(run, s)[burn:].copy()  # the copy lets the full path go
+        run.streams[s] = None
         tail[:, 0] -= tail[:, 1] * t_bar  # raw intercept
         tails.append(tail)
     return tails
@@ -96,14 +101,12 @@ def _summary(raw: list, accept: list) -> dict:
 
 
 def _kernel_reports(kernel_names: Sequence[str], cfg: ChallengerConfig) -> list:
-    """The named kernels' reports, each from its ``cfg.n_chains`` chains, all run in one lockstep call.
+    """The named kernels' reports, in order, each from its ``cfg.n_chains`` chains, all run in one lockstep call.
 
-    The names come in ``BENCH_KERNELS`` order, additive first as
-    ``run_lockstep`` needs.  Chain ``c`` of the kernel at index ``j`` of
-    ``BENCH_KERNELS`` is one stream on its own generator,
-    ``chain_rng(cfg.seed, c + j * cfg.n_chains)``: its start, then the
-    engine's 256-step blocks of draws of the kernel built from ``cfg``, at
-    that kernel's own scale.
+    Chain ``c`` of the kernel at index ``j`` of ``BENCH_KERNELS`` is one
+    stream on its own generator, ``chain_rng(cfg.seed, c + j * cfg.n_chains)``:
+    its start, then the engine's 256-step blocks of draws of the kernel built
+    from ``cfg``, at that kernel's own scale.
     """
     target = make_challenger_logistic(cfg.prior_sd, center=cfg.center)
     n = cfg.n_chains
@@ -124,10 +127,7 @@ def _kernel_reports(kernel_names: Sequence[str], cfg: ChallengerConfig) -> list:
     burn = int(cfg.burn_frac * cfg.n_iter)
     t_bar = target.info["t_bar"]
     accept = [acceptance_rate(run.accepted[burn:, s]) for s in range(len(rngs))]
-    # The random-walk tails first, so their normals are freed before the additive tails are built.
-    rwmh = _raw_tails(run, range(run.n_signed, len(rngs)), burn, t_bar)
-    run = run._replace(normals=None)
-    raw = _raw_tails(run, range(run.n_signed), burn, t_bar) + rwmh
+    raw = _raw_tails(run, burn, t_bar)
     del run  # the draws are spent: free them before the summaries
     return [_summary(raw[j * n:(j + 1) * n], accept[j * n:(j + 1) * n]) for j in range(len(kernel_names))]
 

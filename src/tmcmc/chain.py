@@ -38,13 +38,15 @@ accepted state to its row as it comes, and the rest of its rows of the
 trace, flags and log-densities included, once, when the block ends.  It
 holds no state but the current one, and drops its draws before the next
 block is drawn.  ``run_lockstep`` steps ``G`` streams of ``C`` chains, each
-on its own generator with its own symmetric kernel, in the same layout: one
-call of ``kernel.direction`` on a ``(b, k)`` block, then ``b`` uniforms, each
-step one batched log-density call and one ``accept_batch``.  So a symmetric
-kernel's ``run_chain`` equals the engine's stream of one chain.  A run of
-``n`` steps draws its last block short, so it equals a longer run on the
-same seed only through its last full block, row ``256 * (n // 256)``.
-``lockstep_path`` rebuilds any chain of an engine run bit for bit.
+on its own generator with its own symmetric kernel, in any order, in the same
+layout: one call of ``kernel.direction`` on a ``(b, k)`` block, then ``b``
+uniforms, each step one batched log-density call and one ``accept_batch``.
+So a symmetric kernel's ``run_chain`` equals the engine's stream of one
+chain.  A run of ``n`` steps draws its last block short, so it equals a
+longer run on the same seed only through its last full block, row
+``256 * (n // 256)``.  Each stream keeps its own record of directions, as
+sign bits for a kernel with ``a``, from which ``lockstep_path`` rebuilds any
+of its chains bit for bit.
 
 One process pool.  ``map_tasks`` runs independent tasks on ``W`` workers,
 the caller one of them.  The caller starts ``W - 1`` child processes, each
@@ -92,7 +94,8 @@ class Kernel:
     """A kernel's hooks (see the module docstring).
 
     Only symmetric kernels have a ``direction``, and only sign-move ones
-    ``a``.  The fields stay in the instance ``__dict__`` (no ``__slots__``),
+    ``a``, which lets ``run_lockstep`` record their directions as sign bits.
+    The fields stay in the instance ``__dict__`` (no ``__slots__``),
     so a ``functools.wraps`` wrapper carries them.
     """
 
@@ -401,18 +404,15 @@ class Lockstep(NamedTuple):
     """What ``run_lockstep`` records: enough to rebuild every chain's path.
 
     Stream ``g``'s chains are columns ``g * C .. g * C + C - 1`` of
-    ``accepted``.  A sign-move stream ``g < n_signed`` keeps ``d = +-a`` as the
-    sign bits ``signs[:, g]`` and ``|a|`` as ``a[g]``; any other stream keeps
-    its ``d`` in ``normals[:, g - n_signed]``.
+    ``accepted``, and its directions are ``streams[g] = (d, r, a)``.  A
+    sign-move stream keeps ``d = +-a`` as the sign bits ``d``, its
+    innovations as ``r`` and ``|a|`` as ``a``; any other stream keeps its
+    directions ``d`` as floats, with ``r`` and ``a`` None.
     """
 
-    n_signed: int  # streams 0 .. n_signed - 1 draw sign moves d = +-a
     x0: np.ndarray  # (G, n_record): each stream's start, leading coordinates
     scales: np.ndarray  # (G, C): the proposal scale of chain (g, c) is scales[g, c]
-    a: np.ndarray  # (G_sign, n_record): |a| of each sign-move stream's leading coordinates
-    signs: np.ndarray  # (n_iter, G_sign, n_record) bool: signbit(d), so d = -a where True, +a elsewhere
-    r: np.ndarray  # (n_iter, G_sign): each sign-move stream's innovation
-    normals: np.ndarray  # (n_iter, G - G_sign, n_record): leading coordinates of each other stream's d
+    streams: list  # per stream (d, r, a): (n_iter, n_record) d, bool signbit(d) or float; (n_iter,) r; (n_record,) a
     accepted: np.ndarray  # (n_iter, G * C): chain (g, c) is column g * C + c
     n_nonfinite: np.ndarray  # (G * C,): non-finite proposals per chain
 
@@ -435,20 +435,16 @@ def run_lockstep(
     directions and returns the ``(b,)`` innovations (only symmetric kernels
     have a direction), then the stream draws ``b`` acceptance uniforms, each
     shared by its chains.  At step ``i`` chain ``(g, c)`` starts at ``x0[g]``
-    and proposes ``x + d_g[i] * (scales[g, c] * r_g[i])``.  Sign-move streams,
-    whose kernel's ``a`` gives ``d = +-a``, come first; any other direction
-    must return ``r = 1``.  All proposals go to one ``log_density`` call on a
-    ``(G * C, k)`` batch, which must be row by row bit-identical to single
-    calls.  The leading ``n_record`` coordinates are recorded.  Bad streams,
-    an ``n_iter`` that is not an integer ``>= 1``, ``n_record`` outside
-    ``[1, k]`` or a ``scales`` shape other than these raise ``ValueError``
-    before the first step.
+    and proposes ``x + d_g[i] * (scales[g, c] * r_g[i])``.  A kernel without
+    ``a`` (no sign moves ``d = +-a``) must return ``r = 1``.  All proposals go
+    to one ``log_density`` call on a ``(G * C, k)`` batch, which must be row
+    by row bit-identical to single calls.  The leading ``n_record``
+    coordinates are recorded.  Bad streams, an ``n_iter`` that is not an
+    integer ``>= 1``, ``n_record`` outside ``[1, k]`` or a ``scales`` shape
+    other than these raise ``ValueError`` before the first step.
     """
-    directions = [kernel.direction for kernel in kernels]
-    signed = [kernel.a is not None for kernel in kernels]
-    n_sign = signed.count(True)
-    if None in directions or signed != sorted(signed, reverse=True) or not len(kernels) == len(rngs) == len(x0):
-        raise ValueError("need one symmetric kernel (sign-move kernels first), one generator and one start per stream")
+    if any(kernel.direction is None for kernel in kernels) or not len(kernels) == len(rngs) == len(x0):
+        raise ValueError("need one symmetric kernel, one generator and one start per stream")
     x0 = np.asarray(x0, dtype=float)
     n_streams, k = x0.shape
     scales = np.asarray(scales, dtype=float)
@@ -460,7 +456,6 @@ def run_lockstep(
     if scales.ndim != 2 or scales.shape[0] != n_streams or scales.size == 0:
         raise ValueError(f"scales must have shape (C,) or ({n_streams}, C) with C >= 1, got {scales.shape}")
     n_cells = scales.shape[1]
-    a = np.array([kernel.a[:n_record] for kernel in kernels[:n_sign]]).reshape(n_sign, n_record)
     x = np.repeat(x0, n_cells, axis=0)
     lp_x = np.repeat(log_density(x0), n_cells)
     y = np.empty_like(x)
@@ -468,33 +463,33 @@ def run_lockstep(
     block = min(_BLOCK_STEPS, n_iter)
     d = np.empty((n_streams, block, k))  # each stream's directions for the block
     sr = np.empty((block, n_streams, n_cells))  # scales * r per step
-    sr[:, n_sign:] = scales[n_sign:]  # r = 1
+    sr[:] = scales  # r = 1; a sign-move stream writes its own each block
     log_u = np.empty((block, n_streams, n_cells))  # each stream's log u, shared by its chains
     # Views built once: (G, 1, k) * (G, C, 1) -> (G, C, k) proposals at step j of a block.
     per_step = [(d[:, j, None, :], sr[j, :, :, None], log_u[j].reshape(-1)) for j in range(block)]
-    signs = np.empty((n_iter, n_sign, n_record), dtype=bool)
-    r = np.empty((n_iter, n_sign))
-    normals = np.empty((n_iter, n_streams - n_sign, n_record))
+    streams = [(np.empty((n_iter, n_record)), None, None) if kernel.a is None
+               else (np.empty((n_iter, n_record), dtype=bool), np.empty(n_iter), kernel.a[:n_record].copy())
+               for kernel in kernels]
     accepted = np.empty((n_iter, n_streams * n_cells), dtype=bool)
     n_nonfinite = np.zeros(n_streams * n_cells, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and huge ratios: see accept_batch
         for start in range(0, n_iter, block):
             b = min(block, n_iter - start)
             rows = slice(start, start + b)
-            for g, (direction, rng) in enumerate(zip(directions, rngs)):
-                r_g = direction(rng, d[g, :b])
+            for g, (kernel, rng, (d_g, r_g, a_g)) in enumerate(zip(kernels, rngs, streams)):
+                r = kernel.direction(rng, d[g, :b])
                 log_u[:b, g] = np.array(_log_uniforms(rng.random(b)))[:, None]
-                if g < n_sign:
-                    r[rows, g] = r_g
-                    np.multiply(r_g[:, None], scales[g], out=sr[:b, g])
-                    signs[rows, g] = np.signbit(d[g, :b, :n_record])  # numpy 2.4: signbit into a strided out errs
+                if a_g is None:  # r = 1
+                    d_g[rows] = d[g, :b, :n_record]
                 else:
-                    normals[rows, g - n_sign] = d[g, :b, :n_record]
+                    r_g[rows] = r
+                    np.multiply(r[:, None], scales[g], out=sr[:b, g])
+                    np.signbit(d[g, :b, :n_record], out=d_g[rows])
             for i, (d_i, sr_i, log_u_i) in zip(range(start, start + b), per_step):
                 np.multiply(d_i, sr_i, out=y_by_group)
                 y += x
                 accepted[i] = accept_batch(x, lp_x, y, log_density(y), log_u_i, n_nonfinite)
-    return Lockstep(n_sign, x0[:, :n_record].copy(), scales, a, signs, r, normals, accepted, n_nonfinite)
+    return Lockstep(x0[:, :n_record].copy(), scales, streams, accepted, n_nonfinite)
 
 
 def lockstep_path(run: Lockstep, chain: int, coord: Union[int, slice, None] = None) -> np.ndarray:
@@ -506,22 +501,22 @@ def lockstep_path(run: Lockstep, chain: int, coord: Union[int, slice, None] = No
     ``(n_iter, n_record)``; a column is the same bit for bit whichever form
     asked for it.  The running sum adds ``d * (scale * r)`` on accepted steps
     and ``0`` otherwise, in step order: the same floating-point additions the
-    chain made.
+    chain made.  It reads the chain's stream record alone.
     """
     if not 0 <= chain < run.accepted.shape[1]:
         raise ValueError(f"chain must lie in [0, {run.accepted.shape[1]}), got {chain}")
     g, c = divmod(chain, run.scales.shape[1])
+    d, r, a = run.streams[g]
     j = slice(None) if coord is None else coord
     path = np.empty((len(run.accepted) + 1,) + run.x0[g, j].shape)
     path[0] = run.x0[g, j]
     steps = path[1:]
-    if g < run.n_signed:  # (scale * r) * a, negated where d = -a: no temporaries
-        r = run.r[:, g]
+    if a is None:  # r = 1
+        np.multiply(d[:, j], run.scales[g, c], out=steps)
+    else:  # (scale * r) * a, negated where d = -a: no temporaries
         np.multiply(r if steps.ndim == 1 else r[:, None], run.scales[g, c], out=steps)
-        steps *= run.a[g, j]
-        np.negative(steps, out=steps, where=run.signs[:, g, j])
-    else:  # r = 1
-        np.multiply(run.normals[:, g - run.n_signed, j], run.scales[g, c], out=steps)
+        steps *= a[j]
+        np.negative(steps, out=steps, where=d[:, j])
     steps[~run.accepted[:, chain]] = 0.0
     return np.cumsum(path, axis=0, out=path)[1:]
 

@@ -161,16 +161,15 @@ GROUP_STREAMS = 4  # a group holds at most this many streams; its record grows w
 def study_groups(spec: ScalingStudySpec, n_workers: Optional[int] = None) -> list:
     """The ``(k, streams)`` groups of the study, dimension by dimension.
 
-    A dimension's streams are its ``(seed, kernel)`` pairs, kernel-major, the
-    additive ones first as ``run_lockstep`` needs.  They are cut into
+    A dimension's streams are its ``(seed, kernel)`` pairs, kernel-major in
+    ``spec.kernels`` order.  They are cut into
     ``max(n_workers, ceil(streams / GROUP_STREAMS))`` contiguous runs of
     near-equal length (``n_workers`` None: the cpu count), at most one a
     stream.  So every dimension alone, the costliest one too, can keep all
     the workers busy, and no group holds more than ``GROUP_STREAMS``
     streams.
     """
-    kernels = sorted(spec.kernels, key=STUDY_KERNELS.index)
-    streams = [(seed, kernel) for kernel in kernels for seed in spec.seeds]
+    streams = [(seed, kernel) for kernel in spec.kernels for seed in spec.seeds]
     n_runs = min(len(streams), max(pool_workers(n_workers), -(-len(streams) // GROUP_STREAMS)))
     cuts = [i * len(streams) // n_runs for i in range(n_runs + 1)]
     return [(k, tuple(streams[lo:hi])) for k in spec.dims for lo, hi in zip(cuts, cuts[1:])]

@@ -49,8 +49,10 @@ class LogConcaveMeta:
     mode: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.m_k <= self.M_k):
-            raise ValueError(f"need 0 < m_k <= M_k, got m_k={self.m_k}, M_k={self.M_k}")
+        _check_positive("m_k", self.m_k)
+        _check_positive("M_k", self.M_k)
+        if not self.m_k <= self.M_k:
+            raise ValueError(f"need m_k <= M_k, got m_k={self.m_k}, M_k={self.M_k}")
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,20 @@ class Verdict:
     def expected_failure(self) -> bool:
         return bool(self.details.get("expected_failure", False))
 
+    @property
+    def status(self) -> str:
+        """The verdict's status; only ``FAIL`` and ``UNEXPECTED PASS`` fail a suite.
+
+        A negative control fails only above its tolerance (a NaN violation
+        detected nothing).  Expected failures (documented reducible
+        configurations) count as ok.
+        """
+        if self.negative_control:
+            return "ok (negative control)" if self.max_violation > self.tolerance else "UNEXPECTED PASS"
+        if self.passed:
+            return "pass"
+        return "expected failure" if self.expected_failure else "FAIL"
+
     def to_json_dict(self) -> dict:
         out = {
             "check_name": self.check_name,
@@ -631,18 +645,8 @@ def run_discrete_suite(
 
 
 def suite_ok(verdicts: Sequence[Verdict]) -> bool:
-    """True when every regular check passed and every negative control failed.
-
-    A negative control fails only above its tolerance (a NaN violation detected
-    nothing).  Expected failures (documented reducible configurations) count as ok.
-    """
-    for v in verdicts:
-        if v.negative_control:
-            if not v.max_violation > v.tolerance:
-                return False
-        elif not v.passed and not v.expected_failure:
-            return False
-    return True
+    """True when every regular check passed and every negative control failed (``Verdict.status``)."""
+    return not any(v.status in ("FAIL", "UNEXPECTED PASS") for v in verdicts)
 
 
 def verdicts_to_json(verdicts: Sequence[Verdict], path=None) -> str:
@@ -656,13 +660,5 @@ def verdicts_to_json(verdicts: Sequence[Verdict], path=None) -> str:
 def format_verdict_table(verdicts: Sequence[Verdict]) -> str:
     lines = [f"{'check':42s} {'violation':>12s} {'tolerance':>10s}  status"]
     for v in verdicts:
-        if v.negative_control:
-            status = "ok (negative control)" if v.max_violation > v.tolerance else "UNEXPECTED PASS"
-        elif v.passed:
-            status = "pass"
-        elif v.expected_failure:
-            status = "expected failure"
-        else:
-            status = "FAIL"
-        lines.append(f"{v.check_name:42s} {v.max_violation:12.3e} {v.tolerance:10.1e}  {status}")
+        lines.append(f"{v.check_name:42s} {v.max_violation:12.3e} {v.tolerance:10.1e}  {v.status}")
     return "\n".join(lines)

@@ -123,6 +123,13 @@ def test_config_names_a_field_that_could_never_pass_or_run(field, value):
         ChallengerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_config_refuses_a_seed_that_is_not_a_count(seed):
+    # -1 and 1.5 failed in chain_rng with numpy's bare errors, and True ran as seed 1
+    with pytest.raises(ValueError, match="^seed must be"):
+        ChallengerConfig(seed=seed)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="rwmh_sigma"):
         ChallengerConfig(rwmh_sigma=0.0)

@@ -39,6 +39,13 @@ def test_inputs_validation():
             rwmh_ar_asymp(*args)
 
 
+def test_inputs_refuse_an_infinite_curvature():
+    # inf passes 0 < m_k <= M_k, and an infinite M_k gave NaN bounds
+    for m_k, M_k, field in ((1.0, math.inf, "M_k"), (math.inf, math.inf, "m_k"), (math.nan, 1.0, "m_k")):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            AcceptanceBoundInputs(k=10, m_k=m_k, M_k=M_k)
+
+
 def test_rwmh_asymp_closed_form_k2():
     # (2 pi)^{1} * (1 - Phi(1)) at k = 2, M_k = 1
     expected = 2.0 * math.pi * (1.0 - norm.cdf(1.0))

@@ -146,6 +146,8 @@ LOCKSTEP_STREAMS = [
     *(pytest.param([(seed, kernel) for seed in (11, 12, 13)], None, id=kernel) for kernel in STUDY_KERNELS),
     # both kernels in one group, the additive streams first
     pytest.param(MIXED_STREAMS, None, id="mixed"),
+    # both kernels in one group, interleaved: the engine takes its streams in any order
+    pytest.param([(11, "rwmh"), (11, "additive-tmcmc"), (12, "rwmh"), (12, "additive-tmcmc")], None, id="interleaved"),
     # the same streams, each at its own row of (G, C) scales: the row is the shared one times its factor
     pytest.param(MIXED_STREAMS, (1.0, 0.6, 1.3, 0.8, 1.7), id="mixed-own-scales"),
 ]
@@ -172,11 +174,14 @@ def test_lockstep_cells_equal_single_chain_runs(streams, stream_factors, k, asse
     _assert_chains_equal_references(kernels, target, scales, x0, n_iter, run, reference_start, assert_block_steps,
                                         block_layouts)
     assert run.n_nonfinite.sum() == 0
-    n_additive = kernels.count("additive-tmcmc")
-    assert run.n_signed == n_additive
-    # the additive directions are kept as sign bits, the rwmh ones as floats
-    assert run.signs.dtype == bool and run.signs.shape == (1_500, n_additive, n_coords)
-    assert run.normals.dtype == float and run.normals.shape == (1_500, len(streams) - n_additive, n_coords)
+    # each stream keeps its own record: an additive stream its sign bits and innovations, an rwmh one floats
+    assert len(run.streams) == len(streams)
+    for kernel, (d, r, a) in zip(kernels, run.streams):
+        assert d.shape == (1_500, n_coords) and d.flags.c_contiguous
+        if kernel == "additive-tmcmc":
+            assert d.dtype == bool and r.shape == (1_500,) and a.shape == (n_coords,)
+        else:
+            assert d.dtype == float and r is None and a is None
 
 
 @pytest.mark.parametrize("n_iter", [1, 255, 256, 257, 600])
@@ -245,7 +250,7 @@ def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
     asymmetric = make_additive_tmcmc_kernel(target, TmcmcConfig(p=0.3, q=0.7))
     # run_chain draws it in blocks, but its acceptance needs the move ratio: no engine stream
     assert asymmetric.direction is None
-    for kernels in ((additive, hmc), (hmc, hmc), (asymmetric, rwmh), (rwmh, additive), (rwmh,)):
+    for kernels in ((additive, hmc), (hmc, hmc), (asymmetric, rwmh), (rwmh,)):
         with pytest.raises(ValueError, match="one symmetric kernel"):
             run_lockstep(kernels, target.log_density, x0, [1.0], 10, rngs, 2)
     with pytest.raises(ValueError, match="one symmetric kernel"):
@@ -311,7 +316,7 @@ def test_study_report_is_independent_of_worker_count():
     # rows come in grid order: kernel, k, ell, seed
     keys = [(r.kernel, r.k, r.ell, r.seed) for r in serial.rows]
     assert keys == [(kn, k, e, s) for kn in TINY.kernels for k in TINY.dims for e in TINY.ell_grid for s in TINY.seeds]
-    # kernels listed rwmh first: the groups still step the additive streams first, the rows follow the spec
+    # kernels listed rwmh first: the groups step the rwmh streams first, the rows follow the spec
     swapped = run_scaling_study(replace(TINY, kernels=("rwmh", "additive-tmcmc")), n_workers=1)
     assert _without_wall(swapped.rows) == _without_wall(
         [r for r in serial.rows if r.kernel == "rwmh"] + [r for r in serial.rows if r.kernel == "additive-tmcmc"]

@@ -113,6 +113,12 @@ def test_iid_gaussian_rejects_zero_dim():
         make_iid_gaussian(0)
 
 
+def test_log_concave_meta_refuses_an_infinite_curvature():
+    for m_k, M_k, field in ((1.0, math.inf, "M_k"), (math.inf, math.inf, "m_k"), (math.nan, 1.0, "m_k")):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            LogConcaveMeta(m_k=m_k, M_k=M_k, mode=np.zeros(1))
+
+
 @pytest.mark.parametrize(
     "build, name",
     [

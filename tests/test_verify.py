@@ -371,6 +371,19 @@ def test_suite_ok_logic():
     assert "UNEXPECTED PASS" in format_verdict_table([neg_nan])
 
 
+def test_suite_ok_and_the_table_read_one_status():
+    # each verdict alone: suite_ok fails it iff the table shows a failing status
+    a_control_passed = Verdict("nan-control", math.nan, 1.0, details={"negative_control": True})
+    documented = Verdict("reducible", 2.0, 1.0, details={"expected_failure": True})
+    plain = Verdict("plain", 2.0, 1.0)
+    for v, status, ok in ((a_control_passed, "UNEXPECTED PASS", False), (documented, "expected failure", True),
+                          (plain, "FAIL", False)):
+        assert v.status == status
+        assert suite_ok([v]) is ok
+        row = f"{v.check_name:42s} {v.max_violation:12.3e}    1.0e+00  {status}"
+        assert format_verdict_table([v]).splitlines()[1] == row
+
+
 def test_verdict_json_schema_fields(tmp_path):
     verdicts = run_discrete_suite(0, lattice_r=0.0)
     path = tmp_path / "verdicts.json"
