@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import _check_count, _check_positive
+from .chain import _check_count, _check_curvature, _check_positive
 
 __all__ = [
     "AcceptanceBoundInputs",
@@ -53,10 +53,7 @@ class AcceptanceBoundInputs:
 
     def __post_init__(self):
         _check_count("k", self.k, 1)
-        _check_positive("m_k", self.m_k)
-        _check_positive("M_k", self.M_k)
-        if not self.m_k <= self.M_k:
-            raise ValueError(f"need m_k <= M_k, got ({self.m_k}, {self.M_k})")
+        _check_curvature(self.m_k, self.M_k)
         if not (0.0 < self.psi1 < 1.0 and 0.0 < self.psi2 < 1.0 and self.psi1 < 1.0 - self.psi2):
             raise ValueError(f"psi window invalid: psi1={self.psi1}, psi2={self.psi2}")
         _check_positive("pi_mode", self.pi_mode)

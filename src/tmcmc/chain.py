@@ -152,6 +152,14 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_curvature(m_k, M_k) -> None:
+    """Raise ``ValueError`` naming the culprit unless ``m_k`` and ``M_k`` are positive and finite with ``m_k <= M_k``."""
+    _check_positive("m_k", m_k)
+    _check_positive("M_k", M_k)
+    if not m_k <= M_k:
+        raise ValueError(f"need m_k <= M_k, got m_k={m_k}, M_k={M_k}")
+
+
 def _per_coordinate(name: str, value, k: int) -> np.ndarray:
     """A kernel setting as a ``(k,)`` float array; only shapes ``()``, ``(1,)`` and ``(k,)`` broadcast."""
     _check_shape(name, value, k, ((), (1,), (k,)))

@@ -16,7 +16,7 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .chain import _check_count, _check_positive
+from .chain import _check_count, _check_curvature, _check_positive
 
 __all__ = [
     "SupportKind",
@@ -49,10 +49,7 @@ class LogConcaveMeta:
     mode: np.ndarray
 
     def __post_init__(self):
-        _check_positive("m_k", self.m_k)
-        _check_positive("M_k", self.M_k)
-        if not self.m_k <= self.M_k:
-            raise ValueError(f"need m_k <= M_k, got m_k={self.m_k}, M_k={self.M_k}")
+        _check_curvature(self.m_k, self.M_k)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ Jacobian.  The additive family ``y_i = x_i + z_i a_i eps`` has unit Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -82,14 +82,20 @@ class Transformation:
 
 
 def additive_transformation(a: ArrayLike = 1.0) -> Transformation:
-    """The additive family ``y_i = x_i + z_i a_i eps``; its log-Jacobian is identically zero."""
+    """The additive family ``y_i = x_i + z_i a_i eps``, for a scalar or 1-D ``a > 0``; its log-Jacobian is zero."""
+    _check_positive("a", a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 1:
+        raise ValueError(f"a must be a scalar or 1-D, got shape {a.shape}")
 
     def forward(x: np.ndarray, eps: float, z: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = np.asarray(z)
         if z.shape != x.shape:
             raise ValueError(f"z shape {z.shape} does not match x shape {x.shape}")
-        return x + (z * np.broadcast_to(np.asarray(a, dtype=float), x.shape)) * eps
+        if a.shape not in ((), (1,), x.shape[-1:]):
+            raise ValueError(f"a has shape {a.shape}, which does not match x shape {x.shape}")
+        return x + (z * a) * eps
 
     return Transformation(forward=forward, log_jacobian=lambda x, eps, z: 0.0, name="additive")
 
@@ -182,17 +188,18 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
 
     Requires ``p_i + q_i = 1`` (no zero coordinates); acceptance is
     ``min{1, prod_i ratio_i * pi(y)/pi(x)}`` with ``ratio_i = q_i/p_i`` for a
-    forward coordinate and ``p_i/q_i`` for a backward one.  Its
-    ``direction(rng, out) -> r`` turns ``b * k`` uniforms into the ``(b, k)``
-    ``out = d = z * a`` (``+a_i`` exactly when ``u_i < p_i``) and then
-    returns the ``(b,)`` innovations ``r = |N(0, 1)|``; ``kernel.draw(rng,
-    b)`` returns the rows ``d * (eps_scale * r)`` for any ``(p, q)``, and
-    only with ``p = q`` are ``direction`` and ``a`` also the kernel's.
+    forward coordinate and ``p_i/q_i`` for a backward one.  With ``p != q``
+    it is :func:`make_general_tmcmc_kernel` on ``additive_transformation(a)``.
+    With ``p = q`` it is the symmetric shift kernel: ``direction(rng, out)
+    -> r`` turns ``b * k`` uniforms into the ``(b, k)`` ``out = d = z * a``
+    (``+a_i`` exactly when ``u_i < p_i``) and returns the ``(b,)``
+    innovations ``r = |N(0, 1)|``; ``draw`` rows are ``d * (eps_scale * r)``.
     """
     a, p, q = cfg.broadcast(target.dim)
     if not np.allclose(p + q, 1.0):
         raise ValueError("additive kernel requires p_i + q_i = 1 for every coordinate")
-    log_p, log_q = _log_tables(p, q)
+    if not np.all(p == q):
+        return make_general_tmcmc_kernel(target, additive_transformation(cfg.scales), replace(cfg, scales=1.0))
     below_p = np.nextafter(p, -1.0)  # below_p - u >= +0.0 exactly when u < p, for p in [0, 1]
     log_density = target.log_density
 
@@ -201,14 +208,7 @@ def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
         np.copysign(a, np.subtract(below_p, out, out=out), out=out)
         return np.abs(rng.standard_normal(len(out)))
 
-    def propose(state: ChainState, row: np.ndarray):
-        y = state.x + row
-        lp_y = log_density(y)
-        return ChainState(y, lp_y), _move_log_ratio(row, log_p, log_q) + lp_y - state.lp  # row has the signs of z
-
     draw = _shift_draw(direction, cfg.eps_scale, a.size)
-    if not np.all(p == q):
-        return Kernel(init_state(log_density), draw, propose)
     return Kernel(init_state(log_density), draw, _shift_propose(log_density), direction, a)
 
 
@@ -223,11 +223,13 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
     types, redraws the all-zero rows (in row order, until none is left: that
     renormalizes ``P(z)`` by a constant that cancels in ``P(-z)/P(z)``), then
     ``b`` half-normal innovations ``eps = eps_scale * |N(0, 1)|``; a row is
-    ``(z, eps)``.  With the additive transformation and ``p_i + q_i = 1``
-    this reproduces :func:`make_additive_tmcmc_kernel` draw for draw on a
-    shared generator.
+    ``(z, eps)``.  The transformation carries its own scales, so
+    ``cfg.scales`` must be 1.  :func:`make_additive_tmcmc_kernel` with
+    ``p != q`` is this kernel on ``additive_transformation(a)``.
     """
-    _, p, q = cfg.broadcast(target.dim)
+    scales, p, q = cfg.broadcast(target.dim)
+    if not np.all(scales == 1.0):
+        raise ValueError(f"scales must be 1, got {cfg.scales}: the transformation carries its own")
     log_p, log_q = _log_tables(p, q)
     s = cfg.eps_scale
     log_density = target.log_density

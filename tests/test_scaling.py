@@ -242,7 +242,7 @@ def test_lockstep_path_rejects_a_chain_outside_the_run():
             lockstep_path(run, chain)
 
 
-def test_lockstep_rejects_unknown_kernels_misordered_and_ragged_streams():
+def test_lockstep_rejects_unknown_kernels_and_ragged_streams():
     target = make_iid_gaussian(2)
     x0, rngs = np.zeros((2, 2)), [np.random.default_rng(g) for g in range(2)]
     additive, rwmh = _lockstep_kernels(STUDY_KERNELS, target)

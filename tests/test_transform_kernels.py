@@ -222,21 +222,26 @@ def test_general_draw_law():
 
 
 def test_additive_draw_law():
-    # Blocks of 256 rows on one seed: coordinate i is +a_i with probability p_i, and every
-    # coordinate of a row shares one magnitude |N(0, s^2)|, with mean s * sqrt(2 / pi) and
-    # second moment s^2.  Each check is a |z| < 4 normal score.
-    p, a, s = np.array([0.2, 0.5, 0.75]), np.array([1.0, 0.5, 2.0]), 0.7  # powers of 2: |row| / a is exact
+    # Blocks of 256 rows on one seed: a row is (z, eps), coordinate i moves by +a_i eps with
+    # probability p_i and by -a_i eps otherwise, so every coordinate of a move shares one
+    # magnitude eps = |N(0, s^2)|, with mean s * sqrt(2 / pi) and second moment s^2.  Each
+    # check is a |z| < 4 normal score.
+    p, a, s = np.array([0.2, 0.5, 0.75]), np.array([1.0, 0.5, 2.0]), 0.7  # powers of 2: |move| / a is exact
     kernel = make_additive_tmcmc_kernel(make_iid_gaussian(3), TmcmcConfig(scales=a, eps_scale=s, p=p, q=1.0 - p))
     rng = chain_rng(17)
-    rows = np.concatenate([kernel.draw(rng, 256) for _ in range(40)])
+    rows = [row for _ in range(40) for row in kernel.draw(rng, 256)]
+    z = np.array([row[0] for row in rows])
+    eps = np.array([row[1] for row in rows])
     n = len(rows)
-    assert rows.shape == (n, 3)
+    assert z.shape == (n, 3) and eps.shape == (n,)
+    origin = kernel.init(np.zeros(3))
+    moves = np.array([kernel.propose(origin, row)[0].x for row in rows])
+    assert np.array_equal(np.sign(moves), z) and np.all(np.abs(z) == 1.0)
     for i in range(3):
-        hits = (rows[:, i] > 0.0).sum()
+        hits = (moves[:, i] > 0.0).sum()
         assert abs(hits - n * p[i]) < 4 * math.sqrt(n * p[i] * (1 - p[i])), i
-    mag = np.abs(rows) / a
-    assert np.array_equal(mag, np.broadcast_to(mag[:, :1], mag.shape))
-    eps = mag[:, 0]
+    mag = np.abs(moves) / a
+    assert np.array_equal(mag, np.broadcast_to(eps[:, None], mag.shape))
     assert abs(eps.mean() - s * math.sqrt(2 / math.pi)) < 4 * s * math.sqrt(1 - 2 / math.pi) / math.sqrt(n)
     assert abs(np.mean(eps**2) - s**2) < 4 * s**2 * math.sqrt(2 / n)
 
@@ -416,6 +421,35 @@ def test_dependent_z_full_covariance_accepted():
 
 
 # --- config validation ----------------------------------------------------
+
+
+@pytest.mark.parametrize("a, match", [
+    (0.0, "a must be positive and finite"),
+    (math.nan, "a must be positive and finite"),
+    ("x", "a must be positive and finite"),
+    (np.ones((3, 1)), r"a must be a scalar or 1-D, got shape \(3, 1\)"),
+])
+def test_additive_transformation_refuses_bad_a(a, match):
+    # each used to build a kernel: a = 0 never moved, a = nan rejected every step as
+    # non-finite, and "x" or a (3, 1) a failed mid-run with numpy's own error
+    with pytest.raises(ValueError, match=match):
+        additive_transformation(a)
+
+
+def test_additive_forward_names_a_of_another_length():
+    forward = additive_transformation(np.ones(2)).forward
+    with pytest.raises(ValueError, match=r"a has shape \(2,\), which does not match x shape \(3,\)"):
+        forward(np.zeros(3), 0.5, np.ones(3))
+    assert np.array_equal(additive_transformation([2.0]).forward(np.zeros(3), 0.5, np.ones(3)), np.ones(3))
+
+
+def test_general_kernel_refuses_scales_it_would_ignore():
+    # the transformation carries its own scales: scales = 5 used to give the trace of scales = 1
+    target, tfm = make_iid_gaussian(3), additive_transformation()
+    for scales in (5.0, [1.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="scales must be 1"):
+            make_general_tmcmc_kernel(target, tfm, TmcmcConfig(scales=scales, p=0.3, q=0.4))
+    make_general_tmcmc_kernel(target, tfm, TmcmcConfig(scales=[1.0, 1.0, 1.0], p=0.3, q=0.4))
 
 
 def test_tmcmc_config_validation():
