@@ -74,8 +74,8 @@ class ScalingStudySpec:
     kernels: tuple = STUDY_KERNELS
 
     def __post_init__(self):
-        if not self.dims or not self.ell_grid or not self.seeds:
-            raise ValueError("dims, ell_grid, and seeds must be nonempty")
+        if not self.dims or not self.ell_grid or not self.seeds or not self.kernels:
+            raise ValueError("dims, ell_grid, seeds and kernels must be nonempty")
         for name in ("dims", "ell_grid", "seeds", "kernels"):
             values = getattr(self, name)
             if len(set(values)) < len(values):

@@ -5,6 +5,9 @@ innovation and ``z`` picks forward/backward/no-change per coordinate; the
 conjugate move ``-z`` inverts the transformation, which is what makes the
 acceptance ratio a plain move-probability ratio times a density ratio times a
 Jacobian.  The additive family ``y_i = x_i + z_i a_i eps`` has unit Jacobian.
+The general and dependent-z kernels draw one row layout, ``(z, eps,
+log_ratio)`` with the move's log P(-z) - log P(z), and share one ``propose``
+(``_transform_propose``), which takes the ratio from the row.
 """
 
 from __future__ import annotations
@@ -45,19 +48,23 @@ def _move_log_ratio(z: np.ndarray, log_p: np.ndarray, log_q: np.ndarray):
 
 
 def _softmax_moves(draws, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dependent-z law: ``(p, q)`` with ``(p, q, 1 - p - q)`` proportional to ``exp(w)`` down axis 0.
+    """The dependent-z law: the ``(b, k)`` ``(p, q)`` of ``(b, 3, k)`` ``noise``, ``(p, q, 1 - p - q) ~ exp(w)``.
 
-    ``w_j = mu_j + L_j noise_j`` for the ``(mu_j, L_j)`` pairs of ``draws``,
-    ``L_j`` a 1-D diagonal or a 2-D left factor.  ``noise`` is ``(3, k)`` for
-    one draw, or ``(3, 1, n)`` for ``n`` draws at ``k = 1``.
+    ``w_j = mu_j + L_j noise_j`` for the ``(mu_j, L_j)`` pairs of ``draws``, ``L_j`` a 1-D
+    diagonal or a 2-D left factor, applied as each row's ``L @ v`` (``noise_j @ L.T`` differs).
     """
     w = np.empty(noise.shape)
     for j, (mu, L) in enumerate(draws):
-        w[j] = mu + (L * noise[j] if L.ndim == 1 else L @ noise[j])
-    w -= w.max(axis=0, keepdims=True)
+        w[:, j] = mu + (L * noise[:, j] if L.ndim == 1 else (L @ noise[:, j, :, None])[..., 0])
+    w -= w.max(axis=1, keepdims=True)
     e = np.exp(w)
-    e /= e.sum(axis=0, keepdims=True)
-    return e[0], e[1]
+    e /= e.sum(axis=1, keepdims=True)
+    return e[:, 0], e[:, 1]
+
+
+def _move_types(u: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # Forward where u < p, backward where p <= u < p + q, no change elsewhere.
+    return np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
 
 
 def _log_tables(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +105,20 @@ def additive_transformation(a: ArrayLike = 1.0) -> Transformation:
         return x + (z * a) * eps
 
     return Transformation(forward=forward, log_jacobian=lambda x, eps, z: 0.0, name="additive")
+
+
+def _transform_propose(transform: Transformation, log_density: Callable[[np.ndarray], float]) -> Callable:
+    """The family's one ``propose``: ``y = T_z(x, eps)`` for a ``(z, eps, log_ratio)`` row."""
+
+    def propose(state: ChainState, row: tuple):
+        z, eps, log_ratio = row
+        x = state.x
+        y = np.asarray(transform.forward(x, eps, z), dtype=float)
+        log_jac = float(transform.log_jacobian(x, eps, z))
+        lp_y = log_density(y) if math.isfinite(log_jac) else -math.inf
+        return ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp
+
+    return propose
 
 
 @dataclass(frozen=True)
@@ -159,8 +180,7 @@ class DependentZConfig:
         for name in ("mu_1", "mu_2", "mu_3", "sigma_1", "sigma_2", "sigma_3"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ValueError(f"{name}: entries must be finite")
-        for name in ("sigma_1", "sigma_2", "sigma_3"):
-            self._factor(getattr(self, name), name)
+        self.factors()
 
     @staticmethod
     def _factor(sigma, name: str) -> np.ndarray:
@@ -176,11 +196,7 @@ class DependentZConfig:
             raise ValueError(f"{name}: covariance must be positive definite") from exc
 
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            self._factor(self.sigma_1, "sigma_1"),
-            self._factor(self.sigma_2, "sigma_2"),
-            self._factor(self.sigma_3, "sigma_3"),
-        )
+        return tuple(self._factor(getattr(self, f"sigma_{j}"), f"sigma_{j}") for j in "123")
 
 
 def make_additive_tmcmc_kernel(target: Target, cfg: TmcmcConfig) -> Kernel:
@@ -223,7 +239,8 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
     types, redraws the all-zero rows (in row order, until none is left: that
     renormalizes ``P(z)`` by a constant that cancels in ``P(-z)/P(z)``), then
     ``b`` half-normal innovations ``eps = eps_scale * |N(0, 1)|``; a row is
-    ``(z, eps)``.  The transformation carries its own scales, so
+    ``(z, eps, log_ratio)`` for ``_transform_propose``, the ratio taken per
+    row.  The transformation carries its own scales, so
     ``cfg.scales`` must be 1.  :func:`make_additive_tmcmc_kernel` with
     ``p != q`` is this kernel on ``additive_transformation(a)``.
     """
@@ -234,28 +251,16 @@ def make_general_tmcmc_kernel(target: Target, transform: Transformation, cfg: Tm
     s = cfg.eps_scale
     log_density = target.log_density
 
-    def move_types(u: np.ndarray) -> np.ndarray:
-        return np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
-
     def draw(rng: np.random.Generator, b: int) -> list:
-        z = move_types(rng.random((b, p.size)))
+        z = _move_types(rng.random((b, p.size)), p, q)
         zero = np.flatnonzero(~z.any(axis=1))
         while zero.size:
-            z[zero] = move_types(rng.random((zero.size, p.size)))
+            z[zero] = _move_types(rng.random((zero.size, p.size)), p, q)
             zero = zero[~z[zero].any(axis=1)]
         eps = s * np.abs(rng.standard_normal(b))
-        return list(zip(z, eps.tolist()))
+        return [(zi, e, _move_log_ratio(zi, log_p, log_q)) for zi, e in zip(z, eps.tolist())]
 
-    def propose(state: ChainState, row: tuple):
-        z, eps = row
-        x = state.x
-        y = np.asarray(transform.forward(x, eps, z), dtype=float)
-        log_jac = float(transform.log_jacobian(x, eps, z))
-        lp_y = log_density(y) if math.isfinite(log_jac) else -math.inf
-        log_ratio = _move_log_ratio(z, log_p, log_q)
-        return ChainState(y, lp_y), log_ratio + log_jac + lp_y - state.lp
-
-    return Kernel(init_state(log_density), draw, propose)
+    return Kernel(init_state(log_density), draw, _transform_propose(transform, log_density))
 
 
 def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
@@ -266,10 +271,12 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
     then proceeds as the additive kernel; the all-zero move proposes the
     current point and is accepted as a self-transition.  ``kernel.draw(rng,
     b)`` draws ``b * 3k`` normals for the ``w_j``, ``b * k`` uniforms for
-    the move types and ``b`` normals for the innovations; a row is ``(noise,
-    u, eps)`` with ``noise`` of shape ``(3, k)``.  Each ``mu_j`` must have
-    shape ``(k,)``, each ``sigma_j`` ``(k,)`` or ``(k, k)`` and ``scales``
-    one value or ``k``: any other shape raises ``ValueError`` naming it.
+    the move types and ``b`` normals for the innovations, and takes the
+    block's ``(p, q)`` and each row's ratio; a row is ``(z, eps, log_ratio)``
+    for ``_transform_propose`` on ``additive_transformation(a)``.  Each
+    ``mu_j`` must have shape ``(k,)``, each ``sigma_j`` ``(k,)`` or ``(k, k)``
+    and ``scales`` one value or ``k``: any other shape raises ``ValueError``
+    naming it.
     """
     k = target.dim
     shapes = {f"mu_{j}": ((k,),) for j in "123"} | {f"sigma_{j}": ((k,), (k, k)) for j in "123"}
@@ -282,18 +289,10 @@ def make_dependent_z_kernel(target: Target, cfg: DependentZConfig) -> Kernel:
     log_density = target.log_density
 
     def draw(rng: np.random.Generator, b: int) -> list:
-        noise = rng.standard_normal((b, 3, k))
-        u = rng.random((b, k))
+        p, q = _softmax_moves(draws, rng.standard_normal((b, 3, k)))
+        z = _move_types(rng.random((b, k)), p, q)
         eps = s * np.abs(rng.standard_normal(b))
-        return list(zip(noise, u, eps.tolist()))
+        tables = zip(*_log_tables(p, q))
+        return [(zi, e, _move_log_ratio(zi, *t)) for zi, e, t in zip(z, eps.tolist(), tables)]
 
-    def propose(state: ChainState, row: tuple):
-        noise, u, eps = row
-        p, q = _softmax_moves(draws, noise)
-        z = np.where(u < p, 1.0, np.where(u < p + q, -1.0, 0.0))
-        y = state.x + (z * a) * eps
-        lp_y = log_density(y)
-        log_ratio = _move_log_ratio(z, *_log_tables(p, q))
-        return ChainState(y, lp_y), log_ratio + lp_y - state.lp
-
-    return Kernel(init_state(log_density), draw, propose)
+    return Kernel(init_state(log_density), draw, _transform_propose(additive_transformation(a), log_density))

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baseline_kernels import HmcConfig, PhasePoint, _score, leapfrog
-from .chain import chain_rng, run_chain
+from .chain import _check_count, chain_rng, run_chain
 from .discrete_kernels import (
     _translation_matrix,
     ising_transition_matrix,
@@ -298,8 +298,7 @@ def check_dependent_z_balance(
     ``_move_log_ratio``; dropping the ratio (``move_ratio=False``) breaks
     this decisively.
     """
-    if mc_size < 100_000:
-        raise ValueError(f"mc_size must be at least 1e5 for a usable error band, got {mc_size}")
+    _check_count("mc_size", mc_size, 100_000)  # fewer draws leave no usable error band
     log_pi = _grid_log_pi(n_states)
     pi = _normalized(log_pi)
     w = _jump_weights(jump_weights)
@@ -308,8 +307,10 @@ def check_dependent_z_balance(
     draws = tuple(zip(mus, cfg.factors()))
     if any(mu.size != 1 or L.size != 1 for mu, L in draws):
         raise ValueError("the balance certificate runs on a 1-D grid; config must have k = 1")
-    # The kernel's own law, one column of noise per draw: (3, k = 1, mc_size).
-    p_s, q_s = _softmax_moves(draws, chain_rng(seed).standard_normal((3, 1, mc_size)))
+    # The kernel's own law, one draw per column of (3, 1, mc_size) noise (the stream the verdicts
+    # were fixed on), passed as its (mc_size, 3, 1) view; the ratio takes (k, n) tables.
+    noise = chain_rng(seed).standard_normal((3, 1, mc_size)).transpose(2, 0, 1)
+    p_s, q_s = (v.T for v in _softmax_moves(draws, noise))
     # Same move-ratio code as the sampling kernels, one ratio per draw.
     log_p, log_q = _log_tables(p_s, q_s)
     fwd_ratio = _move_log_ratio(np.ones(1), log_p, log_q) if move_ratio else 0.0

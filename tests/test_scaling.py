@@ -53,6 +53,12 @@ def test_spec_validation():
     assert replace(TINY, n_iter=200, burn_in=100).n_iter == 200
 
 
+def test_spec_refuses_an_empty_kernel_tuple():
+    # A spec with no kernel has no stream to cut into groups: refused when it is made.
+    with pytest.raises(ValueError, match="kernels must be nonempty"):
+        replace(TINY, kernels=())
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [("dims", (2.5,), "dims must be an integer, got 2.5"), ("dims", (True,), "dims must be an integer, got True"),

@@ -11,6 +11,7 @@ from tmcmc.transform_kernels import (
     DependentZConfig,
     TmcmcConfig,
     _move_log_ratio,
+    _softmax_moves,
     additive_transformation,
     make_additive_tmcmc_kernel,
     make_dependent_z_kernel,
@@ -172,28 +173,27 @@ def test_general_step_nonfinite_jacobian_rejects(scripted_rng):
 
 
 def test_general_specializes_to_additive_under_shared_stream():
-    # Transition by transition on one generator, and as run_chain traces over 700 steps
-    # (past a block boundary): both kernels draw the same rows in the same block layout.
+    # The symmetric shift kernel (p = q) and the general kernel on the additive transformation:
+    # transition by transition on one generator, and as run_chain traces over 700 steps (past a
+    # block boundary), both draw the same moves in the same block layout.
     target = make_iid_gaussian(3)
-    tfm = additive_transformation(1.0)
     x0 = np.array([0.1, -0.4, 2.0])
-    for p in (0.65, 0.5):
-        cfg = TmcmcConfig(eps_scale=0.8, p=p, q=1.0 - p)
-        additive = make_additive_tmcmc_kernel(target, cfg)
-        general = make_general_tmcmc_kernel(target, tfm, cfg)
-        r1, r2 = chain_rng(123), chain_rng(123)
-        x1, x2 = x0, x0
-        for _ in range(500):
-            s1 = run_chain(additive, x1, 1, r1)
-            s2 = run_chain(general, x2, 1, r2)
-            assert np.array_equal(s1.states, s2.states)
-            assert s1.accepted[0] == s2.accepted[0]
-            assert s1.log_alpha[0] == s2.log_alpha[0]
-            x1, x2 = s1.states[0], s2.states[0]
-        t1, t2 = run_chain(additive, x0, 700, 9), run_chain(general, x0, 700, 9)
-        assert 0 < t1.accepted.sum() < len(t1)
-        for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
-            assert np.array_equal(getattr(t1, field), getattr(t2, field)), field
+    cfg = TmcmcConfig(eps_scale=0.8, p=0.5, q=0.5)
+    additive = make_additive_tmcmc_kernel(target, cfg)
+    general = make_general_tmcmc_kernel(target, additive_transformation(1.0), cfg)
+    r1, r2 = chain_rng(123), chain_rng(123)
+    x1, x2 = x0, x0
+    for _ in range(500):
+        s1 = run_chain(additive, x1, 1, r1)
+        s2 = run_chain(general, x2, 1, r2)
+        assert np.array_equal(s1.states, s2.states)
+        assert s1.accepted[0] == s2.accepted[0]
+        assert s1.log_alpha[0] == s2.log_alpha[0]
+        x1, x2 = s1.states[0], s2.states[0]
+    t1, t2 = run_chain(additive, x0, 700, 9), run_chain(general, x0, 700, 9)
+    assert 0 < t1.accepted.sum() < len(t1)
+    for field in ("states", "accepted", "log_density", "log_alpha", "uniforms"):
+        assert np.array_equal(getattr(t1, field), getattr(t2, field)), field
 
 
 def test_general_draw_law():
@@ -222,7 +222,7 @@ def test_general_draw_law():
 
 
 def test_additive_draw_law():
-    # Blocks of 256 rows on one seed: a row is (z, eps), coordinate i moves by +a_i eps with
+    # Blocks of 256 rows on one seed: a row is (z, eps, log_ratio), coordinate i moves by +a_i eps with
     # probability p_i and by -a_i eps otherwise, so every coordinate of a move shares one
     # magnitude eps = |N(0, s^2)|, with mean s * sqrt(2 / pi) and second moment s^2.  Each
     # check is a |z| < 4 normal score.
@@ -247,31 +247,31 @@ def test_additive_draw_law():
 
 
 def test_dependent_z_draw_law():
-    # Blocks of 256 rows on one seed: a row is (noise, u, eps) with noise iid N(0, 1) of shape
-    # (3, k), u iid U(0, 1) of shape (k,) and eps = s * |N(0, 1)|, with mean s * sqrt(2 / pi).
-    # Each check is a |z| < 4 normal score.
-    k, s = 3, 0.7
-    kernel = make_dependent_z_kernel(make_iid_gaussian(k), symmetric_dependent_cfg(k, eps_scale=s))
+    # Blocks of 256 rows on one seed: a row is (z, eps, log_ratio).  Under the symmetric law each
+    # coordinate moves forward, backward or not at all with probability 1/3 (to rounding), so the
+    # move ratio is 0 to rounding; eps = s * |N(0, 1)|, with mean s * sqrt(2 / pi) and second
+    # moment s^2; and propose moves the origin by (z * a) * eps.  Each check is a |z| < 4 normal score.
+    k, s, a = 3, 0.7, np.array([1.0, 0.5, 2.0])
+    cfg = dataclasses.replace(symmetric_dependent_cfg(k, eps_scale=s), scales=a)
+    kernel = make_dependent_z_kernel(make_iid_gaussian(k), cfg)
     rng = chain_rng(17)
     rows = [row for _ in range(40) for row in kernel.draw(rng, 256)]
-    noise = np.array([row[0] for row in rows])
-    u = np.array([row[1] for row in rows])
-    eps = np.array([row[2] for row in rows])
+    z = np.array([row[0] for row in rows])
+    eps = np.array([row[1] for row in rows])
+    log_ratio = np.array([row[2] for row in rows])
     n = len(rows)
-    assert noise.shape == (n, 3, k) and u.shape == (n, k) and eps.shape == (n,)
-    for j in range(3):
-        for i in range(k):
-            w = noise[:, j, i]
-            assert abs(w.mean()) < 4 / math.sqrt(n), (j, i)
-            assert abs(np.mean(w**2) - 1.0) < 4 * math.sqrt(2 / n), (j, i)
-    assert np.all((0.0 <= u) & (u < 1.0))
+    assert z.shape == (n, k) and eps.shape == (n,) and log_ratio.shape == (n,)
     for i in range(k):
-        assert abs(u[:, i].mean() - 0.5) < 4 * math.sqrt(1 / 12 / n), i
-        hits = (u[:, i] < 0.25).sum()
-        assert abs(hits - n / 4) < 4 * math.sqrt(n * 3 / 16), i
+        for v in (1.0, -1.0, 0.0):
+            hits = (z[:, i] == v).sum()
+            assert abs(hits - n / 3) < 4 * math.sqrt(n * 2 / 9), (i, v)
+    assert np.abs(log_ratio).max() < 1e-12
     assert np.all(eps >= 0.0)
     assert abs(eps.mean() - s * math.sqrt(2 / math.pi)) < 4 * s * math.sqrt(1 - 2 / math.pi) / math.sqrt(n)
     assert abs(np.mean(eps**2) - s**2) < 4 * s**2 * math.sqrt(2 / n)
+    origin = kernel.init(np.zeros(k))
+    moves = np.array([kernel.propose(origin, row)[0].x for row in rows])
+    assert np.array_equal(moves, (z * a) * eps[:, None])
 
 
 def multiplicative_transformation():
@@ -365,6 +365,23 @@ def test_dependent_z_all_zero_move_is_accepted_self_transition(scripted_rng):
     assert step.accepted[0]
     assert np.array_equal(step.states[0], x)
     assert step.log_alpha[0] == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_block_softmax_with_a_full_factor_is_each_rows_matrix_vector_product(k):
+    # The block law applies a 2-D factor L as the stack of per-row products L @ v: every row's
+    # (p, q) equals the softmax of mu_j + L_j @ noise_j taken row by row, bit for bit.
+    rng = np.random.default_rng(k)
+    factors = [np.linalg.cholesky(m @ m.T + k * np.eye(k)) for m in rng.standard_normal((3, k, k))]
+    draws = tuple(zip(rng.standard_normal((3, k)), factors))
+    noise = rng.standard_normal((1_024, 3, k))
+    p, q = _softmax_moves(draws, noise)
+    for i in range(len(noise)):
+        w = np.array([mu + L @ noise[i, j] for j, (mu, L) in enumerate(draws)])
+        w -= w.max(axis=0, keepdims=True)
+        e = np.exp(w)
+        e /= e.sum(axis=0, keepdims=True)
+        assert np.array_equal(p[i], e[0]) and np.array_equal(q[i], e[1]), i
 
 
 @pytest.mark.parametrize("field, value", [

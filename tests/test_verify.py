@@ -269,25 +269,31 @@ def test_dependent_z_balance_runs_the_kernels_move_ratio(monkeypatch):
 
 
 def test_dependent_z_balance_draws_the_kernels_law(monkeypatch):
-    # One (p, q) law: the certificate's batched noise, one column a draw, gives each column the
-    # (p, q) that the kernel's propose computes from that column alone, bit for bit.
+    # One (p, q) law: the certificate's batched noise, one row a draw, gives each row the
+    # (p, q) that the kernel's draw computes from a block of that row alone, bit for bit.
     cfg = asymmetric_cfg()
     draws = tuple(zip((cfg.mu_1, cfg.mu_2, cfg.mu_3), cfg.factors()))
-    noise = np.random.default_rng(5).standard_normal((3, 1, 50))
+    noise = np.random.default_rng(5).standard_normal((50, 3, 1))
     p_s, q_s = _softmax_moves(draws, noise.copy())
     for i in range(50):
-        p, q = _softmax_moves(draws, noise[:, :, i].copy())
-        assert p_s[0, i] == p[0] and q_s[0, i] == q[0], i
+        p, q = _softmax_moves(draws, noise[i : i + 1].copy())
+        assert p_s[i, 0] == p[0, 0] and q_s[i, 0] == q[0, 0], i
     calls = []
     spy = lambda draws, noise: calls.append(noise.shape) or _softmax_moves(draws, noise)  # noqa: E731
     monkeypatch.setattr(verify, "_softmax_moves", spy)
     assert check_dependent_z_balance(cfg, mc_size=100_000, seed=4).passed
-    assert calls == [(3, 1, 100_000)]
+    assert calls == [(100_000, 3, 1)]
 
 
 def test_dependent_z_balance_requires_enough_samples():
     with pytest.raises(ValueError):
         check_dependent_z_balance(symmetric_cfg(), mc_size=50_000)
+
+
+@pytest.mark.parametrize("mc_size", [2e5, float("nan"), True])
+def test_dependent_z_balance_names_an_mc_size_that_is_not_an_integer(mc_size):
+    with pytest.raises(ValueError, match="mc_size must be an integer"):
+        check_dependent_z_balance(symmetric_cfg(), mc_size=mc_size)
 
 
 def test_rotation_matrices_are_sign_matrices():
